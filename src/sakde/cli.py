@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,10 @@ def _resolve_seed(arg_seed: Optional[int]) -> Tuple[int, str]:
         return arg_seed, "--seed"
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        return int(env), f"env:{SEED_ENV}"
+        try:
+            return int(env), f"env:{SEED_ENV}"
+        except ValueError:
+            raise SystemExit(f"{SEED_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_SEED, "default"
 
 
@@ -72,6 +75,12 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise SystemExit(f"cannot write report to {path!r}: {exc}")
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_point(text: str) -> Tuple[float, ...]:
@@ -506,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--table", type=int, choices=(1, 2, 3, 4))
     p_table.add_argument("--seed", type=int)
     p_table.add_argument("--out", type=str)
-    p_table.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_table.add_argument("--reps", type=int, default=5000)
+    p_table.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p_table.add_argument("--reps", type=_positive_int, default=5000)
     p_table.set_defaults(func=cmd_table)
 
     p_cell = sub.add_parser("cell", help="run one coverage cell")
@@ -518,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell.add_argument("--n", type=int, required=True)
     p_cell.add_argument("--estimator", required=True, choices=(mc.ROSENBLATT, mc.RECURSIVE))
     p_cell.add_argument("--seed", type=int)
-    p_cell.add_argument("--reps", type=int, default=5000)
+    p_cell.add_argument("--reps", type=_positive_int, default=5000)
     p_cell.add_argument("--out", type=str)
     p_cell.set_defaults(func=cmd_cell)
 
@@ -540,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the invariant check suites")
     p_check.add_argument("suite", choices=("fast", "full"))
     p_check.add_argument("--seed", type=int)
-    p_check.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_check.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_check.set_defaults(func=cmd_check)
 
     return parser

@@ -11,17 +11,25 @@ at O(#points) cost independent of n.  With the weight-induced stepsize
     f_n(x) = (sum w_k)^{-1} sum_k w_k h_k^{-d} K((x - X_k) / h_k),
 
 an identity the test suite certifies to 1e-12.
+
+Every estimate after the whole sample, of one sample or of a batch of
+replications, is one weighted kernel sum ``sum_k c_k K((x - X_k) / h_k)``
+(:func:`_kernel_sum`, chunked under a scalar memory budget); the estimators
+differ only in ``c_k`` and ``h_k``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from sakde.kernels import Kernel
 from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product
 
-# chunk length (in observations) for the vectorised closed-form sums
-_CHUNK = 4096
+# scalars (batch x observations x points x dim) per kernel-evaluation chunk,
+# 16 MB per temporary; a chunk holds at least one observation
+_KERNEL_BUDGET = 1 << 21
 
 
 def _as_points(points, dim) -> np.ndarray:
@@ -30,7 +38,23 @@ def _as_points(points, dim) -> np.ndarray:
         pts = pts[:, None] if dim == 1 else pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"points must have shape (m, {dim})")
+    if not np.isfinite(pts).all():
+        raise ValueError("points and observations must be finite")
     return pts
+
+
+def _kernel_sum(kernel: Kernel, coef: np.ndarray, h: np.ndarray,
+                sample: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``sum_k coef_k K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d) for a
+    ``sample`` of shape (..., n, d) and ``coef``, ``h`` of shape (n,); returns (..., m)."""
+    *batch, n, d = sample.shape
+    chunk = max(1, _KERNEL_BUDGET // (math.prod(batch) * len(points) * d))
+    out = np.zeros((*batch, len(points)))
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
+        k = kernel.fn((points[:, None, :] - sample[..., None, sl, :]) / h[sl, None])
+        out += (k.reshape(-1, k.shape[-1]) @ coef[sl]).reshape(out.shape)
+    return out
 
 
 class RecursiveEstimator:
@@ -46,13 +70,16 @@ class RecursiveEstimator:
         self.step = step
         self.bandwidth = bandwidth
         self.points = _as_points(points, kernel.dim)
-        self.values = np.full(self.points.shape[0], 0.0) + np.asarray(f0, dtype=float)
+        # raises ValueError unless f0 broadcasts to one value per point
+        self.values = np.array(np.broadcast_to(f0, self.points.shape[:1]), dtype=float)
         self.n = 0
         self._gammas = step.gamma_stream()
 
     def update(self, x_obs) -> None:
-        """Absorb one observation."""
+        """Absorb one observation; a non-finite one raises ValueError, changing nothing."""
         x_obs = np.asarray(x_obs, dtype=float).reshape(self.kernel.dim)
+        if not all(map(math.isfinite, x_obs.tolist())):
+            raise ValueError("observations must be finite")
         self.n += 1
         g = next(self._gammas)
         h = self.bandwidth.value(self.n)
@@ -60,6 +87,7 @@ class RecursiveEstimator:
         self.values = (1.0 - g) * self.values + g * self.kernel.fn(z) / h**self.kernel.dim
 
     def update_many(self, sample) -> None:
+        """Absorb the rows of ``sample`` in order, once all are checked to be finite."""
         for row in _as_points(sample, self.kernel.dim):
             self.update(row)
 
@@ -86,36 +114,24 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     accumulation round-off.
     """
     sample = _as_points(sample, kernel.dim)
-    pts = _as_points(points, kernel.dim)
     n = sample.shape[0]
-    c = recursion_weights(step, n)
-    h = np.asarray(bandwidth.value(np.arange(1, n + 1)), dtype=float)
-    coef = c / h**kernel.dim
-    out = np.zeros(pts.shape[0])
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        z = (pts[None, :, :] - sample[sl, None, :]) / h[sl, None, None]
-        out += coef[sl] @ kernel.fn(z)
-    return out + pi_product(step, n) * np.asarray(f0, dtype=float)
+    h = bandwidth.value(np.arange(1, n + 1))
+    coef = recursion_weights(step, n) / h**kernel.dim
+    out = _kernel_sum(kernel, coef, h, sample, _as_points(points, kernel.dim))
+    return out + pi_product(step, n) * np.broadcast_to(f0, out.shape)
 
 
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
                          sample, points) -> np.ndarray:
     """Weighted-average estimator ``(sum w_k)^{-1} sum_k w_k h_k^{-d} K((x - X_k)/h_k)``."""
     sample = _as_points(sample, kernel.dim)
-    pts = _as_points(points, kernel.dim)
     n = sample.shape[0]
     if n == 0:
         raise ValueError("sample must be nonempty")
     k = np.arange(1, n + 1)
-    w = np.asarray(weights.value(k), dtype=float)
-    h = np.asarray(bandwidth.value(k), dtype=float)
-    coef = w / h**kernel.dim
-    out = np.zeros(pts.shape[0])
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        z = (pts[None, :, :] - sample[sl, None, :]) / h[sl, None, None]
-        out += coef[sl] @ kernel.fn(z)
+    w = weights.value(k)
+    h = bandwidth.value(k)
+    out = _kernel_sum(kernel, w / h**kernel.dim, h, sample, _as_points(points, kernel.dim))
     return out / w.sum()
 
 
@@ -141,15 +157,11 @@ class RosenblattEstimator:
         """Evaluate at the given points; ``h`` defaults to the plan at the stored n."""
         if kernel.dim != self.dim:
             raise ValueError("kernel dimension mismatch")
-        pts = _as_points(points, self.dim)
         if h is None:
             h = float(self.bandwidth.value(self.n))
-        out = np.zeros(pts.shape[0])
-        for lo in range(0, self.n, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, self.n))
-            z = (pts[None, :, :] - self.sample[sl, None, :]) / h
-            out += kernel.fn(z).sum(axis=0)
-        return out / (self.n * h**self.dim)
+        coef = np.full(self.n, 1.0 / (self.n * h**self.dim))
+        return _kernel_sum(kernel, coef, np.full(self.n, h), self.sample,
+                           _as_points(points, self.dim))
 
 
 def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
@@ -160,20 +172,16 @@ def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan
     streaming recursion (certified in the tests) but vectorises across
     replications for the Monte Carlo driver.
     """
-    x = np.asarray(x, dtype=float).reshape(kernel.dim)
-    reps, n, d = samples.shape
-    c = recursion_weights(step, n)
-    h = np.asarray(bandwidth.value(np.arange(1, n + 1)), dtype=float)
-    coef = c / h**d
-    z = (x[None, None, :] - samples) / h[None, :, None]
-    return kernel.fn(z) @ coef
+    n = samples.shape[1]
+    h = bandwidth.value(np.arange(1, n + 1))
+    coef = recursion_weights(step, n) / h**kernel.dim
+    return _kernel_sum(kernel, coef, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]
 
 
 def rosenblatt_batch(kernel: Kernel, bandwidth: BandwidthPlan,
                      samples: np.ndarray, x) -> np.ndarray:
     """Rosenblatt estimate at one point ``x`` for a batch of replication samples."""
-    x = np.asarray(x, dtype=float).reshape(kernel.dim)
-    reps, n, d = samples.shape
+    n = samples.shape[1]
     h = float(bandwidth.value(n))
-    z = (x[None, None, :] - samples) / h
-    return kernel.fn(z).sum(axis=1) / (n * h**d)
+    coef = np.full(n, 1.0 / (n * h**kernel.dim))
+    return _kernel_sum(kernel, coef, np.full(n, h), samples, np.reshape(x, (1, kernel.dim)))[:, 0]

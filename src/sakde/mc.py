@@ -16,12 +16,11 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from sakde import __version__
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.estimators import recursive_batch, recursion_weights, rosenblatt_batch
 from sakde.kernels import Kernel, gaussian_kernel
@@ -121,11 +120,21 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_blocks(model, n: int, replications: int, seed: int) -> Iterable[np.ndarray]:
+def _estimate_blocks(model, x, n: int, replications: int, seed: int, estimator: str,
+                     step: StepsizePlan, bandwidth: BandwidthPlan) -> Iterator[np.ndarray]:
+    """Draw replications 0..replications-1 in blocks and yield each block's
+    estimates at ``x`` under the product Gaussian kernel, in replication order."""
+    if estimator not in (ROSENBLATT, RECURSIVE):
+        raise ValueError(f"unknown estimator kind: {estimator!r}")
+    kernel = gaussian_kernel(model.dim)
     block = max(1, min(replications, _SAMPLE_BUDGET // max(n, 1)))
     for lo in range(0, replications, block):
         idx = range(lo, min(lo + block, replications))
-        yield np.stack([model.sample(replication_rng(seed, r), n) for r in idx])
+        samples = np.stack([model.sample(replication_rng(seed, r), n) for r in idx])
+        if estimator == RECURSIVE:
+            yield recursive_batch(kernel, step, bandwidth, samples, x)
+        else:
+            yield rosenblatt_batch(kernel, bandwidth, samples, x)
 
 
 def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float, d: int,
@@ -152,11 +161,8 @@ def run_cell(cfg: CellConfig) -> CellResult:
     h_n = float(cfg.bandwidth.value(cfg.n))
     covered = 0
     length_sum = 0.0
-    for samples in _sample_blocks(cfg.model, cfg.n, cfg.replications, cfg.seed):
-        if cfg.estimator == RECURSIVE:
-            g = recursive_batch(kernel, cfg.step, cfg.bandwidth, samples, x)
-        else:
-            g = rosenblatt_batch(kernel, cfg.bandwidth, samples, x)
+    for g in _estimate_blocks(cfg.model, x, cfg.n, cfg.replications, cfg.seed,
+                              cfg.estimator, cfg.step, cfg.bandwidth):
         lo, hi = build_interval(g, cfg.ci_factor, kernel, cfg.n, h_n, cfg.dim)
         covered += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
         length_sum += float(np.sum(hi - lo))
@@ -277,7 +283,6 @@ def empirical_moments(model, x, n: int, a: float, replications: int, seed: int =
     if replications < 100:
         raise ValueError("need at least 100 replications for stable moments")
     d = model.dim
-    kernel = gaussian_kernel(d)
     bw = bandwidth_plan(1.0, a) if bandwidth is None else bandwidth
     if step is None:
         step = variance_optimal_step(a, d)
@@ -285,13 +290,7 @@ def empirical_moments(model, x, n: int, a: float, replications: int, seed: int =
     f_true = model.pdf(x)
     total = 0.0
     total_sq = 0.0
-    for samples in _sample_blocks(model, n, replications, seed):
-        if estimator == RECURSIVE:
-            g = recursive_batch(kernel, step, bw, samples, x)
-        elif estimator == ROSENBLATT:
-            g = rosenblatt_batch(kernel, bw, samples, x)
-        else:
-            raise ValueError(f"unknown estimator kind: {estimator!r}")
+    for g in _estimate_blocks(model, x, n, replications, seed, estimator, step, bw):
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
     mean = total / replications
@@ -399,12 +398,8 @@ def clt_empirical_check(model, x, n: int, a: float, replications: int = 2000,
     h_n = float(bw.value(n))
     gamma_n = float(step.seq.value(n))
     scale = math.sqrt(h_n**d / gamma_n)
-    values = np.empty(replications)
-    pos = 0
-    for samples in _sample_blocks(model, n, replications, seed):
-        g = recursive_batch(kernel, step, bw, samples, x)
-        values[pos:pos + g.size] = g
-        pos += g.size
+    blocks = _estimate_blocks(model, x, n, replications, seed, RECURSIVE, step, bw)
+    values = np.concatenate(list(blocks))
     z = np.sort(scale * (values - f_true) / math.sqrt(variance))
     cdf = ndtr(z)
     i = np.arange(1, replications + 1)

@@ -9,6 +9,7 @@ streaming recursion (no arrays of length ``n`` are ever stored).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -72,40 +73,26 @@ class StepsizePlan:
         return -self.seq.exponent
 
     def gamma(self, n: int) -> float:
-        """Exact gain at step ``n``.
-
-        For weight-induced plans this costs O(n); use :meth:`gamma_values`
-        or :meth:`gamma_stream` to drive a recursion.
-        """
-        if self.weights is None:
-            return self.seq.value(n)
-        w = self.weights.value(np.arange(1, n + 1))
-        return float(w[-1] / w.sum())
+        """Exact gain at step ``n`` (O(n) work; drive a recursion with :meth:`gamma_stream`)."""
+        return float(self.gamma_values(n)[-1])
 
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array."""
-        k = np.arange(1, n_max + 1)
-        if self.weights is None:
-            return np.asarray(self.seq.value(k), dtype=float)
-        w = self.weights.value(k)
-        return w / np.cumsum(w)
+        out = np.empty(n_max)
+        for lo, g in zip(range(0, n_max, _BLOCK), self._gamma_blocks(n_max)):
+            out[lo:lo + g.size] = g
+        return out
 
     def gamma_stream(self) -> Iterator[float]:
-        """Yield gamma_1, gamma_2, ... lazily (running weight sum inside)."""
-        n = 0
-        wsum = 0.0
-        while True:
-            n += 1
-            if self.weights is None:
-                yield float(self.seq.value(n))
-            else:
-                w = float(self.weights.value(n))
-                wsum += w
-                yield w / wsum
+        """Yield gamma_1, gamma_2, ... lazily, one block of gains at a time."""
+        for g in self._gamma_blocks():
+            yield from g.tolist()
 
-    def _gamma_blocks(self, n_max: int, block: int = _BLOCK) -> Iterator[np.ndarray]:
+    def _gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
+        """Gains for steps 1..n_max (without end by default) in consecutive
+        arrays of at most ``block`` steps; the one place where gains are computed."""
         wsum = 0.0
-        for lo in range(1, n_max + 1, block):
+        for lo in itertools.takewhile(lambda start: start <= n_max, itertools.count(1, block)):
             k = np.arange(lo, min(lo + block, n_max + 1))
             if self.weights is None:
                 yield np.asarray(self.seq.value(k), dtype=float)

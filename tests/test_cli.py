@@ -110,3 +110,27 @@ def test_check_fast_passes(capsys):
     code, out = run(capsys, "check", "fast", "--seed", "1")
     assert "[FAIL]" not in out
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "1", "--reps", "0"],
+    ["table", "1", "--jobs", "-3"],
+    ["table", "1", "--reps", "many"],
+    ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "50",
+     "--estimator", "recursive", "--reps", "0"],
+    ["check", "fast", "--jobs", "0"],
+])
+def test_nonpositive_reps_and_jobs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+def test_non_integer_seed_env_is_one_line_exit(tmp_path, monkeypatch):
+    monkeypatch.setenv("SAKDE_SEED", "4x2")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "1", "--reps", "10", "--jobs", "1", "--out", str(tmp_path / "t.csv")])
+    message = str(exc.value.code)
+    assert "SAKDE_SEED" in message and "'4x2'" in message
+    assert "\n" not in message

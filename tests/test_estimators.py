@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sakde import estimators
 from sakde.densities import standard_gaussian
 from sakde.estimators import (
     RecursiveEstimator,
@@ -182,3 +184,127 @@ def test_batch_paths_match_streaming():
             assert batch_rec[r] == pytest.approx(est.values[0], rel=1e-12)
             ros = RosenblattEstimator(d, bw, samples[r])
             assert batch_ros[r] == pytest.approx(ros.eval(kern, x[None, :])[0], rel=1e-12)
+
+
+# Reference loops for the chunked kernel sum: one observation at a time, in
+# plain Python, written from the defining formulas.  Every caller must match
+# them to this relative tolerance, fixed beforehand from float64 round-off
+# over a few dozen positive terms.
+REF_RTOL = 1e-12
+
+
+def _loop_recursion(kern, step, bw, sample, pts, f0=0.0):
+    f = np.full(len(pts), f0)
+    for k, (g, x_k) in enumerate(zip(step.gamma_values(len(sample)), sample), start=1):
+        h = bw.value(k)
+        f = (1.0 - g) * f + g * kern.fn((pts - x_k) / h) / h**kern.dim
+    return f
+
+
+def _loop_weighted(kern, weights, bw, sample, pts):
+    num, den = np.zeros(len(pts)), 0.0
+    for k, x_k in enumerate(sample, start=1):
+        w, h = weights.value(k), bw.value(k)
+        num += w * kern.fn((pts - x_k) / h) / h**kern.dim
+        den += w
+    return num / den
+
+
+def _loop_rosenblatt(kern, h, sample, pts):
+    total = np.zeros(len(pts))
+    for x_k in sample:
+        total += kern.fn((pts - x_k) / h)
+    return total / (len(sample) * h**kern.dim)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50])
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_sum_callers_match_observation_loops(d, budget, monkeypatch):
+    # budget 1 puts every observation in its own chunk; 50 gives uneven chunks
+    if budget is not None:
+        monkeypatch.setattr(estimators, "_KERNEL_BUDGET", budget)
+    rng = np.random.default_rng(23 + d)
+    kern = gaussian_kernel(d)
+    a = 0.21 / d
+    bw = bandwidth_plan(0.9, a)
+    step = stepsize_plan(1.0 - a * d)
+    weights = SequencePlan(1.0, -a * d / 2.0)
+    sample = rng.standard_normal((40, d))
+    pts = rng.standard_normal((7, d))
+    np.testing.assert_allclose(recursive_at_points(kern, step, bw, sample, pts, f0=0.2),
+                               _loop_recursion(kern, step, bw, sample, pts, f0=0.2),
+                               rtol=REF_RTOL, atol=0)
+    np.testing.assert_allclose(weighted_closed_form(kern, weights, bw, sample, pts),
+                               _loop_weighted(kern, weights, bw, sample, pts),
+                               rtol=REF_RTOL, atol=0)
+    h_n = float(bw.value(40))
+    np.testing.assert_allclose(RosenblattEstimator(d, bw, sample).eval(kern, pts),
+                               _loop_rosenblatt(kern, h_n, sample, pts), rtol=REF_RTOL, atol=0)
+
+    samples = rng.standard_normal((3, 40, d))
+    x = pts[0]
+    rec = recursive_batch(kern, step, bw, samples, x)
+    ros = rosenblatt_batch(kern, bw, samples, x)
+    assert rec.shape == ros.shape == (3,)
+    for r in range(3):
+        assert rec[r] == pytest.approx(
+            _loop_recursion(kern, step, bw, samples[r], x[None, :])[0], rel=REF_RTOL, abs=0)
+        assert ros[r] == pytest.approx(
+            _loop_rosenblatt(kern, h_n, samples[r], x[None, :])[0], rel=REF_RTOL, abs=0)
+
+
+def test_recursive_at_points_memory_is_bounded():
+    # one chunk of the whole sample would hold 2048 * 10^4 * 2 scalars (328 MB)
+    # per temporary; the scalar budget keeps the traced peak far below that
+    rng = np.random.default_rng(5)
+    sample = rng.standard_normal((2048, 2))
+    axis = np.linspace(-3.0, 3.0, 100)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        recursive_at_points(gaussian_kernel(2), stepsize_plan(0.66), bandwidth_plan(1.0, 0.17),
+                            sample, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observation_leaves_state_unchanged(bad):
+    kern = gaussian_kernel(1)
+    est = RecursiveEstimator(kern, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
+                             np.linspace(-1, 1, 5)[:, None], f0=0.1)
+    est.update_many([[0.2]])
+    before = est.values.copy()
+    with pytest.raises(ValueError):
+        est.update_many([[0.1], [bad], [0.3]])
+    with pytest.raises(ValueError):
+        est.update([bad])
+    assert est.n == 1
+    np.testing.assert_array_equal(est.values, before)
+    # the gain sequence did not advance either: the next update is step 2
+    est.update([0.1])
+    ref = RecursiveEstimator(kern, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
+                             np.linspace(-1, 1, 5)[:, None], f0=0.1)
+    ref.update_many([[0.2], [0.1]])
+    np.testing.assert_array_equal(est.values, ref.values)
+
+
+def test_rosenblatt_rejects_non_finite_sample():
+    with pytest.raises(ValueError):
+        RosenblattEstimator(1, bandwidth_plan(1.0, 0.21), np.array([[0.1], [math.nan]]))
+
+
+def test_f0_must_broadcast_to_grid():
+    kern = gaussian_kernel(1)
+    pts = np.linspace(-1, 1, 4)[:, None]
+    args = (kern, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21), pts)
+    for f0 in (np.zeros((4, 1)), np.zeros(3), np.zeros((1, 1))):
+        with pytest.raises(ValueError):
+            RecursiveEstimator(*args, f0=f0)
+        with pytest.raises(ValueError):
+            recursive_at_points(*args[:3], np.zeros((5, 1)), pts, f0=f0)
+    est = RecursiveEstimator(*args, f0=np.arange(4.0))
+    np.testing.assert_array_equal(est.values, np.arange(4.0))
+    assert RecursiveEstimator(*args, f0=0.5).values.shape == (4,)

@@ -122,10 +122,12 @@ def test_weight_induced_gain_limit(w_star):
 
 
 def test_gamma_stream_matches_gamma_values():
-    for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
-        stream = step.gamma_stream()
-        first = np.array([next(stream) for _ in range(100)])
-        np.testing.assert_allclose(first, step.gamma_values(100), rtol=1e-15)
+    # 2**15 + 10 crosses a gain block boundary
+    for n in (100, 2**15 + 10):
+        for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
+            stream = step.gamma_stream()
+            first = np.array([next(stream) for _ in range(n)])
+            np.testing.assert_allclose(first, step.gamma_values(n), rtol=1e-15)
 
 
 def test_pi_product_exact_zero_for_weight_induced():
