@@ -11,7 +11,9 @@ The package provides:
 - leading-order bias/variance/MSE/MISE formulas, CLT parameters and
   confidence-interval calibration constants (:mod:`sakde.asymptotics`),
 - a deterministic Monte Carlo harness for confidence-interval coverage
-  (:mod:`sakde.mc`) and a command line front end (:mod:`sakde.cli`).
+  (:mod:`sakde.mc`), the invariant checks shared by ``sakde check`` and the
+  acceptance tests (:mod:`sakde.checks`) and a command line front end
+  (:mod:`sakde.cli`).
 """
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
 from sakde.kernels import Kernel
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
@@ -84,17 +82,29 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
     )
 
 
+def _bias_denom(a: float, xi: float) -> float:
+    """``1 - 2 a xi``, the denominator of every leading bias constant."""
+    denom = 1.0 - 2.0 * a * xi
+    if denom <= 0:
+        raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
+    return denom
+
+
+def _variance_denom(a: float, d: int, xi: float) -> float:
+    """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
+    denom = 2.0 - (1.0 - a * d) * xi
+    if denom <= 0:
+        raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
+    return denom
+
+
 def bias_leading(S_x: float, bandwidth: BandwidthPlan, step: StepsizePlan, n: int) -> float:
     """Leading bias ``h_n^2 S(x) / (2 (1 - 2 a xi))``.
 
     With ``xi = 0`` this reduces to the nonrecursive constant ``h_n^2 S(x)/2``.
     """
-    a = bandwidth.a
-    denom = 1.0 - 2.0 * a * step.xi
-    if denom <= 0:
-        raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
     h = float(bandwidth.value(n))
-    return h * h * S_x / (2.0 * denom)
+    return h * h * S_x / (2.0 * _bias_denom(bandwidth.a, step.xi))
 
 
 def rosenblatt_bias(S_x: float, h: float) -> float:
@@ -109,10 +119,8 @@ def variance_leading(f_x: float, kernel: Kernel, bandwidth: BandwidthPlan,
     Uses the closed-form gain ``step.seq.value(n)`` (the regular-variation
     equivalent for weight-induced plans).
     """
-    a, d = bandwidth.a, kernel.dim
-    denom = 2.0 - (1.0 - a * d) * step.xi
-    if denom <= 0:
-        raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
+    d = kernel.dim
+    denom = _variance_denom(bandwidth.a, d, step.xi)
     gamma_n = float(step.seq.value(n))
     h = float(bandwidth.value(n))
     return gamma_n / h**d * f_x * kernel.roughness / denom
@@ -137,7 +145,7 @@ class MseOptimalPlan:
         return self.mse_constant * float(n) ** (-4.0 / (self.d + 4))
 
 
-def _optimal_constants(quad_term: float, rough_term: float, d: int) -> Tuple[float, float]:
+def _unit_gain_plan(quad_term: float, rough_term: float, d: int) -> MseOptimalPlan:
     # quad_term = S(x)^2 (pointwise) or the integrated squared curvature;
     # rough_term = f(x) R (pointwise) or R (integrated)
     h_const = (d * (d + 2) / (2.0 * (d + 4)) * rough_term / quad_term) ** (1.0 / (d + 4))
@@ -147,26 +155,23 @@ def _optimal_constants(quad_term: float, rough_term: float, d: int) -> Tuple[flo
         * quad_term ** (d / (d + 4))
         * rough_term ** (4 / (d + 4))
     )
-    return h_const, mse_const
+    return MseOptimalPlan(stepsize_plan(1.0), bandwidth_plan(h_const, 1.0 / (d + 4)),
+                          h_const, mse_const, d)
+
+
+def _check_point(f_x: float, S_x: float) -> None:
+    if f_x <= 0:
+        raise ValueError("f(x) must be positive")
+    if S_x == 0:
+        raise ValueError("optimal bandwidth undefined where the curvature vanishes")
 
 
 def mse_optimal_plan(f_x: float, S_x: float, kernel: Kernel) -> MseOptimalPlan:
     """Plan minimising the pointwise MSE at a point with density f(x) and
     curvature S(x): unit gain limit, bandwidth ``const * gamma_n**(1/(d+4))``.
     """
-    if f_x <= 0:
-        raise ValueError("f(x) must be positive")
-    if S_x == 0:
-        raise ValueError("optimal bandwidth undefined where the curvature vanishes")
-    d = kernel.dim
-    h_const, mse_const = _optimal_constants(S_x * S_x, f_x * kernel.roughness, d)
-    return MseOptimalPlan(
-        step=stepsize_plan(1.0),
-        bandwidth=bandwidth_plan(h_const, 1.0 / (d + 4)),
-        bandwidth_constant=h_const,
-        mse_constant=mse_const,
-        d=d,
-    )
+    _check_point(f_x, S_x)
+    return _unit_gain_plan(S_x * S_x, f_x * kernel.roughness, kernel.dim)
 
 
 @dataclass(frozen=True)
@@ -183,10 +188,7 @@ class RosenblattOptimal:
 
 def rosenblatt_mse_optimal(f_x: float, S_x: float, kernel: Kernel) -> RosenblattOptimal:
     """Minimise ``(h^2 S/2)^2 + f R / (n h^d)`` over h for the baseline."""
-    if f_x <= 0:
-        raise ValueError("f(x) must be positive")
-    if S_x == 0:
-        raise ValueError("optimal bandwidth undefined where the curvature vanishes")
+    _check_point(f_x, S_x)
     d = kernel.dim
     quad = S_x * S_x / 4.0
     rough = f_x * kernel.roughness
@@ -208,15 +210,9 @@ def mise_leading(curv_integral: float, kernel: Kernel, step: StepsizePlan,
     h = float(bandwidth.value(n))
     terms = 0.0
     if cmp <= 0:
-        denom = 1.0 - 2.0 * a * xi
-        if denom <= 0:
-            raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
-        terms += h**4 / (4.0 * denom**2) * curv_integral
+        terms += h**4 / (4.0 * _bias_denom(a, xi) ** 2) * curv_integral
     if cmp >= 0:
-        denom = 2.0 - (1.0 - a * d) * xi
-        if denom <= 0:
-            raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
-        terms += float(step.seq.value(n)) / h**d * kernel.roughness / denom
+        terms += float(step.seq.value(n)) / h**d * kernel.roughness / _variance_denom(a, d, xi)
     return terms
 
 
@@ -226,15 +222,7 @@ def mise_optimal_plan(curv_integral: float, kernel: Kernel) -> MseOptimalPlan:
     roughness alone in place of f(x) R."""
     if curv_integral <= 0:
         raise ValueError("integrated squared curvature must be positive")
-    d = kernel.dim
-    h_const, mise_const = _optimal_constants(curv_integral, kernel.roughness, d)
-    return MseOptimalPlan(
-        step=stepsize_plan(1.0),
-        bandwidth=bandwidth_plan(h_const, 1.0 / (d + 4)),
-        bandwidth_constant=h_const,
-        mse_constant=mise_const,
-        d=d,
-    )
+    return _unit_gain_plan(curv_integral, kernel.roughness, kernel.dim)
 
 
 def efficiency_ratio(d: int) -> float:
@@ -275,20 +263,9 @@ def clt_params(c: float, f_x: float, S_x: float, kernel: Kernel, a: float,
         raise ValueError("c must be nonnegative (or inf)")
     d, xi = kernel.dim, step.xi
     if math.isinf(c):
-        denom = 1.0 - 2.0 * a * xi
-        if denom <= 0:
-            raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
-        return CltParams(c, S_x / (2.0 * denom), 0.0)
-    vdenom = 2.0 - (1.0 - a * d) * xi
-    if vdenom <= 0:
-        raise ValueError(f"variance pole: 2 - (1-ad)*xi = {vdenom} must be positive")
-    if c == 0:
-        mean = 0.0
-    else:
-        bdenom = 1.0 - 2.0 * a * xi
-        if bdenom <= 0:
-            raise ValueError(f"bias pole: 1 - 2*a*xi = {bdenom} must be positive")
-        mean = math.sqrt(c) * S_x / (2.0 * bdenom)
+        return CltParams(c, S_x / (2.0 * _bias_denom(a, xi)), 0.0)
+    vdenom = _variance_denom(a, d, xi)
+    mean = 0.0 if c == 0 else math.sqrt(c) * S_x / (2.0 * _bias_denom(a, xi))
     return CltParams(c, mean, f_x * kernel.roughness / vdenom)
 
 
@@ -302,10 +279,7 @@ def ci_constant(gamma0: float, a: float, d: int) -> float:
         raise ValueError("gamma0 must be positive")
     if a * d >= 1:
         raise ValueError("a*d must be below 1")
-    denom = 2.0 - (1.0 - a * d) / gamma0
-    if denom <= 0:
-        raise ValueError(f"variance pole: 2*gamma0 = {2 * gamma0} must exceed 1 - a*d = {1 - a * d}")
-    return math.sqrt(gamma0 / denom)
+    return math.sqrt(gamma0 / _variance_denom(a, d, 1.0 / gamma0))
 
 
 def ci_constant_minimum(a: float, d: int) -> Tuple[float, float]:
@@ -332,15 +306,7 @@ def lil_interval(c1: float, S_x: float, f_x: float, kernel: Kernel, a: float,
     if c1 < 0:
         raise ValueError("c1 must be nonnegative")
     d, xi = kernel.dim, step.xi
-    vdenom = 2.0 - (1.0 - a * d) * xi
-    if vdenom <= 0:
-        raise ValueError(f"variance pole: 2 - (1-ad)*xi = {vdenom} must be positive")
-    if c1 == 0:
-        center = 0.0
-    else:
-        bdenom = 1.0 - 2.0 * a * xi
-        if bdenom <= 0:
-            raise ValueError(f"bias pole: 1 - 2*a*xi = {bdenom} must be positive")
-        center = math.sqrt(c1 / 2.0) * S_x / (2.0 * bdenom)
+    vdenom = _variance_denom(a, d, xi)
+    center = 0.0 if c1 == 0 else math.sqrt(c1 / 2.0) * S_x / (2.0 * _bias_denom(a, xi))
     halfwidth = math.sqrt(f_x * kernel.roughness / vdenom)
     return center - halfwidth, center + halfwidth

@@ -21,6 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
+from sakde import asymptotics
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.estimators import recursive_batch, recursion_weights, rosenblatt_batch
 from sakde.kernels import Kernel, gaussian_kernel
@@ -391,10 +392,7 @@ def clt_empirical_check(model, x, n: int, a: float, replications: int = 2000,
     x = np.asarray(x, dtype=float)
     f_true = model.pdf(x)
     if variance is None:
-        denom = 2.0 - (1.0 - a * d) * step.xi
-        if denom <= 0:
-            raise ValueError("variance pole: 2 - (1-ad)*xi must be positive")
-        variance = f_true * kernel.roughness / denom
+        variance = asymptotics.clt_params(0.0, f_true, 0.0, kernel, a, step).asym_var
     h_n = float(bw.value(n))
     gamma_n = float(step.seq.value(n))
     scale = math.sqrt(h_n**d / gamma_n)

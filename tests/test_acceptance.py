@@ -13,20 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from sakde import asymptotics as asy
-from sakde import mc, reference
+from sakde import checks, mc
 from sakde.cli import main as cli_main
-from sakde.densities import LinearImage, curvature, standard_gaussian
-from sakde.estimators import RecursiveEstimator, weighted_closed_form
 from sakde.kernels import gaussian_kernel
-from sakde.sequences import (
-    SequencePlan,
-    bandwidth_plan,
-    lemma_limit,
-    pi_product,
-    stepsize_from_weights,
-    stepsize_plan,
-)
 
 SEED = 42
 PHI0 = 1 / math.sqrt(2 * math.pi)
@@ -35,6 +24,11 @@ PHI0 = 1 / math.sqrt(2 * math.pi)
 def record(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def measure(*suite_checks):
+    """Raw measured values of the shared checks, by check name."""
+    return {o.name: o.value for check in suite_checks for o in check(SEED, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -48,35 +42,15 @@ def fast_tables():
 
 
 def test_criterion_1_recursion_equals_closed_form():
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for d in (1, 2):
-        kern = gaussian_kernel(d)
-        a = 0.21 / d
-        bw = bandwidth_plan(0.9, a)
-        sample = rng.standard_normal((1000, d))
-        grid = rng.standard_normal((50, d)) * 1.5
-        for factor in (0.0, 0.5, 1.0):  # weights 1, h^{d/2}, h^d
-            weights = SequencePlan(1.0, -factor * a * d)
-            step = stepsize_from_weights(weights)
-            est = RecursiveEstimator(kern, step, bw, grid)
-            est.update_many(sample)
-            direct = weighted_closed_form(kern, weights, bw, sample, grid)
-            worst = max(worst, float(np.max(np.abs(est.values - direct))))
+    worst = measure(checks.recursion_equivalence)["recursion-equivalence"]
     assert record(1, worst < 1e-12,
                   f"sup |recursion - weighted closed form| = {worst:.3e} (tol 1e-12)")
 
 
 def test_criterion_2_streaming_limit_evaluation():
-    n = 10**6
-    q = lemma_limit(2.0, SequencePlan(1.0, 0.79), stepsize_plan(1.0), n)
+    values = measure(checks.lemma_limit_value, checks.lemma_identity)
+    q, ident_worst = values["lemma-limit"], values["lemma-identity"]
     dev = abs(q * 1.21 - 1.0)
-    ident_worst = 0.0
-    for scale in (1.0, 0.5):
-        step = stepsize_plan(scale)
-        ident = abs(lemma_limit(1.0, SequencePlan(1.0, 0.0), step, n)
-                    - (1.0 - pi_product(step, n)))
-        ident_worst = max(ident_worst, ident)
     ok = dev < 0.01 and ident_worst < 1e-12
     assert record(2, ok,
                   f"limit {q:.6f} vs 1/1.21 (rel dev {dev:.2e}, tol 1%); "
@@ -84,24 +58,23 @@ def test_criterion_2_streaming_limit_evaluation():
 
 
 def test_criterion_3_variance_formula_oracle():
-    model = mc.table_model("gaussian")
     kern = gaussian_kernel(1)
-    n, a, reps = 10**4, 0.21, 2000
+    n, a = 10**4, 0.21
     h = float(n) ** -a
+    # hand-written leading-order constants, independent of asymptotics.py
     targets = {
-        "plain-average": (stepsize_plan(1.0),
-                          PHI0 * kern.roughness / ((1 + a) * n * h)),
-        "variance-optimal": (stepsize_plan(1.0 - a),
-                             (1 - a) * PHI0 * kern.roughness / (n * h)),
+        "plain-average": PHI0 * kern.roughness / ((1 + a) * n * h),
+        "variance-optimal": (1 - a) * PHI0 * kern.roughness / (n * h),
     }
+    moments = measure(checks.moments_vs_exact)
     ratios = {}
-    for label, (step, target) in targets.items():
-        emp = mc.empirical_moments(model, (0.0,), n, a, reps, seed=SEED, step=step)
-        _, exact_var = mc.exact_moments(model, (0.0,), n, a, step=step)
-        ratios[label] = emp.variance / target
-        print(f"  {label}: empirical/leading = {emp.variance / target:.3f}, "
+    for label, target in targets.items():
+        m = moments[f"moments-vs-exact({label})"]
+        emp_var, exact_var = m["empirical"].variance, m["exact_var"]
+        ratios[label] = emp_var / target
+        print(f"  {label}: empirical/leading = {emp_var / target:.3f}, "
               f"exact-finite-n/leading = {exact_var / target:.3f}, "
-              f"empirical/exact = {emp.variance / exact_var:.3f}")
+              f"empirical/exact = {emp_var / exact_var:.3f}")
     ok = all(abs(r - 1.0) < 0.10 for r in ratios.values())
     assert record(3, ok,
                   "empirical variance within 10% of the leading constants: "
@@ -109,24 +82,13 @@ def test_criterion_3_variance_formula_oracle():
 
 
 def test_criterion_4_bias_formula_oracle():
-    model = mc.table_model("gaussian")
-    kern = gaussian_kernel(1)
-    n, a, reps = 10**5, 0.1, 200
-    step = stepsize_plan(1.0)
-    bw = bandwidth_plan(1.0, a)
-    emp = mc.empirical_moments(model, (0.0,), n, a, reps, seed=SEED, step=step)
-    predicted = asy.bias_leading(curvature(model, kern, (0.0,)), bw, step, n)
-    ratio = emp.mean_bias / predicted
+    ratio = measure(checks.bias_oracle)["bias-oracle"]
     assert record(4, abs(ratio - 1.0) < 0.15,
                   f"empirical/leading bias ratio {ratio:.3f} (tol 15%)")
 
 
 def test_criterion_5_clt_sup_cdf_distance():
-    # curvature-free point of a dilated Gaussian keeps the finite-n center
-    # shift negligible at the pinned n; gamma0 = 1-ad, a = 0.21, d = 1
-    model = LinearImage(standard_gaussian(1), [[3.0]], label="gaussian-sigma3")
-    report = mc.clt_empirical_check(model, (3.0,), 10**4, 0.21,
-                                    replications=2000, seed=SEED)
+    report = measure(checks.clt_gate)["clt-gate"]
     assert record(5, report.passed,
                   f"sup-CDF distance {report.distance:.4f} vs threshold "
                   f"{report.threshold:.4f} (sample mean {report.sample_mean:+.3f}, "
@@ -134,17 +96,8 @@ def test_criterion_5_clt_sup_cdf_distance():
 
 
 def _deviations(tables):
-    rows = []
-    for t, table_rows in tables.items():
-        for row in table_rows:
-            ref_level, ref_length = reference.reference_cell(
-                t, row.x, row.a, row.n, row.estimator)
-            rows.append((
-                row,
-                100.0 * row.result.empirical_level - ref_level,
-                row.result.avg_length / ref_length - 1.0,
-            ))
-    return rows
+    return [(v.row, v.d_pp, v.d_len)
+            for rows in tables.values() for v in checks.reference_deviations(rows)]
 
 
 def _print_worst(rows, k=6):
@@ -205,24 +158,15 @@ def test_criterion_6_qualitative_orderings(full_tables):
 
 
 def test_criterion_7_closed_form_constants():
-    worst_comp = 0.0
-    for d in (1, 2):
-        kern = gaussian_kernel(d)
-        rec = asy.mse_optimal_plan(0.35, -0.4, kern)
-        ros = asy.rosenblatt_mse_optimal(0.35, -0.4, kern)
-        worst_comp = max(worst_comp,
-                         abs(ros.mse_constant / rec.mse_constant - asy.efficiency_ratio(d)))
-    rhos = np.array([asy.efficiency_ratio(d) for d in range(1, 51)])
+    values = measure(checks.efficiency_ratio, checks.ci_constant_minimum)
+    worst_comp = values["efficiency-ratio"]["composition_dev"]
+    rhos = values["efficiency-ratio"]["rhos"]
     amin = int(np.argmin(rhos))
     shape_ok = bool(np.all(rhos < 1.0)) and 0 < amin < 49 and rhos[-1] > rhos[amin]
 
-    a, d = 0.21, 1
-    g_star, c_star = asy.ci_constant_minimum(a, d)
-    min_dev = abs(c_star - math.sqrt(1 - a))
-    grid = np.linspace(0.45, 4.0, 2001)
-    vals = np.array([asy.ci_constant(g, a, d) for g in grid])
-    off = np.abs(grid - g_star) > 1e-3
-    strict = bool(np.all(vals[off] > c_star + 1e-9)) and min_dev < 1e-12
+    calib = values["ci-constant-minimum"]
+    min_dev = calib["minimum_dev"]
+    strict = calib["off_grid_min"] > calib["c_star"] + 1e-9 and min_dev < 1e-12
 
     ok = worst_comp < 1e-10 and shape_ok and strict
     assert record(7, ok,
@@ -234,20 +178,8 @@ def test_criterion_7_closed_form_constants():
 def test_criterion_8_mse_bandwidth_first_order_condition():
     ok = True
     details = []
-    for d in (1, 2):
-        kern = gaussian_kernel(d)
-        f_x, s_x = 0.35, -0.4
-        plan = asy.mse_optimal_plan(f_x, s_x, kern)
-        n = 10**4
-
-        def leading(h_const):
-            bw = bandwidth_plan(h_const, 1.0 / (d + 4))
-            return (asy.bias_leading(s_x, bw, plan.step, n) ** 2
-                    + asy.variance_leading(f_x, kern, bw, plan.step, n))
-
-        base = leading(plan.bandwidth_constant)
-        up = leading(plan.bandwidth_constant * 1.01)
-        dn = leading(plan.bandwidth_constant * 0.99)
+    for d, (base, up, dn) in measure(checks.mse_first_order_condition)[
+            "mse-first-order-condition"].items():
         ok = ok and up > base and dn > base
         details.append(f"d={d}: +1% gives {up / base - 1:+.2e}, -1% gives {dn / base - 1:+.2e}")
     assert record(8, ok, "; ".join(details))

@@ -1,7 +1,6 @@
-import os
-
 import pytest
 
+from sakde import checks
 from sakde.cli import main
 
 
@@ -110,6 +109,27 @@ def test_check_fast_passes(capsys):
     code, out = run(capsys, "check", "fast", "--seed", "1")
     assert "[FAIL]" not in out
     assert code == 0
+    # perfbench parses these verdict lines: names and order are an interface
+    names = ("kernel-constants(d=1) kernel-constants(d=2) sequence-diagnostic "
+             "weight-induced-gain lemma-identity lemma-limit recursion-equivalence "
+             "closed-form-expansion density-hessians change-of-variables curvature-integral "
+             "ci-constant-minimum efficiency-ratio mse-first-order-condition "
+             "balanced-plan-ratios(d=1) balanced-plan-ratios(d=2) coverage-smoke").split()
+    verdicts = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert [ln.split("] ", 1)[1].split(": ", 1)[0] for ln in verdicts] == names
+    assert out.splitlines()[-1] == "17/17 checks passed"
+
+
+def test_check_failure_is_reported_and_exits_1(capsys, monkeypatch):
+    def broken(seed, jobs):
+        return [checks.CheckOutcome("lemma-limit", False, "forced failure")]
+
+    monkeypatch.setattr(checks, "FAST", tuple(
+        broken if c is checks.lemma_limit_value else c for c in checks.FAST))
+    code, out = run(capsys, "check", "fast", "--seed", "1")
+    assert "[FAIL] lemma-limit: forced failure" in out.splitlines()
+    assert out.splitlines()[-1] == "16/17 checks passed"
+    assert code == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -119,6 +139,11 @@ def test_check_fast_passes(capsys):
     ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "50",
      "--estimator", "recursive", "--reps", "0"],
     ["check", "fast", "--jobs", "0"],
+    ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "0",
+     "--estimator", "recursive"],
+    ["asymptotics", "rho", "--d", "0"],
+    ["asymptotics", "bias", "--density", "gaussian", "--x", "0", "--a", "0.21",
+     "--gamma0", "1", "--n", "-5"],
 ])
 def test_nonpositive_reps_and_jobs_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -133,4 +158,18 @@ def test_non_integer_seed_env_is_one_line_exit(tmp_path, monkeypatch):
         main(["table", "1", "--reps", "10", "--jobs", "1", "--out", str(tmp_path / "t.csv")])
     message = str(exc.value.code)
     assert "SAKDE_SEED" in message and "'4x2'" in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("argv", [
+    "cell --density gaussian --x abc", "cell --density gaussian --x 0,0",
+    "cell --density gaussian-2d --x 0", "asymptotics bias --density gaussian-2d --x 0",
+])
+def test_bad_point_is_one_line_exit(argv):
+    rest = " --a 0.21 --n 50 " + ("--estimator recursive --reps 10" if "cell" in argv
+                                  else "--gamma0 1")
+    with pytest.raises(SystemExit) as exc:
+        main((argv + rest).split())
+    message = str(exc.value.code)
+    assert message.startswith(f"--x must be {2 if '2d' in argv else 1} ")
     assert "\n" not in message
