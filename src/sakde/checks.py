@@ -229,31 +229,31 @@ def coverage_smoke(seed: int, jobs: int) -> List[CheckOutcome]:
 def moments_vs_exact(seed: int, jobs: int) -> List[CheckOutcome]:
     """Moments at n = 10^4 against the exact finite-n ones, for the
     plain-average and the variance-optimal gain."""
-    model, kern = mc.table_model("gaussian"), gaussian_kernel(1)
-    n, a, reps, out = 10**4, 0.21, 2000, []
-    for label, step in (("plain-average", stepsize_plan(1.0)),
-                        ("variance-optimal", stepsize_plan(1.0 - a))):
-        emp = mc.empirical_moments(model, (0.0,), n, a, reps, seed=seed, step=step)
-        ex_mean, ex_var = mc.exact_moments(model, (0.0,), n, a, step=step)
-        lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), kern,
-                                            bandwidth_plan(1.0, a), step, n)
-        tol = 5.0 * math.sqrt(ex_var / reps)
+    model, kern, out = mc.table_model("gaussian"), gaussian_kernel(1), []
+    for label, step in (("plain-average", stepsize_plan(1.0)), ("variance-optimal", None)):
+        cell = mc.CellConfig(model, (0.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed, step=step)
+        emp = mc.empirical_moments(cell)
+        ex_mean, ex_var = mc.exact_moments(cell)
+        lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), kern, cell.bandwidth,
+                                            cell.step, cell.n)
+        tol = 5.0 * math.sqrt(ex_var / cell.replications)
         out += _outcome(
             f"moments-vs-exact({label})",
             abs(emp.variance / ex_var - 1.0) < 0.15 and abs(emp.mean - ex_mean) < tol,
             f"variance ratio {emp.variance / ex_var:.3f}, "
             f"mean error {abs(emp.mean - ex_mean):.2e} (tol {tol:.2e})",
             {"empirical": emp, "exact_mean": ex_mean, "exact_var": ex_var},
-            f"leading-order variance ratio at n={n}: {emp.variance / lead:.3f} "
+            f"leading-order variance ratio at n={cell.n}: {emp.variance / lead:.3f} "
             "(finite-n deficit, see docs)")
     return out
 
 
 def bias_oracle(seed: int, jobs: int) -> List[CheckOutcome]:
-    model, n, a, step = mc.table_model("gaussian"), 10**5, 0.1, stepsize_plan(1.0)
-    emp = mc.empirical_moments(model, (0.0,), n, a, 200, seed=seed, step=step)
-    ratio = emp.mean_bias / asymptotics.bias_leading(
-        curvature(model, gaussian_kernel(1), (0.0,)), bandwidth_plan(1.0, a), step, n)
+    model = mc.table_model("gaussian")
+    cell = mc.CellConfig(model, (0.0,), 10**5, 0.1, mc.RECURSIVE, 200, seed,
+                         step=stepsize_plan(1.0))
+    ratio = mc.empirical_moments(cell).mean_bias / asymptotics.bias_leading(
+        curvature(model, gaussian_kernel(1), cell.x), cell.bandwidth, cell.step, cell.n)
     return _outcome("bias-oracle", abs(ratio - 1.0) < 0.15,
                     f"empirical/leading bias ratio {ratio:.3f}", ratio)
 
@@ -262,7 +262,8 @@ def clt_gate(seed: int, jobs: int) -> List[CheckOutcome]:
     # curvature-free point of a dilated Gaussian keeps the finite-n center
     # shift negligible; gamma0 = 1-ad, a = 0.21, d = 1
     scaled = LinearImage(standard_gaussian(1), [[3.0]], label="gaussian-sigma3")
-    rep = mc.clt_empirical_check(scaled, (3.0,), 10**4, 0.21, replications=2000, seed=seed)
+    rep = mc.clt_empirical_check(mc.CellConfig(scaled, (3.0,), 10**4, 0.21, mc.RECURSIVE,
+                                               2000, seed))
     return _outcome("clt-gate", rep.passed,
                     f"sup-CDF distance {rep.distance:.4f} vs threshold {rep.threshold:.4f}", rep)
 

@@ -116,8 +116,11 @@ def _print_reference_diff(rows) -> None:
 def cmd_cell(args) -> int:
     seed, source = _resolve_seed(args.seed)
     model = mc.table_model(args.density)
-    cfg = mc.CellConfig(model, _parse_point(args.x, model.dim), args.n, args.a,
-                        args.estimator, args.reps, seed)
+    try:
+        cfg = mc.CellConfig(model, _parse_point(args.x, model.dim), args.n, args.a,
+                            args.estimator, args.reps, seed)
+    except ValueError as exc:
+        raise SystemExit(f"cell: {exc}") from None
     result = mc.run_cell(cfg)
     row = mc.TableRow(0, args.density, cfg.x, cfg.a, cfg.n, cfg.estimator, result)
     meta = _meta(
@@ -147,6 +150,13 @@ def _require(args, names) -> None:
 
 
 def cmd_asymptotics(args) -> int:
+    try:
+        return _answer_query(args)
+    except ValueError as exc:  # a formula's domain or pole check rejected the flags
+        raise SystemExit(f"asymptotics {args.query}: {exc}") from None
+
+
+def _answer_query(args) -> int:
     q = args.query
     if q == "rho":
         _require(args, ["d"])

@@ -14,7 +14,7 @@ an identity the test suite certifies to 1e-12.
 
 Every estimate after the whole sample, of one sample or of a batch of
 replications, is one weighted kernel sum ``sum_k c_k K((x - X_k) / h_k)``
-(:func:`_kernel_sum`, chunked under a scalar memory budget); the estimators
+(:func:`_kernel_sum`, chunked under :data:`SCALAR_BUDGET`); the estimators
 differ only in ``c_k`` and ``h_k``.
 """
 
@@ -27,9 +27,11 @@ import numpy as np
 from sakde.kernels import Kernel
 from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product
 
-# scalars (batch x observations x points x dim) per kernel-evaluation chunk,
-# 16 MB per temporary; a chunk holds at least one observation
-_KERNEL_BUDGET = 1 << 21
+# the package's one memory budget, in float64 scalars (16 MB) per temporary:
+# a kernel-evaluation chunk (batch x observations x points x dim, at least one
+# observation) and a Monte Carlo sample block (replications x n x dim, at
+# least one replication) stay within it
+SCALAR_BUDGET = 1 << 21
 
 
 def _as_points(points, dim) -> np.ndarray:
@@ -48,7 +50,7 @@ def _kernel_sum(kernel: Kernel, coef: np.ndarray, h: np.ndarray,
     """``sum_k coef_k K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d) for a
     ``sample`` of shape (..., n, d) and ``coef``, ``h`` of shape (n,); returns (..., m)."""
     *batch, n, d = sample.shape
-    chunk = max(1, _KERNEL_BUDGET // (math.prod(batch) * len(points) * d))
+    chunk = max(1, SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
     out = np.zeros((*batch, len(points)))
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)

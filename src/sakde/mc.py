@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from sakde import asymptotics
+from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.estimators import recursive_batch, recursion_weights, rosenblatt_batch
 from sakde.kernels import Kernel, gaussian_kernel
@@ -35,10 +35,6 @@ Z_95 = 1.96
 
 #: 1% critical constant of the sup-CDF (Kolmogorov) statistic
 KS_1PCT = 1.63
-
-# scalars per sampling block; keeps block memory bounded and the block
-# structure (hence floating-point aggregation order) independent of jobs
-_SAMPLE_BUDGET = 1 << 21
 
 _SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
 
@@ -70,7 +66,12 @@ def table_model(name: str):
 
 @dataclass(frozen=True)
 class CellConfig:
-    """One cell of the coverage study: density, point, plan and estimator."""
+    """One estimand: an estimator of the density of ``model`` at ``x`` after ``n``
+    observations, with ``replications`` Monte Carlo draws keyed by ``seed``.
+
+    ``bandwidth`` and ``step`` default to the table protocol ``h_n = n^-a`` and
+    ``gamma_n = (1 - a d)/n``; every branch on the estimator kind lives here.
+    """
 
     model: object
     x: Tuple[float, ...]
@@ -79,6 +80,8 @@ class CellConfig:
     estimator: str
     replications: int = 5000
     seed: int = 0
+    step: Optional[StepsizePlan] = None
+    bandwidth: Optional[BandwidthPlan] = None
 
     def __post_init__(self):
         if self.estimator not in (ROSENBLATT, RECURSIVE):
@@ -87,22 +90,38 @@ class CellConfig:
             raise ValueError("n and replications must be positive")
         if not 0.0 < self.a * self.dim < 1.0:
             raise ValueError("bandwidth exponent must satisfy 0 < a*d < 1")
+        if self.bandwidth is None:
+            object.__setattr__(self, "bandwidth", bandwidth_plan(1.0, self.a))
+        elif self.bandwidth.a != self.a:
+            raise ValueError(f"bandwidth exponent {self.bandwidth.a} disagrees with a = {self.a}")
+        if self.step is None:
+            object.__setattr__(self, "step", variance_optimal_step(self.a, self.dim))
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
     @property
-    def bandwidth(self) -> BandwidthPlan:
-        return bandwidth_plan(1.0, self.a)
-
-    @property
-    def step(self) -> StepsizePlan:
-        return variance_optimal_step(self.a, self.dim)
-
-    @property
     def ci_factor(self) -> float:
-        return 1.0 if self.estimator == ROSENBLATT else math.sqrt(1.0 - self.a * self.dim)
+        """Interval constant C: 1 for the baseline, ``ci_constant(gamma0, a, d)``
+        (``sqrt(1 - a d)`` at the protocol gain) for the recursive estimator."""
+        if self.estimator == ROSENBLATT:
+            return 1.0
+        return asymptotics.ci_constant(self.step.gamma0, self.a, self.dim)
+
+    def estimate(self, samples: np.ndarray) -> np.ndarray:
+        """Estimates at ``x`` for a batch of samples of shape (reps, n, d)."""
+        kernel = gaussian_kernel(self.dim)
+        if self.estimator == RECURSIVE:
+            return recursive_batch(kernel, self.step, self.bandwidth, samples, self.x)
+        return rosenblatt_batch(kernel, self.bandwidth, samples, self.x)
+
+    def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``."""
+        if self.estimator == RECURSIVE:
+            h = np.asarray(self.bandwidth.value(np.arange(1, self.n + 1)), dtype=float)
+            return recursion_weights(self.step, self.n), h
+        return np.full(self.n, 1.0 / self.n), np.full(self.n, float(self.bandwidth.value(self.n)))
 
 
 @dataclass(frozen=True)
@@ -121,32 +140,26 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _estimate_blocks(model, x, n: int, replications: int, seed: int, estimator: str,
-                     step: StepsizePlan, bandwidth: BandwidthPlan) -> Iterator[np.ndarray]:
-    """Draw replications 0..replications-1 in blocks and yield each block's
-    estimates at ``x`` under the product Gaussian kernel, in replication order."""
-    if estimator not in (ROSENBLATT, RECURSIVE):
-        raise ValueError(f"unknown estimator kind: {estimator!r}")
-    kernel = gaussian_kernel(model.dim)
-    block = max(1, min(replications, _SAMPLE_BUDGET // max(n, 1)))
-    for lo in range(0, replications, block):
-        idx = range(lo, min(lo + block, replications))
-        samples = np.stack([model.sample(replication_rng(seed, r), n) for r in idx])
-        if estimator == RECURSIVE:
-            yield recursive_batch(kernel, step, bandwidth, samples, x)
-        else:
-            yield rosenblatt_batch(kernel, bandwidth, samples, x)
+def _estimate_blocks(cfg: CellConfig) -> Iterator[np.ndarray]:
+    """Draw replications 0..replications-1 in blocks of at most
+    ``estimators.SCALAR_BUDGET`` sample scalars and yield each block's
+    estimates in replication order.  The block structure, hence the
+    floating-point aggregation order, does not depend on the worker count."""
+    block = max(1, min(cfg.replications, estimators.SCALAR_BUDGET // (cfg.n * cfg.dim)))
+    for lo in range(0, cfg.replications, block):
+        idx = range(lo, min(lo + block, cfg.replications))
+        samples = np.stack([cfg.model.sample(replication_rng(cfg.seed, r), cfg.n) for r in idx])
+        yield cfg.estimate(samples)
 
 
-def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float, d: int,
-                   z: float = Z_95):
-    """Confidence interval ``g(x) -+ z C sqrt(g(x) R / (n h^d))``.
+def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
+    """Confidence interval ``g(x) -+ Z_95 C sqrt(g(x) R / (n h^d))``.
 
     Vectorised over ``g_x``; a zero estimate gives the degenerate interval
     [0, 0].
     """
     g = np.asarray(g_x, dtype=float)
-    half = z * c_factor * np.sqrt(g * kernel.roughness / (n * h**d))
+    half = Z_95 * c_factor * np.sqrt(g * kernel.roughness / (n * h**kernel.dim))
     lo, hi = g - half, g + half
     if g.ndim == 0:
         return float(lo), float(hi)
@@ -157,14 +170,12 @@ def run_cell(cfg: CellConfig) -> CellResult:
     """Run one cell: per replication draw, estimate, build the interval,
     then aggregate coverage of the true density value and interval length."""
     kernel = gaussian_kernel(cfg.dim)
-    x = np.asarray(cfg.x, dtype=float)
-    f_true = cfg.model.pdf(x)
+    f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     h_n = float(cfg.bandwidth.value(cfg.n))
     covered = 0
     length_sum = 0.0
-    for g in _estimate_blocks(cfg.model, x, cfg.n, cfg.replications, cfg.seed,
-                              cfg.estimator, cfg.step, cfg.bandwidth):
-        lo, hi = build_interval(g, cfg.ci_factor, kernel, cfg.n, h_n, cfg.dim)
+    for g in _estimate_blocks(cfg):
+        lo, hi = build_interval(g, cfg.ci_factor, kernel, cfg.n, h_n)
         covered += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
         length_sum += float(np.sum(hi - lo))
     p = covered / cfg.replications
@@ -271,32 +282,19 @@ class MomentReport:
     replications: int
 
 
-def empirical_moments(model, x, n: int, a: float, replications: int, seed: int = 0,
-                      step: Optional[StepsizePlan] = None,
-                      estimator: str = RECURSIVE,
-                      bandwidth: Optional[BandwidthPlan] = None) -> MomentReport:
-    """Monte Carlo moments of the chosen estimator at ``x``.
-
-    ``step`` defaults to the variance-optimal plan; pass e.g.
-    ``stepsize_plan(1.0)`` for the plain-average recursion.  ``bandwidth``
-    defaults to the unit-scale plan ``n**-a``.
-    """
-    if replications < 100:
+def empirical_moments(cfg: CellConfig) -> MomentReport:
+    """Monte Carlo moments of the cell's estimator at its point."""
+    if cfg.replications < 100:
         raise ValueError("need at least 100 replications for stable moments")
-    d = model.dim
-    bw = bandwidth_plan(1.0, a) if bandwidth is None else bandwidth
-    if step is None:
-        step = variance_optimal_step(a, d)
-    x = np.asarray(x, dtype=float)
-    f_true = model.pdf(x)
+    f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     total = 0.0
     total_sq = 0.0
-    for g in _estimate_blocks(model, x, n, replications, seed, estimator, step, bw):
+    for g in _estimate_blocks(cfg):
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
-    mean = total / replications
-    variance = (total_sq - replications * mean * mean) / (replications - 1)
-    return MomentReport(mean, mean - f_true, variance, replications)
+    mean = total / cfg.replications
+    variance = (total_sq - cfg.replications * mean * mean) / (cfg.replications - 1)
+    return MomentReport(mean, mean - f_true, variance, cfg.replications)
 
 
 def _as_gaussian_mixture(model) -> GaussianMixture:
@@ -314,11 +312,9 @@ def _as_gaussian_mixture(model) -> GaussianMixture:
     raise TypeError("exact moments require a Gaussian-mixture-representable model")
 
 
-def exact_moments(model, x, n: int, a: float, step: Optional[StepsizePlan] = None,
-                  estimator: str = RECURSIVE,
-                  bandwidth: Optional[BandwidthPlan] = None) -> Tuple[float, float]:
-    """Exact finite-n mean and variance of the estimator at ``x`` under the
-    product Gaussian kernel.
+def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
+    """Exact finite-n mean and variance of the cell's estimator at its point
+    under the product Gaussian kernel.
 
     Valid for Gaussian mixtures and their linear images, where the smoothed
     density and the squared-kernel smoothing are again Gaussian mixtures.
@@ -326,25 +322,13 @@ def exact_moments(model, x, n: int, a: float, step: Optional[StepsizePlan] = Non
     quantifies how far the finite-n moments sit from their leading-order
     limits.
     """
-    mix = _as_gaussian_mixture(model)
+    mix = _as_gaussian_mixture(cfg.model)
     d = mix.dim
     kernel = gaussian_kernel(d)
-    x = np.asarray(x, dtype=float).reshape(d)
-    k = np.arange(1, n + 1)
-    plan = bandwidth_plan(1.0, a) if bandwidth is None else bandwidth
-    h = np.asarray(plan.value(k), dtype=float)
-    if estimator == RECURSIVE:
-        if step is None:
-            step = variance_optimal_step(a, d)
-        c = recursion_weights(step, n)
-    elif estimator == ROSENBLATT:
-        h = np.full(n, float(plan.value(n)))
-        c = np.full(n, 1.0 / n)
-    else:
-        raise ValueError(f"unknown estimator kind: {estimator!r}")
-
-    ez = np.zeros(n)
-    ez2 = np.zeros(n)
+    x = np.asarray(cfg.x, dtype=float).reshape(d)
+    c, h = cfg.coefficients()
+    ez = np.zeros(cfg.n)
+    ez2 = np.zeros(cfg.n)
     for w, m, cov in zip(mix.weights, mix.means, mix.covs):
         lam, q = np.linalg.eigh(cov)
         dt = q.T @ (x - m)
@@ -372,44 +356,38 @@ class CltReport:
     sample_std: float
 
 
-def clt_empirical_check(model, x, n: int, a: float, replications: int = 2000,
-                        seed: int = 0, step: Optional[StepsizePlan] = None,
-                        variance: Optional[float] = None) -> CltReport:
-    """Standardise ``sqrt(gamma_n^{-1} h_n^d) (f_n(x) - f(x))`` by the limit
-    variance and measure the sup distance between its empirical CDF and the
-    standard normal CDF.
+def clt_empirical_check(cfg: CellConfig, variance: Optional[float] = None) -> CltReport:
+    """Standardise ``sqrt(gamma_n^{-1} h_n^d) (f_n(x) - f(x))`` of a recursive
+    cell by the limit variance and measure the sup distance between its
+    empirical CDF and the standard normal CDF.
 
     Requires an undersmoothing bandwidth (``n h_n^{d+4} -> 0``).  Plans with
     ``xi = 0`` converge slowly and are flagged, not gated.
     """
-    d = model.dim
-    if a * (d + 4) <= 1.0:
+    if cfg.estimator != RECURSIVE:
+        raise ValueError("the CLT readout standardises by the recursive gain")
+    d = cfg.dim
+    if cfg.a * (d + 4) <= 1.0:
         raise ValueError("undersmoothing required: a*(d+4) must exceed 1")
-    kernel = gaussian_kernel(d)
-    bw = bandwidth_plan(1.0, a)
-    if step is None:
-        step = variance_optimal_step(a, d)
-    x = np.asarray(x, dtype=float)
-    f_true = model.pdf(x)
+    f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     if variance is None:
-        variance = asymptotics.clt_params(0.0, f_true, 0.0, kernel, a, step).asym_var
-    h_n = float(bw.value(n))
-    gamma_n = float(step.seq.value(n))
-    scale = math.sqrt(h_n**d / gamma_n)
-    blocks = _estimate_blocks(model, x, n, replications, seed, RECURSIVE, step, bw)
-    values = np.concatenate(list(blocks))
+        variance = asymptotics.clt_params(0.0, f_true, 0.0, gaussian_kernel(d), cfg.a,
+                                          cfg.step).asym_var
+    reps = cfg.replications
+    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
+    values = np.concatenate(list(_estimate_blocks(cfg)))
     z = np.sort(scale * (values - f_true) / math.sqrt(variance))
     cdf = ndtr(z)
-    i = np.arange(1, replications + 1)
-    distance = float(max(np.max(i / replications - cdf),
-                         np.max(cdf - (i - 1) / replications)))
-    threshold = KS_1PCT / math.sqrt(replications)
+    i = np.arange(1, reps + 1)
+    distance = float(max(np.max(i / reps - cdf),
+                         np.max(cdf - (i - 1) / reps)))
+    threshold = KS_1PCT / math.sqrt(reps)
     return CltReport(
         distance=distance,
         threshold=threshold,
         passed=distance < threshold,
-        replications=replications,
-        slow_regime=step.xi == 0.0,
+        replications=reps,
+        slow_regime=cfg.step.xi == 0.0,
         sample_mean=float(np.mean(z)),
         sample_std=float(np.std(z, ddof=1)),
     )

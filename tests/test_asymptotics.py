@@ -153,22 +153,6 @@ def test_mse_optimal_plan_rejects_degenerate_inputs():
         asy.mse_optimal_plan(0.0, -1.0, kern)
 
 
-def test_mse_first_order_condition():
-    for d in (1, 2):
-        kern = gaussian_kernel(d)
-        plan = asy.mse_optimal_plan(0.35, -0.4, kern)
-        n = 10**4
-
-        def leading(h_const):
-            bw = bandwidth_plan(h_const, 1.0 / (d + 4))
-            return (asy.bias_leading(-0.4, bw, plan.step, n) ** 2
-                    + asy.variance_leading(0.35, kern, bw, plan.step, n))
-
-        base = leading(plan.bandwidth_constant)
-        assert leading(plan.bandwidth_constant * 1.01) > base
-        assert leading(plan.bandwidth_constant * 0.99) > base
-
-
 def test_mise_leading_branch_dispatch():
     kern = gaussian_kernel(1)
     integral = 0.2115711

@@ -173,3 +173,18 @@ def test_bad_point_is_one_line_exit(argv):
     message = str(exc.value.code)
     assert message.startswith(f"--x must be {2 if '2d' in argv else 1} ")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("asymptotics ci-constant --gamma0 0.3 --a 0.21 --d 1", "variance pole"),
+    ("asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.3 --n 100", "bias pole"),
+    ("asymptotics regime --a 0.9 --alpha 1 --d 2", "a must lie in"),
+    ("cell --density gaussian --x 0 --n 50 --estimator recursive --reps 10 --a 1.5",
+     "0 < a*d < 1"),
+])
+def test_rejected_input_is_one_line_exit(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    text = str(exc.value.code)
+    assert text.startswith(argv.split()[0]) and message in text
+    assert "\n" not in text

@@ -222,7 +222,7 @@ def _loop_rosenblatt(kern, h, sample, pts):
 def test_kernel_sum_callers_match_observation_loops(d, budget, monkeypatch):
     # budget 1 puts every observation in its own chunk; 50 gives uneven chunks
     if budget is not None:
-        monkeypatch.setattr(estimators, "_KERNEL_BUDGET", budget)
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     rng = np.random.default_rng(23 + d)
     kern = gaussian_kernel(d)
     a = 0.21 / d

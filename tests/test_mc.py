@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sakde import mc
+from sakde import estimators, mc
 from sakde.densities import LinearImage, standard_gaussian
 from sakde.kernels import gaussian_kernel
-from sakde.sequences import stepsize_plan
+from sakde.sequences import bandwidth_plan, stepsize_plan
 
 PHI0 = 1 / math.sqrt(2 * math.pi)
 
@@ -14,7 +14,7 @@ PHI0 = 1 / math.sqrt(2 * math.pi)
 def test_build_interval_arithmetic_example():
     kern = gaussian_kernel(1)
     n, h = 50, 50.0**-0.21
-    lo, hi = mc.build_interval(0.39894, 1.0, kern, n, h, 1)
+    lo, hi = mc.build_interval(0.39894, 1.0, kern, n, h)
     expected_half = 1.96 * math.sqrt(0.39894 * kern.roughness / (n * h))
     assert hi - lo == pytest.approx(2 * expected_half, rel=1e-12)
     assert hi - lo == pytest.approx(0.2804, abs=1e-4)
@@ -22,20 +22,20 @@ def test_build_interval_arithmetic_example():
 
 def test_build_interval_degenerate_at_zero():
     kern = gaussian_kernel(1)
-    assert mc.build_interval(0.0, 1.0, kern, 50, 0.4, 1) == (0.0, 0.0)
+    assert mc.build_interval(0.0, 1.0, kern, 50, 0.4) == (0.0, 0.0)
 
 
 def test_build_interval_length_ratio_is_ci_factor():
     kern = gaussian_kernel(1)
-    lo1, hi1 = mc.build_interval(0.39894, 1.0, kern, 50, 0.44, 1)
-    lo2, hi2 = mc.build_interval(0.39894, math.sqrt(0.79), kern, 50, 0.44, 1)
+    lo1, hi1 = mc.build_interval(0.39894, 1.0, kern, 50, 0.44)
+    lo2, hi2 = mc.build_interval(0.39894, math.sqrt(0.79), kern, 50, 0.44)
     assert (hi2 - lo2) / (hi1 - lo1) == pytest.approx(math.sqrt(0.79), rel=1e-14)
 
 
 def test_build_interval_vectorised():
     kern = gaussian_kernel(1)
     g = np.array([0.0, 0.2, 0.4])
-    lo, hi = mc.build_interval(g, 1.0, kern, 100, 0.3, 1)
+    lo, hi = mc.build_interval(g, 1.0, kern, 100, 0.3)
     assert lo.shape == hi.shape == (3,)
     assert lo[0] == hi[0] == 0.0
 
@@ -66,7 +66,7 @@ def test_single_replication_cell():
     sample = mc.table_model("gaussian").sample(mc.replication_rng(9, 0), 50)
     from sakde.estimators import rosenblatt_batch
     g = rosenblatt_batch(kern, cfg.bandwidth, sample[None, :, :], np.zeros(1))[0]
-    lo, hi = mc.build_interval(g, 1.0, kern, 50, float(cfg.bandwidth.value(50)), 1)
+    lo, hi = mc.build_interval(g, 1.0, kern, 50, float(cfg.bandwidth.value(50)))
     assert res.avg_length == pytest.approx(hi - lo, rel=1e-12)
     assert res.empirical_level == float(lo <= PHI0 <= hi)
 
@@ -118,10 +118,9 @@ def test_empirical_moments_match_exact_oracle():
         ("plain-average", stepsize_plan(1.0), mc.RECURSIVE),
         ("rosenblatt", None, mc.ROSENBLATT),
     ):
-        emp = mc.empirical_moments(model, (0.0,), n, a, reps, seed=2,
-                                   step=step, estimator=estimator)
-        ex_mean, ex_var = mc.exact_moments(model, (0.0,), n, a, step=step,
-                                           estimator=estimator)
+        cell = mc.CellConfig(model, (0.0,), n, a, estimator, reps, seed=2, step=step)
+        emp = mc.empirical_moments(cell)
+        ex_mean, ex_var = mc.exact_moments(cell)
         assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps)), label
         assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps)), label
 
@@ -131,7 +130,7 @@ def test_exact_moments_rosenblatt_matches_direct_formula():
     model = mc.table_model("gaussian")
     n, a = 123, 0.21
     h = float(n) ** -a
-    mean, var = mc.exact_moments(model, (0.0,), n, a, estimator=mc.ROSENBLATT)
+    mean, var = mc.exact_moments(mc.CellConfig(model, (0.0,), n, a, mc.ROSENBLATT))
     kern = gaussian_kernel(1)
     ez = math.exp(0.0) / math.sqrt(2 * math.pi * (1 + h * h))
     ez2 = kern.roughness / h / math.sqrt(2 * math.pi * (1 + h * h / 2))
@@ -142,8 +141,9 @@ def test_exact_moments_rosenblatt_matches_direct_formula():
 def test_exact_moments_linear_image_matches_monte_carlo():
     model = mc.table_model("gaussian-2d")
     n, a, reps = 100, 0.19, 4000
-    emp = mc.empirical_moments(model, (0.5, 0.5), n, a, reps, seed=6)
-    ex_mean, ex_var = mc.exact_moments(model, (0.5, 0.5), n, a)
+    cell = mc.CellConfig(model, (0.5, 0.5), n, a, mc.RECURSIVE, reps, seed=6)
+    emp = mc.empirical_moments(cell)
+    ex_mean, ex_var = mc.exact_moments(cell)
     assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps))
     assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps))
 
@@ -174,7 +174,8 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     stderr = float(ise.std(ddof=1)) / math.sqrt(reps)
 
     pointwise = np.array([
-        mc.exact_moments(model, (x,), n, a, step=plan.step, bandwidth=plan.bandwidth)
+        mc.exact_moments(mc.CellConfig(model, (x,), n, a, mc.RECURSIVE, step=plan.step,
+                                       bandwidth=plan.bandwidth))
         for x in grid
     ])
     exact_mise = float(np.trapezoid((pointwise[:, 0] - f_true) ** 2 + pointwise[:, 1], grid))
@@ -196,8 +197,8 @@ def test_length_ratio_approaches_ci_factor():
 
 def test_clt_check_passes_on_low_distortion_config():
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
-    report = mc.clt_empirical_check(model, (2.0,), 2000, 0.21,
-                                    replications=1000, seed=3)
+    report = mc.clt_empirical_check(mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE,
+                                                  replications=1000, seed=3))
     assert report.passed
     assert not report.slow_regime
     assert report.threshold == pytest.approx(1.63 / math.sqrt(1000), rel=1e-12)
@@ -206,25 +207,31 @@ def test_clt_check_passes_on_low_distortion_config():
 def test_clt_check_fails_when_variance_is_mis_scaled():
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
     base_var = (model.pdf(np.array([2.0])) * gaussian_kernel(1).roughness)
-    report = mc.clt_empirical_check(model, (2.0,), 2000, 0.21,
-                                    replications=1000, seed=3,
+    report = mc.clt_empirical_check(mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE,
+                                                  replications=1000, seed=3),
                                     variance=4.0 * base_var)
     assert not report.passed
     assert report.sample_std == pytest.approx(0.5, abs=0.1)
 
 
 def test_clt_check_flags_slow_regime():
-    report = mc.clt_empirical_check(mc.table_model("gaussian"), (1.0,), 500, 0.21,
-                                    replications=400, seed=5,
-                                    step=stepsize_plan(1.0, alpha=0.7))
+    report = mc.clt_empirical_check(mc.CellConfig(
+        mc.table_model("gaussian"), (1.0,), 500, 0.21, mc.RECURSIVE, replications=400, seed=5,
+        step=stepsize_plan(1.0, alpha=0.7)))
     assert report.slow_regime
     assert report.distance > 0
 
 
+def test_clt_check_rejects_rosenblatt_cell():
+    with pytest.raises(ValueError, match="recursive"):
+        mc.clt_empirical_check(mc.CellConfig(mc.table_model("gaussian"), (0.0,), 500, 0.21,
+                                             mc.ROSENBLATT, replications=200))
+
+
 def test_clt_check_requires_undersmoothing():
     with pytest.raises(ValueError):
-        mc.clt_empirical_check(mc.table_model("gaussian"), (0.0,), 500, 0.15,
-                               replications=200)
+        mc.clt_empirical_check(mc.CellConfig(mc.table_model("gaussian"), (0.0,), 500, 0.15,
+                                             mc.RECURSIVE, replications=200))
 
 
 def test_table_model_names():
@@ -245,3 +252,34 @@ def test_cell_config_validation():
     with pytest.raises(ValueError):
         mc.CellConfig(mc.table_model("gaussian-2d"), (0.0, 0.0), 50, 0.6,
                       mc.ROSENBLATT, 10, 0)
+    with pytest.raises(ValueError, match="disagrees"):
+        mc.CellConfig(model, (0.0,), 50, 0.21, mc.RECURSIVE, bandwidth=bandwidth_plan(1.0, 0.2))
+
+
+def test_cell_config_defaults_to_table_protocol():
+    for table in (1, 2, 3, 4):
+        for cfg in mc.table_configs(table, seed=0):
+            assert cfg.bandwidth == bandwidth_plan(1.0, cfg.a)
+            assert cfg.step == mc.variance_optimal_step(cfg.a, cfg.dim)
+            expected = 1.0 if cfg.estimator == mc.ROSENBLATT else math.sqrt(1 - cfg.a * cfg.dim)
+            assert cfg.ci_factor == expected  # bit for bit
+
+
+def test_sample_blocks_follow_scalar_budget(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return estimators.recursive_batch(*args)
+
+    monkeypatch.setattr(mc, "recursive_batch", counting)
+    cfg = mc.CellConfig(mc.table_model("gaussian-2d"), (0.5, 0.5), 50, 0.19,
+                        mc.RECURSIVE, replications=300, seed=4)
+    one_block = mc.run_cell(cfg)
+    assert len(calls) == 1
+    monkeypatch.setattr(estimators, "SCALAR_BUDGET", 64 * 50 * 2)  # 64 replications
+    calls.clear()
+    blocks = mc.run_cell(cfg)
+    assert len(calls) == 5
+    assert blocks.empirical_level == one_block.empirical_level
+    assert blocks.avg_length == pytest.approx(one_block.avg_length, rel=1e-12)
