@@ -3,9 +3,9 @@
 Everything here is a pure function of the plan parameters and the kernel and
 density constants: bias/variance regimes, pointwise and integrated MSE with
 their optimal plans, the efficiency ratio against the nonrecursive baseline,
-CLT parameters, and the confidence-interval / strong-concentration
-calibration constants.  Parameter combinations that sit on a pole of a
-formula raise ``ValueError`` instead of returning signed infinities.
+CLT parameters, and the confidence-interval calibration constant.  Parameter
+combinations that sit on a pole of a formula raise ``ValueError`` instead of
+returning signed infinities.
 """
 
 from __future__ import annotations
@@ -272,11 +272,11 @@ def clt_params(c: float, f_x: float, S_x: float, kernel: Kernel, a: float,
 def ci_constant(gamma0: float, a: float, d: int) -> float:
     """Interval calibration constant ``sqrt(gamma0 / (2 - (1 - a d)/gamma0))``.
 
-    The same expression is the concentration half-width factor of the strong
-    convergence law; see :func:`lil_concentration_factor`.
+    ``gamma0`` is the limit of ``n gamma_n``; the interval needs it finite, so a
+    gain that decays slower than 1/n (``gamma0 = inf``) is rejected.
     """
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be positive")
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
     if a * d >= 1:
         raise ValueError("a*d must be below 1")
     return math.sqrt(gamma0 / _variance_denom(a, d, 1.0 / gamma0))
@@ -287,26 +287,3 @@ def ci_constant_minimum(a: float, d: int) -> Tuple[float, float]:
     if a * d >= 1:
         raise ValueError("a*d must be below 1")
     return 1.0 - a * d, math.sqrt(1.0 - a * d)
-
-
-def lil_concentration_factor(gamma0: float, a: float, d: int) -> float:
-    """Half-width factor of the almost-sure limit interval (identical formula
-    to :func:`ci_constant`)."""
-    return ci_constant(gamma0, a, d)
-
-
-def lil_interval(c1: float, S_x: float, f_x: float, kernel: Kernel, a: float,
-                 step: StepsizePlan) -> Tuple[float, float]:
-    """Endpoints of the almost-sure limit interval of the scaled error.
-
-    ``c1`` is the limit of ``gamma_n^{-1} h_n^{d+4} / log(sum_k gamma_k)``;
-    the interval is ``center +- halfwidth`` with the same bias/variance
-    constants as the CLT.  Constants calculator only.
-    """
-    if c1 < 0:
-        raise ValueError("c1 must be nonnegative")
-    d, xi = kernel.dim, step.xi
-    vdenom = _variance_denom(a, d, xi)
-    center = 0.0 if c1 == 0 else math.sqrt(c1 / 2.0) * S_x / (2.0 * _bias_denom(a, xi))
-    halfwidth = math.sqrt(f_x * kernel.roughness / vdenom)
-    return center - halfwidth, center + halfwidth

@@ -143,7 +143,7 @@ def change_of_variables(seed: int, jobs: int) -> List[CheckOutcome]:
 
 
 def curvature_integral(seed: int, jobs: int) -> List[CheckOutcome]:
-    value = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1)).value
+    value = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1))
     target = 3.0 / (8.0 * math.sqrt(math.pi))
     return _outcome("curvature-integral", abs(value - target) < 1e-6,
                     f"{value:.8f} vs closed form {target:.8f}", value)

@@ -44,7 +44,7 @@ def _meta(command: str, seed: int, seed_source: str, replications: int, dim: int
         "seed": seed,
         "seed_source": seed_source,
         "replications": replications,
-        "kernel": f"gaussian-product(d={dim})",
+        "kernel": gaussian_kernel(dim).name,
         "rng": "philox4x64 key=(seed, replication_index)",
         "interval": f"estimate -+ {mc.Z_95} * C * sqrt(estimate*R/(n*h^d))",
         "version": f"sakde {__version__}",
@@ -220,9 +220,8 @@ def _answer_query(args) -> int:
     if q == "mise-optimal":
         _require(args, ["density"])
         integral = curvature_squared_integral(model, kernel)
-        plan = asymptotics.mise_optimal_plan(integral.value, kernel)
-        print(f"integrated squared curvature = {integral.value:.6g} "
-              f"({integral.points_per_axis} points/axis)")
+        plan = asymptotics.mise_optimal_plan(integral, kernel)
+        print(f"integrated squared curvature = {integral:.6g}")
         print("stepsize: gamma_n = 1/n (gain limit 1)")
         print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{kernel.dim + 4})")
         print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{kernel.dim + 4})")

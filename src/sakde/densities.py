@@ -4,22 +4,18 @@ functionals.
 Two concrete families cover everything the Monte Carlo study needs: Gaussian
 mixtures with full covariances, and invertible linear images ``X = A Y`` of
 another model.  Both expose the same surface: ``pdf``, ``hessian``,
-``hessian_diag``, ``sample``, ``mean``/``cov`` (used to size quadrature
-boxes) and a human-readable ``label``.
+``hessian_diag``, ``sample`` and a human-readable ``label``.  A linear image
+of a mixture is again a mixture (:func:`as_mixture`), which is what makes the
+exact oracles closed-form sums over mixture components.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from sakde.kernels import Kernel
-
-
-class QuadratureError(RuntimeError):
-    """Raised when a deterministic quadrature fails its self-consistency check."""
 
 
 def _as_batch(x, dim):
@@ -101,17 +97,6 @@ class GaussianMixture:
         z = rng.standard_normal((count, self.dim))
         return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
-
-    def cov(self) -> np.ndarray:
-        mu = self.mean()
-        second = sum(
-            w * (c + np.outer(m, m))
-            for w, m, c in zip(self.weights, self.means, self.covs)
-        )
-        return second - np.outer(mu, mu)
-
 
 class LinearImage:
     """Density of ``X = A Y`` for an invertible matrix A and base model Y."""
@@ -154,12 +139,6 @@ class LinearImage:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.base.sample(rng, count) @ self.matrix.T
 
-    def mean(self) -> np.ndarray:
-        return self.matrix @ self.base.mean()
-
-    def cov(self) -> np.ndarray:
-        return self.matrix @ self.base.cov() @ self.matrix.T
-
 
 def standard_gaussian(dim: int) -> GaussianMixture:
     """Standard normal density on R^d as a one-component mixture."""
@@ -174,55 +153,42 @@ def curvature(model, kernel: Kernel, x) -> float:
     return float(np.dot(kernel.mu2, diag))
 
 
-@dataclass(frozen=True)
-class CurvatureIntegral:
-    """Value of the integrated squared curvature with its quadrature metadata."""
-
-    value: float
-    points_per_axis: int
-    halfwidth_sigmas: float
-    rel_change: float
-
-
-def curvature_squared_integral(
-    model,
-    kernel: Kernel,
-    points_per_axis: int | None = None,
-    halfwidth_sigmas: float = 10.0,
-) -> CurvatureIntegral:
-    """Integral of ``(sum_j mu2[j] f_jj(x))**2`` by tensor-grid trapezoid rule.
-
-    The box spans ``halfwidth_sigmas`` marginal standard deviations around the
-    model mean; the value is accepted only if halving the resolution moves it
-    by less than 0.1%.
-    """
-    d = model.dim
-    if d > 2:
-        raise ValueError("quadrature grid is only supported for d <= 2")
-    if points_per_axis is None:
-        points_per_axis = 2048 if d == 1 else 512
-
-    def integrate(npts):
-        mu = np.atleast_1d(model.mean())
-        sig = np.sqrt(np.diag(np.atleast_2d(model.cov())))
-        axes = [
-            np.linspace(mu[j] - halfwidth_sigmas * sig[j], mu[j] + halfwidth_sigmas * sig[j], npts)
-            for j in range(d)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        s = model.hessian_diag(pts) @ kernel.mu2
-        vals = (s * s).reshape([npts] * d)
-        for j in range(d):
-            vals = np.trapezoid(vals, axes[j], axis=0)
-        return float(vals)
-
-    coarse = integrate(points_per_axis // 2)
-    fine = integrate(points_per_axis)
-    rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if rel > 1e-3:
-        raise QuadratureError(
-            f"curvature integral did not converge: rel change {rel:.2e} between "
-            f"{points_per_axis // 2} and {points_per_axis} points per axis"
+def as_mixture(model) -> GaussianMixture:
+    """The model as one Gaussian mixture: the image ``A Y`` of a mixture has
+    the same weights, means ``A m_i`` and covariances ``A S_i A^T``."""
+    if isinstance(model, GaussianMixture):
+        return model
+    if isinstance(model, LinearImage):
+        base = as_mixture(model.base)
+        a_mat = model.matrix
+        return GaussianMixture(
+            base.weights,
+            base.means @ a_mat.T,
+            np.einsum("ij,njk,lk->nil", a_mat, base.covs, a_mat),
+            label=model.label,
         )
-    return CurvatureIntegral(fine, points_per_axis, halfwidth_sigmas, rel)
+    raise TypeError(f"{type(model).__name__} is not a Gaussian mixture or a linear image of one")
+
+
+def curvature_squared_integral(model, kernel: Kernel) -> float:
+    """Integral over R^d of ``(D f)**2``, ``D = sum_j mu2[j] d^2/dx_j^2``, in closed form.
+
+    It is ``(D^2 g)(0)`` for ``g = f * f(-.)``, the mixture over component pairs
+    with weights ``w_i w_j``, means ``m_i - m_j`` and covariances ``S_i + S_j``
+    (Marron & Wand 1992, Ann. Statist. 20:712).  With ``P`` a pair's inverse
+    covariance, ``u = P m``, ``M = diag(mu2)``, ``s = u'Mu`` and ``t = tr(MP)``,
+    ``D^2 phi = phi (s^2 - 2 t s - 4 u'MPMu + t^2 + 2 tr(MPMP))``.
+    """
+    mix = as_mixture(model)
+    d, mu2 = mix.dim, np.asarray(kernel.mu2, dtype=float)
+    pairs = GaussianMixture(np.outer(mix.weights, mix.weights).ravel(),
+                            (mix.means[:, None] - mix.means[None, :]).reshape(-1, d),
+                            (mix.covs[:, None] + mix.covs[None, :]).reshape(-1, d, d))
+    p = pairs._invs
+    u = np.einsum("cjk,ck->cj", p, pairs.means)
+    mu = mu2 * u
+    mp = mu2[:, None] * p
+    s, t = np.sum(u * mu, axis=1), np.trace(mp, axis1=1, axis2=2)
+    bracket = (s * s - 2.0 * t * s - 4.0 * np.einsum("cj,cjk,ck->c", mu, p, mu) + t * t
+               + 2.0 * np.einsum("cjk,ckj->c", mp, mp))
+    return float(pairs.weights @ (pairs._component_pdfs(np.zeros((1, d)))[0] * bracket))

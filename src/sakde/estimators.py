@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from sakde.kernels import Kernel
-from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product
+from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
@@ -100,12 +100,7 @@ def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:
     These expand the recursion as ``f_n = sum_k c_k Z_k + Pi_n f_0``.
     """
     g = step.gamma_values(n)
-    one_minus = 1.0 - g
-    rev = np.cumprod(one_minus[::-1])[::-1]
-    tail = np.empty_like(rev)
-    tail[:-1] = rev[1:]
-    tail[-1] = 1.0
-    return g * tail
+    return g * suffix_products(1.0 - g)
 
 
 def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from sakde import asymptotics, estimators
-from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
+from sakde.densities import GaussianMixture, LinearImage, as_mixture, standard_gaussian
 from sakde.estimators import recursive_batch, recursion_weights, rosenblatt_batch
 from sakde.kernels import Kernel, gaussian_kernel
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
@@ -172,10 +172,11 @@ def run_cell(cfg: CellConfig) -> CellResult:
     kernel = gaussian_kernel(cfg.dim)
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     h_n = float(cfg.bandwidth.value(cfg.n))
+    c_factor = cfg.ci_factor  # rejects a gain without a finite limit before any draw
     covered = 0
     length_sum = 0.0
     for g in _estimate_blocks(cfg):
-        lo, hi = build_interval(g, cfg.ci_factor, kernel, cfg.n, h_n)
+        lo, hi = build_interval(g, c_factor, kernel, cfg.n, h_n)
         covered += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
         length_sum += float(np.sum(hi - lo))
     p = covered / cfg.replications
@@ -263,7 +264,7 @@ def format_report(rows: Sequence[TableRow], meta: dict) -> str:
     for row in rows:
         xs = ";".join(f"{v:g}" for v in row.x)
         res = row.result
-        kernel_id = f"gaussian-product(d={len(row.x)})"
+        kernel_id = gaussian_kernel(len(row.x)).name
         buf.write(
             f"{row.table},{row.density},{xs},{row.a:g},{row.n},{row.estimator},"
             f"{res.empirical_level:.6g},{res.stderr_level:.6g},{res.avg_length:.6g},"
@@ -297,21 +298,6 @@ def empirical_moments(cfg: CellConfig) -> MomentReport:
     return MomentReport(mean, mean - f_true, variance, cfg.replications)
 
 
-def _as_gaussian_mixture(model) -> GaussianMixture:
-    if isinstance(model, GaussianMixture):
-        return model
-    if isinstance(model, LinearImage):
-        base = _as_gaussian_mixture(model.base)
-        a_mat = model.matrix
-        return GaussianMixture(
-            base.weights,
-            base.means @ a_mat.T,
-            np.einsum("ij,njk,lk->nil", a_mat, base.covs, a_mat),
-            label=model.label,
-        )
-    raise TypeError("exact moments require a Gaussian-mixture-representable model")
-
-
 def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
     """Exact finite-n mean and variance of the cell's estimator at its point
     under the product Gaussian kernel.
@@ -322,7 +308,7 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
     quantifies how far the finite-n moments sit from their leading-order
     limits.
     """
-    mix = _as_gaussian_mixture(cfg.model)
+    mix = as_mixture(cfg.model)
     d = mix.dim
     kernel = gaussian_kernel(d)
     x = np.asarray(cfg.x, dtype=float).reshape(d)

@@ -160,6 +160,14 @@ def bandwidth_plan(scale: float, a: float, log_exponent: float = 0.0) -> Bandwid
     return BandwidthPlan(SequencePlan(scale, -a, log_exponent))
 
 
+def suffix_products(a: np.ndarray) -> np.ndarray:
+    """``out[k] = prod_{j>k} a[j]``, with 1 for the last entry (empty product)."""
+    out = np.empty_like(a)
+    out[:-1] = np.cumprod(a[:0:-1])[::-1]
+    out[-1] = 1.0
+    return out
+
+
 def pi_product(step: StepsizePlan, n: int) -> float:
     """Product ``prod_{j<=n} (1 - gamma_j)``.
 
@@ -207,11 +215,8 @@ def lemma_limit(m: float, v_plan: SequencePlan, step: StepsizePlan, n_max: int) 
         # the k=1 ratio multiplies Q_0 = 0, so any finite value works
         shifted[0] = v[0] if prev_v is None else prev_v
         a = (v / shifted) * (1.0 - g) ** m
-        rev = np.cumprod(a[::-1])[::-1]
-        tail = np.empty_like(rev)
-        tail[:-1] = rev[1:]
-        tail[-1] = 1.0
-        q = q * rev[0] + float(np.sum(g * tail))
+        tail = suffix_products(a)
+        q = q * (tail[0] * a[0]) + float(np.sum(g * tail))
         prev_v = float(v[-1])
         lo += g.size
     return q

@@ -299,19 +299,6 @@ def test_ci_constant_rejects_pole():
         asy.ci_constant(0.3, 0.21, 1)  # 2*gamma0 <= 1 - ad
     with pytest.raises(ValueError):
         asy.ci_constant(1.0, 0.6, 2)  # a*d >= 1
-
-
-def test_lil_factor_matches_ci_constant():
-    assert asy.lil_concentration_factor(0.79, 0.21, 1) == asy.ci_constant(0.79, 0.21, 1)
-
-
-def test_lil_interval_endpoints():
-    kern = gaussian_kernel(1)
-    step = stepsize_plan(0.79)
-    lo, hi = asy.lil_interval(0.0, -PHI0, PHI0, kern, 0.21, step)
-    half = math.sqrt(PHI0 * kern.roughness / (2 - 1.0))
-    assert lo == pytest.approx(-half, rel=1e-13)
-    assert hi == pytest.approx(half, rel=1e-13)
-    lo2, hi2 = asy.lil_interval(0.5, -PHI0, PHI0, kern, 0.21, step)
-    center = math.sqrt(0.25) * -PHI0 / (2 * (1 - 0.42 / 0.79))
-    assert (lo2 + hi2) / 2 == pytest.approx(center, rel=1e-12)
+    for gamma0 in (math.inf, math.nan, 0.0):  # the interval needs a finite gain limit
+        with pytest.raises(ValueError, match="positive and finite"):
+            asy.ci_constant(gamma0, 0.21, 1)

@@ -37,6 +37,24 @@ def test_asymptotics_variance_query(capsys):
     assert "recursive variance" in out
 
 
+def test_asymptotics_mise_optimal_output(capsys):
+    expected = {
+        "gaussian": ("0.211571", "0.83255", "5", "0.352949"),
+        "mixture": ("0.112651", "0.94440", "5", "0.311148"),
+        "gaussian-2d": ("0.222568", "0.78742", "6", "0.144388"),
+        "mixture-2d": ("0.154365", "0.83693", "6", "0.127808"),
+    }
+    for density, (integral, h_const, rate, mise_const) in expected.items():
+        code, out = run(capsys, "asymptotics", "mise-optimal", "--density", density)
+        assert code == 0
+        assert out.splitlines() == [
+            f"integrated squared curvature = {integral}",
+            "stepsize: gamma_n = 1/n (gain limit 1)",
+            f"bandwidth: h_n = {h_const} * gamma_n^(1/{rate})",
+            f"leading MISE = {mise_const} * n^(-4/{rate})",
+        ]
+
+
 def test_asymptotics_missing_flags_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["asymptotics", "rho"])
@@ -177,6 +195,7 @@ def test_bad_point_is_one_line_exit(argv):
 
 @pytest.mark.parametrize("argv, message", [
     ("asymptotics ci-constant --gamma0 0.3 --a 0.21 --d 1", "variance pole"),
+    ("asymptotics ci-constant --gamma0 inf --a 0.21 --d 1", "positive and finite"),
     ("asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.3 --n 100", "bias pole"),
     ("asymptotics regime --a 0.9 --alpha 1 --d 2", "a must lie in"),
     ("cell --density gaussian --x 0 --n 50 --estimator recursive --reps 10 --a 1.5",

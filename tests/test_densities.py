@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sakde import mc
 from sakde.densities import (
     GaussianMixture,
     LinearImage,
-    QuadratureError,
+    as_mixture,
     curvature,
     curvature_squared_integral,
     standard_gaussian,
@@ -126,7 +128,6 @@ def test_sampling_covariance_of_linear_image():
     xs = model.sample(rng, 10**5)
     target = SHEAR @ SHEAR.T
     np.testing.assert_allclose(np.cov(xs.T), target, atol=0.02)
-    np.testing.assert_allclose(model.cov(), target, rtol=1e-14)
 
 
 def test_degenerate_mixture_reduces_to_component():
@@ -145,11 +146,27 @@ def test_curvature_value():
     assert curvature(model, k, np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_as_mixture_of_linear_image_has_the_same_density():
+    model = mc.table_model("mixture-2d")
+    mix = as_mixture(model)
+    assert isinstance(mix, GaussianMixture) and mix.label == "mixture-2d"
+    pts = np.random.default_rng(2).standard_normal((50, 2)) * 2.0
+    np.testing.assert_allclose(mix.pdf(pts), model.pdf(pts), rtol=1e-13)
+    np.testing.assert_allclose(mix.hessian_diag(pts), model.hessian_diag(pts),
+                               rtol=1e-12, atol=1e-16)
+
+
 def test_curvature_squared_integral_gaussian_closed_form():
     # closed form for the standard normal: 3 / (8 sqrt(pi))
-    result = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1))
-    assert result.value == pytest.approx(3.0 / (8.0 * math.sqrt(math.pi)), rel=1e-8)
-    assert result.rel_change < 1e-3
+    value = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1))
+    assert value == pytest.approx(3.0 / (8.0 * math.sqrt(math.pi)), rel=1e-14)
+
+
+def test_curvature_squared_integral_standard_normal_in_any_dim():
+    # (4 pi)^(-d/2) d (d + 2) / 4: no dimension limit
+    for d in (1, 2, 3):
+        value = curvature_squared_integral(standard_gaussian(d), gaussian_kernel(d))
+        assert value == pytest.approx((4 * math.pi) ** (-d / 2) * d * (d + 2) / 4, rel=1e-14)
 
 
 def test_curvature_squared_integral_mixture_vs_quadrature_oracle():
@@ -161,42 +178,59 @@ def test_curvature_squared_integral_mixture_vs_quadrature_oracle():
 
     oracle, err = quad(lambda x: s(x) ** 2, -np.inf, np.inf)
     assert err < 1e-10
-    result = curvature_squared_integral(model, gaussian_kernel(1))
-    assert result.value == pytest.approx(oracle, rel=1e-7)
+    value = curvature_squared_integral(model, gaussian_kernel(1))
+    assert value == pytest.approx(oracle, rel=1e-7)
     # golden value frozen from the oracle at first build
-    assert result.value == pytest.approx(0.11265104, abs=1e-7)
-    assert result.value > 0
+    assert value == pytest.approx(0.11265104, abs=1e-7)
+    assert value > 0
 
 
-def test_curvature_squared_integral_zero_for_flat_model():
+# frozen from the 2048 (1-d) / 512 (2-d) points-per-axis trapezoid rule that
+# the closed form replaced
+@pytest.mark.parametrize("name, golden", [
+    ("gaussian", 0.21157109383040862),
+    ("mixture", 0.11265103581313747),
+    ("gaussian-2d", 0.22256824073007242),
+    ("mixture-2d", 0.15436545352122236),
+])
+def test_curvature_squared_integral_golden_values(name, golden):
+    model = mc.table_model(name)
+    value = curvature_squared_integral(model, gaussian_kernel(model.dim))
+    assert value == pytest.approx(golden, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, golden", [
+    ("gaussian-2d", 0.45757046138919916),
+    ("mixture-2d", 0.33889244541325475),
+])
+def test_curvature_squared_integral_anisotropic_kernel(name, golden):
+    kernel = dataclasses.replace(gaussian_kernel(2), mu2=np.array([2.0, 0.5]))
+    value = curvature_squared_integral(mc.table_model(name), kernel)
+    assert value == pytest.approx(golden, rel=1e-12)
+
+
+def test_curvature_squared_integral_d2():
+    # independent oracle: tensor-grid trapezoid rule over the closed-form Hessian
+    model = mc.table_model("mixture-2d")
+    kernel = dataclasses.replace(gaussian_kernel(2), mu2=np.array([2.0, 0.5]))
+    g = np.linspace(-12, 12, 241)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    vals = ((model.hessian_diag(pts) @ kernel.mu2) ** 2).reshape(g.size, g.size)
+    oracle = np.trapezoid(np.trapezoid(vals, g, axis=0), g)
+    assert curvature_squared_integral(model, kernel) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_curvature_squared_integral_rejects_other_models():
     class Flat:
         dim = 1
         label = "flat"
 
-        def mean(self):
-            return np.zeros(1)
-
-        def cov(self):
-            return np.eye(1)
-
         def hessian_diag(self, x):
-            x = np.atleast_2d(x)
-            return np.zeros_like(x)
+            return np.zeros_like(np.atleast_2d(x))
 
-    result = curvature_squared_integral(Flat(), gaussian_kernel(1))
-    assert result.value == 0.0
-
-
-def test_curvature_squared_integral_d2():
-    model = LinearImage(standard_gaussian(2), SHEAR)
-    result = curvature_squared_integral(model, gaussian_kernel(2))
-    assert result.value > 0
-    assert result.rel_change < 1e-3
-
-
-def test_curvature_squared_integral_rejects_high_dim():
-    with pytest.raises(ValueError):
-        curvature_squared_integral(standard_gaussian(3), gaussian_kernel(3))
+    with pytest.raises(TypeError, match="Flat is not a Gaussian mixture"):
+        curvature_squared_integral(Flat(), gaussian_kernel(1))
 
 
 def test_mixture_validation():

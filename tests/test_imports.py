@@ -1,5 +1,7 @@
-"""Every module-level import in the package is used, and every module-level
-private name is referenced somewhere in the package (stdlib ``ast`` scans)."""
+"""Every module-level import in the package is used, every module-level
+private name is referenced somewhere in the package, and every module-level
+public function has a caller in the package or is exported (stdlib ``ast``
+scans)."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sakde"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def _dunder_all(tree):
+    """Names a module exports through ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -17,10 +26,7 @@ def test_no_unused_module_imports(path):
                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names exported through __all__ count as used
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
-                                                for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
+    used |= _dunder_all(tree)  # names exported through __all__ count as used
     assert [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used] == []
 
@@ -58,4 +64,24 @@ def test_no_unreferenced_private_names():
             # a definition's own body (e.g. a recursive call) does not count
             if not any(private in refs for _, other, refs in statements if other is not node):
                 orphans.append(f"{name}:{node.lineno} {private}")
+    assert orphans == []
+
+
+#: public functions kept without a package caller, with the reason for each
+UNCALLED_PUBLIC = {
+    "mise_leading": "the oracle test_mise_optimal_plan_is_a_fixed_point_of_mise_leading "
+                    "checks mise_optimal_plan against",
+}
+
+
+def test_no_uncalled_public_functions():
+    statements = [(path.name, node, _references(node)) for path in MODULES
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = _dunder_all(init) | set(UNCALLED_PUBLIC)
+    orphans = [f"{name}:{node.lineno} {node.name}" for name, node, _ in statements
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and node.name not in exported
+               and not any(node.name in refs for _, other, refs in statements
+                           if other is not node)]
     assert orphans == []

@@ -283,3 +283,18 @@ def test_sample_blocks_follow_scalar_budget(monkeypatch):
     assert len(calls) == 5
     assert blocks.empirical_level == one_block.empirical_level
     assert blocks.avg_length == pytest.approx(one_block.avg_length, rel=1e-12)
+
+
+def test_run_cell_rejects_gain_without_finite_limit_before_drawing(monkeypatch):
+    draws = []
+
+    def counting(seed, index):
+        draws.append(index)
+        return np.random.default_rng(0)
+
+    monkeypatch.setattr(mc, "replication_rng", counting)
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (0.0,), 50, 0.21, mc.RECURSIVE,
+                        replications=20, step=stepsize_plan(1.0, alpha=0.7))
+    with pytest.raises(ValueError, match="positive and finite"):
+        mc.run_cell(cfg)
+    assert draws == []

@@ -12,6 +12,7 @@ from sakde.sequences import (
     pi_product,
     stepsize_from_weights,
     stepsize_plan,
+    suffix_products,
 )
 
 
@@ -200,3 +201,10 @@ def test_bandwidth_plan_requires_positive_exponent():
     with pytest.raises(ValueError):
         bandwidth_plan(1.0, 0.0)
     assert bandwidth_plan(1.0, 0.21).a == pytest.approx(0.21)
+
+
+def test_suffix_products_matches_explicit_products():
+    a = np.random.default_rng(4).uniform(0.5, 1.5, 7)
+    expected = [math.prod(a[k + 1:]) for k in range(a.size)]
+    np.testing.assert_allclose(suffix_products(a), expected, rtol=1e-15)
+    assert suffix_products(np.array([0.3])).tolist() == [1.0]
