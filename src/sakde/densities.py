@@ -50,6 +50,9 @@ class GaussianMixture:
         self._invs = np.linalg.inv(self.covs)
         dets = np.linalg.det(self.covs)
         self._norms = 1.0 / np.sqrt((2.0 * math.pi) ** d * dets)
+        # the component pick of rng.choice(k, size, p=weights), without its checks
+        self._cdf = np.cumsum(self.weights)
+        self._cdf /= self._cdf[-1]
 
     @property
     def dim(self) -> int:
@@ -93,7 +96,7 @@ class GaussianMixture:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be positive")
-        comp = rng.choice(self.weights.shape[0], size=count, p=self.weights)
+        comp = self._cdf.searchsorted(rng.random(count), side="right")
         z = rng.standard_normal((count, self.dim))
         return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
 

@@ -25,13 +25,19 @@ import math
 import numpy as np
 
 from sakde.kernels import Kernel
-from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
+from sakde.sequences import (BandwidthPlan, SequencePlan, StepsizePlan, floats, pi_product,
+                             suffix_products)
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
 # observation) and a Monte Carlo sample block (replications x n x dim, at
 # least one replication) stay within it
 SCALAR_BUDGET = 1 << 21
+
+# bandwidths a streaming estimator takes at a time: each is a function of its
+# index alone, so any length gives the same values, and a short one keeps the
+# per-estimator buffer of Python floats small
+_BANDWIDTH_BLOCK = 1024
 
 
 def _as_points(points, dim) -> np.ndarray:
@@ -76,6 +82,7 @@ class RecursiveEstimator:
         self.values = np.array(np.broadcast_to(f0, self.points.shape[:1]), dtype=float)
         self.n = 0
         self._gammas = step.gamma_stream()
+        self._bandwidths = floats(bandwidth.seq.blocks(block=_BANDWIDTH_BLOCK))
 
     def update(self, x_obs) -> None:
         """Absorb one observation; a non-finite one raises ValueError, changing nothing."""
@@ -83,8 +90,7 @@ class RecursiveEstimator:
         if not all(map(math.isfinite, x_obs.tolist())):
             raise ValueError("observations must be finite")
         self.n += 1
-        g = next(self._gammas)
-        h = self.bandwidth.value(self.n)
+        g, h = next(self._gammas), next(self._bandwidths)
         z = (self.points - x_obs) / h
         self.values = (1.0 - g) * self.values + g * self.kernel.fn(z) / h**self.kernel.dim
 

@@ -4,15 +4,18 @@ Reproduces the four benchmark coverage tables and provides the empirical
 oracles (moments, CLT) used to validate the leading-order formulas.
 
 Determinism contract: every replication draws from its own counter-based
-generator derived from ``(master_seed, replication_index)`` and results are
-aggregated in replication-index order with a fixed block structure, so a run
-is bit-reproducible for a given seed no matter how cells are scheduled
-across workers.
+generator derived from ``(master_seed, replication_index)``, so every cell of
+one (model, n) sees the same samples.  A table draws each sample block once
+per (model, n) group and evaluates all the group's cells on it; each cell
+aggregates in replication-index order with a block structure fixed by
+(n, d, replications), so a run is bit-reproducible for a given seed no
+matter how groups are scheduled across workers.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -133,23 +136,37 @@ class CellResult:
     stderr_level: float
 
 
-def replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one replication: Philox keyed by (seed, index)."""
+def replication_rng(seed: int, index: int,
+                    bit_generator: Optional[np.random.Philox] = None) -> np.random.Generator:
+    """Counter-based generator for one replication: Philox keyed by (seed, index).
+
+    Given a ``bit_generator``, rekeys that Philox in place (counter 0, empty
+    buffer) instead of building one: the same stream at a fraction of the
+    cost, which ends the stream of any generator handed out on it before.
+    """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if bit_generator is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    fresh = dict(counter=np.zeros(4, np.uint64), key=key)
+    bit_generator.state = dict(bit_generator="Philox", state=fresh, buffer=np.zeros(4, np.uint64),
+                               buffer_pos=4, has_uint32=0, uinteger=0)
+    return np.random.Generator(bit_generator)
 
 
-def _estimate_blocks(cfg: CellConfig) -> Iterator[np.ndarray]:
-    """Draw replications 0..replications-1 in blocks of at most
-    ``estimators.SCALAR_BUDGET`` sample scalars and yield each block's
-    estimates in replication order.  The block structure, hence the
-    floating-point aggregation order, does not depend on the worker count."""
-    block = max(1, min(cfg.replications, estimators.SCALAR_BUDGET // (cfg.n * cfg.dim)))
-    for lo in range(0, cfg.replications, block):
-        idx = range(lo, min(lo + block, cfg.replications))
-        samples = np.stack([cfg.model.sample(replication_rng(cfg.seed, r), cfg.n) for r in idx])
-        yield cfg.estimate(samples)
+def _estimate_blocks(*cfgs: CellConfig) -> Iterator[List[np.ndarray]]:
+    """Draw replications 0..replications-1 of the cells' shared (model, n, seed)
+    in blocks of at most ``estimators.SCALAR_BUDGET`` sample scalars, each block
+    once, and yield every cell's estimates on it in replication order.  The
+    block structure, hence the floating-point aggregation order, depends only
+    on (n, d, replications), not on the cells drawn together or the worker count."""
+    first = cfgs[0]
+    block = max(1, min(first.replications, estimators.SCALAR_BUDGET // (first.n * first.dim)))
+    philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
+    for lo in range(0, first.replications, block):
+        samples = np.stack([first.model.sample(replication_rng(first.seed, r, philox), first.n)
+                            for r in range(lo, min(lo + block, first.replications))])
+        yield [cfg.estimate(samples) for cfg in cfgs]
 
 
 def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
@@ -166,25 +183,28 @@ def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
     return lo, hi
 
 
+def _run_group(cfgs: Sequence[CellConfig]) -> List[CellResult]:
+    """Run cells that share (model, n, replications, seed) on one draw of each
+    sample block: per block, each cell builds its intervals and adds up
+    coverage of its true density value and interval length."""
+    kernel, n, reps = gaussian_kernel(cfgs[0].dim), cfgs[0].n, cfgs[0].replications
+    # ci_factor rejects a gain without a finite limit before any draw
+    cells = [(cfg.model.pdf(np.asarray(cfg.x, dtype=float)), float(cfg.bandwidth.value(n)),
+              cfg.ci_factor) for cfg in cfgs]
+    covered, length_sum = [0] * len(cells), [0.0] * len(cells)
+    for estimates in _estimate_blocks(*cfgs):
+        for i, (g, (f_true, h_n, c_factor)) in enumerate(zip(estimates, cells)):
+            lo, hi = build_interval(g, c_factor, kernel, n, h_n)
+            covered[i] += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
+            length_sum[i] += float(np.sum(hi - lo))
+    levels = [c / reps for c in covered]
+    return [CellResult(p, s / reps, math.sqrt(p * (1.0 - p) / reps))
+            for p, s in zip(levels, length_sum)]
+
+
 def run_cell(cfg: CellConfig) -> CellResult:
-    """Run one cell: per replication draw, estimate, build the interval,
-    then aggregate coverage of the true density value and interval length."""
-    kernel = gaussian_kernel(cfg.dim)
-    f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-    h_n = float(cfg.bandwidth.value(cfg.n))
-    c_factor = cfg.ci_factor  # rejects a gain without a finite limit before any draw
-    covered = 0
-    length_sum = 0.0
-    for g in _estimate_blocks(cfg):
-        lo, hi = build_interval(g, c_factor, kernel, cfg.n, h_n)
-        covered += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
-        length_sum += float(np.sum(hi - lo))
-    p = covered / cfg.replications
-    return CellResult(
-        empirical_level=p,
-        avg_length=length_sum / cfg.replications,
-        stderr_level=math.sqrt(p * (1.0 - p) / cfg.replications),
-    )
+    """Run one cell: the one-cell case of the table's group loop."""
+    return _run_group([cfg])[0]
 
 
 @dataclass(frozen=True)
@@ -236,19 +256,22 @@ def table_configs(table: int, seed: int, replications: int = 5000) -> List[CellC
 
 
 def run_table(table: int, seed: int, replications: int = 5000, jobs: int = 1) -> List[TableRow]:
-    """Run a full benchmark table grid; ``jobs`` parallelises across cells
+    """Run a full benchmark table grid.  Cells that share (model, n) read the
+    same sample blocks, drawn once; ``jobs`` parallelises across these groups
     without affecting any numeric result."""
     layout = table_layout(table)
     cfgs = table_configs(table, seed, replications)
+    groups = {}
+    for cfg in cfgs:
+        groups.setdefault((cfg.model, cfg.n, cfg.replications, cfg.seed), []).append(cfg)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cfgs, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+            outputs = list(pool.map(_run_group, groups.values(), chunksize=1))
     else:
-        results = [run_cell(c) for c in cfgs]
-    return [
-        TableRow(table, layout.density, cfg.x, cfg.a, cfg.n, cfg.estimator, res)
-        for cfg, res in zip(cfgs, results)
-    ]
+        outputs = list(map(_run_group, groups.values()))
+    results = dict(zip(itertools.chain(*groups.values()), itertools.chain(*outputs)))
+    return [TableRow(table, layout.density, cfg.x, cfg.a, cfg.n, cfg.estimator, results[cfg])
+            for cfg in cfgs]
 
 
 def format_report(rows: Sequence[TableRow], meta: dict) -> str:
@@ -290,7 +313,7 @@ def empirical_moments(cfg: CellConfig) -> MomentReport:
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     total = 0.0
     total_sq = 0.0
-    for g in _estimate_blocks(cfg):
+    for (g,) in _estimate_blocks(cfg):
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
     mean = total / cfg.replications
@@ -361,7 +384,7 @@ def clt_empirical_check(cfg: CellConfig, variance: Optional[float] = None) -> Cl
                                           cfg.step).asym_var
     reps = cfg.replications
     scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
-    values = np.concatenate(list(_estimate_blocks(cfg)))
+    values = np.concatenate([g for (g,) in _estimate_blocks(cfg)])
     z = np.sort(scale * (values - f_true) / math.sqrt(variance))
     cdf = ndtr(z)
     i = np.arange(1, reps + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class SequencePlan:
         if self.log_exponent != 0.0:
             out = out * np.log(arr + 1.0) ** self.log_exponent
         return out if out.ndim else float(out)
+
+    def blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
+        """Values at 1..n_max (without end by default) in consecutive arrays
+        of at most ``block`` indices."""
+        for lo in itertools.takewhile(lambda start: start <= n_max, itertools.count(1, block)):
+            yield np.asarray(self.value(np.arange(lo, min(lo + block, n_max + 1))), dtype=float)
 
 
 def gs_index_diagnostic(plan: SequencePlan, n_max: int) -> float:
@@ -85,22 +91,19 @@ class StepsizePlan:
 
     def gamma_stream(self) -> Iterator[float]:
         """Yield gamma_1, gamma_2, ... lazily, one block of gains at a time."""
-        for g in self._gamma_blocks():
-            yield from g.tolist()
+        return floats(self._gamma_blocks())
 
     def _gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
         """Gains for steps 1..n_max (without end by default) in consecutive
         arrays of at most ``block`` steps; the one place where gains are computed."""
+        if self.weights is None:
+            yield from self.seq.blocks(n_max, block)
+            return
         wsum = 0.0
-        for lo in itertools.takewhile(lambda start: start <= n_max, itertools.count(1, block)):
-            k = np.arange(lo, min(lo + block, n_max + 1))
-            if self.weights is None:
-                yield np.asarray(self.seq.value(k), dtype=float)
-            else:
-                w = self.weights.value(k)
-                g = w / (wsum + np.cumsum(w))
-                wsum += w.sum()
-                yield g
+        for w in self.weights.blocks(n_max, block):
+            g = w / (wsum + np.cumsum(w))
+            wsum += w.sum()
+            yield g
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,12 @@ def bandwidth_plan(scale: float, a: float, log_exponent: float = 0.0) -> Bandwid
     if not a > 0:
         raise ValueError(f"bandwidth exponent a must be positive, got {a}")
     return BandwidthPlan(SequencePlan(scale, -a, log_exponent))
+
+
+def floats(blocks: Iterable[np.ndarray]) -> Iterator[float]:
+    """The entries of consecutive arrays, one Python float at a time."""
+    for block in blocks:
+        yield from block.tolist()
 
 
 def suffix_products(a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sakde import estimators, mc
-from sakde.densities import LinearImage, standard_gaussian
+from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_kernel
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
@@ -298,3 +298,66 @@ def test_run_cell_rejects_gain_without_finite_limit_before_drawing(monkeypatch):
     with pytest.raises(ValueError, match="positive and finite"):
         mc.run_cell(cfg)
     assert draws == []
+
+
+@pytest.mark.parametrize("budget", [None, 1000], ids=["default-budget", "small-budget"])
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
+    # grouping cells by (model, n) changes no number; a budget of 1000 scalars
+    # splits every group into several sample blocks (2 to 15 at 30 replications)
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    rows = mc.run_table(table, seed=8, replications=30)
+    for row, cfg in zip(rows, mc.table_configs(table, seed=8, replications=30)):
+        assert (row.x, row.a, row.n, row.estimator) == (cfg.x, cfg.a, cfg.n, cfg.estimator)
+        assert row.result == mc.run_cell(cfg)
+
+
+def test_run_table_draws_each_sample_once(monkeypatch):
+    draws = []
+    original = GaussianMixture.sample
+
+    def counting(self, rng, count):
+        draws.append(count)
+        return original(self, rng, count)
+
+    monkeypatch.setattr(GaussianMixture, "sample", counting)
+    reps = 7
+    mc.run_table(1, seed=2, replications=reps)
+    assert len(draws) == 3 * reps  # one draw per (n, replication), for all 12 cells of each n
+
+
+def _choice_sample(model, rng, count):
+    """The sampler as written with ``rng.choice`` for the component pick."""
+    if isinstance(model, LinearImage):
+        return _choice_sample(model.base, rng, count) @ model.matrix.T
+    comp = rng.choice(model.weights.shape[0], size=count, p=model.weights)
+    z = rng.standard_normal((count, model.dim))
+    chols = np.linalg.cholesky(model.covs)
+    return model.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d"])
+def test_component_pick_matches_rng_choice(name):
+    model = mc.table_model(name)
+    for r in range(200):
+        fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
+        np.testing.assert_array_equal(model.sample(fast, 50), _choice_sample(model, slow, 50))
+        assert fast.random() == slow.random()  # both consumed the same stream
+
+
+def test_rekeyed_philox_draws_like_a_new_generator():
+    philox = np.random.Philox(0)
+    for r in range(20):
+        rng = mc.replication_rng(42, r, philox)
+        new = np.random.Generator(np.random.Philox(key=(42, r)))
+        # each key leaves the buffer and the cached half word partly used for the next
+        np.testing.assert_array_equal(rng.standard_normal(9), new.standard_normal(9))
+        assert rng.integers(0, 2**32, dtype=np.uint32) == new.integers(0, 2**32, dtype=np.uint32)
+        np.testing.assert_array_equal(rng.random(r), new.random(r))
+
+
+def test_replication_rng_without_bit_generator_never_aliases():
+    a, b = mc.replication_rng(1, 0), mc.replication_rng(1, 0)
+    assert a.bit_generator is not b.bit_generator
+    np.testing.assert_array_equal(a.random(4), b.random(4))
