@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from sakde.kernels import Kernel
@@ -24,10 +23,7 @@ VARIANCE_DOMINATED = "variance-dominated"
 
 
 def _compare_regime(a, alpha, d: int) -> int:
-    """Sign of ``a - alpha/(d+4)``: exact for rational inputs, else 1e-12 tolerance."""
-    if isinstance(a, (Fraction, int)) and isinstance(alpha, (Fraction, int)):
-        lhs, rhs = Fraction(a) * (d + 4), Fraction(alpha)
-        return (lhs > rhs) - (lhs < rhs)
+    """Sign of ``a - alpha/(d+4)``, 0 within 1e-12."""
     lhs, rhs = float(a) * (d + 4), float(alpha)
     if abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)):
         return 0
@@ -55,8 +51,8 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
     """Classify the bias/variance trade-off of a plan pair.
 
     Requires ``alpha`` in (1/2, 1] and ``a`` in (0, alpha/d).  The boundary
-    ``a = alpha/(d+4)`` is resolved exactly when both inputs are rational
-    (``int`` / ``Fraction``) and within 1e-12 otherwise.
+    ``a = alpha/(d+4)`` is resolved within 1e-12, with every real input
+    (``float``, ``int`` or ``Fraction``) taken through ``float``.
     """
     af, alphaf = float(a), float(alpha)
     if not 0.5 < alphaf <= 1.0:

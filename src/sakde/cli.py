@@ -81,17 +81,12 @@ def _parse_point(text: str, dim: int) -> Tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args) -> int:
-    table = args.table_id if args.table_id is not None else args.table
-    if table is None:
-        raise SystemExit("specify a table: `sakde table 1` or `sakde table --table 1`")
-    if args.table_id is not None and args.table is not None and args.table_id != args.table:
-        raise SystemExit("conflicting table ids given positionally and via --table")
     seed, source = _resolve_seed(args.seed)
-    layout = mc.table_layout(table)
-    rows = mc.run_table(table, seed, args.reps, jobs=args.jobs)
+    layout = mc.table_layout(args.table)
+    rows = mc.run_table(args.table, seed, args.reps, jobs=args.jobs)
     dim = len(layout.xs[0])
-    meta = _meta(f"table {table}", seed, source, args.reps, dim)
-    out = args.out or f"table-{table}.csv"
+    meta = _meta(f"table {args.table}", seed, source, args.reps, dim)
+    out = args.out or f"table-{args.table}.csv"
     _write_text(out, mc.format_report(rows, meta))
     print(f"wrote {len(rows)} rows to {out}")
     _print_reference_diff(rows)
@@ -273,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="run one benchmark coverage table")
-    p_table.add_argument("table_id", nargs="?", type=int, choices=(1, 2, 3, 4))
-    p_table.add_argument("--table", type=int, choices=(1, 2, 3, 4))
+    p_table.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p_table.add_argument("--seed", type=int)
     p_table.add_argument("--out", type=str)
     p_table.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)

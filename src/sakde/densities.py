@@ -1,12 +1,12 @@
-"""Ground-truth densities with closed-form Hessians, samplers and curvature
-functionals.
+"""Ground-truth densities: one Gaussian-mixture algebra with closed-form
+Hessians, samplers and curvature functionals.
 
-Two concrete families cover everything the Monte Carlo study needs: Gaussian
-mixtures with full covariances, and invertible linear images ``X = A Y`` of
-another model.  Both expose the same surface: ``pdf``, ``hessian``,
-``hessian_diag``, ``sample`` and a human-readable ``label``.  A linear image
-of a mixture is again a mixture (:func:`as_mixture`), which is what makes the
-exact oracles closed-form sums over mixture components.
+:class:`GaussianMixture` (full covariances) exposes ``pdf``, ``hessian_diag``,
+``sample`` and a human-readable ``label``; the exact oracles are closed-form
+sums over its components.  The image ``X = A Y`` of a mixture under an
+invertible A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``:
+:class:`LinearImage` is that mixture, keeping only the draws and the change of
+variables of Y.
 """
 
 from __future__ import annotations
@@ -72,17 +72,6 @@ class GaussianMixture:
         vals = self._component_pdfs(x) @ self.weights
         return float(vals[0]) if single else vals
 
-    def hessian(self, x):
-        x, single = _as_batch(x, self.dim)
-        comp = self._component_pdfs(x)
-        h = np.zeros((x.shape[0], self.dim, self.dim))
-        for i in range(self.weights.shape[0]):
-            delta = x - self.means[i]
-            u = delta @ self._invs[i]
-            outer = u[:, :, None] * u[:, None, :] - self._invs[i]
-            h += self.weights[i] * comp[:, i, None, None] * outer
-        return h[0] if single else h
-
     def hessian_diag(self, x):
         x, single = _as_batch(x, self.dim)
         comp = self._component_pdfs(x)
@@ -101,43 +90,34 @@ class GaussianMixture:
         return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
 
 
-class LinearImage:
-    """Density of ``X = A Y`` for an invertible matrix A and base model Y."""
+class LinearImage(GaussianMixture):
+    """Density of ``X = A Y`` for an invertible matrix A and a mixture Y.
 
-    def __init__(self, base, matrix, label: str | None = None):
-        self.base = base
-        self.matrix = np.asarray(matrix, dtype=float)
+    It is the mixture with the weights of Y, means ``A m_i`` and covariances
+    ``A S_i A^T``.  Draws are A times the draws of Y, and ``pdf`` is the change
+    of variables ``f_Y(A^-1 x) / |det A|``.
+    """
+
+    def __init__(self, base: GaussianMixture, matrix, label: str | None = None):
+        matrix = np.asarray(matrix, dtype=float)
         d = base.dim
-        if self.matrix.shape != (d, d):
+        if matrix.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}")
-        det = np.linalg.det(self.matrix)
+        det = np.linalg.det(matrix)
         if det == 0:
             raise ValueError("matrix must be invertible")
-        self._inv = np.linalg.inv(self.matrix)
+        super().__init__(base.weights, base.means @ matrix.T,
+                         np.einsum("ij,njk,lk->nil", matrix, base.covs, matrix),
+                         label=label or f"linear-image({base.label})")
+        self.base = base
+        self.matrix = matrix
+        self._inv = np.linalg.inv(matrix)
         self._absdet = abs(det)
-        self.label = label or f"linear-image({base.label})"
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     def pdf(self, x):
         x, single = _as_batch(x, self.dim)
         vals = self.base.pdf(x @ self._inv.T) / self._absdet
-        vals = np.atleast_1d(vals)
         return float(vals[0]) if single else vals
-
-    def hessian(self, x):
-        x, single = _as_batch(x, self.dim)
-        hy = self.base.hessian(x @ self._inv.T)
-        if hy.ndim == 2:
-            hy = hy[None, :, :]
-        hx = np.einsum("ji,njk,kl->nil", self._inv, hy, self._inv) / self._absdet
-        return hx[0] if single else hx
-
-    def hessian_diag(self, x):
-        h = self.hessian(x)
-        return np.diagonal(h, axis1=-2, axis2=-1).copy()
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.base.sample(rng, count) @ self.matrix.T
@@ -156,23 +136,6 @@ def curvature(model, kernel: Kernel, x) -> float:
     return float(np.dot(kernel.mu2, diag))
 
 
-def as_mixture(model) -> GaussianMixture:
-    """The model as one Gaussian mixture: the image ``A Y`` of a mixture has
-    the same weights, means ``A m_i`` and covariances ``A S_i A^T``."""
-    if isinstance(model, GaussianMixture):
-        return model
-    if isinstance(model, LinearImage):
-        base = as_mixture(model.base)
-        a_mat = model.matrix
-        return GaussianMixture(
-            base.weights,
-            base.means @ a_mat.T,
-            np.einsum("ij,njk,lk->nil", a_mat, base.covs, a_mat),
-            label=model.label,
-        )
-    raise TypeError(f"{type(model).__name__} is not a Gaussian mixture or a linear image of one")
-
-
 def curvature_squared_integral(model, kernel: Kernel) -> float:
     """Integral over R^d of ``(D f)**2``, ``D = sum_j mu2[j] d^2/dx_j^2``, in closed form.
 
@@ -182,11 +145,12 @@ def curvature_squared_integral(model, kernel: Kernel) -> float:
     covariance, ``u = P m``, ``M = diag(mu2)``, ``s = u'Mu`` and ``t = tr(MP)``,
     ``D^2 phi = phi (s^2 - 2 t s - 4 u'MPMu + t^2 + 2 tr(MPMP))``.
     """
-    mix = as_mixture(model)
-    d, mu2 = mix.dim, np.asarray(kernel.mu2, dtype=float)
-    pairs = GaussianMixture(np.outer(mix.weights, mix.weights).ravel(),
-                            (mix.means[:, None] - mix.means[None, :]).reshape(-1, d),
-                            (mix.covs[:, None] + mix.covs[None, :]).reshape(-1, d, d))
+    if not isinstance(model, GaussianMixture):
+        raise TypeError(f"{type(model).__name__} is not a Gaussian mixture")
+    d, mu2 = model.dim, np.asarray(kernel.mu2, dtype=float)
+    pairs = GaussianMixture(np.outer(model.weights, model.weights).ravel(),
+                            (model.means[:, None] - model.means[None, :]).reshape(-1, d),
+                            (model.covs[:, None] + model.covs[None, :]).reshape(-1, d, d))
     p = pairs._invs
     u = np.einsum("cjk,ck->cj", p, pairs.means)
     mu = mu2 * u

@@ -13,31 +13,29 @@ at O(#points) cost independent of n.  With the weight-induced stepsize
 an identity the test suite certifies to 1e-12.
 
 Every estimate after the whole sample, of one sample or of a batch of
-replications, is one weighted kernel sum ``sum_k c_k K((x - X_k) / h_k)``
+replications, is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
 (:func:`_kernel_sum`, chunked under :data:`SCALAR_BUDGET`); the estimators
-differ only in ``c_k`` and ``h_k``.
+differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
+recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
+caller, the exact oracle in :mod:`sakde.mc` included.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
 from sakde.kernels import Kernel
-from sakde.sequences import (BandwidthPlan, SequencePlan, StepsizePlan, floats, pi_product,
-                             suffix_products)
+from sakde.sequences import (STREAM_BLOCK, BandwidthPlan, SequencePlan, StepsizePlan, floats,
+                             pi_product, suffix_products)
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
 # observation) and a Monte Carlo sample block (replications x n x dim, at
 # least one replication) stay within it
 SCALAR_BUDGET = 1 << 21
-
-# bandwidths a streaming estimator takes at a time: each is a function of its
-# index alone, so any length gives the same values, and a short one keeps the
-# per-estimator buffer of Python floats small
-_BANDWIDTH_BLOCK = 1024
 
 
 def _as_points(points, dim) -> np.ndarray:
@@ -51,11 +49,12 @@ def _as_points(points, dim) -> np.ndarray:
     return pts
 
 
-def _kernel_sum(kernel: Kernel, coef: np.ndarray, h: np.ndarray,
+def _kernel_sum(kernel: Kernel, c: np.ndarray, h: np.ndarray,
                 sample: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``sum_k coef_k K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d) for a
-    ``sample`` of shape (..., n, d) and ``coef``, ``h`` of shape (n,); returns (..., m)."""
+    """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d)
+    for a ``sample`` of shape (..., n, d) and ``c``, ``h`` of shape (n,); returns (..., m)."""
     *batch, n, d = sample.shape
+    coef = c / h**d
     chunk = max(1, SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
     out = np.zeros((*batch, len(points)))
     for lo in range(0, n, chunk):
@@ -82,7 +81,7 @@ class RecursiveEstimator:
         self.values = np.array(np.broadcast_to(f0, self.points.shape[:1]), dtype=float)
         self.n = 0
         self._gammas = step.gamma_stream()
-        self._bandwidths = floats(bandwidth.seq.blocks(block=_BANDWIDTH_BLOCK))
+        self._bandwidths = floats(bandwidth.seq.blocks(block=STREAM_BLOCK))
 
     def update(self, x_obs) -> None:
         """Absorb one observation; a non-finite one raises ValueError, changing nothing."""
@@ -109,6 +108,17 @@ def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:
     return g * suffix_products(1.0 - g)
 
 
+def recursion_coefficients(step: StepsizePlan, bandwidth: BandwidthPlan,
+                           n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The recursion's ``(c_k, h_k)``, k = 1..n: :func:`recursion_weights` and ``h_1..h_n``."""
+    return recursion_weights(step, n), bandwidth.value(np.arange(1, n + 1))
+
+
+def rosenblatt_coefficients(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The baseline's ``(c_k, h_k) = (1/n, h)``, k = 1..n."""
+    return np.full(n, 1.0 / n), np.full(n, float(h))
+
+
 def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
                         sample, points, f0=0.0) -> np.ndarray:
     """Closed-form evaluation of the recursion after the whole sample.
@@ -118,9 +128,8 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     """
     sample = _as_points(sample, kernel.dim)
     n = sample.shape[0]
-    h = bandwidth.value(np.arange(1, n + 1))
-    coef = recursion_weights(step, n) / h**kernel.dim
-    out = _kernel_sum(kernel, coef, h, sample, _as_points(points, kernel.dim))
+    out = _kernel_sum(kernel, *recursion_coefficients(step, bandwidth, n), sample,
+                      _as_points(points, kernel.dim))
     return out + pi_product(step, n) * np.broadcast_to(f0, out.shape)
 
 
@@ -133,9 +142,8 @@ def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: Bandw
         raise ValueError("sample must be nonempty")
     k = np.arange(1, n + 1)
     w = weights.value(k)
-    h = bandwidth.value(k)
-    out = _kernel_sum(kernel, w / h**kernel.dim, h, sample, _as_points(points, kernel.dim))
-    return out / w.sum()
+    return _kernel_sum(kernel, w / w.sum(), bandwidth.value(k), sample,
+                       _as_points(points, kernel.dim))
 
 
 class RosenblattEstimator:
@@ -161,9 +169,8 @@ class RosenblattEstimator:
         if kernel.dim != self.dim:
             raise ValueError("kernel dimension mismatch")
         if h is None:
-            h = float(self.bandwidth.value(self.n))
-        coef = np.full(self.n, 1.0 / (self.n * h**self.dim))
-        return _kernel_sum(kernel, coef, np.full(self.n, h), self.sample,
+            h = self.bandwidth.value(self.n)
+        return _kernel_sum(kernel, *rosenblatt_coefficients(self.n, h), self.sample,
                            _as_points(points, self.dim))
 
 
@@ -175,16 +182,13 @@ def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan
     streaming recursion (certified in the tests) but vectorises across
     replications for the Monte Carlo driver.
     """
-    n = samples.shape[1]
-    h = bandwidth.value(np.arange(1, n + 1))
-    coef = recursion_weights(step, n) / h**kernel.dim
-    return _kernel_sum(kernel, coef, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]
+    c, h = recursion_coefficients(step, bandwidth, samples.shape[1])
+    return _kernel_sum(kernel, c, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]
 
 
 def rosenblatt_batch(kernel: Kernel, bandwidth: BandwidthPlan,
                      samples: np.ndarray, x) -> np.ndarray:
     """Rosenblatt estimate at one point ``x`` for a batch of replication samples."""
     n = samples.shape[1]
-    h = float(bandwidth.value(n))
-    coef = np.full(n, 1.0 / (n * h**kernel.dim))
-    return _kernel_sum(kernel, coef, np.full(n, h), samples, np.reshape(x, (1, kernel.dim)))[:, 0]
+    c, h = rosenblatt_coefficients(n, bandwidth.value(n))
+    return _kernel_sum(kernel, c, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]

@@ -25,8 +25,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from sakde import asymptotics, estimators
-from sakde.densities import GaussianMixture, LinearImage, as_mixture, standard_gaussian
-from sakde.estimators import recursive_batch, recursion_weights, rosenblatt_batch
+from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
+from sakde.estimators import (recursion_coefficients, recursive_batch, rosenblatt_batch,
+                              rosenblatt_coefficients)
 from sakde.kernels import Kernel, gaussian_kernel
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
@@ -120,11 +121,11 @@ class CellConfig:
         return rosenblatt_batch(kernel, self.bandwidth, samples, self.x)
 
     def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``."""
+        """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``:
+        the coefficients that :meth:`estimate` sums, from the same builders."""
         if self.estimator == RECURSIVE:
-            h = np.asarray(self.bandwidth.value(np.arange(1, self.n + 1)), dtype=float)
-            return recursion_weights(self.step, self.n), h
-        return np.full(self.n, 1.0 / self.n), np.full(self.n, float(self.bandwidth.value(self.n)))
+            return recursion_coefficients(self.step, self.bandwidth, self.n)
+        return rosenblatt_coefficients(self.n, self.bandwidth.value(self.n))
 
 
 @dataclass(frozen=True)
@@ -325,20 +326,19 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
     """Exact finite-n mean and variance of the cell's estimator at its point
     under the product Gaussian kernel.
 
-    Valid for Gaussian mixtures and their linear images, where the smoothed
-    density and the squared-kernel smoothing are again Gaussian mixtures.
-    Serves as a machine-precision oracle for :func:`empirical_moments` and
-    quantifies how far the finite-n moments sit from their leading-order
-    limits.
+    The model is a Gaussian mixture (a linear image is one), so the smoothed
+    density and the squared-kernel smoothing are again Gaussian mixtures, summed
+    with the cell's :meth:`CellConfig.coefficients`.  Serves as a
+    machine-precision oracle for :func:`empirical_moments` and quantifies how
+    far the finite-n moments sit from their leading-order limits.
     """
-    mix = as_mixture(cfg.model)
-    d = mix.dim
+    d = cfg.dim
     kernel = gaussian_kernel(d)
     x = np.asarray(cfg.x, dtype=float).reshape(d)
     c, h = cfg.coefficients()
     ez = np.zeros(cfg.n)
     ez2 = np.zeros(cfg.n)
-    for w, m, cov in zip(mix.weights, mix.means, mix.covs):
+    for w, m, cov in zip(cfg.model.weights, cfg.model.means, cfg.model.covs):
         lam, q = np.linalg.eigh(cov)
         dt = q.T @ (x - m)
         for shift, out in ((h * h, ez), (h * h / 2.0, ez2)):

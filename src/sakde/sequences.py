@@ -19,6 +19,11 @@ import numpy as np
 # Block length for streaming evaluations; memory use is O(_BLOCK), not O(n).
 _BLOCK = 1 << 15
 
+# Block length of the gains and bandwidths a streaming estimator takes one at a
+# time: every value is the same for any block length, and a short block keeps
+# each estimator's buffer of Python floats small.
+STREAM_BLOCK = 1 << 10
+
 
 @dataclass(frozen=True)
 class SequencePlan:
@@ -90,20 +95,22 @@ class StepsizePlan:
         return out
 
     def gamma_stream(self) -> Iterator[float]:
-        """Yield gamma_1, gamma_2, ... lazily, one block of gains at a time."""
-        return floats(self._gamma_blocks())
+        """Yield gamma_1, gamma_2, ... lazily, one short block of gains at a time."""
+        return floats(self._gamma_blocks(block=STREAM_BLOCK))
 
     def _gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
         """Gains for steps 1..n_max (without end by default) in consecutive
-        arrays of at most ``block`` steps; the one place where gains are computed."""
+        arrays of at most ``block`` steps; the one place where gains are computed.
+        Weight sums run through one ``cumsum`` carried across blocks, so no gain
+        depends on where the blocks end."""
         if self.weights is None:
             yield from self.seq.blocks(n_max, block)
             return
         wsum = 0.0
         for w in self.weights.blocks(n_max, block):
-            g = w / (wsum + np.cumsum(w))
-            wsum += w.sum()
-            yield g
+            sums = np.cumsum(np.concatenate(([wsum], w)))[1:]
+            wsum = float(sums[-1])
+            yield w / sums
 
 
 @dataclass(frozen=True)

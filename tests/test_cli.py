@@ -84,11 +84,6 @@ def test_table_requires_id(capsys):
         main(["table"])
 
 
-def test_table_conflicting_ids(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["table", "1", "--table", "2", "--out", str(tmp_path / "x.csv")])
-
-
 def test_seed_env_override_is_echoed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAKDE_SEED", "123")
     out_file = tmp_path / "t.csv"

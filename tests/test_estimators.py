@@ -270,6 +270,21 @@ def test_recursive_at_points_memory_is_bounded():
     assert peak < 96 * 2**20
 
 
+@pytest.mark.parametrize("step", [stepsize_plan(0.79),
+                                  stepsize_from_weights(SequencePlan(1.0, -0.21))])
+def test_streaming_estimator_holds_short_buffers(step):
+    # gains and bandwidths are buffered one short block at a time, not 2**15
+    tracemalloc.start()
+    try:
+        est = RecursiveEstimator(gaussian_kernel(1), step, bandwidth_plan(1.0, 0.21),
+                                 np.linspace(-3.0, 3.0, 100))
+        est.update(np.zeros(1))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert est.n == 1 and held < 256 * 2**10
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_observation_leaves_state_unchanged(bad):
     kern = gaussian_kernel(1)
