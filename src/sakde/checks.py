@@ -102,10 +102,15 @@ def recursion_equivalence(seed: int, jobs: int) -> List[CheckOutcome]:
         pts = rng.standard_normal((50, d)) * 1.5
         for factor in (0.0, 0.5, 1.0):  # weights 1, h^{d/2}, h^d
             weights = SequencePlan(1.0, -factor * a * d)
-            est = RecursiveEstimator(kern, stepsize_from_weights(weights), bw, pts)
-            est.update_many(sample)
+            # the one-step recursion, and the block updates that expand it
+            stepwise, blocks = (RecursiveEstimator(kern, stepsize_from_weights(weights), bw, pts)
+                                for _ in range(2))
+            for row in sample:
+                stepwise.update(row)
+            blocks.update_many(sample)
             direct = weighted_closed_form(kern, weights, bw, sample, pts)
-            worst = max(worst, float(np.max(np.abs(est.values - direct))))
+            worst = max(worst, *(float(np.max(np.abs(est.values - direct)))
+                                 for est in (stepwise, blocks)))
     return _outcome("recursion-equivalence", worst < 1e-12,
                     f"sup |recursion - weighted form| = {worst:.2e}", worst)
 
@@ -115,7 +120,8 @@ def closed_form_expansion(seed: int, jobs: int) -> List[CheckOutcome]:
     sample = np.random.default_rng(seed).standard_normal((400, 1))
     pts = np.linspace(-2, 2, 21)[:, None]
     est = RecursiveEstimator(kern, step, bw, pts, f0=0.3)
-    est.update_many(sample)
+    for row in sample:
+        est.update(row)
     closed = recursive_at_points(kern, step, bw, sample, pts, f0=0.3)
     worst = float(np.max(np.abs(est.values - closed)))
     return _outcome("closed-form-expansion", worst < 1e-12,
@@ -230,9 +236,10 @@ def moments_vs_exact(seed: int, jobs: int) -> List[CheckOutcome]:
     """Moments at n = 10^4 against the exact finite-n ones, for the
     plain-average and the variance-optimal gain."""
     model, kern, out = mc.table_model("gaussian"), gaussian_kernel(1), []
-    for label, step in (("plain-average", stepsize_plan(1.0)), ("variance-optimal", None)):
-        cell = mc.CellConfig(model, (0.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed, step=step)
-        emp = mc.empirical_moments(cell)
+    labels = ("plain-average", "variance-optimal")
+    cells = [mc.CellConfig(model, (0.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed, step=step)
+             for step in (stepsize_plan(1.0), None)]
+    for label, cell, emp in zip(labels, cells, mc.empirical_moments(*cells)):
         ex_mean, ex_var = mc.exact_moments(cell)
         lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), kern, cell.bandwidth,
                                             cell.step, cell.n)
@@ -252,7 +259,7 @@ def bias_oracle(seed: int, jobs: int) -> List[CheckOutcome]:
     model = mc.table_model("gaussian")
     cell = mc.CellConfig(model, (0.0,), 10**5, 0.1, mc.RECURSIVE, 200, seed,
                          step=stepsize_plan(1.0))
-    ratio = mc.empirical_moments(cell).mean_bias / asymptotics.bias_leading(
+    ratio = mc.empirical_moments(cell)[0].mean_bias / asymptotics.bias_leading(
         curvature(model, gaussian_kernel(1), cell.x), cell.bandwidth, cell.step, cell.n)
     return _outcome("bias-oracle", abs(ratio - 1.0) < 0.15,
                     f"empirical/leading bias ratio {ratio:.3f}", ratio)

@@ -17,17 +17,20 @@ replications, is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
 (:func:`_kernel_sum`, chunked under :data:`SCALAR_BUDGET`); the estimators
 differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
-caller, the exact oracle in :mod:`sakde.mc` included.
+caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
+product-Gaussian evaluation, and :meth:`RecursiveEstimator.update_many` runs
+on it too, absorbing blocks of :data:`~sakde.sequences.STREAM_BLOCK` rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Tuple
 
 import numpy as np
 
-from sakde.kernels import Kernel
+from sakde.kernels import Kernel, gaussian_kernel, gaussian_norm
 from sakde.sequences import (STREAM_BLOCK, BandwidthPlan, SequencePlan, StepsizePlan, floats,
                              pi_product, suffix_products)
 
@@ -49,18 +52,43 @@ def _as_points(points, dim) -> np.ndarray:
     return pts
 
 
+def _gaussian_norm(kernel: Kernel) -> float:
+    """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums take no other."""
+    if kernel.name != gaussian_kernel(kernel.dim).name:
+        raise ValueError("the kernel sums take the product Gaussian kernel only")
+    return gaussian_norm(kernel.dim)
+
+
 def _kernel_sum(kernel: Kernel, c: np.ndarray, h: np.ndarray,
                 sample: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d)
-    for a ``sample`` of shape (..., n, d) and ``c``, ``h`` of shape (n,); returns (..., m)."""
+    for a ``sample`` of shape (..., n, d) and ``c``, ``h`` of shape (n,); returns (..., m).
+    Each chunk's kernel matrix is built in place in one (..., m, chunk) buffer,
+    adding the squared scaled differences in one coordinate at a time."""
     *batch, n, d = sample.shape
+    norm = _gaussian_norm(kernel)
     coef = c / h**d
-    chunk = max(1, SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
+    rows = math.prod(batch) * len(points)
+    chunk = max(1, SCALAR_BUDGET // (rows * d))
+    kbuf = np.empty(rows * min(chunk, n))
+    tbuf = np.empty_like(kbuf) if d > 1 else kbuf
     out = np.zeros((*batch, len(points)))
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
-        k = kernel.fn((points[:, None, :] - sample[..., None, sl, :]) / h[sl, None])
-        out += (k.reshape(-1, k.shape[-1]) @ coef[sl]).reshape(out.shape)
+        x = sample[..., None, sl, :]
+        shape = (*batch, len(points), x.shape[-2])
+        k, t = (buf[:math.prod(shape)].reshape(shape) for buf in (kbuf, tbuf))
+        for j in range(d):
+            s = t if j else k
+            np.subtract(points[:, j, None], x[..., j], out=s)
+            s /= h[sl]
+            s *= s
+            if j:
+                k += s
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= norm
+        out += (k.reshape(-1, shape[-1]) @ coef[sl]).reshape(out.shape)
     return out
 
 
@@ -94,9 +122,20 @@ class RecursiveEstimator:
         self.values = (1.0 - g) * self.values + g * self.kernel.fn(z) / h**self.kernel.dim
 
     def update_many(self, sample) -> None:
-        """Absorb the rows of ``sample`` in order, once all are checked to be finite."""
-        for row in _as_points(sample, self.kernel.dim):
-            self.update(row)
+        """Absorb the rows of ``sample`` in order, once all are checked to be finite:
+        per block of up to :data:`STREAM_BLOCK` rows, with the gains and bandwidths
+        :meth:`update` would take, ``f <- Pi_b f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
+        ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``, the recursion expanded exactly."""
+        sample = _as_points(sample, self.kernel.dim)
+        _gaussian_norm(self.kernel)  # rejects another kernel before any gain is taken
+        for lo in range(0, len(sample), STREAM_BLOCK):
+            block = sample[lo:lo + STREAM_BLOCK]
+            g = np.fromiter(itertools.islice(self._gammas, len(block)), float, len(block))
+            h = np.fromiter(itertools.islice(self._bandwidths, len(block)), float, len(block))
+            tail = suffix_products(1.0 - g)
+            self.values = (tail[0] * (1.0 - g[0]) * self.values
+                           + _kernel_sum(self.kernel, g * tail, h, block, self.points))
+            self.n += len(block)
 
 
 def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:

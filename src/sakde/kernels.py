@@ -9,16 +9,26 @@ from typing import Callable, NamedTuple, Tuple
 import numpy as np
 
 
+def gaussian_norm(dim: int) -> float:
+    """Normalising constant ``(2 pi)^(-d/2)`` of the product standard Gaussian kernel."""
+    return (2.0 * math.pi) ** (-dim / 2.0)
+
+
 class _ProductGaussian:
     """Product standard-normal kernel on R^d; picklable callable."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._norm = (2.0 * math.pi) ** (-dim / 2.0)
+        self._norm = gaussian_norm(dim)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        return self._norm * np.exp(-0.5 * np.sum(z * z, axis=-1))
+        # squares added coordinate by coordinate, left to right: the same sum
+        # as a reduction over the short last axis, at a fraction of its cost
+        sq = z[..., 0] ** 2
+        for j in range(1, z.shape[-1]):
+            sq += z[..., j] ** 2
+        return self._norm * np.exp(-0.5 * sq)
 
 
 @dataclass(frozen=True)

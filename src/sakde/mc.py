@@ -307,19 +307,24 @@ class MomentReport:
     replications: int
 
 
-def empirical_moments(cfg: CellConfig) -> MomentReport:
-    """Monte Carlo moments of the cell's estimator at its point."""
-    if cfg.replications < 100:
+def empirical_moments(*cfgs: CellConfig) -> List[MomentReport]:
+    """Monte Carlo moments of each cell's estimator at its point; the cells
+    share (model, n, replications, seed) and read one draw of each sample block."""
+    reps = cfgs[0].replications
+    if reps < 100:
         raise ValueError("need at least 100 replications for stable moments")
-    f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-    total = 0.0
-    total_sq = 0.0
-    for (g,) in _estimate_blocks(cfg):
-        total += float(np.sum(g))
-        total_sq += float(np.sum(g * g))
-    mean = total / cfg.replications
-    variance = (total_sq - cfg.replications * mean * mean) / (cfg.replications - 1)
-    return MomentReport(mean, mean - f_true, variance, cfg.replications)
+    total, total_sq = [0.0] * len(cfgs), [0.0] * len(cfgs)
+    for estimates in _estimate_blocks(*cfgs):
+        for i, g in enumerate(estimates):
+            total[i] += float(np.sum(g))
+            total_sq[i] += float(np.sum(g * g))
+    reports = []
+    for cfg, s, sq in zip(cfgs, total, total_sq):
+        mean = s / reps
+        variance = (sq - reps * mean * mean) / (reps - 1)
+        reports.append(MomentReport(mean, mean - cfg.model.pdf(np.asarray(cfg.x, dtype=float)),
+                                    variance, reps))
+    return reports
 
 
 def exact_moments(cfg: CellConfig) -> Tuple[float, float]:

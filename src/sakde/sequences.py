@@ -19,9 +19,9 @@ import numpy as np
 # Block length for streaming evaluations; memory use is O(_BLOCK), not O(n).
 _BLOCK = 1 << 15
 
-# Block length of the gains and bandwidths a streaming estimator takes one at a
-# time: every value is the same for any block length, and a short block keeps
-# each estimator's buffer of Python floats small.
+# Block length of the gains and bandwidths a streaming estimator buffers, and
+# of its block updates: every value is the same for any block length, and a
+# short block keeps each estimator's buffers small.
 STREAM_BLOCK = 1 << 10
 
 

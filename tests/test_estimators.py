@@ -15,8 +15,9 @@ from sakde.estimators import (
     rosenblatt_batch,
     weighted_closed_form,
 )
-from sakde.kernels import gaussian_kernel
-from sakde.sequences import SequencePlan, bandwidth_plan, pi_product, stepsize_from_weights, stepsize_plan
+from sakde.kernels import Kernel, gaussian_kernel
+from sakde.sequences import (STREAM_BLOCK, SequencePlan, bandwidth_plan, pi_product,
+                             stepsize_from_weights, stepsize_plan)
 
 
 def test_first_update_annihilates_f0_when_gain_is_one():
@@ -72,7 +73,8 @@ def test_recursion_equals_weighted_closed_form(d, w_exp_factor):
     sample = rng.standard_normal((1000, d))
     pts = rng.standard_normal((50, d)) * 1.5
     est = RecursiveEstimator(kern, step, bw, pts)
-    est.update_many(sample)
+    for row in sample:  # the one-step recursion; update_many is a closed form itself
+        est.update(row)
     direct = weighted_closed_form(kern, weights, bw, sample, pts)
     assert float(np.max(np.abs(est.values - direct))) < 1e-12
 
@@ -112,7 +114,8 @@ def test_closed_form_expansion_with_initial_value():
     pts = np.linspace(-2, 2, 21)[:, None]
     sample = rng.standard_normal((500, 1))
     est = RecursiveEstimator(kern, step, bw, pts, f0=0.3)
-    est.update_many(sample)
+    for row in sample:
+        est.update(row)
     closed = recursive_at_points(kern, step, bw, sample, pts, f0=0.3)
     assert float(np.max(np.abs(est.values - closed))) < 1e-12
     assert pi_product(step, 500) > 0
@@ -180,7 +183,8 @@ def test_batch_paths_match_streaming():
         batch_ros = rosenblatt_batch(kern, bw, samples, x)
         for r in range(4):
             est = RecursiveEstimator(kern, step, bw, x[None, :])
-            est.update_many(samples[r])
+            for row in samples[r]:
+                est.update(row)
             assert batch_rec[r] == pytest.approx(est.values[0], rel=1e-12)
             ros = RosenblattEstimator(d, bw, samples[r])
             assert batch_ros[r] == pytest.approx(ros.eval(kern, x[None, :])[0], rel=1e-12)
@@ -253,6 +257,81 @@ def test_kernel_sum_callers_match_observation_loops(d, budget, monkeypatch):
             _loop_rosenblatt(kern, h_n, samples[r], x[None, :])[0], rel=REF_RTOL, abs=0)
 
 
+def _unfused_kernel_sum(kernel, c, h, sample, points):
+    """The kernel sum as one kernel call per chunk: ``kernel.fn((p - X) / h) @ (c / h^d)``,
+    chunked by the same rule."""
+    *batch, n, d = sample.shape
+    coef = c / h**d
+    chunk = max(1, estimators.SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
+    out = np.zeros((*batch, len(points)))
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
+        k = kernel.fn((points[:, None, :] - sample[..., None, sl, :]) / h[sl, None])
+        out += (k.reshape(-1, k.shape[-1]) @ coef[sl]).reshape(out.shape)
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    rng = np.random.default_rng(31 + d)
+    kern = gaussian_kernel(d)
+    n = 45
+    c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.3, 1.5, n)
+    pts = rng.standard_normal((6, d))
+    for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
+        np.testing.assert_array_equal(estimators._kernel_sum(kern, c, h, sample, pts),
+                                      _unfused_kernel_sum(kern, c, h, sample, pts))
+
+
+def test_kernel_sums_reject_other_kernels():
+    # the fused sum evaluates the product Gaussian kernel, never another kernel's fn
+    base = gaussian_kernel(1)
+    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), base.mu2, 2 * base.roughness, "x2")
+    with pytest.raises(ValueError):
+        recursive_at_points(doubled, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
+                            np.zeros((3, 1)), np.zeros((2, 1)))
+    est = RecursiveEstimator(doubled, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
+                             np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        est.update_many([[0.1], [0.2]])
+    est.update([0.1])  # the rejected rows took no gain: this is step 1
+    assert est.n == 1
+    np.testing.assert_array_equal(est.values, 0.79 * doubled.fn(-0.1 * np.ones((2, 1))))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_block_updates_match_one_step_recursion(d, weighted):
+    # blocks of STREAM_BLOCK rows, cut anywhere and interleaved with single
+    # updates, stay on the one-observation recursion across block boundaries
+    rng = np.random.default_rng(50 + d)
+    kern, bw = gaussian_kernel(d), bandwidth_plan(0.9, 0.21 / d)
+    step = stepsize_from_weights(SequencePlan(1.0, -0.1)) if weighted else stepsize_plan(0.79)
+    f0 = 0.0 if weighted else 0.4  # a weight-induced plan has gamma_1 = 1
+    n = 2 * STREAM_BLOCK + 5
+    sample = rng.standard_normal((n, d))
+    pts = rng.standard_normal((30, d)) * 1.5
+    stepwise = RecursiveEstimator(kern, step, bw, pts, f0=f0)
+    for row in sample:
+        stepwise.update(row)
+    whole = RecursiveEstimator(kern, step, bw, pts, f0=f0)
+    whole.update_many(sample)
+    mixed, lo = RecursiveEstimator(kern, step, bw, pts, f0=f0), 0
+    # update_many on 1, 1023, 1025 (two blocks) and 2 rows, update on single rows
+    for size in (1, STREAM_BLOCK - 1, None, STREAM_BLOCK + 1, None, 2):
+        if size is None:
+            mixed.update(sample[lo])
+        else:
+            mixed.update_many(sample[lo:lo + size])
+        lo += size or 1
+    assert stepwise.n == whole.n == mixed.n == lo == n
+    for est in (whole, mixed):
+        assert float(np.max(np.abs(est.values - stepwise.values))) < 1e-12
+
+
 def test_recursive_at_points_memory_is_bounded():
     # one chunk of the whole sample would hold 2048 * 10^4 * 2 scalars (328 MB)
     # per temporary; the scalar budget keeps the traced peak far below that
@@ -302,7 +381,8 @@ def test_non_finite_observation_leaves_state_unchanged(bad):
     est.update([0.1])
     ref = RecursiveEstimator(kern, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
                              np.linspace(-1, 1, 5)[:, None], f0=0.1)
-    ref.update_many([[0.2], [0.1]])
+    ref.update_many([[0.2]])
+    ref.update([0.1])
     np.testing.assert_array_equal(est.values, ref.values)
 
 

@@ -85,3 +85,12 @@ def test_eval_shapes():
     assert np.ndim(single) == 0
     assert batch.shape == (5,)
     assert single == pytest.approx(1.0 / (2 * math.pi))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_equals_axis_reduction_bit_for_bit(d):
+    # the coordinate-by-coordinate square sum is the short-axis reduction it replaced
+    z = np.random.default_rng(8 + d).standard_normal((4, 300, d)) * 3.0
+    expected = (2.0 * math.pi) ** (-d / 2.0) * np.exp(-0.5 * np.sum(z * z, axis=-1))
+    np.testing.assert_array_equal(gaussian_kernel(d).fn(z), expected)
+

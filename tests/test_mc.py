@@ -113,16 +113,27 @@ def test_empirical_moments_match_exact_oracle():
     # exact finite-n moments are closed form under the Gaussian kernel
     model = mc.table_model("gaussian")
     n, a, reps = 300, 0.21, 3000
-    for label, step, estimator in (
-        ("recursive", stepsize_plan(1.0 - a), mc.RECURSIVE),
-        ("plain-average", stepsize_plan(1.0), mc.RECURSIVE),
-        ("rosenblatt", None, mc.ROSENBLATT),
-    ):
-        cell = mc.CellConfig(model, (0.0,), n, a, estimator, reps, seed=2, step=step)
-        emp = mc.empirical_moments(cell)
+    labels, cells = zip(*(
+        (label, mc.CellConfig(model, (0.0,), n, a, estimator, reps, seed=2, step=step))
+        for label, step, estimator in (
+            ("recursive", stepsize_plan(1.0 - a), mc.RECURSIVE),
+            ("plain-average", stepsize_plan(1.0), mc.RECURSIVE),
+            ("rosenblatt", None, mc.ROSENBLATT),
+        )))
+    for label, cell, emp in zip(labels, cells, mc.empirical_moments(*cells)):
         ex_mean, ex_var = mc.exact_moments(cell)
         assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps)), label
         assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps)), label
+
+
+def test_empirical_moments_of_cells_drawn_together_equal_separate_runs(monkeypatch):
+    # one draw of each block serves every cell, without changing any cell's
+    # moments; the budget splits the replications into blocks of 40
+    monkeypatch.setattr(estimators, "SCALAR_BUDGET", 80 * 40)
+    model = mc.table_model("mixture")
+    cells = [mc.CellConfig(model, x, 80, 0.21, est, 150, seed=4)
+             for x in ((0.0,), (0.5,)) for est in (mc.RECURSIVE, mc.ROSENBLATT)]
+    assert mc.empirical_moments(*cells) == [mc.empirical_moments(c)[0] for c in cells]
 
 
 def test_exact_moments_rosenblatt_matches_direct_formula():
@@ -142,7 +153,7 @@ def test_exact_moments_linear_image_matches_monte_carlo():
     model = mc.table_model("gaussian-2d")
     n, a, reps = 100, 0.19, 4000
     cell = mc.CellConfig(model, (0.5, 0.5), n, a, mc.RECURSIVE, reps, seed=6)
-    emp = mc.empirical_moments(cell)
+    (emp,) = mc.empirical_moments(cell)
     ex_mean, ex_var = mc.exact_moments(cell)
     assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps))
     assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps))
