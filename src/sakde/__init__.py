@@ -28,7 +28,7 @@ from sakde.sequences import (
     stepsize_from_weights,
     stepsize_plan,
 )
-from sakde.kernels import Kernel, a1_check, gaussian_kernel
+from sakde.kernels import Kernel, gaussian_kernel
 from sakde.densities import GaussianMixture, LinearImage, curvature, standard_gaussian
 from sakde.estimators import (
     RecursiveEstimator,
@@ -46,7 +46,6 @@ __all__ = [
     "RosenblattEstimator",
     "SequencePlan",
     "StepsizePlan",
-    "a1_check",
     "bandwidth_plan",
     "curvature",
     "gaussian_kernel",

@@ -53,7 +53,8 @@ def _as_points(points, dim) -> np.ndarray:
 
 
 def _gaussian_norm(kernel: Kernel) -> float:
-    """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums take no other."""
+    """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums and
+    :class:`RecursiveEstimator` take no other kernel."""
     if kernel.name != gaussian_kernel(kernel.dim).name:
         raise ValueError("the kernel sums take the product Gaussian kernel only")
     return gaussian_norm(kernel.dim)
@@ -101,6 +102,7 @@ class RecursiveEstimator:
 
     def __init__(self, kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
                  points, f0=0.0):
+        _gaussian_norm(kernel)  # rejects another kernel before any state exists
         self.kernel = kernel
         self.step = step
         self.bandwidth = bandwidth
@@ -127,7 +129,6 @@ class RecursiveEstimator:
         :meth:`update` would take, ``f <- Pi_b f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
         ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``, the recursion expanded exactly."""
         sample = _as_points(sample, self.kernel.dim)
-        _gaussian_norm(self.kernel)  # rejects another kernel before any gain is taken
         for lo in range(0, len(sample), STREAM_BLOCK):
             block = sample[lo:lo + STREAM_BLOCK]
             g = np.fromiter(itertools.islice(self._gammas, len(block)), float, len(block))

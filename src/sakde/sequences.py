@@ -88,11 +88,8 @@ class StepsizePlan:
         return float(self.gamma_values(n)[-1])
 
     def gamma_values(self, n_max: int) -> np.ndarray:
-        """Gains for steps 1..n_max as one array."""
-        out = np.empty(n_max)
-        for lo, g in zip(range(0, n_max, _BLOCK), self._gamma_blocks(n_max)):
-            out[lo:lo + g.size] = g
-        return out
+        """Gains for steps 1..n_max as one array (empty for n_max = 0)."""
+        return np.concatenate((np.empty(0), *self._gamma_blocks(n_max)))
 
     def gamma_stream(self) -> Iterator[float]:
         """Yield gamma_1, gamma_2, ... lazily, one short block of gains at a time."""

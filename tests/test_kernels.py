@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sakde.kernels import Kernel, a1_check, gaussian_kernel, kernel_moments
+from sakde import checks
+from sakde.kernels import Kernel, gaussian_kernel, kernel_moments
 
 
 def test_roughness_d1_quadrature_oracle():
@@ -40,34 +41,28 @@ def test_stored_constants_match_fresh_quadrature(d):
     assert abs(mom.mass - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_a1_check_passes_for_gaussian(d):
-    report = a1_check(gaussian_kernel(d), tol=1e-6)
-    assert report.passed
-    assert report.failures == ()
-    assert report.second_abs_converged
+def _doubled(d):
+    # mass 2; the stored mu2 and roughness are its true moments, so only the mass is off
+    base = gaussian_kernel(d)
+    return Kernel(d, lambda z: 2.0 * base.fn(z), 2.0 * base.mu2, 4.0 * base.roughness, "x2")
 
 
-def test_a1_check_fails_unit_mass_for_scaled_kernel():
-    base = gaussian_kernel(1)
-    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), base.mu2, 2 * base.roughness, "x2")
-    report = a1_check(doubled, tol=1e-6)
-    assert not report.passed
-    assert "unit-mass" in report.failures
-    assert report.unit_mass == pytest.approx(2.0, abs=1e-9)
+def _shifted(d):
+    # first moment 1 along coordinate 0; mu2 and roughness again stored as they are
+    base, e0 = gaussian_kernel(d), np.eye(d)[0]
+    return Kernel(d, lambda z: base.fn(z - e0), base.mu2 + e0, base.roughness, "shift")
 
 
-def test_a1_check_fails_odd_moment_for_shifted_kernel():
-    base = gaussian_kernel(1)
-    shifted = Kernel(1, lambda z: base.fn(z - 1.0), base.mu2, base.roughness, "shift")
-    report = a1_check(shifted, tol=1e-6)
-    assert not report.passed
-    assert "odd-moment[0]" in report.failures
-
-
-def test_a1_check_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        a1_check(gaussian_kernel(1), tol=0.0)
+@pytest.mark.parametrize("make", [_doubled, _shifted], ids=["doubled", "shifted"])
+def test_kernel_constants_gate_fails_on_inadmissible_kernel(monkeypatch, make):
+    monkeypatch.setattr(checks, "gaussian_kernel", make)
+    outcomes = checks.kernel_constants(seed=0, jobs=1)
+    assert [o.passed for o in outcomes] == [False, False]
+    # the roughness and mu2 conditions hold: the gate fails on mass or first moment
+    assert all(o.value < 1e-8 for o in outcomes)
+    for d in (1, 2):
+        mom = kernel_moments(make(d).fn, d)
+        np.testing.assert_allclose(mom.mu2, make(d).mu2, atol=1e-8)
 
 
 def test_gaussian_symmetry_property():

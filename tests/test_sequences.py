@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sakde import sequences
 from sakde.sequences import (
     SequencePlan,
     bandwidth_plan,
@@ -130,6 +131,16 @@ def test_gamma_stream_matches_gamma_values():
             stream = step.gamma_stream()
             first = np.array([next(stream) for _ in range(n)])
             np.testing.assert_array_equal(first, step.gamma_values(n))
+
+
+def test_gamma_values_fill_every_step_whatever_the_block_length(monkeypatch):
+    # the array is the gain blocks themselves, so no step can be left unfilled
+    step = stepsize_from_weights(SequencePlan(1.0, -0.21))
+    n = 2**15 + 10
+    expected = step.gamma_values(n)
+    monkeypatch.setattr(sequences, "_BLOCK", 1000)
+    np.testing.assert_array_equal(step.gamma_values(n), expected)
+    assert step.gamma_values(0).shape == (0,)
 
 
 def test_pi_product_exact_zero_for_weight_induced():

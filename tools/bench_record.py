@@ -6,10 +6,11 @@ Usage (from the repository root):
 
 For the checkout at ``--root`` (default: this repository) it runs
 ``perfbench/run.py --trace 0`` once per workload named in BENCHMARK.json, for
-the run length BENCHMARK.json sets and at a fixed seed, times one run of the tier-1 suite and counts the lines of ``src/``.  The file
-is written to the root of this repository and holds each workload's result
-and info lines, the machine line, the tier-1 wall time with pytest's summary
-line, and the line counts.  The tier-1 time and the line count are recorded,
+the run length BENCHMARK.json sets and at a fixed seed, times one run of the
+tier-1 suite and counts the lines of ``src/`` and ``tests/``.  The file is
+written to the root of this repository and holds each workload's result and
+info lines, the machine line, the tier-1 wall time with pytest's summary
+line, and the line counts.  The tier-1 time and the line counts are recorded,
 not bounded.  Runs are sequential; nothing else should load the machine.
 """
 
@@ -47,8 +48,8 @@ def run_tier1(root: Path) -> dict:
             "command": " ".join(["python", *TIER1])}
 
 
-def src_lines(root: Path) -> dict:
-    files = sorted((root / "src" / "sakde").glob("*.py"))
+def line_counts(directory: Path) -> dict:
+    files = sorted(directory.glob("*.py"))
     per_file = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in files}
     return {"total": sum(per_file.values()), "files": per_file}
 
@@ -68,13 +69,15 @@ def main(argv=None) -> int:
         "machine": next(iter(workloads.values()))["info"]["machine"],
         "workloads": workloads,
         "tier1": run_tier1(root),
-        "src_lines": src_lines(root),
+        "src_lines": line_counts(root / "src" / "sakde"),
+        "tests_lines": line_counts(root / "tests"),
     }
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     summary = {name: w["result"]["metrics"]["wall_ref"]["value"] for name, w in workloads.items()}
     print(f"wrote {out.name}: wall_ref {summary}, tier-1 {record['tier1']['wall_s']} s, "
-          f"src {record['src_lines']['total']} lines")
+          f"src {record['src_lines']['total']} lines, "
+          f"tests {record['tests_lines']['total']} lines")
     return 0
 
 
