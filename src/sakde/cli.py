@@ -116,7 +116,7 @@ def cmd_cell(args) -> int:
                             args.estimator, args.reps, seed)
     except ValueError as exc:
         raise SystemExit(f"cell: {exc}") from None
-    result = mc.run_cell(cfg)
+    (result,) = mc.run_cell(cfg)
     row = mc.TableRow(0, args.density, cfg.x, cfg.a, cfg.n, cfg.estimator, result)
     meta = _meta(
         f"cell {args.density} x={args.x} a={args.a} n={args.n} {args.estimator}",

@@ -52,6 +52,14 @@ def _as_points(points, dim) -> np.ndarray:
     return pts
 
 
+def _as_sample(sample, dim) -> np.ndarray:
+    """A sample as ``(n, dim)`` observations, with n at least 1."""
+    obs = _as_points(sample, dim)
+    if obs.shape[0] == 0:
+        raise ValueError("sample must be nonempty")
+    return obs
+
+
 def _gaussian_norm(kernel: Kernel) -> float:
     """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums and
     :class:`RecursiveEstimator` take no other kernel."""
@@ -166,7 +174,7 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     Equals driving :class:`RecursiveEstimator` over the sample, up to
     accumulation round-off.
     """
-    sample = _as_points(sample, kernel.dim)
+    sample = _as_sample(sample, kernel.dim)
     n = sample.shape[0]
     out = _kernel_sum(kernel, *recursion_coefficients(step, bandwidth, n), sample,
                       _as_points(points, kernel.dim))
@@ -176,10 +184,8 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
                          sample, points) -> np.ndarray:
     """Weighted-average estimator ``(sum w_k)^{-1} sum_k w_k h_k^{-d} K((x - X_k)/h_k)``."""
-    sample = _as_points(sample, kernel.dim)
+    sample = _as_sample(sample, kernel.dim)
     n = sample.shape[0]
-    if n == 0:
-        raise ValueError("sample must be nonempty")
     k = np.arange(1, n + 1)
     w = weights.value(k)
     return _kernel_sum(kernel, w / w.sum(), bandwidth.value(k), sample,
@@ -196,9 +202,7 @@ class RosenblattEstimator:
     def __init__(self, dim: int, bandwidth: BandwidthPlan, sample):
         self.dim = dim
         self.bandwidth = bandwidth
-        self.sample = _as_points(sample, dim)
-        if self.sample.shape[0] == 0:
-            raise ValueError("sample must be nonempty")
+        self.sample = _as_sample(sample, dim)
 
     @property
     def n(self) -> int:

@@ -1,15 +1,16 @@
 """Deterministic Monte Carlo harness for confidence-interval coverage.
 
 Reproduces the four benchmark coverage tables and provides the empirical
-oracles (moments, CLT) used to validate the leading-order formulas.
+oracles (moments, CLT) used to validate the leading-order formulas.  Each
+readout is a statistic of one vector per cell: its estimate in every
+replication, from :func:`estimates`.
 
 Determinism contract: every replication draws from its own counter-based
 generator derived from ``(master_seed, replication_index)``, so every cell of
-one (model, n) sees the same samples.  A table draws each sample block once
-per (model, n) group and evaluates all the group's cells on it; each cell
-aggregates in replication-index order with a block structure fixed by
-(n, d, replications), so a run is bit-reproducible for a given seed no
-matter how groups are scheduled across workers.
+one (model, n) sees the same samples, and each sample block is drawn once for
+all of them.  The block structure is fixed by (n, d, replications), so a run
+is bit-reproducible for a given seed no matter which cells are read together
+or how groups are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -155,19 +156,22 @@ def replication_rng(seed: int, index: int,
     return np.random.Generator(bit_generator)
 
 
-def _estimate_blocks(*cfgs: CellConfig) -> Iterator[List[np.ndarray]]:
-    """Draw replications 0..replications-1 of the cells' shared (model, n, seed)
-    in blocks of at most ``estimators.SCALAR_BUDGET`` sample scalars, each block
-    once, and yield every cell's estimates on it in replication order.  The
-    block structure, hence the floating-point aggregation order, depends only
-    on (n, d, replications), not on the cells drawn together or the worker count."""
+def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
+    """One ``(replications,)`` vector of estimates per cell, in replication order;
+    the cells share (model, n, replications, seed).  Each block of at most
+    ``estimators.SCALAR_BUDGET`` sample scalars is drawn once for all the cells.
+    An estimate's last bits can move with its block (BLAS blocks the kernel sum
+    by rows), so the blocks depend only on (n, d, replications), never on the
+    cells drawn together or the worker count."""
     first = cfgs[0]
     block = max(1, min(first.replications, estimators.SCALAR_BUDGET // (first.n * first.dim)))
     philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
+    blocks = []
     for lo in range(0, first.replications, block):
         samples = np.stack([first.model.sample(replication_rng(first.seed, r, philox), first.n)
                             for r in range(lo, min(lo + block, first.replications))])
-        yield [cfg.estimate(samples) for cfg in cfgs]
+        blocks.append([cfg.estimate(samples) for cfg in cfgs])
+    return [np.concatenate(g) for g in zip(*blocks)]
 
 
 def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
@@ -184,28 +188,18 @@ def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
     return lo, hi
 
 
-def _run_group(cfgs: Sequence[CellConfig]) -> List[CellResult]:
-    """Run cells that share (model, n, replications, seed) on one draw of each
-    sample block: per block, each cell builds its intervals and adds up
-    coverage of its true density value and interval length."""
+def run_cell(*cfgs: CellConfig) -> List[CellResult]:
+    """Each cell's coverage of its true density value and average interval
+    length; the cells share (model, n, replications, seed)."""
     kernel, n, reps = gaussian_kernel(cfgs[0].dim), cfgs[0].n, cfgs[0].replications
-    # ci_factor rejects a gain without a finite limit before any draw
-    cells = [(cfg.model.pdf(np.asarray(cfg.x, dtype=float)), float(cfg.bandwidth.value(n)),
-              cfg.ci_factor) for cfg in cfgs]
-    covered, length_sum = [0] * len(cells), [0.0] * len(cells)
-    for estimates in _estimate_blocks(*cfgs):
-        for i, (g, (f_true, h_n, c_factor)) in enumerate(zip(estimates, cells)):
-            lo, hi = build_interval(g, c_factor, kernel, n, h_n)
-            covered[i] += int(np.count_nonzero((lo <= f_true) & (f_true <= hi)))
-            length_sum[i] += float(np.sum(hi - lo))
-    levels = [c / reps for c in covered]
-    return [CellResult(p, s / reps, math.sqrt(p * (1.0 - p) / reps))
-            for p, s in zip(levels, length_sum)]
-
-
-def run_cell(cfg: CellConfig) -> CellResult:
-    """Run one cell: the one-cell case of the table's group loop."""
-    return _run_group([cfg])[0]
+    factors = [cfg.ci_factor for cfg in cfgs]  # raises on an infinite gain limit before any draw
+    results = []
+    for cfg, c_factor, g in zip(cfgs, factors, estimates(*cfgs)):
+        f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
+        lo, hi = build_interval(g, c_factor, kernel, n, float(cfg.bandwidth.value(n)))
+        p = np.count_nonzero((lo <= f_true) & (f_true <= hi)) / reps
+        results.append(CellResult(p, float(np.sum(hi - lo)) / reps, math.sqrt(p * (1 - p) / reps)))
+    return results
 
 
 @dataclass(frozen=True)
@@ -247,13 +241,9 @@ class TableRow:
 def table_configs(table: int, seed: int, replications: int = 5000) -> List[CellConfig]:
     layout = table_layout(table)
     model = table_model(layout.density)
-    cfgs = []
-    for a in layout.a_values:
-        for x in layout.xs:
-            for n in layout.ns:
-                for estimator in (ROSENBLATT, RECURSIVE):
-                    cfgs.append(CellConfig(model, x, n, a, estimator, replications, seed))
-    return cfgs
+    grid = itertools.product(layout.a_values, layout.xs, layout.ns, (ROSENBLATT, RECURSIVE))
+    return [CellConfig(model, x, n, a, estimator, replications, seed)
+            for a, x, n, estimator in grid]
 
 
 def run_table(table: int, seed: int, replications: int = 5000, jobs: int = 1) -> List[TableRow]:
@@ -267,9 +257,10 @@ def run_table(table: int, seed: int, replications: int = 5000, jobs: int = 1) ->
         groups.setdefault((cfg.model, cfg.n, cfg.replications, cfg.seed), []).append(cfg)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            outputs = list(pool.map(_run_group, groups.values(), chunksize=1))
+            futures = [pool.submit(run_cell, *group) for group in groups.values()]
+            outputs = [future.result() for future in futures]
     else:
-        outputs = list(map(_run_group, groups.values()))
+        outputs = [run_cell(*group) for group in groups.values()]
     results = dict(zip(itertools.chain(*groups.values()), itertools.chain(*outputs)))
     return [TableRow(table, layout.density, cfg.x, cfg.a, cfg.n, cfg.estimator, results[cfg])
             for cfg in cfgs]
@@ -313,17 +304,11 @@ def empirical_moments(*cfgs: CellConfig) -> List[MomentReport]:
     reps = cfgs[0].replications
     if reps < 100:
         raise ValueError("need at least 100 replications for stable moments")
-    total, total_sq = [0.0] * len(cfgs), [0.0] * len(cfgs)
-    for estimates in _estimate_blocks(*cfgs):
-        for i, g in enumerate(estimates):
-            total[i] += float(np.sum(g))
-            total_sq[i] += float(np.sum(g * g))
     reports = []
-    for cfg, s, sq in zip(cfgs, total, total_sq):
-        mean = s / reps
-        variance = (sq - reps * mean * mean) / (reps - 1)
+    for cfg, g in zip(cfgs, estimates(*cfgs)):
+        mean = float(np.mean(g))
         reports.append(MomentReport(mean, mean - cfg.model.pdf(np.asarray(cfg.x, dtype=float)),
-                                    variance, reps))
+                                    float(np.var(g, ddof=1)), reps))
     return reports
 
 
@@ -389,7 +374,7 @@ def clt_empirical_check(cfg: CellConfig, variance: Optional[float] = None) -> Cl
                                           cfg.step).asym_var
     reps = cfg.replications
     scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
-    values = np.concatenate([g for (g,) in _estimate_blocks(cfg)])
+    (values,) = estimates(cfg)
     z = np.sort(scale * (values - f_true) / math.sqrt(variance))
     cdf = ndtr(z)
     i = np.arange(1, reps + 1)

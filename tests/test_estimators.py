@@ -171,6 +171,17 @@ def test_rosenblatt_rejects_empty_sample():
         RosenblattEstimator(1, bandwidth_plan(1.0, 0.21), np.empty((0, 1)))
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda kern, bw, sample, pts: recursive_at_points(kern, stepsize_plan(0.79), bw, sample, pts),
+    lambda kern, bw, sample, pts: weighted_closed_form(kern, SequencePlan(1.0, 0.0), bw,
+                                                       sample, pts),
+    lambda kern, bw, sample, pts: RosenblattEstimator(1, bw, sample).eval(kern, pts),
+], ids=["recursive_at_points", "weighted_closed_form", "RosenblattEstimator"])
+def test_estimators_reject_empty_sample_alike(estimate):
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        estimate(gaussian_kernel(1), bandwidth_plan(1.0, 0.21), np.zeros((0, 1)), np.zeros((2, 1)))
+
+
 def test_batch_paths_match_streaming():
     rng = np.random.default_rng(17)
     for d in (1, 2):

@@ -51,7 +51,7 @@ def test_replication_rng_is_deterministic_and_distinct():
 def test_cell_result_stderr_is_binomial():
     cfg = mc.CellConfig(mc.table_model("gaussian"), (0.0,), 50, 0.21,
                         mc.ROSENBLATT, replications=200, seed=1)
-    res = mc.run_cell(cfg)
+    (res,) = mc.run_cell(cfg)
     p = res.empirical_level
     assert res.stderr_level == pytest.approx(math.sqrt(p * (1 - p) / 200), rel=1e-15)
 
@@ -59,7 +59,7 @@ def test_cell_result_stderr_is_binomial():
 def test_single_replication_cell():
     cfg = mc.CellConfig(mc.table_model("gaussian"), (0.0,), 50, 0.21,
                         mc.ROSENBLATT, replications=1, seed=9)
-    res = mc.run_cell(cfg)
+    (res,) = mc.run_cell(cfg)
     assert res.empirical_level in (0.0, 1.0)
     # reproduce the single replication by hand
     kern = gaussian_kernel(1)
@@ -126,14 +126,16 @@ def test_empirical_moments_match_exact_oracle():
         assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps)), label
 
 
-def test_empirical_moments_of_cells_drawn_together_equal_separate_runs(monkeypatch):
+@pytest.mark.parametrize("readout", [mc.empirical_moments, mc.run_cell],
+                         ids=["empirical_moments", "run_cell"])
+def test_empirical_moments_of_cells_drawn_together_equal_separate_runs(monkeypatch, readout):
     # one draw of each block serves every cell, without changing any cell's
-    # moments; the budget splits the replications into blocks of 40
+    # readout; the budget splits the replications into blocks of 40
     monkeypatch.setattr(estimators, "SCALAR_BUDGET", 80 * 40)
     model = mc.table_model("mixture")
     cells = [mc.CellConfig(model, x, 80, 0.21, est, 150, seed=4)
              for x in ((0.0,), (0.5,)) for est in (mc.RECURSIVE, mc.ROSENBLATT)]
-    assert mc.empirical_moments(*cells) == [mc.empirical_moments(c)[0] for c in cells]
+    assert readout(*cells) == [readout(c)[0] for c in cells]
 
 
 def test_exact_moments_rosenblatt_matches_direct_formula():
@@ -200,8 +202,8 @@ def test_length_ratio_approaches_ci_factor():
     # recursive/baseline averaged-length ratio near sqrt(1 - ad) at n = 200
     model = mc.table_model("gaussian")
     common = dict(x=(1.0,), n=200, a=0.21, replications=5000, seed=13)
-    ros = mc.run_cell(mc.CellConfig(model, estimator=mc.ROSENBLATT, **common))
-    rec = mc.run_cell(mc.CellConfig(model, estimator=mc.RECURSIVE, **common))
+    (ros,) = mc.run_cell(mc.CellConfig(model, estimator=mc.ROSENBLATT, **common))
+    (rec,) = mc.run_cell(mc.CellConfig(model, estimator=mc.RECURSIVE, **common))
     ratio = rec.avg_length / ros.avg_length
     assert ratio == pytest.approx(math.sqrt(1 - 0.21), rel=0.02)
 
@@ -286,11 +288,11 @@ def test_sample_blocks_follow_scalar_budget(monkeypatch):
     monkeypatch.setattr(mc, "recursive_batch", counting)
     cfg = mc.CellConfig(mc.table_model("gaussian-2d"), (0.5, 0.5), 50, 0.19,
                         mc.RECURSIVE, replications=300, seed=4)
-    one_block = mc.run_cell(cfg)
+    (one_block,) = mc.run_cell(cfg)
     assert len(calls) == 1
     monkeypatch.setattr(estimators, "SCALAR_BUDGET", 64 * 50 * 2)  # 64 replications
     calls.clear()
-    blocks = mc.run_cell(cfg)
+    (blocks,) = mc.run_cell(cfg)
     assert len(calls) == 5
     assert blocks.empirical_level == one_block.empirical_level
     assert blocks.avg_length == pytest.approx(one_block.avg_length, rel=1e-12)
@@ -321,7 +323,7 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
     rows = mc.run_table(table, seed=8, replications=30)
     for row, cfg in zip(rows, mc.table_configs(table, seed=8, replications=30)):
         assert (row.x, row.a, row.n, row.estimator) == (cfg.x, cfg.a, cfg.n, cfg.estimator)
-        assert row.result == mc.run_cell(cfg)
+        assert [row.result] == mc.run_cell(cfg)
 
 
 def test_run_table_draws_each_sample_once(monkeypatch):
