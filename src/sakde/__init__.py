@@ -4,7 +4,8 @@ The package provides:
 
 - regularly varying sequence plans for stepsizes, bandwidths and weights
   (:mod:`sakde.sequences`),
-- smoothing kernels with their moment constants (:mod:`sakde.kernels`),
+- the product Gaussian kernel, whose constants are functions of d
+  (:mod:`sakde.kernels`),
 - closed-form ground-truth densities (:mod:`sakde.densities`),
 - the recursive estimator, its weighted closed form and the Rosenblatt
   baseline (:mod:`sakde.estimators`),

@@ -1,11 +1,11 @@
 """Leading-order asymptotics for the recursive estimator and its baseline.
 
-Everything here is a pure function of the plan parameters and the kernel and
-density constants: bias/variance regimes, pointwise and integrated MSE with
-their optimal plans, the efficiency ratio against the nonrecursive baseline,
-CLT parameters, and the confidence-interval calibration constant.  Parameter
-combinations that sit on a pole of a formula raise ``ValueError`` instead of
-returning signed infinities.
+Everything here is a pure function of the plan parameters, the dimension d
+(the product Gaussian kernel's constants are functions of d) and the density
+constants: bias/variance regimes, pointwise and integrated MSE with their
+optimal plans, the efficiency ratio against the nonrecursive baseline, CLT
+parameters, and the confidence-interval calibration constant.  Parameters on
+a pole of a formula or outside its domain, NaN included, raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from sakde.kernels import Kernel
+from sakde.kernels import gaussian_roughness
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
 BIAS_DOMINATED = "bias-dominated"
@@ -50,15 +50,17 @@ class RegimeClassification:
 def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassification:
     """Classify the bias/variance trade-off of a plan pair.
 
-    Requires ``alpha`` in (1/2, 1] and ``a`` in (0, alpha/d).  The boundary
-    ``a = alpha/(d+4)`` is resolved within 1e-12, with every real input
-    (``float``, ``int`` or ``Fraction``) taken through ``float``.
+    Requires ``alpha`` in (1/2, 1], ``a`` in (0, alpha/d) and ``gamma0 > 0``.
+    The boundary ``a = alpha/(d+4)`` is resolved within 1e-12, with every real
+    input (``float``, ``int`` or ``Fraction``) taken through ``float``.
     """
     af, alphaf = float(a), float(alpha)
     if not 0.5 < alphaf <= 1.0:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if not 0.0 < af < alphaf / d:
         raise ValueError(f"a must lie in (0, alpha/d) = (0, {alphaf / d}), got {a}")
+    if not gamma0 > 0:
+        raise ValueError(f"gamma0 must be positive, got {gamma0}")
     cmp = _compare_regime(a, alpha, d)
     regime = BALANCED if cmp == 0 else (BIAS_DOMINATED if cmp < 0 else VARIANCE_DOMINATED)
     lo = min(2.0 * af, (1.0 - af * d) / 2.0)
@@ -81,7 +83,7 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
 def _bias_denom(a: float, xi: float) -> float:
     """``1 - 2 a xi``, the denominator of every leading bias constant."""
     denom = 1.0 - 2.0 * a * xi
-    if denom <= 0:
+    if not denom > 0:
         raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
     return denom
 
@@ -89,7 +91,7 @@ def _bias_denom(a: float, xi: float) -> float:
 def _variance_denom(a: float, d: int, xi: float) -> float:
     """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
     denom = 2.0 - (1.0 - a * d) * xi
-    if denom <= 0:
+    if not denom > 0:
         raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
     return denom
 
@@ -108,23 +110,22 @@ def rosenblatt_bias(S_x: float, h: float) -> float:
     return h * h * S_x / 2.0
 
 
-def variance_leading(f_x: float, kernel: Kernel, bandwidth: BandwidthPlan,
+def variance_leading(f_x: float, d: int, bandwidth: BandwidthPlan,
                      step: StepsizePlan, n: int) -> float:
     """Leading variance ``(gamma_n / h_n^d) f(x) R / (2 - (1 - a d) xi)``.
 
     Uses the closed-form gain ``step.seq.value(n)`` (the regular-variation
     equivalent for weight-induced plans).
     """
-    d = kernel.dim
     denom = _variance_denom(bandwidth.a, d, step.xi)
     gamma_n = float(step.seq.value(n))
     h = float(bandwidth.value(n))
-    return gamma_n / h**d * f_x * kernel.roughness / denom
+    return gamma_n / h**d * f_x * gaussian_roughness(d) / denom
 
 
-def rosenblatt_variance(f_x: float, kernel: Kernel, n: int, h: float) -> float:
+def rosenblatt_variance(f_x: float, d: int, n: int, h: float) -> float:
     """Leading variance of the nonrecursive baseline, ``f(x) R / (n h^d)``."""
-    return f_x * kernel.roughness / (n * h**kernel.dim)
+    return f_x * gaussian_roughness(d) / (n * h**d)
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,18 @@ def _unit_gain_plan(quad_term: float, rough_term: float, d: int) -> MseOptimalPl
 
 
 def _check_point(f_x: float, S_x: float) -> None:
-    if f_x <= 0:
+    if not f_x > 0:
         raise ValueError("f(x) must be positive")
-    if S_x == 0:
+    if not abs(S_x) > 0:
         raise ValueError("optimal bandwidth undefined where the curvature vanishes")
 
 
-def mse_optimal_plan(f_x: float, S_x: float, kernel: Kernel) -> MseOptimalPlan:
+def mse_optimal_plan(f_x: float, S_x: float, d: int) -> MseOptimalPlan:
     """Plan minimising the pointwise MSE at a point with density f(x) and
     curvature S(x): unit gain limit, bandwidth ``const * gamma_n**(1/(d+4))``.
     """
     _check_point(f_x, S_x)
-    return _unit_gain_plan(S_x * S_x, f_x * kernel.roughness, kernel.dim)
+    return _unit_gain_plan(S_x * S_x, f_x * gaussian_roughness(d), d)
 
 
 @dataclass(frozen=True)
@@ -182,25 +183,23 @@ class RosenblattOptimal:
         return self.mse_constant * float(n) ** (-4.0 / (self.d + 4))
 
 
-def rosenblatt_mse_optimal(f_x: float, S_x: float, kernel: Kernel) -> RosenblattOptimal:
+def rosenblatt_mse_optimal(f_x: float, S_x: float, d: int) -> RosenblattOptimal:
     """Minimise ``(h^2 S/2)^2 + f R / (n h^d)`` over h for the baseline."""
     _check_point(f_x, S_x)
-    d = kernel.dim
     quad = S_x * S_x / 4.0
-    rough = f_x * kernel.roughness
+    rough = f_x * gaussian_roughness(d)
     h_const = (d * rough / (4.0 * quad)) ** (1.0 / (d + 4))
     mse_const = quad * h_const**4 + rough * h_const ** (-d)
     return RosenblattOptimal(h_const, mse_const, d)
 
 
-def mise_leading(curv_integral: float, kernel: Kernel, step: StepsizePlan,
+def mise_leading(curv_integral: float, d: int, step: StepsizePlan,
                  bandwidth: BandwidthPlan, n: int) -> float:
     """Leading integrated MSE; the regime decides which terms contribute.
 
     ``curv_integral`` is the integral of the squared curvature functional
     (see :func:`sakde.densities.curvature_squared_integral`).
     """
-    d = kernel.dim
     a, alpha, xi = bandwidth.a, step.alpha, step.xi
     cmp = _compare_regime(a, alpha, d)
     h = float(bandwidth.value(n))
@@ -208,17 +207,17 @@ def mise_leading(curv_integral: float, kernel: Kernel, step: StepsizePlan,
     if cmp <= 0:
         terms += h**4 / (4.0 * _bias_denom(a, xi) ** 2) * curv_integral
     if cmp >= 0:
-        terms += float(step.seq.value(n)) / h**d * kernel.roughness / _variance_denom(a, d, xi)
+        terms += float(step.seq.value(n)) / h**d * gaussian_roughness(d) / _variance_denom(a, d, xi)
     return terms
 
 
-def mise_optimal_plan(curv_integral: float, kernel: Kernel) -> MseOptimalPlan:
+def mise_optimal_plan(curv_integral: float, d: int) -> MseOptimalPlan:
     """Plan minimising the integrated MSE; mirrors :func:`mse_optimal_plan`
     with the integrated squared curvature in place of S(x)^2 and the kernel
     roughness alone in place of f(x) R."""
-    if curv_integral <= 0:
+    if not curv_integral > 0:
         raise ValueError("integrated squared curvature must be positive")
-    return _unit_gain_plan(curv_integral, kernel.roughness, kernel.dim)
+    return _unit_gain_plan(curv_integral, gaussian_roughness(d), d)
 
 
 def efficiency_ratio(d: int) -> float:
@@ -250,36 +249,37 @@ class CltParams:
         return math.isinf(self.c)
 
 
-def clt_params(c: float, f_x: float, S_x: float, kernel: Kernel, a: float,
+def clt_params(c: float, f_x: float, S_x: float, d: int, a: float,
                step: StepsizePlan) -> CltParams:
     """Limit-law parameters for a plan with ``gamma_n^{-1} h_n^{d+4} -> c``."""
-    if f_x <= 0:
+    if not f_x > 0:
         raise ValueError("f(x) must be positive")
-    if c < 0:
+    if not c >= 0:
         raise ValueError("c must be nonnegative (or inf)")
-    d, xi = kernel.dim, step.xi
+    xi = step.xi
     if math.isinf(c):
         return CltParams(c, S_x / (2.0 * _bias_denom(a, xi)), 0.0)
     vdenom = _variance_denom(a, d, xi)
     mean = 0.0 if c == 0 else math.sqrt(c) * S_x / (2.0 * _bias_denom(a, xi))
-    return CltParams(c, mean, f_x * kernel.roughness / vdenom)
+    return CltParams(c, mean, f_x * gaussian_roughness(d) / vdenom)
 
 
 def ci_constant(gamma0: float, a: float, d: int) -> float:
     """Interval calibration constant ``sqrt(gamma0 / (2 - (1 - a d)/gamma0))``.
 
     ``gamma0`` is the limit of ``n gamma_n``; the interval needs it finite, so a
-    gain that decays slower than 1/n (``gamma0 = inf``) is rejected.
+    gain that decays slower than 1/n (``gamma0 = inf``) is rejected, and so is
+    ``a`` unless ``0 < a d < 1``.
     """
     if not 0.0 < gamma0 < math.inf:
         raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
-    if a * d >= 1:
-        raise ValueError("a*d must be below 1")
+    if not 0.0 < a * d < 1.0:
+        raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
     return math.sqrt(gamma0 / _variance_denom(a, d, 1.0 / gamma0))
 
 
 def ci_constant_minimum(a: float, d: int) -> Tuple[float, float]:
     """Minimiser and minimum of :func:`ci_constant`: ``(1 - a d, sqrt(1 - a d))``."""
-    if a * d >= 1:
-        raise ValueError("a*d must be below 1")
+    if not 0.0 < a * d < 1.0:
+        raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
     return 1.0 - a * d, math.sqrt(1.0 - a * d)

@@ -64,8 +64,9 @@ def kernel_constants(seed: int, jobs: int) -> List[CheckOutcome]:
         mom = kernel_moments(kern.fn, d)
         mass, first = abs(mom.mass - 1.0), float(np.max(np.abs(mom.first_moments)))
         drift = abs(mom.roughness - kern.roughness)
+        # the product Gaussian's second moments are all 1
         ok = (mass < 1e-6 and first < 1e-6 and drift < 1e-8
-              and np.all(np.abs(mom.mu2 - kern.mu2) < 1e-8))
+              and np.all(np.abs(mom.mu2 - 1.0) < 1e-8))
         out += _outcome(f"kernel-constants(d={d})", ok,
                         f"|mass - 1| {mass:.1e}, max |first moment| {first:.1e}, "
                         f"roughness drift {drift:.1e}", drift)
@@ -153,7 +154,7 @@ def change_of_variables(seed: int, jobs: int) -> List[CheckOutcome]:
 
 
 def curvature_integral(seed: int, jobs: int) -> List[CheckOutcome]:
-    value = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1))
+    value = curvature_squared_integral(standard_gaussian(1))
     target = 3.0 / (8.0 * math.sqrt(math.pi))
     return _outcome("curvature-integral", abs(value - target) < 1e-6,
                     f"{value:.8f} vs closed form {target:.8f}", value)
@@ -179,9 +180,8 @@ def efficiency_ratio(seed: int, jobs: int) -> List[CheckOutcome]:
     interior minimum."""
     worst = 0.0
     for d in (1, 2):
-        kern = gaussian_kernel(d)
-        ratio = (asymptotics.rosenblatt_mse_optimal(0.35, -0.4, kern).mse_constant
-                 / asymptotics.mse_optimal_plan(0.35, -0.4, kern).mse_constant)
+        ratio = (asymptotics.rosenblatt_mse_optimal(0.35, -0.4, d).mse_constant
+                 / asymptotics.mse_optimal_plan(0.35, -0.4, d).mse_constant)
         worst = max(worst, abs(ratio - asymptotics.efficiency_ratio(d)))
     rhos = np.array([asymptotics.efficiency_ratio(d) for d in range(1, 51)])
     amin = int(np.argmin(rhos))
@@ -195,13 +195,12 @@ def mse_first_order_condition(seed: int, jobs: int) -> List[CheckOutcome]:
     """Leading MSE at the optimal bandwidth constant and at +1% / -1% of it."""
     f_x, s_x, n, value = 0.35, -0.4, 10**4, {}
     for d in (1, 2):
-        kern = gaussian_kernel(d)
-        plan = asymptotics.mse_optimal_plan(f_x, s_x, kern)
+        plan = asymptotics.mse_optimal_plan(f_x, s_x, d)
 
         def leading(h_const):
             bw = bandwidth_plan(h_const, 1.0 / (d + 4))
             return (asymptotics.bias_leading(s_x, bw, plan.step, n) ** 2
-                    + asymptotics.variance_leading(f_x, kern, bw, plan.step, n))
+                    + asymptotics.variance_leading(f_x, d, bw, plan.step, n))
 
         value[d] = tuple(leading(plan.bandwidth_constant * s) for s in (1.0, 1.01, 0.99))
     ok = all(up > base and dn > base for base, up, dn in value.values())
@@ -212,12 +211,12 @@ def mse_first_order_condition(seed: int, jobs: int) -> List[CheckOutcome]:
 def balanced_plan_ratios(seed: int, jobs: int) -> List[CheckOutcome]:
     out, n = [], 1000
     for d in (1, 2):
-        kern, step = gaussian_kernel(d), stepsize_plan(4.0 / (d + 4))
+        step = stepsize_plan(4.0 / (d + 4))
         bw = bandwidth_plan(1.0, 1.0 / (d + 4))
         h_n = float(bw.value(n))
         bias = asymptotics.rosenblatt_bias(1.0, h_n) / asymptotics.bias_leading(1.0, bw, step, n)
-        var = (asymptotics.rosenblatt_variance(1.0, kern, n, h_n)
-               / asymptotics.variance_leading(1.0, kern, bw, step, n))
+        var = (asymptotics.rosenblatt_variance(1.0, d, n, h_n)
+               / asymptotics.variance_leading(1.0, d, bw, step, n))
         out += _outcome(f"balanced-plan-ratios(d={d})",
                         abs(bias - 0.5) < 1e-12 and abs(var - (d + 4) / 4.0) < 1e-12,
                         f"bias ratio {bias:.3f}, variance ratio {var:.3f}", (bias, var))
@@ -239,13 +238,13 @@ def coverage_smoke(seed: int, jobs: int) -> List[CheckOutcome]:
 def moments_vs_exact(seed: int, jobs: int) -> List[CheckOutcome]:
     """Moments at n = 10^4 against the exact finite-n ones, for the
     plain-average and the variance-optimal gain."""
-    model, kern, out = mc.table_model("gaussian"), gaussian_kernel(1), []
+    model, out = mc.table_model("gaussian"), []
     labels = ("plain-average", "variance-optimal")
     cells = [mc.CellConfig(model, (0.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed, step=step)
              for step in (stepsize_plan(1.0), None)]
     for label, cell, emp in zip(labels, cells, mc.empirical_moments(*cells)):
         ex_mean, ex_var = mc.exact_moments(cell)
-        lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), kern, cell.bandwidth,
+        lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), 1, cell.bandwidth,
                                             cell.step, cell.n)
         tol = 5.0 * math.sqrt(ex_var / cell.replications)
         out += _outcome(
@@ -264,7 +263,7 @@ def bias_oracle(seed: int, jobs: int) -> List[CheckOutcome]:
     cell = mc.CellConfig(model, (0.0,), 10**5, 0.1, mc.RECURSIVE, 200, seed,
                          step=stepsize_plan(1.0))
     ratio = mc.empirical_moments(cell)[0].mean_bias / asymptotics.bias_leading(
-        curvature(model, gaussian_kernel(1), cell.x), cell.bandwidth, cell.step, cell.n)
+        curvature(model, cell.x), cell.bandwidth, cell.step, cell.n)
     return _outcome("bias-oracle", abs(ratio - 1.0) < 0.15,
                     f"empirical/leading bias ratio {ratio:.3f}", ratio)
 

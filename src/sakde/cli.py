@@ -179,12 +179,11 @@ def _answer_query(args) -> int:
         return 0
 
     model = mc.table_model(args.density) if args.density else None
-    kernel = gaussian_kernel(model.dim) if model else None
     x = _parse_point(args.x, model.dim) if model and args.x is not None else None
     f_x = model.pdf(np.asarray(x)) if x is not None else None
     if q == "bias":
         _require(args, ["density", "x", "a", "gamma0", "n"])
-        s_x = curvature(model, kernel, x)
+        s_x = curvature(model, x)
         step = stepsize_plan(args.gamma0)
         bw = bandwidth_plan(1.0, args.a)
         h_n = float(bw.value(args.n))
@@ -198,35 +197,35 @@ def _answer_query(args) -> int:
         step = stepsize_plan(args.gamma0)
         bw = bandwidth_plan(1.0, args.a)
         h_n = float(bw.value(args.n))
-        value = asymptotics.variance_leading(f_x, kernel, bw, step, args.n)
-        base = asymptotics.rosenblatt_variance(f_x, kernel, args.n, h_n)
+        value = asymptotics.variance_leading(f_x, model.dim, bw, step, args.n)
+        base = asymptotics.rosenblatt_variance(f_x, model.dim, args.n, h_n)
         print(f"density f(x) = {f_x:.6g}")
         print(f"leading recursive variance at n={args.n}: {value:.6g}")
         print(f"leading baseline variance at n={args.n}:  {base:.6g}")
         return 0
     if q == "mse-optimal":
         _require(args, ["density", "x"])
-        s_x = curvature(model, kernel, x)
-        plan = asymptotics.mse_optimal_plan(f_x, s_x, kernel)
+        s_x = curvature(model, x)
+        plan = asymptotics.mse_optimal_plan(f_x, s_x, model.dim)
         print("stepsize: gamma_n = 1/n (gain limit 1)")
-        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{kernel.dim + 4})")
-        print(f"leading MSE = {plan.mse_constant:.6g} * n^(-4/{kernel.dim + 4})")
+        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
+        print(f"leading MSE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
         return 0
     if q == "mise-optimal":
         _require(args, ["density"])
-        integral = curvature_squared_integral(model, kernel)
-        plan = asymptotics.mise_optimal_plan(integral, kernel)
+        integral = curvature_squared_integral(model)
+        plan = asymptotics.mise_optimal_plan(integral, model.dim)
         print(f"integrated squared curvature = {integral:.6g}")
         print("stepsize: gamma_n = 1/n (gain limit 1)")
-        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{kernel.dim + 4})")
-        print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{kernel.dim + 4})")
+        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
+        print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
         return 0
     if q == "clt":
         _require(args, ["density", "x", "a", "gamma0"])
-        s_x = curvature(model, kernel, x)
+        s_x = curvature(model, x)
         step = stepsize_plan(args.gamma0)
         c = args.c if args.c is not None else 0.0
-        params = asymptotics.clt_params(c, f_x, s_x, kernel, args.a, step)
+        params = asymptotics.clt_params(c, f_x, s_x, model.dim, args.a, step)
         if params.degenerate:
             print(f"degenerate limit: h^-2 (f_n - f) -> {params.asym_mean:.6g} in probability")
         else:

@@ -1,5 +1,6 @@
 """Ground-truth densities: one Gaussian-mixture algebra with closed-form
-Hessians, samplers and curvature functionals.
+Hessians, samplers and curvature functionals.  The curvature is the
+Laplacian: the product Gaussian kernel's second moments are all 1.
 
 :class:`GaussianMixture` (full covariances) exposes ``pdf``, ``hessian_diag``,
 ``sample`` and a human-readable ``label``; the exact oracles are closed-form
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from sakde.kernels import Kernel
 
 
 def _as_batch(x, dim):
@@ -130,32 +129,29 @@ def standard_gaussian(dim: int) -> GaussianMixture:
     )
 
 
-def curvature(model, kernel: Kernel, x) -> float:
-    """Bias-driving curvature ``sum_j mu2[j] * d^2 f / dx_j^2`` at a point."""
-    diag = model.hessian_diag(np.asarray(x, dtype=float))
-    return float(np.dot(kernel.mu2, diag))
+def curvature(model, x) -> float:
+    """Bias-driving curvature at a point, the Laplacian ``sum_j d^2 f / dx_j^2``."""
+    return float(np.sum(model.hessian_diag(np.asarray(x, dtype=float))))
 
 
-def curvature_squared_integral(model, kernel: Kernel) -> float:
-    """Integral over R^d of ``(D f)**2``, ``D = sum_j mu2[j] d^2/dx_j^2``, in closed form.
+def curvature_squared_integral(model) -> float:
+    """Integral over R^d of the squared Laplacian ``(D f)**2``, in closed form.
 
     It is ``(D^2 g)(0)`` for ``g = f * f(-.)``, the mixture over component pairs
     with weights ``w_i w_j``, means ``m_i - m_j`` and covariances ``S_i + S_j``
     (Marron & Wand 1992, Ann. Statist. 20:712).  With ``P`` a pair's inverse
-    covariance, ``u = P m``, ``M = diag(mu2)``, ``s = u'Mu`` and ``t = tr(MP)``,
-    ``D^2 phi = phi (s^2 - 2 t s - 4 u'MPMu + t^2 + 2 tr(MPMP))``.
+    covariance, ``u = P m``, ``s = u'u`` and ``t = tr P``,
+    ``D^2 phi = phi (s^2 - 2 t s - 4 u'Pu + t^2 + 2 tr(PP))``.
     """
     if not isinstance(model, GaussianMixture):
         raise TypeError(f"{type(model).__name__} is not a Gaussian mixture")
-    d, mu2 = model.dim, np.asarray(kernel.mu2, dtype=float)
+    d = model.dim
     pairs = GaussianMixture(np.outer(model.weights, model.weights).ravel(),
                             (model.means[:, None] - model.means[None, :]).reshape(-1, d),
                             (model.covs[:, None] + model.covs[None, :]).reshape(-1, d, d))
     p = pairs._invs
     u = np.einsum("cjk,ck->cj", p, pairs.means)
-    mu = mu2 * u
-    mp = mu2[:, None] * p
-    s, t = np.sum(u * mu, axis=1), np.trace(mp, axis1=1, axis2=2)
-    bracket = (s * s - 2.0 * t * s - 4.0 * np.einsum("cj,cjk,ck->c", mu, p, mu) + t * t
-               + 2.0 * np.einsum("cjk,ckj->c", mp, mp))
+    s, t = np.sum(u * u, axis=1), np.trace(p, axis1=1, axis2=2)
+    bracket = (s * s - 2.0 * t * s - 4.0 * np.einsum("cj,cjk,ck->c", u, p, u) + t * t
+               + 2.0 * np.einsum("cjk,ckj->c", p, p))
     return float(pairs.weights @ (pairs._component_pdfs(np.zeros((1, d)))[0] * bracket))

@@ -60,6 +60,14 @@ def _as_sample(sample, dim) -> np.ndarray:
     return obs
 
 
+def _initial_values(f0, m: int) -> np.ndarray:
+    """``f0`` as one finite value per point of an m-point grid, or ValueError."""
+    values = np.array(np.broadcast_to(f0, (m,)), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("f0 must be finite")
+    return values
+
+
 def _gaussian_norm(kernel: Kernel) -> float:
     """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums and
     :class:`RecursiveEstimator` take no other kernel."""
@@ -115,8 +123,7 @@ class RecursiveEstimator:
         self.step = step
         self.bandwidth = bandwidth
         self.points = _as_points(points, kernel.dim)
-        # raises ValueError unless f0 broadcasts to one value per point
-        self.values = np.array(np.broadcast_to(f0, self.points.shape[:1]), dtype=float)
+        self.values = _initial_values(f0, len(self.points))
         self.n = 0
         self._gammas = step.gamma_stream()
         self._bandwidths = floats(bandwidth.seq.blocks(block=STREAM_BLOCK))
@@ -174,11 +181,11 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     Equals driving :class:`RecursiveEstimator` over the sample, up to
     accumulation round-off.
     """
-    sample = _as_sample(sample, kernel.dim)
+    sample, points = _as_sample(sample, kernel.dim), _as_points(points, kernel.dim)
+    start = _initial_values(f0, len(points))
     n = sample.shape[0]
-    out = _kernel_sum(kernel, *recursion_coefficients(step, bandwidth, n), sample,
-                      _as_points(points, kernel.dim))
-    return out + pi_product(step, n) * np.broadcast_to(f0, out.shape)
+    out = _kernel_sum(kernel, *recursion_coefficients(step, bandwidth, n), sample, points)
+    return out + pi_product(step, n) * start
 
 
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
@@ -208,14 +215,12 @@ class RosenblattEstimator:
     def n(self) -> int:
         return self.sample.shape[0]
 
-    def eval(self, kernel: Kernel, points, h: float | None = None) -> np.ndarray:
-        """Evaluate at the given points; ``h`` defaults to the plan at the stored n."""
+    def eval(self, kernel: Kernel, points) -> np.ndarray:
+        """Evaluate at the given points with the plan's bandwidth at the stored n."""
         if kernel.dim != self.dim:
             raise ValueError("kernel dimension mismatch")
-        if h is None:
-            h = self.bandwidth.value(self.n)
-        return _kernel_sum(kernel, *rosenblatt_coefficients(self.n, h), self.sample,
-                           _as_points(points, self.dim))
+        return _kernel_sum(kernel, *rosenblatt_coefficients(self.n, self.bandwidth.value(self.n)),
+                           self.sample, _as_points(points, self.dim))
 
 
 def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,

@@ -1,4 +1,6 @@
-"""Smoothing kernels and the moment constants used by every asymptotic formula."""
+"""The product Gaussian kernel, whose constants are functions of d: second
+moments all 1 and roughness :func:`gaussian_roughness`; :func:`kernel_moments`
+recomputes them by quadrature."""
 
 from __future__ import annotations
 
@@ -12,6 +14,11 @@ import numpy as np
 def gaussian_norm(dim: int) -> float:
     """Normalising constant ``(2 pi)^(-d/2)`` of the product standard Gaussian kernel."""
     return (2.0 * math.pi) ** (-dim / 2.0)
+
+
+def gaussian_roughness(dim: int) -> float:
+    """Roughness ``(2 sqrt(pi))^-d``, the integral of the squared product Gaussian kernel."""
+    return (2.0 * math.sqrt(math.pi)) ** (-dim)
 
 
 class _ProductGaussian:
@@ -33,29 +40,23 @@ class _ProductGaussian:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A multivariate kernel with its per-coordinate second moments and roughness.
-
-    ``fn`` maps arrays of shape ``(..., dim)`` to shape ``(...)``; ``mu2[j]``
-    is the second moment along coordinate j and ``roughness`` the integral of
-    the squared kernel.  Instances are immutable and ``fn`` must be pure.
-    """
+    """A multivariate kernel: ``fn`` maps arrays of shape ``(..., dim)`` to shape
+    ``(...)`` and must be pure; ``roughness`` is the integral of its square."""
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    mu2: np.ndarray
     roughness: float
     name: str
 
 
 def gaussian_kernel(dim: int) -> Kernel:
-    """Product standard Gaussian kernel: mu2 = (1, ..., 1), roughness (2*sqrt(pi))**-d."""
+    """Product standard Gaussian kernel on R^d, with its :func:`gaussian_roughness`."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     return Kernel(
         dim=dim,
         fn=_ProductGaussian(dim),
-        mu2=np.ones(dim),
-        roughness=(2.0 * math.sqrt(math.pi)) ** (-dim),
+        roughness=gaussian_roughness(dim),
         name=f"gaussian-product(d={dim})",
     )
 

@@ -29,7 +29,7 @@ from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.estimators import (recursion_coefficients, recursive_batch, rosenblatt_batch,
                               rosenblatt_coefficients)
-from sakde.kernels import Kernel, gaussian_kernel
+from sakde.kernels import gaussian_kernel, gaussian_roughness
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
 ROSENBLATT = "rosenblatt"
@@ -174,29 +174,23 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     return [np.concatenate(g) for g in zip(*blocks)]
 
 
-def build_interval(g_x, c_factor: float, kernel: Kernel, n: int, h: float):
-    """Confidence interval ``g(x) -+ Z_95 C sqrt(g(x) R / (n h^d))``.
-
-    Vectorised over ``g_x``; a zero estimate gives the degenerate interval
-    [0, 0].
-    """
-    g = np.asarray(g_x, dtype=float)
-    half = Z_95 * c_factor * np.sqrt(g * kernel.roughness / (n * h**kernel.dim))
-    lo, hi = g - half, g + half
-    if g.ndim == 0:
-        return float(lo), float(hi)
-    return lo, hi
+def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
+    """Confidence intervals ``g(x) -+ Z_95 C sqrt(g(x) R / (n h^d))``, one per
+    entry of the estimate vector ``g_x``; a zero estimate gives the degenerate
+    interval [0, 0]."""
+    half = Z_95 * c_factor * np.sqrt(g_x * gaussian_roughness(d) / (n * h**d))
+    return g_x - half, g_x + half
 
 
 def run_cell(*cfgs: CellConfig) -> List[CellResult]:
     """Each cell's coverage of its true density value and average interval
     length; the cells share (model, n, replications, seed)."""
-    kernel, n, reps = gaussian_kernel(cfgs[0].dim), cfgs[0].n, cfgs[0].replications
+    n, reps = cfgs[0].n, cfgs[0].replications
     factors = [cfg.ci_factor for cfg in cfgs]  # raises on an infinite gain limit before any draw
     results = []
     for cfg, c_factor, g in zip(cfgs, factors, estimates(*cfgs)):
         f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-        lo, hi = build_interval(g, c_factor, kernel, n, float(cfg.bandwidth.value(n)))
+        lo, hi = build_interval(g, c_factor, cfg.dim, n, float(cfg.bandwidth.value(n)))
         p = np.count_nonzero((lo <= f_true) & (f_true <= hi)) / reps
         results.append(CellResult(p, float(np.sum(hi - lo)) / reps, math.sqrt(p * (1 - p) / reps)))
     return results
@@ -323,7 +317,6 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
     far the finite-n moments sit from their leading-order limits.
     """
     d = cfg.dim
-    kernel = gaussian_kernel(d)
     x = np.asarray(cfg.x, dtype=float).reshape(d)
     c, h = cfg.coefficients()
     ez = np.zeros(cfg.n)
@@ -336,7 +329,7 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
             quad = np.sum(dt[None, :] ** 2 / lam_s, axis=1)
             det = np.prod(lam_s, axis=1)
             out += w * np.exp(-0.5 * quad) / np.sqrt((2.0 * math.pi) ** d * det)
-    ez2 *= kernel.roughness / h**d
+    ez2 *= gaussian_roughness(d) / h**d
     mean = float(np.sum(c * ez))
     variance = float(np.sum(c * c * (ez2 - ez * ez)))
     return mean, variance
@@ -355,7 +348,7 @@ class CltReport:
     sample_std: float
 
 
-def clt_empirical_check(cfg: CellConfig, variance: Optional[float] = None) -> CltReport:
+def clt_empirical_check(cfg: CellConfig) -> CltReport:
     """Standardise ``sqrt(gamma_n^{-1} h_n^d) (f_n(x) - f(x))`` of a recursive
     cell by the limit variance and measure the sup distance between its
     empirical CDF and the standard normal CDF.
@@ -369,9 +362,7 @@ def clt_empirical_check(cfg: CellConfig, variance: Optional[float] = None) -> Cl
     if cfg.a * (d + 4) <= 1.0:
         raise ValueError("undersmoothing required: a*(d+4) must exceed 1")
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-    if variance is None:
-        variance = asymptotics.clt_params(0.0, f_true, 0.0, gaussian_kernel(d), cfg.a,
-                                          cfg.step).asym_var
+    variance = asymptotics.clt_params(0.0, f_true, 0.0, d, cfg.a, cfg.step).asym_var
     reps = cfg.replications
     scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
     (values,) = estimates(cfg)

@@ -1,6 +1,6 @@
 """Regularly varying sequence plans: stepsizes, bandwidths, weights.
 
-A plan describes a positive sequence in closed form, ``c * n**e * log(n+1)**b``.
+A plan describes a positive sequence in closed form, ``c * n**e``.
 Membership of the regularly-varying class with index ``e`` can be checked
 numerically through :func:`gs_index_diagnostic`, and the technical limit that
 drives every leading-order constant is evaluated by :func:`lemma_limit` with a
@@ -27,11 +27,10 @@ STREAM_BLOCK = 1 << 10
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """Closed-form plan ``scale * n**exponent * log(n+1)**log_exponent``."""
+    """Closed-form plan ``scale * n**exponent``."""
 
     scale: float
     exponent: float
-    log_exponent: float = 0.0
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -39,10 +38,7 @@ class SequencePlan:
 
     def value(self, n):
         """Evaluate the sequence at ``n`` (scalar or array of indices >= 1)."""
-        arr = np.asarray(n, dtype=float)
-        out = self.scale * arr**self.exponent
-        if self.log_exponent != 0.0:
-            out = out * np.log(arr + 1.0) ** self.log_exponent
+        out = self.scale * np.asarray(n, dtype=float) ** self.exponent
         return out if out.ndim else float(out)
 
     def blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
@@ -65,23 +61,25 @@ def gs_index_diagnostic(plan: SequencePlan, n_max: int) -> float:
 
 @dataclass(frozen=True)
 class StepsizePlan:
-    """Gain sequence for the density recursion.
-
-    ``gamma0`` is the limit of ``n * gamma_n`` (``inf`` when the sequence
-    decays slower than 1/n) and ``xi`` its reciprocal (0 when ``gamma0`` is
-    infinite).  When built from a weight sequence, ``weights`` is kept so the
-    exact gains ``w_n / sum_{k<=n} w_k`` can be produced instead of the
-    asymptotic closed form.
-    """
+    """Gain sequence for the density recursion, ``seq`` in closed form.  When
+    built from a weight sequence, ``weights`` yields the exact gains
+    ``w_n / sum_{k<=n} w_k`` in place of the asymptotic closed form."""
 
     seq: SequencePlan
-    gamma0: float
-    xi: float
     weights: Optional[SequencePlan] = None
 
     @property
     def alpha(self) -> float:
         return -self.seq.exponent
+
+    @property
+    def gamma0(self) -> float:
+        """Limit of ``n * gamma_n``: the scale at alpha = 1, ``inf`` for slower decay."""
+        return self.seq.scale if self.alpha == 1.0 else math.inf
+
+    @property
+    def xi(self) -> float:
+        return 1.0 / self.gamma0  # 0 when gamma0 is infinite
 
     def gamma(self, n: int) -> float:
         """Exact gain at step ``n`` (O(n) work; drive a recursion with :meth:`gamma_stream`)."""
@@ -124,24 +122,17 @@ class BandwidthPlan:
         return self.seq.value(n)
 
 
-def stepsize_plan(scale: float, alpha: float = 1.0, log_exponent: float = 0.0) -> StepsizePlan:
-    """Build a stepsize plan ``gamma_n = scale * n**(-alpha) * log(n+1)**b``.
+def stepsize_plan(scale: float, alpha: float = 1.0) -> StepsizePlan:
+    """Build a stepsize plan ``gamma_n = scale * n**(-alpha)``.
 
     ``alpha`` must lie in (1/2, 1] and ``scale`` in (0, 1] so that every gain
-    stays in (0, 1].  ``gamma0`` and ``xi`` are derived from the plan.
+    stays in (0, 1].
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
-    if alpha < 1.0 or log_exponent > 0.0:
-        gamma0 = math.inf
-    elif log_exponent < 0.0:
-        raise ValueError("n*gamma_n -> 0 is outside the admissible stepsize class")
-    else:
-        gamma0 = scale
-    xi = 0.0 if math.isinf(gamma0) else 1.0 / gamma0
-    return StepsizePlan(SequencePlan(scale, -alpha, log_exponent), gamma0, xi)
+    return StepsizePlan(SequencePlan(scale, -alpha))
 
 
 def stepsize_from_weights(weight_plan: SequencePlan) -> StepsizePlan:
@@ -153,18 +144,16 @@ def stepsize_from_weights(weight_plan: SequencePlan) -> StepsizePlan:
     plan's ``weights`` field.
     """
     w_star = weight_plan.exponent
-    if w_star <= -1.0:
+    if not w_star > -1.0:
         raise ValueError(f"weight index must exceed -1, got {w_star}")
-    gamma0 = 1.0 + w_star
-    seq = SequencePlan(gamma0, -1.0)
-    return StepsizePlan(seq, gamma0, 1.0 / gamma0, weights=weight_plan)
+    return StepsizePlan(SequencePlan(1.0 + w_star, -1.0), weights=weight_plan)
 
 
-def bandwidth_plan(scale: float, a: float, log_exponent: float = 0.0) -> BandwidthPlan:
-    """Build a bandwidth plan ``h_n = scale * n**(-a) * log(n+1)**b``, a > 0."""
+def bandwidth_plan(scale: float, a: float) -> BandwidthPlan:
+    """Build a bandwidth plan ``h_n = scale * n**(-a)``, a > 0."""
     if not a > 0:
         raise ValueError(f"bandwidth exponent a must be positive, got {a}")
-    return BandwidthPlan(SequencePlan(scale, -a, log_exponent))
+    return BandwidthPlan(SequencePlan(scale, -a))
 
 
 def floats(blocks: Iterable[np.ndarray]) -> Iterator[float]:
@@ -210,10 +199,10 @@ def lemma_limit(m: float, v_plan: SequencePlan, step: StepsizePlan, n_max: int) 
     ``Q_n = (v_n / v_{n-1}) (1 - gamma_n)**m Q_{n-1} + gamma_n``, which stays
     finite even when ``gamma_1 = 1`` makes the partial products vanish.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError(f"m must be positive, got {m}")
     denom = m - v_plan.exponent * step.xi
-    if denom <= 0:
+    if not denom > 0:
         raise ValueError(
             f"limit undefined: m - v*·xi = {denom} must be positive"
         )

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from sakde import asymptotics as asy
-from sakde.kernels import gaussian_kernel
-from sakde.sequences import bandwidth_plan, stepsize_plan
+from sakde.kernels import gaussian_roughness
+from sakde.sequences import BandwidthPlan, SequencePlan, bandwidth_plan, stepsize_plan
 
 PHI0 = 1 / math.sqrt(2 * math.pi)
 
@@ -44,6 +44,9 @@ def test_classify_regime_rejects_inadmissible_plans():
         asy.classify_regime(0.21, 0.4, 1)
     with pytest.raises(ValueError):
         asy.classify_regime(0.6, 1.0, 2)  # a >= alpha/d
+    for gamma0 in (math.nan, -3.0, 0.0):
+        with pytest.raises(ValueError, match="gamma0 must be positive"):
+            asy.classify_regime(0.2, 1.0, 1, gamma0)
 
 
 def test_bias_leading_plain_average():
@@ -74,55 +77,53 @@ def test_bias_leading_rejects_pole():
 
 def test_variance_leading_plain_average():
     # gamma_n = 1/n: variance f R / ((1 + a d) n h^d)
-    kern = gaussian_kernel(1)
     step = stepsize_plan(1.0)
     bw = bandwidth_plan(1.0, 0.21)
     n = 500
     h = float(bw.value(n))
-    expected = PHI0 * kern.roughness / ((1 + 0.21) * n * h)
-    assert asy.variance_leading(PHI0, kern, bw, step, n) == pytest.approx(expected, rel=1e-13)
+    expected = PHI0 * gaussian_roughness(1) / ((1 + 0.21) * n * h)
+    assert asy.variance_leading(PHI0, 1, bw, step, n) == pytest.approx(expected, rel=1e-13)
 
 
 def test_variance_leading_optimal_gain_matches_scaled_baseline():
     # gamma0 = 1 - ad makes the recursive variance (1-ad) times the baseline
-    kern = gaussian_kernel(1)
     a = 0.21
     step = stepsize_plan(1.0 - a)
     bw = bandwidth_plan(1.0, a)
     n = 700
     h = float(bw.value(n))
-    rec = asy.variance_leading(PHI0, kern, bw, step, n)
-    ros = asy.rosenblatt_variance(PHI0, kern, n, h)
+    rec = asy.variance_leading(PHI0, 1, bw, step, n)
+    ros = asy.rosenblatt_variance(PHI0, 1, n, h)
     assert rec == pytest.approx((1 - a) * ros, rel=1e-13)
 
 
 def test_variance_leading_rejects_pole():
-    kern = gaussian_kernel(1)
     step = stepsize_plan(0.3)  # xi = 10/3: 2 - 0.79 * xi < 0
     with pytest.raises(ValueError):
-        asy.variance_leading(PHI0, kern, bandwidth_plan(1.0, 0.21), step, 100)
+        asy.variance_leading(PHI0, 1, bandwidth_plan(1.0, 0.21), step, 100)
+    with pytest.raises(ValueError, match="variance pole"):  # a NaN exponent fails too
+        asy.variance_leading(PHI0, 1, BandwidthPlan(SequencePlan(1.0, math.nan)),
+                             stepsize_plan(1.0), 100)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_balanced_plan_bias_and_variance_ratios(d):
     # gamma0 = 4/(d+4), a = 1/(d+4): baseline/recursive bias 1/2, variance (d+4)/4
-    kern = gaussian_kernel(d)
     a = 1.0 / (d + 4)
     step = stepsize_plan(4.0 / (d + 4))
     bw = bandwidth_plan(1.0, a)
     n = 900
     h = float(bw.value(n))
     ratio_bias = asy.rosenblatt_bias(1.0, h) / asy.bias_leading(1.0, bw, step, n)
-    ratio_var = (asy.rosenblatt_variance(1.0, kern, n, h)
-                 / asy.variance_leading(1.0, kern, bw, step, n))
+    ratio_var = (asy.rosenblatt_variance(1.0, d, n, h)
+                 / asy.variance_leading(1.0, d, bw, step, n))
     assert ratio_bias == pytest.approx(0.5, rel=1e-12)
     assert ratio_var == pytest.approx((d + 4) / 4.0, rel=1e-12)
 
 
 def test_mse_optimal_plan_constants_and_oracle():
-    kern = gaussian_kernel(1)
     f_x, s_x = PHI0, -PHI0
-    plan = asy.mse_optimal_plan(f_x, s_x, kern)
+    plan = asy.mse_optimal_plan(f_x, s_x, 1)
     assert plan.bandwidth_constant == pytest.approx(0.733367, abs=5e-6)
     assert plan.step.gamma0 == 1.0
 
@@ -132,7 +133,7 @@ def test_mse_optimal_plan_constants_and_oracle():
     def leading(h_const):
         bw = bandwidth_plan(h_const, 1.0 / 5)
         return (asy.bias_leading(s_x, bw, plan.step, n) ** 2
-                + asy.variance_leading(f_x, kern, bw, plan.step, n))
+                + asy.variance_leading(f_x, 1, bw, plan.step, n))
 
     res = minimize_scalar(leading, bounds=(0.2, 2.5), method="bounded",
                           options={"xatol": 1e-10})
@@ -141,52 +142,53 @@ def test_mse_optimal_plan_constants_and_oracle():
 
 
 def test_mse_decay_exponent():
-    plan = asy.mse_optimal_plan(PHI0, -PHI0, gaussian_kernel(1))
+    plan = asy.mse_optimal_plan(PHI0, -PHI0, 1)
     assert plan.mse(2000) / plan.mse(1000) == pytest.approx(2.0 ** (-4 / 5), rel=1e-12)
 
 
 def test_mse_optimal_plan_rejects_degenerate_inputs():
-    kern = gaussian_kernel(1)
     with pytest.raises(ValueError):
-        asy.mse_optimal_plan(PHI0, 0.0, kern)
+        asy.mse_optimal_plan(PHI0, 0.0, 1)
     with pytest.raises(ValueError):
-        asy.mse_optimal_plan(0.0, -1.0, kern)
+        asy.mse_optimal_plan(0.0, -1.0, 1)
+    with pytest.raises(ValueError):
+        asy.mse_optimal_plan(math.nan, -1.0, 1)
 
 
 def test_mise_leading_branch_dispatch():
-    kern = gaussian_kernel(1)
     integral = 0.2115711
     n = 1000
     step = stepsize_plan(1.0)
 
-    bias_only = asy.mise_leading(integral, kern, step, bandwidth_plan(1.0, 0.1), n)
+    bias_only = asy.mise_leading(integral, 1, step, bandwidth_plan(1.0, 0.1), n)
     h = 1000.0**-0.1
     assert bias_only == pytest.approx(h**4 / (4 * (1 - 0.2) ** 2) * integral, rel=1e-13)
 
-    var_only = asy.mise_leading(integral, kern, step, bandwidth_plan(1.0, 0.21), n)
+    var_only = asy.mise_leading(integral, 1, step, bandwidth_plan(1.0, 0.21), n)
     h = 1000.0**-0.21
-    assert var_only == pytest.approx((1 / n) / h * kern.roughness / (2 - 0.79), rel=1e-13)
+    assert var_only == pytest.approx((1 / n) / h * gaussian_roughness(1) / (2 - 0.79), rel=1e-13)
 
-    both = asy.mise_leading(integral, kern, step, bandwidth_plan(1.0, 0.2), n)
+    both = asy.mise_leading(integral, 1, step, bandwidth_plan(1.0, 0.2), n)
     h = 1000.0**-0.2
     expected = (h**4 / (4 * (1 - 0.4) ** 2) * integral
-                + (1 / n) / h * kern.roughness / (2 - 0.8))
+                + (1 / n) / h * gaussian_roughness(1) / (2 - 0.8))
     assert both == pytest.approx(expected, rel=1e-13)
 
 
 def test_mise_optimal_plan_is_a_fixed_point_of_mise_leading():
     # evaluating the leading MISE at the optimal plan reproduces its constant
-    kern = gaussian_kernel(1)
     integral = 3.0 / (8.0 * math.sqrt(math.pi))
-    plan = asy.mise_optimal_plan(integral, kern)
+    plan = asy.mise_optimal_plan(integral, 1)
     n = 10**5
-    direct = asy.mise_leading(integral, kern, plan.step, plan.bandwidth, n)
+    direct = asy.mise_leading(integral, 1, plan.step, plan.bandwidth, n)
     assert direct == pytest.approx(plan.mse(n), rel=1e-12)
 
 
 def test_mise_optimal_plan_rejects_zero_curvature():
     with pytest.raises(ValueError):
-        asy.mise_optimal_plan(0.0, gaussian_kernel(1))
+        asy.mise_optimal_plan(0.0, 1)
+    with pytest.raises(ValueError):
+        asy.mise_optimal_plan(math.nan, 1)
 
 
 def test_efficiency_ratio_values_and_shape():
@@ -202,22 +204,20 @@ def test_efficiency_ratio_values_and_shape():
 def test_efficiency_ratio_matches_composed_optima():
     # oracle: compose the two optimal-MSE constants independently
     for d in (1, 2, 3):
-        kern = gaussian_kernel(d)
         f_x, s_x = 0.35, -0.4
-        rec = asy.mse_optimal_plan(f_x, s_x, kern)
-        ros = asy.rosenblatt_mse_optimal(f_x, s_x, kern)
+        rec = asy.mse_optimal_plan(f_x, s_x, d)
+        ros = asy.rosenblatt_mse_optimal(f_x, s_x, d)
         assert ros.mse_constant / rec.mse_constant == pytest.approx(
             asy.efficiency_ratio(d), abs=1e-10)
 
 
 def test_rosenblatt_optimum_against_numeric_minimisation():
-    kern = gaussian_kernel(1)
     f_x, s_x = PHI0, -PHI0
-    ros = asy.rosenblatt_mse_optimal(f_x, s_x, kern)
+    ros = asy.rosenblatt_mse_optimal(f_x, s_x, 1)
     n = 10**4
 
     def mse(h):
-        return asy.rosenblatt_bias(s_x, h) ** 2 + asy.rosenblatt_variance(f_x, kern, n, h)
+        return asy.rosenblatt_bias(s_x, h) ** 2 + asy.rosenblatt_variance(f_x, 1, n, h)
 
     res = minimize_scalar(mse, bounds=(0.01, 2.0), method="bounded",
                           options={"xatol": 1e-10})
@@ -226,27 +226,24 @@ def test_rosenblatt_optimum_against_numeric_minimisation():
 
 
 def test_clt_params_pure_noise_limit():
-    kern = gaussian_kernel(1)
     step = stepsize_plan(0.79)
-    params = asy.clt_params(0.0, PHI0, -PHI0, kern, 0.21, step)
+    params = asy.clt_params(0.0, PHI0, -PHI0, 1, 0.21, step)
     assert params.asym_mean == 0.0
-    assert params.asym_var == pytest.approx(PHI0 * kern.roughness, rel=1e-13)
+    assert params.asym_var == pytest.approx(PHI0 * gaussian_roughness(1), rel=1e-13)
     assert params.asym_var == pytest.approx(0.112540, abs=1e-6)
     assert not params.degenerate
 
 
 def test_clt_params_zero_xi_substitution():
-    kern = gaussian_kernel(1)
     step = stepsize_plan(1.0, alpha=0.7)  # xi = 0
-    params = asy.clt_params(2.0, PHI0, -0.4, kern, 0.1, step)
+    params = asy.clt_params(2.0, PHI0, -0.4, 1, 0.1, step)
     assert params.asym_mean == pytest.approx(math.sqrt(2.0) * -0.4 / 2.0, rel=1e-13)
-    assert params.asym_var == pytest.approx(PHI0 * kern.roughness / 2.0, rel=1e-13)
+    assert params.asym_var == pytest.approx(PHI0 * gaussian_roughness(1) / 2.0, rel=1e-13)
 
 
 def test_clt_params_degenerate_branch():
-    kern = gaussian_kernel(1)
     step = stepsize_plan(1.0)
-    params = asy.clt_params(math.inf, PHI0, -PHI0, kern, 0.1, step)
+    params = asy.clt_params(math.inf, PHI0, -PHI0, 1, 0.1, step)
     assert params.degenerate
     assert params.asym_mean == pytest.approx(-PHI0 / (2 * 0.8), rel=1e-13)
     assert params.asym_var == 0.0
@@ -254,24 +251,24 @@ def test_clt_params_degenerate_branch():
 
 def test_clt_params_factorisation_invariant():
     # variance times (2 - (1-ad) xi) does not depend on the stepsize
-    kern = gaussian_kernel(1)
     a = 0.21
     products = []
     for gamma0 in (0.5, 0.79, 1.0):
         step = stepsize_plan(gamma0)
-        v = asy.clt_params(0.0, PHI0, -PHI0, kern, a, step).asym_var
+        v = asy.clt_params(0.0, PHI0, -PHI0, 1, a, step).asym_var
         products.append(v * (2 - (1 - a) / gamma0))
     assert max(products) - min(products) < 1e-15
 
 
 def test_clt_params_rejects_bad_inputs():
-    kern = gaussian_kernel(1)
     with pytest.raises(ValueError):
-        asy.clt_params(0.0, 0.0, -1.0, kern, 0.21, stepsize_plan(1.0))
+        asy.clt_params(0.0, 0.0, -1.0, 1, 0.21, stepsize_plan(1.0))
     with pytest.raises(ValueError):
-        asy.clt_params(-1.0, PHI0, -1.0, kern, 0.21, stepsize_plan(1.0))
+        asy.clt_params(-1.0, PHI0, -1.0, 1, 0.21, stepsize_plan(1.0))
     with pytest.raises(ValueError):
-        asy.clt_params(1.0, PHI0, -1.0, kern, 0.21, stepsize_plan(0.3))
+        asy.clt_params(math.nan, PHI0, -1.0, 1, 0.21, stepsize_plan(1.0))
+    with pytest.raises(ValueError):
+        asy.clt_params(1.0, PHI0, -1.0, 1, 0.21, stepsize_plan(0.3))
 
 
 def test_ci_constant_named_values():
@@ -299,6 +296,11 @@ def test_ci_constant_rejects_pole():
         asy.ci_constant(0.3, 0.21, 1)  # 2*gamma0 <= 1 - ad
     with pytest.raises(ValueError):
         asy.ci_constant(1.0, 0.6, 2)  # a*d >= 1
+    for a in (math.nan, -0.5, 0.0):  # the interval needs 0 < a*d < 1
+        with pytest.raises(ValueError, match=r"a\*d must lie in \(0, 1\)"):
+            asy.ci_constant(0.79, a, 1)
+        with pytest.raises(ValueError, match=r"a\*d must lie in \(0, 1\)"):
+            asy.ci_constant_minimum(a, 1)
     for gamma0 in (math.inf, math.nan, 0.0):  # the interval needs a finite gain limit
         with pytest.raises(ValueError, match="positive and finite"):
             asy.ci_constant(gamma0, 0.21, 1)

@@ -195,6 +195,12 @@ def test_bad_point_is_one_line_exit(argv):
     ("asymptotics regime --a 0.9 --alpha 1 --d 2", "a must lie in"),
     ("cell --density gaussian --x 0 --n 50 --estimator recursive --reps 10 --a 1.5",
      "0 < a*d < 1"),
+    ("asymptotics ci-constant --gamma0 0.79 --a nan --d 1", "a*d must lie in (0, 1)"),
+    ("asymptotics ci-constant --gamma0 0.79 --a -0.5 --d 1", "a*d must lie in (0, 1)"),
+    ("asymptotics regime --a 0.2 --alpha 1 --d 1 --gamma0 nan", "gamma0 must be positive"),
+    ("asymptotics regime --a 0.2 --alpha 1 --d 1 --gamma0 -3", "gamma0 must be positive"),
+    ("asymptotics clt --density gaussian --x 0 --a 0.21 --gamma0 0.79 --c nan",
+     "c must be nonnegative"),
 ])
 def test_rejected_input_is_one_line_exit(argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from sakde.densities import (
     curvature_squared_integral,
     standard_gaussian,
 )
-from sakde.kernels import gaussian_kernel
 
 SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
 
@@ -140,9 +138,8 @@ def test_degenerate_mixture_reduces_to_component():
 
 def test_curvature_value():
     model = standard_gaussian(1)
-    k = gaussian_kernel(1)
-    assert curvature(model, k, np.zeros(1)) == pytest.approx(-phi(0.0), rel=1e-13)
-    assert curvature(model, k, np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
+    assert curvature(model, np.zeros(1)) == pytest.approx(-phi(0.0), rel=1e-13)
+    assert curvature(model, np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_linear_image_is_a_mixture_with_the_same_density():
@@ -156,14 +153,14 @@ def test_linear_image_is_a_mixture_with_the_same_density():
 
 def test_curvature_squared_integral_gaussian_closed_form():
     # closed form for the standard normal: 3 / (8 sqrt(pi))
-    value = curvature_squared_integral(standard_gaussian(1), gaussian_kernel(1))
+    value = curvature_squared_integral(standard_gaussian(1))
     assert value == pytest.approx(3.0 / (8.0 * math.sqrt(math.pi)), rel=1e-14)
 
 
 def test_curvature_squared_integral_standard_normal_in_any_dim():
     # (4 pi)^(-d/2) d (d + 2) / 4: no dimension limit
     for d in (1, 2, 3):
-        value = curvature_squared_integral(standard_gaussian(d), gaussian_kernel(d))
+        value = curvature_squared_integral(standard_gaussian(d))
         assert value == pytest.approx((4 * math.pi) ** (-d / 2) * d * (d + 2) / 4, rel=1e-14)
 
 
@@ -176,7 +173,7 @@ def test_curvature_squared_integral_mixture_vs_quadrature_oracle():
 
     oracle, err = quad(lambda x: s(x) ** 2, -np.inf, np.inf)
     assert err < 1e-10
-    value = curvature_squared_integral(model, gaussian_kernel(1))
+    value = curvature_squared_integral(model)
     assert value == pytest.approx(oracle, rel=1e-7)
     # golden value frozen from the oracle at first build
     assert value == pytest.approx(0.11265104, abs=1e-7)
@@ -193,7 +190,7 @@ def test_curvature_squared_integral_mixture_vs_quadrature_oracle():
 ])
 def test_curvature_squared_integral_golden_values(name, golden):
     model = mc.table_model(name)
-    value = curvature_squared_integral(model, gaussian_kernel(model.dim))
+    value = curvature_squared_integral(model)
     assert value == pytest.approx(golden, rel=1e-12)
 
 
@@ -202,21 +199,23 @@ def test_curvature_squared_integral_golden_values(name, golden):
     ("mixture-2d", 0.33889244541325475),
 ])
 def test_curvature_squared_integral_anisotropic_kernel(name, golden):
-    kernel = dataclasses.replace(gaussian_kernel(2), mu2=np.array([2.0, 0.5]))
-    value = curvature_squared_integral(mc.table_model(name), kernel)
-    assert value == pytest.approx(golden, rel=1e-12)
+    # goldens frozen for a kernel with second moments M = diag(2, 1/2), i.e. for
+    # the squared integral of tr(M Hf).  With B = M^(1/2) and g(y) = f(B y),
+    # tr(M Hf(B y)) is the Laplacian of g and det B = 1, so the same number is
+    # the product Gaussian's value for the image of f under B^-1.
+    image = LinearImage(mc.table_model(name), np.diag([1.0 / math.sqrt(2.0), math.sqrt(2.0)]))
+    assert curvature_squared_integral(image) == pytest.approx(golden, rel=1e-12)
 
 
 def test_curvature_squared_integral_d2():
     # independent oracle: tensor-grid trapezoid rule over the closed-form Hessian
     model = mc.table_model("mixture-2d")
-    kernel = dataclasses.replace(gaussian_kernel(2), mu2=np.array([2.0, 0.5]))
     g = np.linspace(-12, 12, 241)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    vals = ((model.hessian_diag(pts) @ kernel.mu2) ** 2).reshape(g.size, g.size)
+    vals = (np.sum(model.hessian_diag(pts), axis=1) ** 2).reshape(g.size, g.size)
     oracle = np.trapezoid(np.trapezoid(vals, g, axis=0), g)
-    assert curvature_squared_integral(model, kernel) == pytest.approx(oracle, rel=1e-10)
+    assert curvature_squared_integral(model) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_curvature_squared_integral_rejects_other_models():
@@ -228,7 +227,7 @@ def test_curvature_squared_integral_rejects_other_models():
             return np.zeros_like(np.atleast_2d(x))
 
     with pytest.raises(TypeError, match="Flat is not a Gaussian mixture"):
-        curvature_squared_integral(Flat(), gaussian_kernel(1))
+        curvature_squared_integral(Flat())
 
 
 def test_mixture_validation():

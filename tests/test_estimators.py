@@ -149,8 +149,8 @@ def test_rosenblatt_single_point():
 def test_rosenblatt_consistency_large_sample():
     rng = np.random.default_rng(21)
     sample = standard_gaussian(1).sample(rng, 10**5)
-    est = RosenblattEstimator(1, bandwidth_plan(1.0, 0.2), sample)
-    val = est.eval(gaussian_kernel(1), np.zeros((1, 1)), h=0.1)[0]
+    est = RosenblattEstimator(1, bandwidth_plan(1.0, 0.2), sample)  # h = 0.1 at n = 10^5
+    val = est.eval(gaussian_kernel(1), np.zeros((1, 1)))[0]
     assert val == pytest.approx(0.39894, abs=0.01)
 
 
@@ -159,10 +159,10 @@ def test_rosenblatt_duplicate_invariance():
     sample = rng.standard_normal((40, 1))
     doubled = np.concatenate([sample, sample])
     kern = gaussian_kernel(1)
-    bw = bandwidth_plan(1.0, 0.21)
     pts = np.linspace(-1, 1, 7)[:, None]
-    a = RosenblattEstimator(1, bw, sample).eval(kern, pts, h=0.3)
-    b = RosenblattEstimator(1, bw, doubled).eval(kern, pts, h=0.3)
+    # h = 0.3 at both sample sizes, up to rounding
+    a = RosenblattEstimator(1, bandwidth_plan(0.3 * 40**0.21, 0.21), sample).eval(kern, pts)
+    b = RosenblattEstimator(1, bandwidth_plan(0.3 * 80**0.21, 0.21), doubled).eval(kern, pts)
     np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
@@ -300,7 +300,7 @@ def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, monkeypatc
 def test_kernel_sums_reject_other_kernels():
     # the fused sum evaluates the product Gaussian kernel, never another kernel's fn
     base = gaussian_kernel(1)
-    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), base.mu2, 2 * base.roughness, "x2")
+    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), 2 * base.roughness, "x2")
     with pytest.raises(ValueError):
         recursive_at_points(doubled, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
                             np.zeros((3, 1)), np.zeros((2, 1)))
@@ -412,3 +412,17 @@ def test_f0_must_broadcast_to_grid():
     est = RecursiveEstimator(*args, f0=np.arange(4.0))
     np.testing.assert_array_equal(est.values, np.arange(4.0))
     assert RecursiveEstimator(*args, f0=0.5).values.shape == (4,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda args, f0: RecursiveEstimator(*args, f0=f0),
+    lambda args, f0: recursive_at_points(*args[:3], np.zeros((5, 1)), args[3], f0=f0),
+], ids=["RecursiveEstimator", "recursive_at_points"])
+def test_non_finite_f0_is_rejected(entry, bad):
+    pts = np.linspace(-1, 1, 4)[:, None]
+    args = (gaussian_kernel(1), stepsize_plan(0.79), bandwidth_plan(1.0, 0.21), pts)
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        entry(args, bad)
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        entry(args, np.array([0.0, 0.1, bad, 0.3]))

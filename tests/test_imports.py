@@ -1,7 +1,9 @@
 """Every module-level import in the package is used, every module-level
 private name is referenced somewhere in the package, every module-level
-public function has a caller in the package or is exported, and every public
-method has a caller in the package (stdlib ``ast`` scans; named exemptions)."""
+public function has a caller in the package or is exported, every public
+method has a caller in the package, and every option of a public function or
+method is passed by some call in the package (stdlib ``ast`` scans; named
+exemptions)."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,60 @@ def _uncalled_public():
 
 def test_no_uncalled_public_functions():
     assert _uncalled_public() == []
+
+
+#: defaulted parameters of public functions and methods that no package call
+#: passes, or that are kept for a path no package call takes, with the reason for each
+UNPASSED_OPTIONS = {
+    "main.argv": "the console entry point reads sys.argv; the tests pass argv",
+    "stepsize_plan.alpha": "gains decaying slower than 1/n (xi = 0), for the gain sweep "
+                           "of ROADMAP item 2",
+    "replication_rng.bit_generator": "the package always rekeys one Philox; the default "
+                                     "path, a fresh generator per call, is the reference "
+                                     "the tests compare the rekeyed stream against",
+}
+
+
+def _options():
+    """``(qualified name, callee, parameter, positional index)`` for each defaulted
+    parameter of a public function or method, with ``__init__`` called by its
+    class name and a method's positional index counted after ``self``."""
+    for path in MODULES:
+        for qualified, unit in _units(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(unit, ast.FunctionDef) or qualified.startswith("_"):
+                continue
+            owner, _, name = qualified.rpartition(".")
+            if name.startswith("_") and name != "__init__":
+                continue
+            args = unit.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1 if owner else 0:]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+                yield (f"{qualified}.{param}", owner if name == "__init__" else name,
+                       param, index)
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _passes(call, param, index):
+    """Whether ``call`` passes ``param`` by keyword or at positional ``index``;
+    a ``*args`` or ``**kwargs`` may pass anything."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_option_has_a_package_caller():
+    calls = [node for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    options = list(_options())
+    unpassed = [qualified for qualified, name, param, index in options
+                if not any(_callee(c) == name and _passes(c, param, index) for c in calls)]
+    assert [q for q in unpassed if q not in UNPASSED_OPTIONS] == []
+    # every exemption names an option that exists
+    assert set(UNPASSED_OPTIONS) <= {qualified for qualified, *_ in options}

@@ -29,7 +29,9 @@ def test_roughness_d2_is_square_of_d1():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mu2_all_ones(d):
-    np.testing.assert_array_equal(gaussian_kernel(d).mu2, np.ones(d))
+    # the second moments every formula assumes, from the quadrature
+    mom = kernel_moments(gaussian_kernel(d).fn, d)
+    np.testing.assert_allclose(mom.mu2, np.ones(d), atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -37,20 +39,19 @@ def test_stored_constants_match_fresh_quadrature(d):
     k = gaussian_kernel(d)
     mom = kernel_moments(k.fn, d)
     assert abs(mom.roughness - k.roughness) < 1e-8
-    assert np.max(np.abs(mom.mu2 - k.mu2)) < 1e-8
     assert abs(mom.mass - 1.0) < 1e-10
 
 
 def _doubled(d):
-    # mass 2; the stored mu2 and roughness are its true moments, so only the mass is off
+    # mass 2 and second moments 2; the stored roughness is its true one
     base = gaussian_kernel(d)
-    return Kernel(d, lambda z: 2.0 * base.fn(z), 2.0 * base.mu2, 4.0 * base.roughness, "x2")
+    return Kernel(d, lambda z: 2.0 * base.fn(z), 4.0 * base.roughness, "x2")
 
 
 def _shifted(d):
-    # first moment 1 along coordinate 0; mu2 and roughness again stored as they are
+    # first moment 1 and second moment 2 along coordinate 0; roughness as it is
     base, e0 = gaussian_kernel(d), np.eye(d)[0]
-    return Kernel(d, lambda z: base.fn(z - e0), base.mu2 + e0, base.roughness, "shift")
+    return Kernel(d, lambda z: base.fn(z - e0), base.roughness, "shift")
 
 
 @pytest.mark.parametrize("make", [_doubled, _shifted], ids=["doubled", "shifted"])
@@ -58,11 +59,12 @@ def test_kernel_constants_gate_fails_on_inadmissible_kernel(monkeypatch, make):
     monkeypatch.setattr(checks, "gaussian_kernel", make)
     outcomes = checks.kernel_constants(seed=0, jobs=1)
     assert [o.passed for o in outcomes] == [False, False]
-    # the roughness and mu2 conditions hold: the gate fails on mass or first moment
+    # the roughness condition holds: the gate fails on the mass or first
+    # moment, and on the second moments, which are no longer all 1
     assert all(o.value < 1e-8 for o in outcomes)
     for d in (1, 2):
         mom = kernel_moments(make(d).fn, d)
-        np.testing.assert_allclose(mom.mu2, make(d).mu2, atol=1e-8)
+        assert np.max(np.abs(mom.mu2 - 1.0)) > 0.5
 
 
 def test_gaussian_symmetry_property():

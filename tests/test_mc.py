@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sakde import estimators, mc
+from sakde import asymptotics, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_kernel
 from sakde.sequences import bandwidth_plan, stepsize_plan
@@ -12,30 +13,28 @@ PHI0 = 1 / math.sqrt(2 * math.pi)
 
 
 def test_build_interval_arithmetic_example():
-    kern = gaussian_kernel(1)
     n, h = 50, 50.0**-0.21
-    lo, hi = mc.build_interval(0.39894, 1.0, kern, n, h)
-    expected_half = 1.96 * math.sqrt(0.39894 * kern.roughness / (n * h))
-    assert hi - lo == pytest.approx(2 * expected_half, rel=1e-12)
-    assert hi - lo == pytest.approx(0.2804, abs=1e-4)
+    lo, hi = mc.build_interval(np.array([0.39894]), 1.0, 1, n, h)
+    expected_half = 1.96 * math.sqrt(0.39894 * gaussian_kernel(1).roughness / (n * h))
+    assert hi[0] - lo[0] == pytest.approx(2 * expected_half, rel=1e-12)
+    assert hi[0] - lo[0] == pytest.approx(0.2804, abs=1e-4)
 
 
 def test_build_interval_degenerate_at_zero():
-    kern = gaussian_kernel(1)
-    assert mc.build_interval(0.0, 1.0, kern, 50, 0.4) == (0.0, 0.0)
+    lo, hi = mc.build_interval(np.zeros(1), 1.0, 1, 50, 0.4)
+    assert lo[0] == hi[0] == 0.0
 
 
 def test_build_interval_length_ratio_is_ci_factor():
-    kern = gaussian_kernel(1)
-    lo1, hi1 = mc.build_interval(0.39894, 1.0, kern, 50, 0.44)
-    lo2, hi2 = mc.build_interval(0.39894, math.sqrt(0.79), kern, 50, 0.44)
+    g = np.array([0.39894])
+    lo1, hi1 = mc.build_interval(g, 1.0, 1, 50, 0.44)
+    lo2, hi2 = mc.build_interval(g, math.sqrt(0.79), 1, 50, 0.44)
     assert (hi2 - lo2) / (hi1 - lo1) == pytest.approx(math.sqrt(0.79), rel=1e-14)
 
 
 def test_build_interval_vectorised():
-    kern = gaussian_kernel(1)
     g = np.array([0.0, 0.2, 0.4])
-    lo, hi = mc.build_interval(g, 1.0, kern, 100, 0.3)
+    lo, hi = mc.build_interval(g, 1.0, 1, 100, 0.3)
     assert lo.shape == hi.shape == (3,)
     assert lo[0] == hi[0] == 0.0
 
@@ -65,8 +64,8 @@ def test_single_replication_cell():
     kern = gaussian_kernel(1)
     sample = mc.table_model("gaussian").sample(mc.replication_rng(9, 0), 50)
     from sakde.estimators import rosenblatt_batch
-    g = rosenblatt_batch(kern, cfg.bandwidth, sample[None, :, :], np.zeros(1))[0]
-    lo, hi = mc.build_interval(g, 1.0, kern, 50, float(cfg.bandwidth.value(50)))
+    g = rosenblatt_batch(kern, cfg.bandwidth, sample[None, :, :], np.zeros(1))
+    (lo,), (hi,) = mc.build_interval(g, 1.0, 1, 50, float(cfg.bandwidth.value(50)))
     assert res.avg_length == pytest.approx(hi - lo, rel=1e-12)
     assert res.empirical_level == float(lo <= PHI0 <= hi)
 
@@ -171,7 +170,7 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     model = mc.table_model("gaussian")
     kern = gaussian_kernel(1)
     integral = 3.0 / (8.0 * math.sqrt(math.pi))
-    plan = asy.mise_optimal_plan(integral, kern)
+    plan = asy.mise_optimal_plan(integral, 1)
     n, reps = 1500, 300
     a = plan.bandwidth.a
 
@@ -217,12 +216,18 @@ def test_clt_check_passes_on_low_distortion_config():
     assert report.threshold == pytest.approx(1.63 / math.sqrt(1000), rel=1e-12)
 
 
-def test_clt_check_fails_when_variance_is_mis_scaled():
+def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
+    # the limit variance the readout standardises by, made 4 times too large
+    clt_params = asymptotics.clt_params
+
+    def mis_scaled(*args):
+        params = clt_params(*args)
+        return dataclasses.replace(params, asym_var=4.0 * params.asym_var)
+
+    monkeypatch.setattr(asymptotics, "clt_params", mis_scaled)
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
-    base_var = (model.pdf(np.array([2.0])) * gaussian_kernel(1).roughness)
     report = mc.clt_empirical_check(mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE,
-                                                  replications=1000, seed=3),
-                                    variance=4.0 * base_var)
+                                                  replications=1000, seed=3))
     assert not report.passed
     assert report.sample_std == pytest.approx(0.5, abs=0.1)
 

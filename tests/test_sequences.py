@@ -32,11 +32,6 @@ def test_value_high_precision_oracle():
     assert SequencePlan(1.0, -0.21).value(50) == pytest.approx(expected, rel=1e-14)
 
 
-def test_value_with_log_factor():
-    plan = SequencePlan(2.0, -0.5, log_exponent=1.5)
-    assert plan.value(37) == pytest.approx(2.0 * 37**-0.5 * math.log(38) ** 1.5, rel=1e-14)
-
-
 def test_value_vectorised():
     plan = SequencePlan(1.0, -0.21)
     np.testing.assert_allclose(plan.value(np.array([1, 10, 100])),
@@ -63,13 +58,10 @@ def test_gs_diagnostic_constant_sequence():
 
 
 def test_gs_diagnostic_error_decreases():
-    # pure powers converge fast; a log factor still converges, just slowly
-    for plan, bound in ((SequencePlan(1.0, -0.21), 1e-3),
-                        (SequencePlan(1.0, -0.21, log_exponent=0.5), 0.05)):
-        errs = [abs(gs_index_diagnostic(plan, n) + 0.21)
-                for n in (10**3, 10**4, 10**5, 10**6)]
-        assert all(a > b for a, b in zip(errs, errs[1:]))
-        assert errs[-1] < bound
+    errs = [abs(gs_index_diagnostic(SequencePlan(1.0, -0.21), n) + 0.21)
+            for n in (10**3, 10**4, 10**5, 10**6)]
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+    assert errs[-1] < 1e-3
 
 
 def test_stepsize_plan_validation():
@@ -79,8 +71,6 @@ def test_stepsize_plan_validation():
         stepsize_plan(1.0, alpha=1.2)
     with pytest.raises(ValueError):
         stepsize_plan(1.5)
-    with pytest.raises(ValueError):
-        stepsize_plan(1.0, alpha=1.0, log_exponent=-1.0)
 
 
 def test_stepsize_plan_slow_decay_has_zero_xi():
@@ -207,6 +197,9 @@ def test_lemma_limit_rejects_pole():
         lemma_limit(1.0, SequencePlan(1.0, 1.5), stepsize_plan(1.0), 100)
     with pytest.raises(ValueError):
         lemma_limit(2.0, SequencePlan(1.0, 2.0), stepsize_plan(1.0), 100)
+    for m, v_index in ((math.nan, 0.0), (1.0, math.nan)):  # NaN fails the guards too
+        with pytest.raises(ValueError):
+            lemma_limit(m, SequencePlan(1.0, v_index), stepsize_plan(1.0), 100)
 
 
 def test_bandwidth_plan_requires_positive_exponent():

@@ -12,6 +12,12 @@ written to the root of this repository and holds each workload's result and
 info lines, the machine line, the tier-1 wall time with pytest's summary
 line, and the line counts.  The tier-1 time and the line counts are recorded,
 not bounded.  Runs are sequential; nothing else should load the machine.
+
+Records compare only within one session: the host's speed drifts between
+sessions by more than the reference loop absorbs, so ``wall_ref`` in files
+taken at different times can differ with no change to the code.  To compare a
+change with its parent, record both back to back, the parent first with
+``--root`` on an exported copy of it (``git archive``).
 """
 
 from __future__ import annotations
