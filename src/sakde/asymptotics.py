@@ -2,10 +2,14 @@
 
 Everything here is a pure function of the plan parameters, the dimension d
 (the product Gaussian kernel's constants are functions of d) and the density
-constants: bias/variance regimes, pointwise and integrated MSE with their
-optimal plans, the efficiency ratio against the nonrecursive baseline, CLT
-parameters, and the confidence-interval calibration constant.  Parameters on
-a pole of a formula or outside its domain, NaN included, raise ``ValueError``.
+constants: bias/variance regimes, pointwise and integrated MSE, CLT
+parameters, and the confidence-interval calibration constant.  Every leading
+error is ``A h^4 + B h^-d`` in the bandwidth constant h, with (A, B) read off
+the bias and variance denominators, and one minimiser turns (A, B) into an
+:class:`OptimalPlan`: the recursive and baseline pointwise optima and the
+integrated optimum alike.  Their ratio is the efficiency ratio against the
+nonrecursive baseline.  Parameters on a pole of a formula or outside its
+domain, NaN included, raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from sakde.kernels import gaussian_roughness
-from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
+from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan
 
 BIAS_DOMINATED = "bias-dominated"
 BALANCED = "balanced"
@@ -34,10 +38,6 @@ def _compare_regime(a, alpha, d: int) -> int:
 class RegimeClassification:
     """Which leading-order expansions apply for a plan pair (a, alpha) in R^d."""
 
-    a: float
-    alpha: float
-    d: int
-    gamma0: float
     regime: str
     h2_bias_applies: bool          # squared-bandwidth bias expansion valid
     bias_negligible: bool          # bias is o(sqrt(gamma_n h_n^-d))
@@ -66,10 +66,6 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
     lo = min(2.0 * af, (1.0 - af * d) / 2.0)
     hi = max(2.0 * af, (1.0 - af * d) / 2.0)
     return RegimeClassification(
-        a=af,
-        alpha=alphaf,
-        d=d,
-        gamma0=gamma0,
         regime=regime,
         h2_bias_applies=cmp <= 0,
         bias_negligible=cmp > 0,
@@ -82,6 +78,8 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
 
 def _bias_denom(a: float, xi: float) -> float:
     """``1 - 2 a xi``, the denominator of every leading bias constant."""
+    if not a > 0:
+        raise ValueError(f"bandwidth exponent a must be positive, got {a}")
     denom = 1.0 - 2.0 * a * xi
     if not denom > 0:
         raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
@@ -90,6 +88,8 @@ def _bias_denom(a: float, xi: float) -> float:
 
 def _variance_denom(a: float, d: int, xi: float) -> float:
     """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
+    if not 0.0 < a * d < 1.0:
+        raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
     denom = 2.0 - (1.0 - a * d) * xi
     if not denom > 0:
         raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
@@ -129,31 +129,35 @@ def rosenblatt_variance(f_x: float, d: int, n: int, h: float) -> float:
 
 
 @dataclass(frozen=True)
-class MseOptimalPlan:
-    """Stepsize/bandwidth pair minimising the pointwise MSE, with its constant."""
+class OptimalPlan:
+    """Minimum of a leading error ``(A h^4 + B h^-d) n^(-4/(d+4))`` over the
+    bandwidth constant h: the minimiser and the constant of the minimum."""
 
-    step: StepsizePlan
-    bandwidth: BandwidthPlan
     bandwidth_constant: float
     mse_constant: float
     d: int
+
+    @property
+    def bandwidth(self) -> BandwidthPlan:
+        """``h_n = bandwidth_constant * n**(-1/(d+4))``."""
+        return bandwidth_plan(self.bandwidth_constant, 1.0 / (self.d + 4))
 
     def mse(self, n: int) -> float:
         return self.mse_constant * float(n) ** (-4.0 / (self.d + 4))
 
 
-def _unit_gain_plan(quad_term: float, rough_term: float, d: int) -> MseOptimalPlan:
+def _minimise(A: float, B: float, d: int) -> OptimalPlan:
+    """The one optimiser: ``h = (d B / (4 A))^(1/(d+4))`` minimises ``A h^4 + B h^-d``."""
+    h = (d * B / (4.0 * A)) ** (1.0 / (d + 4))
+    return OptimalPlan(h, A * h**4 + B * h ** (-d), d)
+
+
+def _unit_gain_optimum(quad_term: float, rough_term: float, d: int) -> OptimalPlan:
     # quad_term = S(x)^2 (pointwise) or the integrated squared curvature;
-    # rough_term = f(x) R (pointwise) or R (integrated)
-    h_const = (d * (d + 2) / (2.0 * (d + 4)) * rough_term / quad_term) ** (1.0 / (d + 4))
-    mse_const = (
-        (d + 4) ** ((3 * d + 8) / (d + 4))
-        / (d ** (d / (d + 4)) * 4 ** ((d + 6) / (d + 4)) * (d + 2) ** ((2 * d + 4) / (d + 4)))
-        * quad_term ** (d / (d + 4))
-        * rough_term ** (4 / (d + 4))
-    )
-    return MseOptimalPlan(stepsize_plan(1.0), bandwidth_plan(h_const, 1.0 / (d + 4)),
-                          h_const, mse_const, d)
+    # rough_term = f(x) R (pointwise) or R (integrated); gain 1/n, a = 1/(d+4)
+    a = 1.0 / (d + 4)
+    return _minimise(quad_term / (2.0 * _bias_denom(a, 1.0)) ** 2,
+                     rough_term / _variance_denom(a, d, 1.0), d)
 
 
 def _check_point(f_x: float, S_x: float) -> None:
@@ -163,34 +167,18 @@ def _check_point(f_x: float, S_x: float) -> None:
         raise ValueError("optimal bandwidth undefined where the curvature vanishes")
 
 
-def mse_optimal_plan(f_x: float, S_x: float, d: int) -> MseOptimalPlan:
+def mse_optimal_plan(f_x: float, S_x: float, d: int) -> OptimalPlan:
     """Plan minimising the pointwise MSE at a point with density f(x) and
-    curvature S(x): unit gain limit, bandwidth ``const * gamma_n**(1/(d+4))``.
+    curvature S(x): gain ``gamma_n = 1/n``, bandwidth ``const * gamma_n**(1/(d+4))``.
     """
     _check_point(f_x, S_x)
-    return _unit_gain_plan(S_x * S_x, f_x * gaussian_roughness(d), d)
+    return _unit_gain_optimum(S_x * S_x, f_x * gaussian_roughness(d), d)
 
 
-@dataclass(frozen=True)
-class RosenblattOptimal:
-    """Optimal-bandwidth constants of the nonrecursive baseline."""
-
-    bandwidth_constant: float
-    mse_constant: float
-    d: int
-
-    def mse(self, n: int) -> float:
-        return self.mse_constant * float(n) ** (-4.0 / (self.d + 4))
-
-
-def rosenblatt_mse_optimal(f_x: float, S_x: float, d: int) -> RosenblattOptimal:
+def rosenblatt_mse_optimal(f_x: float, S_x: float, d: int) -> OptimalPlan:
     """Minimise ``(h^2 S/2)^2 + f R / (n h^d)`` over h for the baseline."""
     _check_point(f_x, S_x)
-    quad = S_x * S_x / 4.0
-    rough = f_x * gaussian_roughness(d)
-    h_const = (d * rough / (4.0 * quad)) ** (1.0 / (d + 4))
-    mse_const = quad * h_const**4 + rough * h_const ** (-d)
-    return RosenblattOptimal(h_const, mse_const, d)
+    return _minimise(S_x * S_x / 4.0, f_x * gaussian_roughness(d), d)
 
 
 def mise_leading(curv_integral: float, d: int, step: StepsizePlan,
@@ -200,24 +188,18 @@ def mise_leading(curv_integral: float, d: int, step: StepsizePlan,
     ``curv_integral`` is the integral of the squared curvature functional
     (see :func:`sakde.densities.curvature_squared_integral`).
     """
-    a, alpha, xi = bandwidth.a, step.alpha, step.xi
-    cmp = _compare_regime(a, alpha, d)
-    h = float(bandwidth.value(n))
-    terms = 0.0
-    if cmp <= 0:
-        terms += h**4 / (4.0 * _bias_denom(a, xi) ** 2) * curv_integral
-    if cmp >= 0:
-        terms += float(step.seq.value(n)) / h**d * gaussian_roughness(d) / _variance_denom(a, d, xi)
-    return terms
+    cmp = _compare_regime(bandwidth.a, step.alpha, d)
+    bias2 = curv_integral * bias_leading(1.0, bandwidth, step, n) ** 2 if cmp <= 0 else 0.0
+    return bias2 + (variance_leading(1.0, d, bandwidth, step, n) if cmp >= 0 else 0.0)
 
 
-def mise_optimal_plan(curv_integral: float, d: int) -> MseOptimalPlan:
+def mise_optimal_plan(curv_integral: float, d: int) -> OptimalPlan:
     """Plan minimising the integrated MSE; mirrors :func:`mse_optimal_plan`
     with the integrated squared curvature in place of S(x)^2 and the kernel
     roughness alone in place of f(x) R."""
     if not curv_integral > 0:
         raise ValueError("integrated squared curvature must be positive")
-    return _unit_gain_plan(curv_integral, gaussian_roughness(d), d)
+    return _unit_gain_optimum(curv_integral, gaussian_roughness(d), d)
 
 
 def efficiency_ratio(d: int) -> float:
@@ -273,8 +255,6 @@ def ci_constant(gamma0: float, a: float, d: int) -> float:
     """
     if not 0.0 < gamma0 < math.inf:
         raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
-    if not 0.0 < a * d < 1.0:
-        raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
     return math.sqrt(gamma0 / _variance_denom(a, d, 1.0 / gamma0))
 
 

@@ -193,14 +193,14 @@ def efficiency_ratio(seed: int, jobs: int) -> List[CheckOutcome]:
 
 def mse_first_order_condition(seed: int, jobs: int) -> List[CheckOutcome]:
     """Leading MSE at the optimal bandwidth constant and at +1% / -1% of it."""
-    f_x, s_x, n, value = 0.35, -0.4, 10**4, {}
+    f_x, s_x, n, value, step = 0.35, -0.4, 10**4, {}, stepsize_plan(1.0)
     for d in (1, 2):
         plan = asymptotics.mse_optimal_plan(f_x, s_x, d)
 
         def leading(h_const):
             bw = bandwidth_plan(h_const, 1.0 / (d + 4))
-            return (asymptotics.bias_leading(s_x, bw, plan.step, n) ** 2
-                    + asymptotics.variance_leading(f_x, d, bw, plan.step, n))
+            return (asymptotics.bias_leading(s_x, bw, step, n) ** 2
+                    + asymptotics.variance_leading(f_x, d, bw, step, n))
 
         value[d] = tuple(leading(plan.bandwidth_constant * s) for s in (1.0, 1.01, 0.99))
     ok = all(up > base and dn > base for base, up, dn in value.values())

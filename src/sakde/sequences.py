@@ -68,6 +68,10 @@ class StepsizePlan:
     seq: SequencePlan
     weights: Optional[SequencePlan] = None
 
+    def __post_init__(self):
+        if not 0.5 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
+
     @property
     def alpha(self) -> float:
         return -self.seq.exponent
@@ -114,6 +118,10 @@ class BandwidthPlan:
 
     seq: SequencePlan
 
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ValueError(f"bandwidth exponent a must be positive, got {self.a}")
+
     @property
     def a(self) -> float:
         return -self.seq.exponent
@@ -128,8 +136,6 @@ def stepsize_plan(scale: float, alpha: float = 1.0) -> StepsizePlan:
     ``alpha`` must lie in (1/2, 1] and ``scale`` in (0, 1] so that every gain
     stays in (0, 1].
     """
-    if not 0.5 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
     return StepsizePlan(SequencePlan(scale, -alpha))
@@ -151,8 +157,6 @@ def stepsize_from_weights(weight_plan: SequencePlan) -> StepsizePlan:
 
 def bandwidth_plan(scale: float, a: float) -> BandwidthPlan:
     """Build a bandwidth plan ``h_n = scale * n**(-a)``, a > 0."""
-    if not a > 0:
-        raise ValueError(f"bandwidth exponent a must be positive, got {a}")
     return BandwidthPlan(SequencePlan(scale, -a))
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from sakde import asymptotics as asy
+from sakde.densities import curvature_squared_integral, standard_gaussian
 from sakde.kernels import gaussian_roughness
 from sakde.sequences import BandwidthPlan, SequencePlan, bandwidth_plan, stepsize_plan
 
@@ -101,7 +102,7 @@ def test_variance_leading_rejects_pole():
     step = stepsize_plan(0.3)  # xi = 10/3: 2 - 0.79 * xi < 0
     with pytest.raises(ValueError):
         asy.variance_leading(PHI0, 1, bandwidth_plan(1.0, 0.21), step, 100)
-    with pytest.raises(ValueError, match="variance pole"):  # a NaN exponent fails too
+    with pytest.raises(ValueError, match="must be positive"):  # a NaN exponent fails too
         asy.variance_leading(PHI0, 1, BandwidthPlan(SequencePlan(1.0, math.nan)),
                              stepsize_plan(1.0), 100)
 
@@ -121,19 +122,20 @@ def test_balanced_plan_bias_and_variance_ratios(d):
     assert ratio_var == pytest.approx((d + 4) / 4.0, rel=1e-12)
 
 
-def test_mse_optimal_plan_constants_and_oracle():
+@pytest.mark.parametrize("d", [1, 2])
+def test_mse_optimal_plan_constants_and_oracle(d):
     f_x, s_x = PHI0, -PHI0
-    plan = asy.mse_optimal_plan(f_x, s_x, 1)
-    assert plan.bandwidth_constant == pytest.approx(0.733367, abs=5e-6)
-    assert plan.step.gamma0 == 1.0
+    plan = asy.mse_optimal_plan(f_x, s_x, d)
+    if d == 1:
+        assert plan.bandwidth_constant == pytest.approx(0.733367, abs=5e-6)
 
     # oracle: numeric minimisation of the leading MSE over the bandwidth constant
-    n = 10**4
+    n, step = 10**4, stepsize_plan(1.0)
 
     def leading(h_const):
-        bw = bandwidth_plan(h_const, 1.0 / 5)
-        return (asy.bias_leading(s_x, bw, plan.step, n) ** 2
-                + asy.variance_leading(f_x, 1, bw, plan.step, n))
+        bw = bandwidth_plan(h_const, 1.0 / (d + 4))
+        return (asy.bias_leading(s_x, bw, step, n) ** 2
+                + asy.variance_leading(f_x, d, bw, step, n))
 
     res = minimize_scalar(leading, bounds=(0.2, 2.5), method="bounded",
                           options={"xatol": 1e-10})
@@ -180,8 +182,23 @@ def test_mise_optimal_plan_is_a_fixed_point_of_mise_leading():
     integral = 3.0 / (8.0 * math.sqrt(math.pi))
     plan = asy.mise_optimal_plan(integral, 1)
     n = 10**5
-    direct = asy.mise_leading(integral, 1, plan.step, plan.bandwidth, n)
+    direct = asy.mise_leading(integral, 1, stepsize_plan(1.0), plan.bandwidth, n)
     assert direct == pytest.approx(plan.mse(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mise_optimal_plan_against_numeric_minimisation(d):
+    integral = curvature_squared_integral(standard_gaussian(d))
+    plan = asy.mise_optimal_plan(integral, d)
+    n, step = 10**4, stepsize_plan(1.0)
+
+    def mise(h_const):
+        return asy.mise_leading(integral, d, step, bandwidth_plan(h_const, 1.0 / (d + 4)), n)
+
+    res = minimize_scalar(mise, bounds=(0.2, 2.5), method="bounded",
+                          options={"xatol": 1e-10})
+    assert plan.bandwidth_constant == pytest.approx(res.x, rel=1e-5)
+    assert plan.mse(n) == pytest.approx(res.fun, rel=1e-10)
 
 
 def test_mise_optimal_plan_rejects_zero_curvature():
@@ -211,17 +228,18 @@ def test_efficiency_ratio_matches_composed_optima():
             asy.efficiency_ratio(d), abs=1e-10)
 
 
-def test_rosenblatt_optimum_against_numeric_minimisation():
+@pytest.mark.parametrize("d", [1, 2])
+def test_rosenblatt_optimum_against_numeric_minimisation(d):
     f_x, s_x = PHI0, -PHI0
-    ros = asy.rosenblatt_mse_optimal(f_x, s_x, 1)
+    ros = asy.rosenblatt_mse_optimal(f_x, s_x, d)
     n = 10**4
 
     def mse(h):
-        return asy.rosenblatt_bias(s_x, h) ** 2 + asy.rosenblatt_variance(f_x, 1, n, h)
+        return asy.rosenblatt_bias(s_x, h) ** 2 + asy.rosenblatt_variance(f_x, d, n, h)
 
     res = minimize_scalar(mse, bounds=(0.01, 2.0), method="bounded",
                           options={"xatol": 1e-10})
-    assert ros.bandwidth_constant * n ** (-1 / 5) == pytest.approx(res.x, rel=1e-5)
+    assert ros.bandwidth_constant * n ** (-1 / (d + 4)) == pytest.approx(res.x, rel=1e-5)
     assert ros.mse(n) == pytest.approx(res.fun, rel=1e-10)
 
 

@@ -201,6 +201,12 @@ def test_bad_point_is_one_line_exit(argv):
     ("asymptotics regime --a 0.2 --alpha 1 --d 1 --gamma0 -3", "gamma0 must be positive"),
     ("asymptotics clt --density gaussian --x 0 --a 0.21 --gamma0 0.79 --c nan",
      "c must be nonnegative"),
+    ("asymptotics variance --density gaussian --x 0 --a 1.5 --gamma0 0.79 --n 100",
+     "a*d must lie in (0, 1)"),
+    ("asymptotics variance --density gaussian-2d --x 0,0 --a 0.6 --gamma0 0.79 --n 100",
+     "a*d must lie in (0, 1)"),
+    ("asymptotics clt --density gaussian --x 0 --a -0.5 --gamma0 0.79", "a*d must lie in (0, 1)"),
+    ("asymptotics clt --density gaussian --x 0 --a 1.5 --gamma0 0.79", "a*d must lie in (0, 1)"),
 ])
 def test_rejected_input_is_one_line_exit(argv, message):
     with pytest.raises(SystemExit) as exc:

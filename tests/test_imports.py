@@ -73,10 +73,8 @@ def test_no_unreferenced_private_names():
 UNCALLED_PUBLIC = {
     "mise_leading": "the oracle test_mise_optimal_plan_is_a_fixed_point_of_mise_leading "
                     "checks mise_optimal_plan against",
-    "MseOptimalPlan.mse": "test-only oracle: the leading MSE of the optimal plan, checked "
-                          "against a numerical minimum and the exact finite-n MISE",
-    "RosenblattOptimal.mse": "test-only oracle: the baseline's leading MSE at its optimum, "
-                             "checked against a numerical minimum",
+    "OptimalPlan.mse": "test-only oracle: the leading MSE of an optimal plan, checked "
+                       "against a numerical minimum and the exact finite-n MISE",
     "RosenblattEstimator.eval": "the evaluation entry point of the exported baseline "
                                 "estimator; the benchmark's stream workload and the "
                                 "estimator tests call it",

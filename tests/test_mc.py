@@ -170,7 +170,7 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     model = mc.table_model("gaussian")
     kern = gaussian_kernel(1)
     integral = 3.0 / (8.0 * math.sqrt(math.pi))
-    plan = asy.mise_optimal_plan(integral, 1)
+    plan, step = asy.mise_optimal_plan(integral, 1), stepsize_plan(1.0)
     n, reps = 1500, 300
     a = plan.bandwidth.a
 
@@ -179,14 +179,14 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     samples = np.stack([model.sample(mc.replication_rng(31, r), n) for r in range(reps)])
     sq_err = np.zeros((reps, grid.size))
     for j, x in enumerate(grid):
-        g = recursive_batch(kern, plan.step, plan.bandwidth, samples, np.array([x]))
+        g = recursive_batch(kern, step, plan.bandwidth, samples, np.array([x]))
         sq_err[:, j] = (g - f_true[j]) ** 2
     ise = np.trapezoid(sq_err, grid, axis=1)
     mc_mise = float(ise.mean())
     stderr = float(ise.std(ddof=1)) / math.sqrt(reps)
 
     pointwise = np.array([
-        mc.exact_moments(mc.CellConfig(model, (x,), n, a, mc.RECURSIVE, step=plan.step,
+        mc.exact_moments(mc.CellConfig(model, (x,), n, a, mc.RECURSIVE, step=step,
                                        bandwidth=plan.bandwidth))
         for x in grid
     ])

@@ -73,6 +73,19 @@ def test_stepsize_plan_validation():
         stepsize_plan(1.5)
 
 
+@pytest.mark.parametrize("plan_type, exponent, message", [
+    (sequences.StepsizePlan, -2.0, "alpha must lie in"),
+    (sequences.StepsizePlan, -0.5, "alpha must lie in"),
+    (sequences.StepsizePlan, math.nan, "alpha must lie in"),
+    (sequences.BandwidthPlan, 0.5, "a must be positive"),
+    (sequences.BandwidthPlan, 0.0, "a must be positive"),
+    (sequences.BandwidthPlan, math.nan, "a must be positive"),
+])
+def test_plan_types_reject_invalid_exponents(plan_type, exponent, message):
+    with pytest.raises(ValueError, match=message):
+        plan_type(SequencePlan(1.0, exponent))
+
+
 def test_stepsize_plan_slow_decay_has_zero_xi():
     step = stepsize_plan(1.0, alpha=0.7)
     assert math.isinf(step.gamma0)

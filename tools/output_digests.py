@@ -1,0 +1,101 @@
+"""Print one SHA-256 per program output, to show that a change moves no output.
+
+Usage (from the repository root):
+
+    python3 tools/output_digests.py [--root PATH]
+
+For the checkout at ``--root`` (default: this repository) it runs the CLI in
+subprocesses with ``PYTHONPATH=<root>/src`` and prints ``<sha256>  <label>``
+lines for:
+
+- the CSV data rows (the ``#`` header carries the version and is left out) and
+  the printed reference diff of ``sakde table N --reps 5000 --seed 42
+  --jobs 2``, for N = 1..4;
+- the stdout of ``sakde check full --seed 42 --jobs 1``;
+- each query of a fixed list of in-domain ``sakde asymptotics`` calls: all
+  eight queries, the four densities and the points 0, 0.5 and 1.
+
+A digest covers the exit status and stderr as well as the output, so a query
+that starts failing shows too.  To compare a change with its parent, export
+the parent and diff two runs:
+
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 tools/output_digests.py --root /tmp/parent > parent.txt
+    python3 tools/output_digests.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+DENSITIES = ("gaussian", "mixture", "gaussian-2d", "mixture-2d")
+POINTS = ("0", "0.5", "1")
+
+
+def asymptotics_queries():
+    """The fixed query list: every query inside the domain of its formulas."""
+    yield from (f"rho --d {d}" for d in (1, 2, 3))
+    yield from (f"ci-constant --gamma0 {g} --a {a} --d {d}"
+                for g, a, d in ((0.79, 0.21, 1), (1.0, 0.23, 1), (0.66, 0.17, 2)))
+    yield from (f"regime --a {a} --alpha 1 --d {d}{gamma0}"
+                for a, d in ((0.2, 1), (0.21, 1), (0.15, 2), (0.17, 2))
+                for gamma0 in ("", " --gamma0 0.4"))
+    for density in DENSITIES:
+        dim = 2 if density.endswith("2d") else 1
+        plan = f"--a {0.21 if dim == 1 else 0.17} --gamma0 0.79"
+        yield f"mise-optimal --density {density}"
+        for p in POINTS:
+            at = f"--density {density} --x {','.join([p] * dim)}"
+            yield f"bias {at} {plan} --n 100"
+            yield f"variance {at} {plan} --n 100"
+            yield f"clt {at} {plan} --c {'inf' if p == '1' else p}"
+            if (density, p) != ("gaussian", "1"):  # the curvature of N(0, 1) vanishes at 1
+                yield f"mse-optimal {at}"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_cli(root: Path, args, cwd: Path) -> str:
+    """Exit status, stdout and stderr of one ``sakde`` call, as one text."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sakde.cli", *args], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return f"exit {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
+
+
+def outputs(root: Path, work: Path):
+    """``(label, text)`` for each output, in a fixed order."""
+    for table in (1, 2, 3, 4):
+        csv = f"table-{table}.csv"
+        printed = run_cli(root, ["table", str(table), "--reps", "5000", "--seed", "42",
+                                 "--jobs", "2", "--out", csv], work)
+        rows = (work / csv).read_text(encoding="utf-8").splitlines(keepends=True)
+        yield f"table {table} csv rows", "".join(ln for ln in rows if not ln.startswith("#"))
+        yield f"table {table} printed diff", printed
+    yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
+    for query in asymptotics_queries():
+        yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=HERE)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        for label, text in outputs(args.root.resolve(), Path(work)):
+            print(f"{digest(text)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
