@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from sakde.kernels import gaussian_roughness
-from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan
+from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
 BIAS_DOMINATED = "bias-dominated"
 BALANCED = "balanced"
@@ -54,9 +54,8 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
     The boundary ``a = alpha/(d+4)`` is resolved within 1e-12, with every real
     input (``float``, ``int`` or ``Fraction``) taken through ``float``.
     """
+    alpha = stepsize_plan(1.0, alpha).alpha  # a stepsize plan owns the check of alpha
     af, alphaf = float(a), float(alpha)
-    if not 0.5 < alphaf <= 1.0:
-        raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
     if not 0.0 < af < alphaf / d:
         raise ValueError(f"a must lie in (0, alpha/d) = (0, {alphaf / d}), got {a}")
     if not gamma0 > 0:
@@ -86,11 +85,16 @@ def _bias_denom(a: float, xi: float) -> float:
     return denom
 
 
-def _variance_denom(a: float, d: int, xi: float) -> float:
-    """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
+def _variance_margin(a: float, d: int) -> float:
+    """``1 - a d``, for ``a d`` in (0, 1): the variance's bandwidth domain."""
     if not 0.0 < a * d < 1.0:
         raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
-    denom = 2.0 - (1.0 - a * d) * xi
+    return 1.0 - a * d
+
+
+def _variance_denom(a: float, d: int, xi: float) -> float:
+    """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
+    denom = 2.0 - _variance_margin(a, d) * xi
     if not denom > 0:
         raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
     return denom
@@ -260,6 +264,5 @@ def ci_constant(gamma0: float, a: float, d: int) -> float:
 
 def ci_constant_minimum(a: float, d: int) -> Tuple[float, float]:
     """Minimiser and minimum of :func:`ci_constant`: ``(1 - a d, sqrt(1 - a d))``."""
-    if not 0.0 < a * d < 1.0:
-        raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
-    return 1.0 - a * d, math.sqrt(1.0 - a * d)
+    margin = _variance_margin(a, d)
+    return margin, math.sqrt(margin)

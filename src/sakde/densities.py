@@ -13,6 +13,7 @@ variables of Y.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -45,17 +46,27 @@ class GaussianMixture:
         k, d = self.means.shape
         if self.weights.shape[0] != k or self.covs.shape != (k, d, d):
             raise ValueError("inconsistent mixture component shapes")
-        self._chols = np.linalg.cholesky(self.covs)
+        if not np.all(np.linalg.eigvalsh(self.covs) > 0):
+            raise ValueError("covariances must be positive definite")
         self._invs = np.linalg.inv(self.covs)
         dets = np.linalg.det(self.covs)
         self._norms = 1.0 / np.sqrt((2.0 * math.pi) ** d * dets)
-        # the component pick of rng.choice(k, size, p=weights), without its checks
-        self._cdf = np.cumsum(self.weights)
-        self._cdf /= self._cdf[-1]
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    # built on the first draw: a LinearImage draws through its base, and a
+    # one-component model picks no component
+    @cached_property
+    def _chols(self):
+        return np.linalg.cholesky(self.covs)
+
+    @cached_property
+    def _cdf(self):
+        # the component pick of rng.choice(k, size, p=weights), without its checks
+        cdf = np.cumsum(self.weights)
+        return cdf / cdf[-1]
 
     def _component_pdfs(self, x):
         # (n_points, n_components) matrix of component densities
@@ -84,8 +95,13 @@ class GaussianMixture:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be positive")
-        comp = self._cdf.searchsorted(rng.random(count), side="right")
+        u = rng.random(count)  # drawn for one component too, so the stream does not move
         z = rng.standard_normal((count, self.dim))
+        if self.weights.shape[0] == 1:
+            # the broadcast factor has the gathered factors' strides, so einsum
+            # sums in the same order (written-out sums would not from d = 3 on)
+            return self.means[0] + np.einsum("ij,nj->ni", self._chols[0], z)
+        comp = self._cdf.searchsorted(u, side="right")
         return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
 
 

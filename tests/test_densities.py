@@ -127,6 +127,16 @@ def test_sampling_covariance_of_linear_image():
     np.testing.assert_allclose(np.cov(xs.T), target, atol=0.02)
 
 
+@pytest.mark.parametrize("name", ["gaussian-2d", "mixture-2d"])
+def test_linear_image_builds_no_sampler_state(name):
+    image = mc.table_model(name)
+    image.sample(np.random.default_rng(3), 20)
+    assert "_chols" not in vars(image) and "_cdf" not in vars(image)
+    # the base draws: it factors its covariances, and picks components only if it has two
+    assert "_chols" in vars(image.base)
+    assert ("_cdf" in vars(image.base)) == (image.base.weights.shape[0] > 1)
+
+
 def test_degenerate_mixture_reduces_to_component():
     lone = GaussianMixture([1.0], [[2.0]], np.array([np.eye(1)]))
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
@@ -235,3 +245,6 @@ def test_mixture_validation():
         GaussianMixture([0.7, 0.7], [[0.0], [1.0]], np.array([np.eye(1), np.eye(1)]))
     with pytest.raises(ValueError):
         GaussianMixture([1.0], [[0.0, 0.0]], np.array([np.eye(1)]))
+    for cov in ([[-1.0]], -np.eye(2)):  # rejected when built, not at the first draw
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianMixture([1.0], np.zeros((1, len(cov))), np.array([cov]))

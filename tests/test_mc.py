@@ -355,13 +355,24 @@ def _choice_sample(model, rng, count):
     return model.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
 
 
-@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d"])
+#: one-component models whose Cholesky factor is neither the identity nor a scalar
+FULL_COVARIANCE = {
+    "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
+    "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
+                               [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
+}
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
+                                  *FULL_COVARIANCE])
 def test_component_pick_matches_rng_choice(name):
-    model = mc.table_model(name)
-    for r in range(200):
-        fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
-        np.testing.assert_array_equal(model.sample(fast, 50), _choice_sample(model, slow, 50))
-        assert fast.random() == slow.random()  # both consumed the same stream
+    model = FULL_COVARIANCE.get(name) or mc.table_model(name)
+    for count, reps in ((50, 200), (10**4, 5)):
+        for r in range(reps):
+            fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
+            np.testing.assert_array_equal(model.sample(fast, count),
+                                          _choice_sample(model, slow, count))
+            assert fast.random() == slow.random()  # both consumed the same stream
 
 
 def test_rekeyed_philox_draws_like_a_new_generator():

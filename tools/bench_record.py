@@ -5,13 +5,16 @@ Usage (from the repository root):
     python3 tools/bench_record.py --label pr7 [--root PATH]
 
 For the checkout at ``--root`` (default: this repository) it runs
-``perfbench/run.py --trace 0`` once per workload named in BENCHMARK.json, for
-the run length BENCHMARK.json sets and at a fixed seed, times one run of the
-tier-1 suite and counts the lines of ``src/`` and ``tests/``.  The file is
-written to the root of this repository and holds each workload's result and
-info lines, the machine line, the tier-1 wall time with pytest's summary
-line, and the line counts.  The tier-1 time and the line counts are recorded,
-not bounded.  Runs are sequential; nothing else should load the machine.
+``perfbench/run.py`` twice per workload named in BENCHMARK.json, for the run
+length BENCHMARK.json sets and at a fixed seed: with ``--trace 0`` for the
+end-to-end metrics and with ``--trace 1`` for the per-layer ones.  It then
+times one run of the tier-1 suite and counts the lines of ``src/`` and
+``tests/``.  The file is written to the root of this repository and holds
+each workload's untraced result and info lines with the traced run's metrics
+under ``traced``, the machine line, the tier-1 wall time with pytest's
+summary line, and the line counts.  The tier-1 time and the line counts are
+recorded, not bounded.  Runs are sequential; nothing else should load the
+machine.
 
 Records compare only within one session: the host's speed drifts between
 sessions by more than the reference loop absorbs, so ``wall_ref`` in files
@@ -35,9 +38,10 @@ SEED = 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_workload(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     info, result = proc.stdout.strip().splitlines()[-2:]
     return {"info": json.loads(info), "result": json.loads(result)}
@@ -68,8 +72,11 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    workloads = {w["name"]: run_workload(root, w["name"], SEED, seconds)
-                 for w in spec["workloads"]}
+    workloads = {}
+    for name in (w["name"] for w in spec["workloads"]):
+        workloads[name] = run_workload(root, name, SEED, seconds, trace=0)
+        workloads[name]["traced"] = run_workload(
+            root, name, SEED, seconds, trace=1)["result"]["metrics"]
     record = {
         "label": args.label, "seed": SEED, "seconds": seconds,
         "machine": next(iter(workloads.values()))["info"]["machine"],
