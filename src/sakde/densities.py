@@ -28,6 +28,31 @@ def _as_batch(x, dim):
     return x, single
 
 
+#: fewest uniforms worth skipping by a counter advance: the state read, the
+#: advance and the last draw cost about as much as 650-1000 drawn uniforms
+_ADVANCE_MIN = 1024
+
+
+def _advance_past(rng: np.random.Generator, count: int) -> bool:
+    """Move a Philox ``rng`` past ``count`` uniforms without drawing them, leaving
+    the state ``rng.random(count)`` would; False, with nothing moved, for any
+    other generator or state.  Philox makes 4 words per counter step and a
+    uniform takes one, so from an empty buffer and no cached half word, live or
+    stale (``advance`` zeroes both its fields), the counter skips all but the
+    last 1-4 words, whose draw refills the buffer as the drawn path does
+    (Salmon et al. 2011, SC'11)."""
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.Philox:
+        return False
+    state = bitgen.state
+    if state["buffer_pos"] != 4 or state["has_uint32"] != 0 or state["uinteger"] != 0:
+        return False
+    steps = (int(count) - 1) // 4  # advance overflows on a numpy integer
+    bitgen.advance(steps)
+    rng.random(count - 4 * steps)
+    return True
+
+
 class GaussianMixture:
     """Mixture of Gaussians with full covariance matrices."""
 
@@ -93,14 +118,21 @@ class GaussianMixture:
         return h[0] if single else h
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise TypeError(f"count must be an integer, not {type(count).__name__}")
         if count < 1:
             raise ValueError("count must be positive")
-        u = rng.random(count)  # drawn for one component too, so the stream does not move
-        z = rng.standard_normal((count, self.dim))
         if self.weights.shape[0] == 1:
+            # the component uniforms keep the stream position; below the
+            # break-even they are drawn without a read of the generator state
+            if count < _ADVANCE_MIN or not _advance_past(rng, count):
+                rng.random(count)
+            z = rng.standard_normal((count, self.dim))
             # the broadcast factor has the gathered factors' strides, so einsum
             # sums in the same order (written-out sums would not from d = 3 on)
             return self.means[0] + np.einsum("ij,nj->ni", self._chols[0], z)
+        u = rng.random(count)
+        z = rng.standard_normal((count, self.dim))
         comp = self._cdf.searchsorted(u, side="right")
         return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
 

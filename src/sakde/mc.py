@@ -10,7 +10,9 @@ generator derived from ``(master_seed, replication_index)``, so every cell of
 one (model, n) sees the same samples, and each sample block is drawn once for
 all of them.  The block structure is fixed by (n, d, replications), so a run
 is bit-reproducible for a given seed no matter which cells are read together
-or how groups are scheduled across workers.
+or how groups are scheduled across workers.  One-component models pick no
+component, but their draws keep the stream position of the component
+uniforms: a long draw moves past them by a Philox counter advance.
 """
 
 from __future__ import annotations
@@ -156,6 +158,11 @@ def replication_rng(seed: int, index: int,
     return np.random.Generator(bit_generator)
 
 
+def _draw_key(cfg: CellConfig) -> tuple:
+    """What a cell's samples depend on: cells with one key read the same draws."""
+    return cfg.model, cfg.n, cfg.replications, cfg.seed
+
+
 def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, n, replications, seed).  Each block of at most
@@ -163,6 +170,8 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     An estimate's last bits can move with its block (BLAS blocks the kernel sum
     by rows), so the blocks depend only on (n, d, replications), never on the
     cells drawn together or the worker count."""
+    if len({_draw_key(cfg) for cfg in cfgs}) > 1:
+        raise ValueError("cells drawn together must share (model, n, replications, seed)")
     first = cfgs[0]
     block = max(1, min(first.replications, estimators.SCALAR_BUDGET // (first.n * first.dim)))
     philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
@@ -248,7 +257,7 @@ def run_table(table: int, seed: int, replications: int = 5000, jobs: int = 1) ->
     cfgs = table_configs(table, seed, replications)
     groups = {}
     for cfg in cfgs:
-        groups.setdefault((cfg.model, cfg.n, cfg.replications, cfg.seed), []).append(cfg)
+        groups.setdefault(_draw_key(cfg), []).append(cfg)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             futures = [pool.submit(run_cell, *group) for group in groups.values()]

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from sakde import mc
 from sakde.densities import (
+    _ADVANCE_MIN,
+    _advance_past,
     GaussianMixture,
     LinearImage,
     curvature,
@@ -135,6 +137,126 @@ def test_linear_image_builds_no_sampler_state(name):
     # the base draws: it factors its covariances, and picks components only if it has two
     assert "_chols" in vars(image.base)
     assert ("_cdf" in vars(image.base)) == (image.base.weights.shape[0] > 1)
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return np.asarray(value).tolist()
+
+
+def _state(rng):
+    """The whole bit-generator state, with arrays as lists so states compare."""
+    return _plain(rng.bit_generator.state)
+
+
+class _RandomSpy:
+    """A generator stand-in that records the counts ``random`` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.drawn = rng, rng.bit_generator, []
+
+    def random(self, count):
+        self.drawn.append(count)
+        return self.rng.random(count)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+
+def _drawn_path(rng, count):
+    """What a 1-d one-component draw does without the skip."""
+    rng.random(count)
+    return rng.standard_normal((count, 1))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 255, 10**4])
+def test_philox_advance_is_four_words_per_counter_step(steps):
+    advanced, drawn = np.random.Philox(key=(7, 3)), np.random.Philox(key=(7, 3))
+    advanced.advance(steps)
+    drawn.random_raw(4 * steps)
+    # advance leaves a zeroed buffer where the draws leave their last block,
+    # dead either way at buffer_pos 4; the next counter step overwrites both
+    before, after = advanced.state, drawn.state
+    assert before["buffer_pos"] == after["buffer_pos"] == 4
+    np.testing.assert_array_equal(before["state"]["counter"], after["state"]["counter"])
+    assert before["has_uint32"] == after["has_uint32"] == 0
+    np.testing.assert_array_equal(advanced.random_raw(9), drawn.random_raw(9))
+    assert _state(np.random.Generator(advanced)) == _state(np.random.Generator(drawn))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 9])
+def test_advance_past_leaves_the_drawn_state_at_any_count(count):
+    skipped, drawn = _RandomSpy(mc.replication_rng(11, 4)), mc.replication_rng(11, 4)
+    assert _advance_past(skipped, count)
+    drawn.random(count)
+    assert skipped.drawn == [count - 4 * ((count - 1) // 4)]  # only the last 1-4 words
+    assert _state(skipped.rng) == _state(drawn)
+    np.testing.assert_array_equal(skipped.rng.standard_normal(9), drawn.standard_normal(9))
+
+
+@pytest.mark.parametrize("count", [_ADVANCE_MIN - 1, _ADVANCE_MIN, _ADVANCE_MIN + 1,
+                                   _ADVANCE_MIN + 2, _ADVANCE_MIN + 3,
+                                   10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3])
+def test_one_component_draw_skips_its_uniforms_from_the_break_even_on(count):
+    spy, drawn = _RandomSpy(mc.replication_rng(11, 4)), mc.replication_rng(11, 4)
+    np.testing.assert_array_equal(standard_gaussian(1).sample(spy, count),
+                                  _drawn_path(drawn, count))
+    assert spy.drawn == ([count] if count < _ADVANCE_MIN else [count - 4 * ((count - 1) // 4)])
+    assert _state(spy.rng) == _state(drawn)
+    np.testing.assert_array_equal(spy.rng.standard_normal(9), drawn.standard_normal(9))
+
+
+def _partly_used_buffer(words):
+    rng = mc.replication_rng(11, 4)
+    rng.bit_generator.random_raw(words)
+    return rng
+
+
+def _cached_half_word(has_uint32, uinteger):
+    rng = mc.replication_rng(11, 4)
+    state = rng.bit_generator.state
+    rng.bit_generator.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
+    return rng
+
+
+FALLBACKS = {
+    "pcg64": lambda: np.random.default_rng(11),
+    "buffer-pos-1": lambda: _partly_used_buffer(1),
+    "buffer-pos-2": lambda: _partly_used_buffer(2),
+    "buffer-pos-3": lambda: _partly_used_buffer(3),
+    "has-uint32": lambda: _cached_half_word(1, 0),  # a live half word that reads 0
+    "stale-uinteger": lambda: _cached_half_word(0, 12345),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_one_component_draw_falls_back_to_drawing(name):
+    count = 10**4 + 1
+    rng = FALLBACKS[name]()
+    before = _state(rng)
+    assert not _advance_past(rng, count)
+    assert _state(rng) == before
+    spy, drawn = _RandomSpy(FALLBACKS[name]()), FALLBACKS[name]()
+    np.testing.assert_array_equal(standard_gaussian(1).sample(spy, count),
+                                  _drawn_path(drawn, count))
+    assert spy.drawn == [count]
+    assert _state(spy.rng) == _state(drawn)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d"])
+def test_sample_rejects_a_bad_count_before_any_draw(name):
+    model, rng = mc.table_model(name), mc.replication_rng(2, 0)
+    before = _state(rng)
+    for count, error in ((3.0, TypeError), (np.float64(3.0), TypeError), (True, TypeError),
+                         (np.bool_(True), TypeError), ("3", TypeError), (0, ValueError),
+                         (-1, ValueError), (np.int64(0), ValueError)):
+        with pytest.raises(error, match="^count must be"):
+            model.sample(rng, count)
+        assert _state(rng) == before, count
+    for count in (5, _ADVANCE_MIN + 1):  # a numpy integer draws on both sides of the skip
+        np.testing.assert_array_equal(model.sample(mc.replication_rng(2, 0), np.int64(count)),
+                                      model.sample(mc.replication_rng(2, 0), count))
 
 
 def test_degenerate_mixture_reduces_to_component():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sakde import asymptotics, estimators, mc
-from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
+from sakde.densities import _ADVANCE_MIN, GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_kernel
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
@@ -318,6 +318,26 @@ def test_run_cell_rejects_gain_without_finite_limit_before_drawing(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("change", [
+    {"model": mc.table_model("mixture")}, {"n": 60}, {"replications": 21}, {"seed": 1},
+], ids=["model", "n", "replications", "seed"])
+def test_estimates_rejects_cells_that_do_not_share_their_draws(monkeypatch, change):
+    draws = []
+
+    def counting(seed, index, bit_generator=None):
+        draws.append(index)
+        return np.random.default_rng(0)
+
+    monkeypatch.setattr(mc, "replication_rng", counting)
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (0.0,), 50, 0.21, mc.ROSENBLATT,
+                        replications=20)
+    other = dataclasses.replace(cfg, estimator=mc.RECURSIVE, **change)
+    for readout in (mc.estimates, mc.run_cell):
+        with pytest.raises(ValueError, match="must share"):
+            readout(cfg, other)
+    assert draws == []
+
+
 @pytest.mark.parametrize("budget", [None, 1000], ids=["default-budget", "small-budget"])
 @pytest.mark.parametrize("table", [1, 2, 3, 4])
 def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
@@ -355,19 +375,22 @@ def _choice_sample(model, rng, count):
     return model.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
 
 
-#: one-component models whose Cholesky factor is neither the identity nor a scalar
-FULL_COVARIANCE = {
+#: one-component models whose Cholesky factor is neither the identity nor a scalar,
+#: and the `clt-gate` model, which draws through its one-component base
+ONE_COMPONENT = {
     "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
     "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
                                [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
+    "clt-gate": LinearImage(standard_gaussian(1), [[3.0]]),
 }
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
-                                  *FULL_COVARIANCE])
+                                  *ONE_COMPONENT])
 def test_component_pick_matches_rng_choice(name):
-    model = FULL_COVARIANCE.get(name) or mc.table_model(name)
-    for count, reps in ((50, 200), (10**4, 5)):
+    model = ONE_COMPONENT.get(name) or mc.table_model(name)
+    # counts on both sides of the break-even of the one-component uniform skip
+    for count, reps in ((50, 200), (_ADVANCE_MIN - 1, 3), (_ADVANCE_MIN + 2, 3), (10**4, 5)):
         for r in range(reps):
             fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
             np.testing.assert_array_equal(model.sample(fast, count),

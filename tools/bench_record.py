@@ -12,7 +12,9 @@ times one run of the tier-1 suite and counts the lines of ``src/`` and
 ``tests/``.  The file is written to the root of this repository and holds
 each workload's untraced result and info lines with the traced run's metrics
 under ``traced``, the machine line, the tier-1 wall time with pytest's
-summary line, and the line counts.  The tier-1 time and the line counts are
+summary line, and the line counts.  Its ``source`` field names the tree
+measured: the ``src/sakde`` digest, the checkout's commit and whether ``src/``
+or ``tests/`` differ from it.  The tier-1 time and the line counts are
 recorded, not bounded.  Runs are sequential; nothing else should load the
 machine.
 
@@ -58,6 +60,21 @@ def run_tier1(root: Path) -> dict:
             "command": " ".join(["python", *TIER1])}
 
 
+def source_state(root: Path, src_sha256: str) -> dict:
+    """The tree a record measured: the digest of ``src/sakde`` that perfbench
+    reports, the checkout's commit (None without a ``.git``, as in an exported
+    copy) and whether ``src/`` or ``tests/`` differ from that commit, so an
+    uncommitted change reads as its parent commit plus ``dirty``."""
+    commit = dirty = None
+    if (root / ".git").exists():
+        def git(*args):
+            return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                                  text=True, check=True).stdout.strip()
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--", "src", "tests"))
+    return {"src_sha256": src_sha256, "commit": commit, "dirty": dirty}
+
+
 def line_counts(directory: Path) -> dict:
     files = sorted(directory.glob("*.py"))
     per_file = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in files}
@@ -77,9 +94,11 @@ def main(argv=None) -> int:
         workloads[name] = run_workload(root, name, SEED, seconds, trace=0)
         workloads[name]["traced"] = run_workload(
             root, name, SEED, seconds, trace=1)["result"]["metrics"]
+    machine = next(iter(workloads.values()))["info"]["machine"]
     record = {
         "label": args.label, "seed": SEED, "seconds": seconds,
-        "machine": next(iter(workloads.values()))["info"]["machine"],
+        "source": source_state(root, machine["src_sha256"]),
+        "machine": machine,
         "workloads": workloads,
         "tier1": run_tier1(root),
         "src_lines": line_counts(root / "src" / "sakde"),
