@@ -6,8 +6,8 @@ Laplacian: the product Gaussian kernel's second moments are all 1.
 ``sample`` and a human-readable ``label``; the exact oracles are closed-form
 sums over its components.  The image ``X = A Y`` of a mixture under an
 invertible A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``:
-:class:`LinearImage` is that mixture, keeping only the draws and the change of
-variables of Y.
+:class:`LinearImage` is that mixture, keeping only the image step of the draws
+and the change of variables of Y.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ def _as_batch(x, dim):
 #: fewest uniforms worth skipping by a counter advance: the state read, the
 #: advance and the last draw cost about as much as 650-1000 drawn uniforms
 _ADVANCE_MIN = 1024
+
+#: scalars in a chunk's gathered Cholesky factors (256 kB): the temporaries of
+#: the map from normals to draws stay a few chunks, whatever the block size
+_MAP_SCALARS = 1 << 15
 
 
 def _advance_past(rng: np.random.Generator, count: int) -> bool:
@@ -118,23 +122,53 @@ class GaussianMixture:
         return h[0] if single else h
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` draws from ``rng``, shape (count, dim): one replication of
+        :meth:`sample_block`."""
+        return self.sample_block([rng], 1, count)[0]
+
+    def sample_block(self, rngs, reps: int, count: int) -> np.ndarray:
+        """``reps`` samples of ``count`` draws, shape (reps, count, dim), the i-th
+        from the i-th generator of ``rngs``: byte for byte ``sample`` of each,
+        up to the one-row case of :class:`LinearImage`.
+
+        Each generator fills only its own rows of the block, its uniforms and
+        then its normals, and is not used again once the next is taken (so the
+        generators may share one bit generator that is rekeyed in turn).  The
+        component pick and the map to the model run once over the block, in
+        place, in chunks of ``_MAP_SCALARS // dim**2`` rows.
+        """
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise TypeError(f"count must be an integer, not {type(count).__name__}")
         if count < 1:
             raise ValueError("count must be positive")
-        if self.weights.shape[0] == 1:
-            # the component uniforms keep the stream position; below the
-            # break-even they are drawn without a read of the generator state
-            if count < _ADVANCE_MIN or not _advance_past(rng, count):
-                rng.random(count)
-            z = rng.standard_normal((count, self.dim))
+        picks = self.weights.shape[0] > 1
+        z = np.empty((reps, count, self.dim))
+        # a one-component model picks no component, but its uniforms keep the
+        # stream position; below the break-even they are drawn, without a read
+        # of the generator state, into one row that is overwritten
+        u = np.empty((reps if picks else 1, count))
+        for i, rng in zip(range(reps), rngs, strict=True):
+            if picks:
+                rng.random(out=u[i])
+            elif count < _ADVANCE_MIN or not _advance_past(rng, count):
+                rng.random(out=u[0])
+            rng.standard_normal(out=z[i])
+        flat, u = z.reshape(-1, self.dim), u.reshape(-1)
+        rows = max(1, _MAP_SCALARS // self.dim**2)
+        for lo in range(0, len(flat), rows):
+            self._map_rows(flat[lo:lo + rows], u[lo:lo + rows] if picks else None)
+        return z
+
+    def _map_rows(self, z, u) -> None:
+        """Map standard normal rows ``z`` in place to draws of the model, with
+        component uniforms ``u`` (None for one component)."""
+        if u is None:
             # the broadcast factor has the gathered factors' strides, so einsum
             # sums in the same order (written-out sums would not from d = 3 on)
-            return self.means[0] + np.einsum("ij,nj->ni", self._chols[0], z)
-        u = rng.random(count)
-        z = rng.standard_normal((count, self.dim))
+            np.add(self.means[0], np.einsum("ij,nj->ni", self._chols[0], z), out=z)
+            return
         comp = self._cdf.searchsorted(u, side="right")
-        return self.means[comp] + np.einsum("nij,nj->ni", self._chols[comp], z)
+        np.add(self.means[comp], np.einsum("nij,nj->ni", self._chols[comp], z), out=z)
 
 
 class LinearImage(GaussianMixture):
@@ -166,8 +200,11 @@ class LinearImage(GaussianMixture):
         vals = self.base.pdf(x @ self._inv.T) / self._absdet
         return float(vals[0]) if single else vals
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.base.sample(rng, count) @ self.matrix.T
+    def _map_rows(self, z, u) -> None:
+        self.base._map_rows(z, u)
+        # BLAS sums each row alike in any number of rows, but from d = 3 on it
+        # can sum a single row (count 1, or a last chunk of one row) differently
+        z[...] = z @ self.matrix.T
 
 
 def standard_gaussian(dim: int) -> GaussianMixture:

@@ -10,9 +10,13 @@ generator derived from ``(master_seed, replication_index)``, so every cell of
 one (model, n) sees the same samples, and each sample block is drawn once for
 all of them.  The block structure is fixed by (n, d, replications), so a run
 is bit-reproducible for a given seed no matter which cells are read together
-or how groups are scheduled across workers.  One-component models pick no
-component, but their draws keep the stream position of the component
-uniforms: a long draw moves past them by a Philox counter advance.
+or how groups are scheduled across workers.  Within a block, each
+replication's generator fills only its own rows with its uniforms and
+normals, and the component pick and the map to the model then run once over
+the block: the draws are byte for byte those of one draw per replication.
+One-component models pick no component, but their draws keep the stream
+position of the component uniforms: a long draw moves past them by a Philox
+counter advance.
 """
 
 from __future__ import annotations
@@ -163,6 +167,16 @@ def _draw_key(cfg: CellConfig) -> tuple:
     return cfg.model, cfg.n, cfg.replications, cfg.seed
 
 
+def _shared_draw(cfgs: Sequence[CellConfig]) -> CellConfig:
+    """The first of ``cfgs``, once they are known to be a nonempty list of cells
+    that read the same draws."""
+    if not cfgs:
+        raise ValueError("need at least one cell")
+    if len({_draw_key(cfg) for cfg in cfgs}) > 1:
+        raise ValueError("cells drawn together must share (model, n, replications, seed)")
+    return cfgs[0]
+
+
 def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, n, replications, seed).  Each block of at most
@@ -170,16 +184,17 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     An estimate's last bits can move with its block (BLAS blocks the kernel sum
     by rows), so the blocks depend only on (n, d, replications), never on the
     cells drawn together or the worker count."""
-    if len({_draw_key(cfg) for cfg in cfgs}) > 1:
-        raise ValueError("cells drawn together must share (model, n, replications, seed)")
-    first = cfgs[0]
-    block = max(1, min(first.replications, estimators.SCALAR_BUDGET // (first.n * first.dim)))
+    first = _shared_draw(cfgs)
+    reps, n = first.replications, first.n
+    block = max(1, min(reps, estimators.SCALAR_BUDGET // (n * first.dim)))
     philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
     blocks = []
-    for lo in range(0, first.replications, block):
-        samples = np.stack([first.model.sample(replication_rng(first.seed, r, philox), first.n)
-                            for r in range(lo, min(lo + block, first.replications))])
+    for lo in range(0, reps, block):
+        hi = min(lo + block, reps)
+        samples = first.model.sample_block(
+            (replication_rng(first.seed, r, philox) for r in range(lo, hi)), hi - lo, n)
         blocks.append([cfg.estimate(samples) for cfg in cfgs])
+        del samples  # freed before the next block is drawn
     return [np.concatenate(g) for g in zip(*blocks)]
 
 
@@ -194,7 +209,8 @@ def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
 def run_cell(*cfgs: CellConfig) -> List[CellResult]:
     """Each cell's coverage of its true density value and average interval
     length; the cells share (model, n, replications, seed)."""
-    n, reps = cfgs[0].n, cfgs[0].replications
+    first = _shared_draw(cfgs)
+    n, reps = first.n, first.replications
     factors = [cfg.ci_factor for cfg in cfgs]  # raises on an infinite gain limit before any draw
     results = []
     for cfg, c_factor, g in zip(cfgs, factors, estimates(*cfgs)):
@@ -304,7 +320,7 @@ class MomentReport:
 def empirical_moments(*cfgs: CellConfig) -> List[MomentReport]:
     """Monte Carlo moments of each cell's estimator at its point; the cells
     share (model, n, replications, seed) and read one draw of each sample block."""
-    reps = cfgs[0].replications
+    reps = _shared_draw(cfgs).replications
     if reps < 100:
         raise ValueError("need at least 100 replications for stable moments")
     reports = []

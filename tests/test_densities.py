@@ -156,12 +156,12 @@ class _RandomSpy:
     def __init__(self, rng):
         self.rng, self.bit_generator, self.drawn = rng, rng.bit_generator, []
 
-    def random(self, count):
-        self.drawn.append(count)
-        return self.rng.random(count)
+    def random(self, count=None, out=None):
+        self.drawn.append(count if out is None else out.size)
+        return self.rng.random(count, out=out)
 
-    def standard_normal(self, size):
-        return self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        return self.rng.standard_normal(size, out=out)
 
 
 def _drawn_path(rng, count):

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sakde import asymptotics, estimators, mc
+from sakde import asymptotics, densities, estimators, mc
 from sakde.densities import _ADVANCE_MIN, GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_kernel
 from sakde.sequences import bandwidth_plan, stepsize_plan
@@ -352,17 +353,27 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
 
 
 def test_run_table_draws_each_sample_once(monkeypatch):
-    draws = []
-    original = GaussianMixture.sample
+    keys, drawn = [], []
+    make_rng, draw_block = mc.replication_rng, GaussianMixture.sample_block
 
-    def counting(self, rng, count):
-        draws.append(count)
-        return original(self, rng, count)
+    def keyed(seed, index, bit_generator=None):
+        keys.append(index)
+        return make_rng(seed, index, bit_generator)
 
-    monkeypatch.setattr(GaussianMixture, "sample", counting)
+    def counting(self, rngs, reps, count):
+        def taken():
+            for rng in rngs:
+                drawn.append((count, keys[-1]))
+                yield rng
+        return draw_block(self, taken(), reps, count)
+
+    monkeypatch.setattr(mc, "replication_rng", keyed)
+    monkeypatch.setattr(GaussianMixture, "sample_block", counting)
     reps = 7
     mc.run_table(1, seed=2, replications=reps)
-    assert len(draws) == 3 * reps  # one draw per (n, replication), for all 12 cells of each n
+    # one draw per (n, replication), for all 12 cells of each n
+    assert sorted(drawn) == [(n, r) for n in (50, 100, 200) for r in range(reps)]
+    assert len(keys) == 3 * reps
 
 
 def _choice_sample(model, rng, count):
@@ -396,6 +407,66 @@ def test_component_pick_matches_rng_choice(name):
             np.testing.assert_array_equal(model.sample(fast, count),
                                           _choice_sample(model, slow, count))
             assert fast.random() == slow.random()  # both consumed the same stream
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
+                                  *ONE_COMPONENT])
+def test_block_draw_equals_the_stack_of_its_replications(name, monkeypatch):
+    model = ONE_COMPONENT.get(name) or mc.table_model(name)
+    for count, reps in ((50, 40), (_ADVANCE_MIN - 1, 3), (_ADVANCE_MIN + 2, 3), (10**4, 2)):
+        stacked = np.stack([model.sample(mc.replication_rng(5, r), count) for r in range(reps)])
+        after = [mc.replication_rng(5, r) for r in range(reps)]
+        for rng in after:
+            _choice_sample(model, rng, count)
+        with monkeypatch.context() as patch:
+            # chunks of 61, 15 and 6 rows at d = 1, 2, 3 end inside a replication
+            patch.setattr(densities, "_MAP_SCALARS", 61)
+            rngs = [mc.replication_rng(5, r) for r in range(reps)]
+            np.testing.assert_array_equal(model.sample_block(iter(rngs), reps, count), stacked)
+            philox = np.random.Philox(0)
+            rekeyed = (mc.replication_rng(5, r, philox) for r in range(reps))
+            np.testing.assert_array_equal(model.sample_block(rekeyed, reps, count), stacked)
+        for rng, ref in zip(rngs, after):  # each generator moved as a draw of its own does
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    with pytest.raises(ValueError):
+        model.sample_block(iter(rngs[:1]), 2, 5)
+
+
+def _peak_bytes(draw):
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_draw_keeps_one_block_alive():
+    # a table-4 block: the block, its uniforms, and one chunk of gathered
+    # factors (d^2 a row), einsum output, gathered means, image (d each) and
+    # component indices (1), with 64 kB for the generators and Python objects
+    model, reps, n, d = mc.table_model("mixture-2d"), 500, 200, 2
+    rows = densities._MAP_SCALARS // d**2
+    bound = 8 * (reps * n * d + reps * n + rows * (d * d + 3 * d + 1)) + (64 << 10)
+    philox = np.random.Philox(0)
+    model.sample(mc.replication_rng(0, 0), 1)  # factors and cdf built outside the count
+    assert _peak_bytes(lambda: model.sample_block(
+        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n)) <= bound
+    # a one-component block of 2^21 scalars, past the uniform skip's break-even
+    one, reps, n = standard_gaussian(1), 16, 1 << 17
+    one.sample(mc.replication_rng(0, 0), 1)
+    assert _peak_bytes(lambda: one.sample_block(
+        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n)) < 2 * 8 * reps * n
+
+
+@pytest.mark.parametrize("readout", [mc.estimates, mc.run_cell, mc.empirical_moments],
+                         ids=["estimates", "run_cell", "empirical_moments"])
+def test_readouts_reject_an_empty_cell_list(monkeypatch, readout):
+    draws = []
+    monkeypatch.setattr(mc, "replication_rng", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="^need at least one cell$"):
+        readout()
+    assert draws == []
 
 
 def test_rekeyed_philox_draws_like_a_new_generator():

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_record.py --label pr7 [--root PATH]
+    python3 tools/bench_record.py --label pr7 [--root PATH] [--parent PATH]
 
 For the checkout at ``--root`` (default: this repository) it runs
 ``perfbench/run.py`` twice per workload named in BENCHMARK.json, for the run
@@ -21,8 +21,13 @@ machine.
 Records compare only within one session: the host's speed drifts between
 sessions by more than the reference loop absorbs, so ``wall_ref`` in files
 taken at different times can differ with no change to the code.  To compare a
-change with its parent, record both back to back, the parent first with
-``--root`` on an exported copy of it (``git archive``).
+change with its parent, give ``--parent`` an exported copy of the parent
+(``git archive``).  The two trees then run interleaved: each workload at each
+trace level runs on both before the next starts, and the tree that runs first
+alternates between workloads and between trace levels, so neither tree takes
+the quieter half of the session.  That writes ``BENCH_<label>-parent.json``
+and ``BENCH_<label>.json``, each with a ``pair`` field naming the tree that
+ran first at every step.
 """
 
 from __future__ import annotations
@@ -85,31 +90,47 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=HERE)
+    parser.add_argument("--parent", type=Path, default=None)
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    trees = {args.label: args.root.resolve()}
+    if args.parent is not None:
+        trees = {f"{args.label}-parent": args.parent.resolve(), **trees}
+    spec = json.loads((trees[args.label] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    workloads = {}
-    for name in (w["name"] for w in spec["workloads"]):
-        workloads[name] = run_workload(root, name, SEED, seconds, trace=0)
-        workloads[name]["traced"] = run_workload(
-            root, name, SEED, seconds, trace=1)["result"]["metrics"]
-    machine = next(iter(workloads.values()))["info"]["machine"]
-    record = {
-        "label": args.label, "seed": SEED, "seconds": seconds,
-        "source": source_state(root, machine["src_sha256"]),
-        "machine": machine,
-        "workloads": workloads,
-        "tier1": run_tier1(root),
-        "src_lines": line_counts(root / "src" / "sakde"),
-        "tests_lines": line_counts(root / "tests"),
-    }
-    out = HERE / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    summary = {name: w["result"]["metrics"]["wall_ref"]["value"] for name, w in workloads.items()}
-    print(f"wrote {out.name}: wall_ref {summary}, tier-1 {record['tier1']['wall_s']} s, "
-          f"src {record['src_lines']['total']} lines, "
-          f"tests {record['tests_lines']['total']} lines")
+    workloads = {label: {} for label in trees}
+    first = {}
+    for step, name in enumerate(w["name"] for w in spec["workloads"]):
+        for trace in (0, 1):
+            # each trace level alternates too: trace 0 starts with one tree on
+            # even workloads and with the other on odd ones
+            order = list(trees)[::-1 if (step + trace) % 2 else 1]
+            first.setdefault(name, {})[f"trace{trace}"] = order[0]
+            for label in order:
+                run = run_workload(trees[label], name, SEED, seconds, trace)
+                if trace:
+                    workloads[label][name]["traced"] = run["result"]["metrics"]
+                else:
+                    workloads[label][name] = run
+    tier1 = {label: run_tier1(trees[label]) for label in trees}
+    for label, root in trees.items():
+        machine = next(iter(workloads[label].values()))["info"]["machine"]
+        record = {
+            "label": label, "seed": SEED, "seconds": seconds,
+            "source": source_state(root, machine["src_sha256"]),
+            "machine": machine,
+            "pair": {"labels": list(trees), "first": first} if len(trees) > 1 else None,
+            "workloads": workloads[label],
+            "tier1": tier1[label],
+            "src_lines": line_counts(root / "src" / "sakde"),
+            "tests_lines": line_counts(root / "tests"),
+        }
+        out = HERE / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        summary = {name: w["result"]["metrics"]["wall_ref"]["value"]
+                   for name, w in workloads[label].items()}
+        print(f"wrote {out.name}: wall_ref {summary}, tier-1 {record['tier1']['wall_s']} s, "
+              f"src {record['src_lines']['total']} lines, "
+              f"tests {record['tests_lines']['total']} lines")
     return 0
 
 
