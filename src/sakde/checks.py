@@ -20,7 +20,7 @@ from sakde import asymptotics, mc, reference
 from sakde.densities import (GaussianMixture, LinearImage, curvature, curvature_squared_integral,
                              standard_gaussian)
 from sakde.estimators import RecursiveEstimator, recursive_at_points, weighted_closed_form
-from sakde.kernels import gaussian_kernel, kernel_moments
+from sakde.kernels import gaussian_kernel, gaussian_roughness, kernel_moments
 from sakde.sequences import (SequencePlan, bandwidth_plan, gs_index_diagnostic, lemma_limit,
                              pi_product, stepsize_from_weights, stepsize_plan)
 
@@ -60,10 +60,9 @@ def reference_deviations(rows: Sequence[mc.TableRow]) -> List[Deviation]:
 def kernel_constants(seed: int, jobs: int) -> List[CheckOutcome]:
     out = []
     for d in (1, 2):
-        kern = gaussian_kernel(d)
-        mom = kernel_moments(kern.fn, d)
+        mom = kernel_moments(gaussian_kernel(d).fn, d)
         mass, first = abs(mom.mass - 1.0), float(np.max(np.abs(mom.first_moments)))
-        drift = abs(mom.roughness - kern.roughness)
+        drift = abs(mom.roughness - gaussian_roughness(d))
         # the product Gaussian's second moments are all 1
         ok = (mass < 1e-6 and first < 1e-6 and drift < 1e-8
               and np.all(np.abs(mom.mu2 - 1.0) < 1e-8))

@@ -82,10 +82,8 @@ def _parse_point(text: str, dim: int) -> Tuple[float, ...]:
 
 def cmd_table(args) -> int:
     seed, source = _resolve_seed(args.seed)
-    layout = mc.table_layout(args.table)
     rows = mc.run_table(args.table, seed, args.reps, jobs=args.jobs)
-    dim = len(layout.xs[0])
-    meta = _meta(f"table {args.table}", seed, source, args.reps, dim)
+    meta = _meta(f"table {args.table}", seed, source, args.reps, len(rows[0].x))
     out = args.out or f"table-{args.table}.csv"
     _write_text(out, mc.format_report(rows, meta))
     print(f"wrote {len(rows)} rows to {out}")

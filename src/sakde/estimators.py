@@ -18,8 +18,11 @@ replications, is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
 differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
 caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
-product-Gaussian evaluation, and :meth:`RecursiveEstimator.update_many` runs
-on it too, absorbing blocks of :data:`~sakde.sequences.STREAM_BLOCK` rows.
+product-Gaussian evaluation that takes ``(c, h)`` and reads d from the shapes,
+and :meth:`RecursiveEstimator.update_many` runs on it too, absorbing blocks of
+:data:`~sakde.sequences.STREAM_BLOCK` rows.  Only the public entry points that
+take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but the
+product Gaussian, by name, and read d from it.
 """
 
 from __future__ import annotations
@@ -68,22 +71,23 @@ def _initial_values(f0, m: int) -> np.ndarray:
     return values
 
 
-def _gaussian_norm(kernel: Kernel) -> float:
-    """``(2 pi)^(-d/2)`` of the product Gaussian ``kernel``; the kernel sums and
-    :class:`RecursiveEstimator` take no other kernel."""
+def _gaussian_dim(kernel: Kernel) -> int:
+    """``kernel.dim``, once ``kernel`` is known to be the product Gaussian: the
+    entry points that take a kernel take no other."""
     if kernel.name != gaussian_kernel(kernel.dim).name:
         raise ValueError("the kernel sums take the product Gaussian kernel only")
-    return gaussian_norm(kernel.dim)
+    return kernel.dim
 
 
-def _kernel_sum(kernel: Kernel, c: np.ndarray, h: np.ndarray,
-                sample: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d)
-    for a ``sample`` of shape (..., n, d) and ``c``, ``h`` of shape (n,); returns (..., m).
-    Each chunk's kernel matrix is built in place in one (..., m, chunk) buffer,
-    adding the squared scaled differences in one coordinate at a time."""
+def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
+                points: np.ndarray) -> np.ndarray:
+    """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` for the product Gaussian K at every
+    point ``p`` of ``points`` (m, d), for a ``sample`` of shape (..., n, d) and
+    ``c``, ``h`` of shape (n,); returns (..., m).  Each chunk's kernel matrix is
+    built in place in one (..., m, chunk) buffer, adding the squared scaled
+    differences in one coordinate at a time."""
     *batch, n, d = sample.shape
-    norm = _gaussian_norm(kernel)
+    norm = gaussian_norm(d)
     coef = c / h**d
     rows = math.prod(batch) * len(points)
     chunk = max(1, SCALAR_BUDGET // (rows * d))
@@ -118,11 +122,11 @@ class RecursiveEstimator:
 
     def __init__(self, kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
                  points, f0=0.0):
-        _gaussian_norm(kernel)  # rejects another kernel before any state exists
+        dim = _gaussian_dim(kernel)  # rejects another kernel before any state exists
         self.kernel = kernel
         self.step = step
         self.bandwidth = bandwidth
-        self.points = _as_points(points, kernel.dim)
+        self.points = _as_points(points, dim)
         self.values = _initial_values(f0, len(self.points))
         self.n = 0
         self._gammas = step.gamma_stream()
@@ -150,7 +154,7 @@ class RecursiveEstimator:
             h = np.fromiter(itertools.islice(self._bandwidths, len(block)), float, len(block))
             tail = suffix_products(1.0 - g)
             self.values = (tail[0] * (1.0 - g[0]) * self.values
-                           + _kernel_sum(self.kernel, g * tail, h, block, self.points))
+                           + _kernel_sum(g * tail, h, block, self.points))
             self.n += len(block)
 
 
@@ -181,22 +185,23 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     Equals driving :class:`RecursiveEstimator` over the sample, up to
     accumulation round-off.
     """
-    sample, points = _as_sample(sample, kernel.dim), _as_points(points, kernel.dim)
+    dim = _gaussian_dim(kernel)
+    sample, points = _as_sample(sample, dim), _as_points(points, dim)
     start = _initial_values(f0, len(points))
     n = sample.shape[0]
-    out = _kernel_sum(kernel, *recursion_coefficients(step, bandwidth, n), sample, points)
+    out = _kernel_sum(*recursion_coefficients(step, bandwidth, n), sample, points)
     return out + pi_product(step, n) * start
 
 
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
                          sample, points) -> np.ndarray:
     """Weighted-average estimator ``(sum w_k)^{-1} sum_k w_k h_k^{-d} K((x - X_k)/h_k)``."""
-    sample = _as_sample(sample, kernel.dim)
+    dim = _gaussian_dim(kernel)
+    sample = _as_sample(sample, dim)
     n = sample.shape[0]
     k = np.arange(1, n + 1)
     w = weights.value(k)
-    return _kernel_sum(kernel, w / w.sum(), bandwidth.value(k), sample,
-                       _as_points(points, kernel.dim))
+    return _kernel_sum(w / w.sum(), bandwidth.value(k), sample, _as_points(points, dim))
 
 
 class RosenblattEstimator:
@@ -217,13 +222,13 @@ class RosenblattEstimator:
 
     def eval(self, kernel: Kernel, points) -> np.ndarray:
         """Evaluate at the given points with the plan's bandwidth at the stored n."""
-        if kernel.dim != self.dim:
+        if _gaussian_dim(kernel) != self.dim:
             raise ValueError("kernel dimension mismatch")
-        return _kernel_sum(kernel, *rosenblatt_coefficients(self.n, self.bandwidth.value(self.n)),
+        return _kernel_sum(*rosenblatt_coefficients(self.n, self.bandwidth.value(self.n)),
                            self.sample, _as_points(points, self.dim))
 
 
-def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
+def recursive_batch(step: StepsizePlan, bandwidth: BandwidthPlan,
                     samples: np.ndarray, x) -> np.ndarray:
     """Recursive estimate at one point ``x`` for a batch of replication samples.
 
@@ -232,12 +237,11 @@ def recursive_batch(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan
     replications for the Monte Carlo driver.
     """
     c, h = recursion_coefficients(step, bandwidth, samples.shape[1])
-    return _kernel_sum(kernel, c, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]
+    return _kernel_sum(c, h, samples, np.reshape(x, (1, samples.shape[-1])))[:, 0]
 
 
-def rosenblatt_batch(kernel: Kernel, bandwidth: BandwidthPlan,
-                     samples: np.ndarray, x) -> np.ndarray:
+def rosenblatt_batch(bandwidth: BandwidthPlan, samples: np.ndarray, x) -> np.ndarray:
     """Rosenblatt estimate at one point ``x`` for a batch of replication samples."""
     n = samples.shape[1]
     c, h = rosenblatt_coefficients(n, bandwidth.value(n))
-    return _kernel_sum(kernel, c, h, samples, np.reshape(x, (1, kernel.dim)))[:, 0]
+    return _kernel_sum(c, h, samples, np.reshape(x, (1, samples.shape[-1])))[:, 0]

@@ -97,6 +97,8 @@ class CellConfig:
     def __post_init__(self):
         if self.estimator not in (ROSENBLATT, RECURSIVE):
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
+        if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
+            raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
         if self.n < 1 or self.replications < 1:
             raise ValueError("n and replications must be positive")
         if not 0.0 < self.a * self.dim < 1.0:
@@ -122,10 +124,9 @@ class CellConfig:
 
     def estimate(self, samples: np.ndarray) -> np.ndarray:
         """Estimates at ``x`` for a batch of samples of shape (reps, n, d)."""
-        kernel = gaussian_kernel(self.dim)
         if self.estimator == RECURSIVE:
-            return recursive_batch(kernel, self.step, self.bandwidth, samples, self.x)
-        return rosenblatt_batch(kernel, self.bandwidth, samples, self.x)
+            return recursive_batch(self.step, self.bandwidth, samples, self.x)
+        return rosenblatt_batch(self.bandwidth, samples, self.x)
 
     def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``:
@@ -223,7 +224,6 @@ def run_cell(*cfgs: CellConfig) -> List[CellResult]:
 
 @dataclass(frozen=True)
 class TableLayout:
-    table: int
     density: str
     xs: Tuple[Tuple[float, ...], ...]
     a_values: Tuple[float, ...]
@@ -243,7 +243,7 @@ def table_layout(table: int) -> TableLayout:
     if table not in _LAYOUTS:
         raise ValueError("table must be one of 1, 2, 3, 4")
     density, xs, a_values = _LAYOUTS[table]
-    return TableLayout(table, density, xs, a_values, (50, 100, 200))
+    return TableLayout(density, xs, a_values, (50, 100, 200))
 
 
 @dataclass(frozen=True)

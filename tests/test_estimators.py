@@ -190,8 +190,8 @@ def test_batch_paths_match_streaming():
         bw = bandwidth_plan(1.0, 0.21 / d)
         x = np.full(d, 0.25)
         samples = rng.standard_normal((4, 60, d))
-        batch_rec = recursive_batch(kern, step, bw, samples, x)
-        batch_ros = rosenblatt_batch(kern, bw, samples, x)
+        batch_rec = recursive_batch(step, bw, samples, x)
+        batch_ros = rosenblatt_batch(bw, samples, x)
         for r in range(4):
             est = RecursiveEstimator(kern, step, bw, x[None, :])
             for row in samples[r]:
@@ -258,8 +258,8 @@ def test_kernel_sum_callers_match_observation_loops(d, budget, monkeypatch):
 
     samples = rng.standard_normal((3, 40, d))
     x = pts[0]
-    rec = recursive_batch(kern, step, bw, samples, x)
-    ros = rosenblatt_batch(kern, bw, samples, x)
+    rec = recursive_batch(step, bw, samples, x)
+    ros = rosenblatt_batch(bw, samples, x)
     assert rec.shape == ros.shape == (3,)
     for r in range(3):
         assert rec[r] == pytest.approx(
@@ -293,17 +293,21 @@ def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, monkeypatc
     c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.3, 1.5, n)
     pts = rng.standard_normal((6, d))
     for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
-        np.testing.assert_array_equal(estimators._kernel_sum(kern, c, h, sample, pts),
+        np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
                                       _unfused_kernel_sum(kern, c, h, sample, pts))
 
 
 def test_kernel_sums_reject_other_kernels():
     # the fused sum evaluates the product Gaussian kernel, never another kernel's fn
     base = gaussian_kernel(1)
-    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), 2 * base.roughness, "x2")
+    doubled = Kernel(1, lambda z: 2.0 * base.fn(z), "x2")
+    bw, sample, pts = bandwidth_plan(1.0, 0.21), np.zeros((3, 1)), np.zeros((2, 1))
     with pytest.raises(ValueError):
-        recursive_at_points(doubled, stepsize_plan(0.79), bandwidth_plan(1.0, 0.21),
-                            np.zeros((3, 1)), np.zeros((2, 1)))
+        recursive_at_points(doubled, stepsize_plan(0.79), bw, sample, pts)
+    with pytest.raises(ValueError):
+        weighted_closed_form(doubled, SequencePlan(1.0, 0.0), bw, sample, pts)
+    with pytest.raises(ValueError, match="product Gaussian"):
+        RosenblattEstimator(1, bw, sample).eval(doubled, pts)
     # the streaming estimator takes the kernels the sums take: update and
     # update_many alike never see another kernel
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sakde import checks
-from sakde.kernels import Kernel, gaussian_kernel, kernel_moments
+from sakde.kernels import Kernel, gaussian_kernel, gaussian_roughness, kernel_moments
 
 
 def test_roughness_d1_quadrature_oracle():
@@ -13,18 +13,17 @@ def test_roughness_d1_quadrature_oracle():
     oracle, err = quad(lambda z: (math.exp(-z * z / 2) / math.sqrt(2 * math.pi)) ** 2,
                        -np.inf, np.inf)
     assert err < 1e-8
-    k = gaussian_kernel(1)
-    assert k.roughness == pytest.approx(oracle, rel=1e-12)
-    assert k.roughness == pytest.approx(0.2820948, abs=5e-8)
+    assert gaussian_roughness(1) == pytest.approx(oracle, rel=1e-12)
+    assert gaussian_roughness(1) == pytest.approx(0.2820948, abs=5e-8)
 
 
 def test_roughness_d2_is_square_of_d1():
-    k1, k2 = gaussian_kernel(1), gaussian_kernel(2)
-    assert k2.roughness == pytest.approx(k1.roughness**2, rel=1e-14)
-    assert k2.roughness == pytest.approx(0.0795775, abs=5e-8)
+    r1, r2 = gaussian_roughness(1), gaussian_roughness(2)
+    assert r2 == pytest.approx(r1**2, rel=1e-14)
+    assert r2 == pytest.approx(0.0795775, abs=5e-8)
     # cross-check against the tensor quadrature
-    mom = kernel_moments(k2.fn, 2)
-    assert mom.roughness == pytest.approx(k2.roughness, abs=1e-10)
+    mom = kernel_moments(gaussian_kernel(2).fn, 2)
+    assert mom.roughness == pytest.approx(r2, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -36,22 +35,21 @@ def test_mu2_all_ones(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_stored_constants_match_fresh_quadrature(d):
-    k = gaussian_kernel(d)
-    mom = kernel_moments(k.fn, d)
-    assert abs(mom.roughness - k.roughness) < 1e-8
+    mom = kernel_moments(gaussian_kernel(d).fn, d)
+    assert abs(mom.roughness - gaussian_roughness(d)) < 1e-8
     assert abs(mom.mass - 1.0) < 1e-10
 
 
 def _doubled(d):
-    # mass 2 and second moments 2; the stored roughness is its true one
+    # mass 2, second moments 2 and roughness 4 R
     base = gaussian_kernel(d)
-    return Kernel(d, lambda z: 2.0 * base.fn(z), 4.0 * base.roughness, "x2")
+    return Kernel(d, lambda z: 2.0 * base.fn(z), "x2")
 
 
 def _shifted(d):
     # first moment 1 and second moment 2 along coordinate 0; roughness as it is
     base, e0 = gaussian_kernel(d), np.eye(d)[0]
-    return Kernel(d, lambda z: base.fn(z - e0), base.roughness, "shift")
+    return Kernel(d, lambda z: base.fn(z - e0), "shift")
 
 
 @pytest.mark.parametrize("make", [_doubled, _shifted], ids=["doubled", "shifted"])
@@ -59,9 +57,12 @@ def test_kernel_constants_gate_fails_on_inadmissible_kernel(monkeypatch, make):
     monkeypatch.setattr(checks, "gaussian_kernel", make)
     outcomes = checks.kernel_constants(seed=0, jobs=1)
     assert [o.passed for o in outcomes] == [False, False]
-    # the roughness condition holds: the gate fails on the mass or first
-    # moment, and on the second moments, which are no longer all 1
-    assert all(o.value < 1e-8 for o in outcomes)
+    # the gate fails on the mass or first moment, and on the second moments,
+    # which are no longer all 1; against gaussian_roughness(d), the doubled
+    # kernel drifts by 3 R, and the shifted one keeps its roughness
+    drift = 3.0 if make is _doubled else 0.0
+    for d, o in zip((1, 2), outcomes):
+        assert o.value == pytest.approx(drift * gaussian_roughness(d), abs=1e-8)
     for d in (1, 2):
         mom = kernel_moments(make(d).fn, d)
         assert np.max(np.abs(mom.mu2 - 1.0)) > 0.5

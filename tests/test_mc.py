@@ -7,7 +7,7 @@ import pytest
 
 from sakde import asymptotics, densities, estimators, mc
 from sakde.densities import _ADVANCE_MIN, GaussianMixture, LinearImage, standard_gaussian
-from sakde.kernels import gaussian_kernel
+from sakde.kernels import gaussian_roughness
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
 PHI0 = 1 / math.sqrt(2 * math.pi)
@@ -16,7 +16,7 @@ PHI0 = 1 / math.sqrt(2 * math.pi)
 def test_build_interval_arithmetic_example():
     n, h = 50, 50.0**-0.21
     lo, hi = mc.build_interval(np.array([0.39894]), 1.0, 1, n, h)
-    expected_half = 1.96 * math.sqrt(0.39894 * gaussian_kernel(1).roughness / (n * h))
+    expected_half = 1.96 * math.sqrt(0.39894 * gaussian_roughness(1) / (n * h))
     assert hi[0] - lo[0] == pytest.approx(2 * expected_half, rel=1e-12)
     assert hi[0] - lo[0] == pytest.approx(0.2804, abs=1e-4)
 
@@ -62,10 +62,9 @@ def test_single_replication_cell():
     (res,) = mc.run_cell(cfg)
     assert res.empirical_level in (0.0, 1.0)
     # reproduce the single replication by hand
-    kern = gaussian_kernel(1)
     sample = mc.table_model("gaussian").sample(mc.replication_rng(9, 0), 50)
     from sakde.estimators import rosenblatt_batch
-    g = rosenblatt_batch(kern, cfg.bandwidth, sample[None, :, :], np.zeros(1))
+    g = rosenblatt_batch(cfg.bandwidth, sample[None, :, :], np.zeros(1))
     (lo,), (hi,) = mc.build_interval(g, 1.0, 1, 50, float(cfg.bandwidth.value(50)))
     assert res.avg_length == pytest.approx(hi - lo, rel=1e-12)
     assert res.empirical_level == float(lo <= PHI0 <= hi)
@@ -144,9 +143,8 @@ def test_exact_moments_rosenblatt_matches_direct_formula():
     n, a = 123, 0.21
     h = float(n) ** -a
     mean, var = mc.exact_moments(mc.CellConfig(model, (0.0,), n, a, mc.ROSENBLATT))
-    kern = gaussian_kernel(1)
     ez = math.exp(0.0) / math.sqrt(2 * math.pi * (1 + h * h))
-    ez2 = kern.roughness / h / math.sqrt(2 * math.pi * (1 + h * h / 2))
+    ez2 = gaussian_roughness(1) / h / math.sqrt(2 * math.pi * (1 + h * h / 2))
     assert mean == pytest.approx(ez, rel=1e-12)
     assert var == pytest.approx((ez2 - ez * ez) / n, rel=1e-12)
 
@@ -169,7 +167,6 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     from sakde.estimators import recursive_batch
 
     model = mc.table_model("gaussian")
-    kern = gaussian_kernel(1)
     integral = 3.0 / (8.0 * math.sqrt(math.pi))
     plan, step = asy.mise_optimal_plan(integral, 1), stepsize_plan(1.0)
     n, reps = 1500, 300
@@ -180,7 +177,7 @@ def test_mise_monte_carlo_matches_exact_finite_n():
     samples = np.stack([model.sample(mc.replication_rng(31, r), n) for r in range(reps)])
     sq_err = np.zeros((reps, grid.size))
     for j, x in enumerate(grid):
-        g = recursive_batch(kern, step, plan.bandwidth, samples, np.array([x]))
+        g = recursive_batch(step, plan.bandwidth, samples, np.array([x]))
         sq_err[:, j] = (g - f_true[j]) ** 2
     ise = np.trapezoid(sq_err, grid, axis=1)
     mc_mise = float(ise.mean())
@@ -273,6 +270,16 @@ def test_cell_config_validation():
                       mc.ROSENBLATT, 10, 0)
     with pytest.raises(ValueError, match="disagrees"):
         mc.CellConfig(model, (0.0,), 50, 0.21, mc.RECURSIVE, bandwidth=bandwidth_plan(1.0, 0.2))
+
+
+@pytest.mark.parametrize("model, x", [
+    ("gaussian", (math.nan,)), ("gaussian", (math.inf,)),
+    ("gaussian-2d", (0.0,)), ("gaussian", (0.0, 0.0)),
+], ids=["nan", "inf", "1d-point-on-2d", "2d-point-on-1d"])
+def test_cell_config_rejects_a_point_it_cannot_score(model, x):
+    # a point of the wrong length or with a non-finite coordinate never reaches a draw
+    with pytest.raises(ValueError, match="^x must be"):
+        mc.CellConfig(mc.table_model(model), x, 50, 0.17, mc.RECURSIVE, 100, 0)
 
 
 def test_cell_config_defaults_to_table_protocol():

@@ -13,7 +13,9 @@ lines for:
   --jobs 2``, for N = 1..4;
 - the stdout of ``sakde check full --seed 42 --jobs 1``;
 - each query of a fixed list of in-domain ``sakde asymptotics`` calls: all
-  eight queries, the four densities and the points 0, 0.5 and 1.
+  eight queries, the four densities and the points 0, 0.5 and 1;
+- each of a fixed list of ``sakde cell`` calls: the four densities and both
+  estimators at the origin, ``--n 100 --reps 500 --seed 42``.
 
 A digest covers the exit status and stderr as well as the output, so a query
 that starts failing shows too.  To compare a change with its parent, export
@@ -61,6 +63,16 @@ def asymptotics_queries():
                 yield f"mse-optimal {at}"
 
 
+def cell_calls():
+    """The fixed ``sakde cell`` list: the one-row report of each density and estimator."""
+    for density in DENSITIES:
+        dim = 2 if density.endswith("2d") else 1
+        for estimator in ("rosenblatt", "recursive"):
+            yield (f"--density {density} --x {','.join(['0'] * dim)} "
+                   f"--a {0.21 if dim == 1 else 0.17} --estimator {estimator} "
+                   f"--n 100 --reps 500 --seed 42")
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -85,6 +97,8 @@ def outputs(root: Path, work: Path):
     yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
     for query in asymptotics_queries():
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
+    for call in cell_calls():
+        yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
 
 
 def main(argv=None) -> int:
