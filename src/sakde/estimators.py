@@ -19,23 +19,23 @@ differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
 caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
 product-Gaussian evaluation that takes ``(c, h)`` and reads d from the shapes,
-and :meth:`RecursiveEstimator.update_many` runs on it too, absorbing blocks of
-:data:`~sakde.sequences.STREAM_BLOCK` rows.  Only the public entry points that
-take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but the
-product Gaussian, by name, and read d from it.
+and :meth:`RecursiveEstimator.update_many` runs on it too, in runs of rows cut
+where its one held block of :data:`~sakde.sequences.STREAM_BLOCK` gains and
+bandwidths ends.  Only the public entry points that take a
+:class:`~sakde.kernels.Kernel` see one: they reject any kernel but the product
+Gaussian, by name, and read d from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Tuple
 
 import numpy as np
 
-from sakde.kernels import Kernel, gaussian_kernel, gaussian_norm
-from sakde.sequences import (STREAM_BLOCK, BandwidthPlan, SequencePlan, StepsizePlan, floats,
-                             pi_product, suffix_products)
+from sakde.kernels import Kernel, gaussian_kernel, gaussian_norm, product_gaussian
+from sakde.sequences import (STREAM_BLOCK, BandwidthPlan, SequencePlan, StepsizePlan, pi_product,
+                             suffix_products)
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
@@ -122,40 +122,50 @@ class RecursiveEstimator:
 
     def __init__(self, kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
                  points, f0=0.0):
-        dim = _gaussian_dim(kernel)  # rejects another kernel before any state exists
-        self.kernel = kernel
+        self.dim = _gaussian_dim(kernel)  # rejects another kernel before any state exists
         self.step = step
         self.bandwidth = bandwidth
-        self.points = _as_points(points, dim)
+        self.points = _as_points(points, self.dim)
         self.values = _initial_values(f0, len(self.points))
         self.n = 0
-        self._gammas = step.gamma_stream()
-        self._bandwidths = floats(bandwidth.seq.blocks(block=STREAM_BLOCK))
+        self._plan = zip(step.gamma_blocks(block=STREAM_BLOCK),
+                         bandwidth.seq.blocks(block=STREAM_BLOCK))
+        self._held, self._end = None, 0  # the held (gains, bandwidths) and the n at their end
+
+    def _steps(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Gains and bandwidths of the next ``count`` steps, or fewer where the held
+        block ends; it moves on only once ``n`` reaches its end, so a failed
+        update leaves its steps to the next one."""
+        if self.n == self._end:
+            self._held = next(self._plan)
+            self._end += len(self._held[0])
+        g, h = self._held
+        lo = len(g) - (self._end - self.n)
+        return g[lo:lo + count], h[lo:lo + count]
 
     def update(self, x_obs) -> None:
         """Absorb one observation; a non-finite one raises ValueError, changing nothing."""
-        x_obs = np.asarray(x_obs, dtype=float).reshape(self.kernel.dim)
+        x_obs = np.asarray(x_obs, dtype=float).reshape(self.dim)
         if not all(map(math.isfinite, x_obs.tolist())):
             raise ValueError("observations must be finite")
-        self.n += 1
-        g, h = next(self._gammas), next(self._bandwidths)
+        g, h = (a.item() for a in self._steps(1))
         z = (self.points - x_obs) / h
-        self.values = (1.0 - g) * self.values + g * self.kernel.fn(z) / h**self.kernel.dim
+        self.values = (1.0 - g) * self.values + g * product_gaussian(z) / h**self.dim
+        self.n += 1
 
     def update_many(self, sample) -> None:
         """Absorb the rows of ``sample`` in order, once all are checked to be finite:
-        per block of up to :data:`STREAM_BLOCK` rows, with the gains and bandwidths
+        per run of rows up to the held block's end, with the gains and bandwidths
         :meth:`update` would take, ``f <- Pi_b f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
         ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``, the recursion expanded exactly."""
-        sample = _as_points(sample, self.kernel.dim)
-        for lo in range(0, len(sample), STREAM_BLOCK):
-            block = sample[lo:lo + STREAM_BLOCK]
-            g = np.fromiter(itertools.islice(self._gammas, len(block)), float, len(block))
-            h = np.fromiter(itertools.islice(self._bandwidths, len(block)), float, len(block))
+        sample = _as_points(sample, self.dim)
+        while len(sample):
+            g, h = self._steps(len(sample))
+            run, sample = sample[:len(g)], sample[len(g):]
             tail = suffix_products(1.0 - g)
             self.values = (tail[0] * (1.0 - g[0]) * self.values
-                           + _kernel_sum(g * tail, h, block, self.points))
-            self.n += len(block)
+                           + _kernel_sum(g * tail, h, run, self.points))
+            self.n += len(g)
 
 
 def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:

@@ -41,12 +41,6 @@ class Kernel:
     fn: Callable[[np.ndarray], np.ndarray]
     name: str
 
-    @property
-    def roughness(self) -> float:
-        """The product Gaussian's :func:`gaussian_roughness` at ``dim``; the
-        estimators take no other kernel."""
-        return gaussian_roughness(self.dim)
-
 
 def gaussian_kernel(dim: int) -> Kernel:
     """Product standard Gaussian kernel on R^d."""

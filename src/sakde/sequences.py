@@ -12,16 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 # Block length for streaming evaluations; memory use is O(_BLOCK), not O(n).
 _BLOCK = 1 << 15
 
-# Block length of the gains and bandwidths a streaming estimator buffers, and
-# of its block updates: every value is the same for any block length, and a
-# short block keeps each estimator's buffers small.
+# Block length of the gains and bandwidths a streaming estimator holds, one
+# block at a time, and at whose ends it cuts its block updates: every value is
+# the same for any block length, and a short block keeps each estimator small.
 STREAM_BLOCK = 1 << 10
 
 
@@ -33,8 +33,8 @@ class SequencePlan:
     exponent: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (0 < self.scale < math.inf and math.isfinite(self.exponent)):
+            raise ValueError(f"need a finite scale > 0 and a finite exponent, got {self}")
 
     def value(self, n):
         """Evaluate the sequence at ``n`` (scalar or array of indices >= 1)."""
@@ -86,18 +86,14 @@ class StepsizePlan:
         return 1.0 / self.gamma0  # 0 when gamma0 is infinite
 
     def gamma(self, n: int) -> float:
-        """Exact gain at step ``n`` (O(n) work; drive a recursion with :meth:`gamma_stream`)."""
+        """Exact gain at step ``n`` (O(n) work; drive a recursion with :meth:`gamma_blocks`)."""
         return float(self.gamma_values(n)[-1])
 
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array (empty for n_max = 0)."""
-        return np.concatenate((np.empty(0), *self._gamma_blocks(n_max)))
+        return np.concatenate((np.empty(0), *self.gamma_blocks(n_max)))
 
-    def gamma_stream(self) -> Iterator[float]:
-        """Yield gamma_1, gamma_2, ... lazily, one short block of gains at a time."""
-        return floats(self._gamma_blocks(block=STREAM_BLOCK))
-
-    def _gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
+    def gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
         """Gains for steps 1..n_max (without end by default) in consecutive
         arrays of at most ``block`` steps; the one place where gains are computed.
         Weight sums run through one ``cumsum`` carried across blocks, so no gain
@@ -160,12 +156,6 @@ def bandwidth_plan(scale: float, a: float) -> BandwidthPlan:
     return BandwidthPlan(SequencePlan(scale, -a))
 
 
-def floats(blocks: Iterable[np.ndarray]) -> Iterator[float]:
-    """The entries of consecutive arrays, one Python float at a time."""
-    for block in blocks:
-        yield from block.tolist()
-
-
 def suffix_products(a: np.ndarray) -> np.ndarray:
     """``out[k] = prod_{j>k} a[j]``, with 1 for the last entry (empty product)."""
     out = np.empty_like(a)
@@ -183,7 +173,7 @@ def pi_product(step: StepsizePlan, n: int) -> float:
     """
     log_pi = 0.0
     count = 0
-    for g in step._gamma_blocks(n):
+    for g in step.gamma_blocks(n):
         if np.any(g > 1.0):
             raise ValueError("stepsize exceeds 1; product is not sign-definite")
         if np.any(g == 1.0):
@@ -213,7 +203,7 @@ def lemma_limit(m: float, v_plan: SequencePlan, step: StepsizePlan, n_max: int) 
     q = 0.0
     prev_v = None
     lo = 1
-    for g in step._gamma_blocks(n_max):
+    for g in step.gamma_blocks(n_max):
         k = np.arange(lo, lo + g.size)
         v = np.asarray(v_plan.value(k), dtype=float)
         shifted = np.empty_like(v)

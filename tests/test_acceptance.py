@@ -16,7 +16,7 @@ import pytest
 
 from sakde import checks, mc
 from sakde.cli import main as cli_main
-from sakde.kernels import gaussian_kernel
+from sakde.kernels import gaussian_roughness
 
 SEED = 42
 PHI0 = 1 / math.sqrt(2 * math.pi)
@@ -59,13 +59,12 @@ def test_criterion_2_streaming_limit_evaluation():
 
 
 def test_criterion_3_variance_formula_oracle():
-    kern = gaussian_kernel(1)
     n, a = 10**4, 0.21
     h = float(n) ** -a
     # hand-written leading-order constants, independent of asymptotics.py
     targets = {
-        "plain-average": PHI0 * kern.roughness / ((1 + a) * n * h),
-        "variance-optimal": (1 - a) * PHI0 * kern.roughness / (n * h),
+        "plain-average": PHI0 * gaussian_roughness(1) / ((1 + a) * n * h),
+        "variance-optimal": (1 - a) * PHI0 * gaussian_roughness(1) / (n * h),
     }
     moments = measure(checks.moments_vs_exact)
     ratios = {}

@@ -377,6 +377,52 @@ def test_streaming_estimator_holds_short_buffers(step):
     assert est.n == 1 and held < 256 * 2**10
 
 
+def test_failed_block_update_after_a_refill_keeps_its_steps(monkeypatch):
+    # the held block moves on only when n reaches its end: an update that
+    # fails right after taking the next block leaves those steps to the next one
+    rng = np.random.default_rng(7)
+    sample, pts = rng.standard_normal((STREAM_BLOCK + 40, 1)), np.linspace(-2, 2, 9)
+    args = (gaussian_kernel(1), stepsize_from_weights(SequencePlan(1.0, -0.1)),
+            bandwidth_plan(1.0, 0.21), pts)
+    est, fresh = RecursiveEstimator(*args), RecursiveEstimator(*args)
+    est.update_many(sample[:STREAM_BLOCK])
+    kernel_sum = estimators._kernel_sum
+
+    def fails_once(*a):
+        monkeypatch.setattr(estimators, "_kernel_sum", kernel_sum)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(estimators, "_kernel_sum", fails_once)
+    with pytest.raises(RuntimeError):
+        est.update_many(sample[STREAM_BLOCK:STREAM_BLOCK + 10])
+    assert est.n == STREAM_BLOCK
+    fresh.update_many(sample[:STREAM_BLOCK])
+    for e in (est, fresh):
+        e.update_many(sample[STREAM_BLOCK:STREAM_BLOCK + 10])
+        e.update(sample[STREAM_BLOCK + 10])
+        e.update_many(sample[STREAM_BLOCK + 11:])
+    assert est.n == fresh.n == len(sample)
+    np.testing.assert_array_equal(est.values, fresh.values)
+
+
+def test_wrong_length_row_leaves_state_unchanged():
+    args = (gaussian_kernel(2), stepsize_plan(0.66), bandwidth_plan(1.0, 0.17),
+            np.zeros((3, 2)))
+    est, ref = RecursiveEstimator(*args, f0=0.2), RecursiveEstimator(*args, f0=0.2)
+    for e in (est, ref):
+        e.update([0.1, -0.3])
+    before = est.values.copy()
+    for bad in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2], [0.3, 0.4]]):
+        with pytest.raises(ValueError):
+            est.update(bad)
+    assert est.n == 1
+    np.testing.assert_array_equal(est.values, before)
+    # the gain position did not move either: the next update is step 2
+    est.update([0.4, 0.2])
+    ref.update([0.4, 0.2])
+    np.testing.assert_array_equal(est.values, ref.values)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_observation_leaves_state_unchanged(bad):
     kern = gaussian_kernel(1)

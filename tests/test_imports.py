@@ -2,8 +2,8 @@
 private name is referenced somewhere in the package, every module-level
 public function has a caller in the package or is exported, every public
 method has a caller in the package, and every option of a public function or
-method is passed by some call in the package (stdlib ``ast`` scans; named
-exemptions)."""
+method and every defaulted field of a public dataclass is passed by some call
+in the package (stdlib ``ast`` scans; named exemptions)."""
 
 import ast
 from pathlib import Path
@@ -118,15 +118,36 @@ def test_no_uncalled_public_functions():
 #: passes, or that are kept for a path no package call takes, with the reason for each
 UNPASSED_OPTIONS = {
     "main.argv": "the console entry point reads sys.argv; the tests pass argv",
+    "CellConfig.bandwidth": "only the MISE oracle in tests/test_mc.py and a validation "
+                            "test set it; the finite-n map at optimal plans (ROADMAP "
+                            "item 4) would be its first package caller",
 }
+
+
+def _dataclass_fields(tree):
+    """``(class name, fields)`` for each public dataclass, with its fields as
+    ``(name, has default)`` in the order its generated ``__init__`` takes them."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and any(
+                getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+                for dec in node.decorator_list):
+            yield node.name, [(item.target.id, item.value is not None) for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name)]
 
 
 def _options():
     """``(qualified name, callee, parameter, positional index)`` for each defaulted
-    parameter of a public function or method, with ``__init__`` called by its
-    class name and a method's positional index counted after ``self``."""
+    parameter of a public function or method and each defaulted field of a public
+    dataclass, with ``__init__`` called by its class name, a method's positional
+    index counted after ``self`` and a field's from the class's first field."""
     for path in MODULES:
-        for qualified, unit in _units(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, fields in _dataclass_fields(tree):
+            yield from ((f"{cls}.{name}", cls, name, index)
+                        for index, (name, defaulted) in enumerate(fields)
+                        if defaulted and not name.startswith("_"))
+        for qualified, unit in _units(tree):
             if not isinstance(unit, ast.FunctionDef) or qualified.startswith("_"):
                 continue
             owner, _, name = qualified.rpartition(".")

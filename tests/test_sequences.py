@@ -6,6 +6,7 @@ import pytest
 
 from sakde import sequences
 from sakde.sequences import (
+    STREAM_BLOCK,
     SequencePlan,
     bandwidth_plan,
     gs_index_diagnostic,
@@ -76,14 +77,32 @@ def test_stepsize_plan_validation():
 @pytest.mark.parametrize("plan_type, exponent, message", [
     (sequences.StepsizePlan, -2.0, "alpha must lie in"),
     (sequences.StepsizePlan, -0.5, "alpha must lie in"),
-    (sequences.StepsizePlan, math.nan, "alpha must lie in"),
     (sequences.BandwidthPlan, 0.5, "a must be positive"),
     (sequences.BandwidthPlan, 0.0, "a must be positive"),
-    (sequences.BandwidthPlan, math.nan, "a must be positive"),
 ])
 def test_plan_types_reject_invalid_exponents(plan_type, exponent, message):
     with pytest.raises(ValueError, match=message):
         plan_type(SequencePlan(1.0, exponent))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SequencePlan(1.0, math.nan),
+    lambda: SequencePlan(1.0, math.inf),
+    lambda: SequencePlan(math.inf, 0.0),
+    lambda: SequencePlan(math.nan, 0.0),
+    lambda: bandwidth_plan(1.0, math.inf),
+    lambda: sequences.BandwidthPlan(SequencePlan(1.0, math.nan)),
+    lambda: bandwidth_plan(math.inf, 0.2),
+    lambda: sequences.StepsizePlan(SequencePlan(1.0, math.nan)),
+    lambda: stepsize_from_weights(SequencePlan(1.0, math.inf)),
+    lambda: stepsize_from_weights(SequencePlan(math.inf, 0.0)),
+], ids=["nan-exponent", "inf-exponent", "inf-scale", "nan-scale", "bandwidth-inf-a",
+        "bandwidth-nan-a", "bandwidth-inf-scale", "stepsize-nan-alpha", "weights-inf-index",
+        "weights-inf-scale"])
+def test_plans_reject_non_finite_scale_or_exponent(build):
+    # a non-finite plan would give an estimate of nan at every point
+    with pytest.raises(ValueError, match="need a finite scale > 0 and a finite exponent"):
+        build()
 
 
 def test_stepsize_plan_slow_decay_has_zero_xi():
@@ -127,23 +146,28 @@ def test_weight_induced_gain_limit(w_star):
 
 
 def test_gamma_stream_matches_gamma_values():
-    # the stream takes short blocks and gamma_values long ones, so past 2**15
-    # their block ends differ; one running weight sum makes them agree bitwise
+    # the stream without end that a streaming estimator holds, block by block,
+    # gives the first n gains bitwise as gamma_values does
     for n in (100, 2**15 + 10):
         for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
-            stream = step.gamma_stream()
-            first = np.array([next(stream) for _ in range(n)])
+            stream = step.gamma_blocks(block=STREAM_BLOCK)
+            first = np.concatenate([next(stream) for _ in range(-(-n // STREAM_BLOCK))])[:n]
             np.testing.assert_array_equal(first, step.gamma_values(n))
 
 
-def test_gamma_values_fill_every_step_whatever_the_block_length(monkeypatch):
-    # the array is the gain blocks themselves, so no step can be left unfilled
-    step = stepsize_from_weights(SequencePlan(1.0, -0.21))
-    n = 2**15 + 10
-    expected = step.gamma_values(n)
-    monkeypatch.setattr(sequences, "_BLOCK", 1000)
-    np.testing.assert_array_equal(step.gamma_values(n), expected)
-    assert step.gamma_values(0).shape == (0,)
+def test_gamma_values_fill_every_step_whatever_the_block_length():
+    # gamma_values cuts blocks of 2**15 steps, so past 2**15 its block ends
+    # differ from those of short blocks; one running weight sum makes the
+    # gains agree bitwise, and every step is filled exactly once
+    for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
+        for n in (100, 2**15 + 10):
+            expected = step.gamma_values(n)
+            assert expected.shape == (n,)
+            for block in (1000, STREAM_BLOCK):
+                blocks = list(step.gamma_blocks(n, block=block))
+                assert all(len(b) == block for b in blocks[:-1])
+                np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        assert step.gamma_values(0).shape == (0,)
 
 
 def test_pi_product_exact_zero_for_weight_induced():

@@ -15,7 +15,13 @@ lines for:
 - each query of a fixed list of in-domain ``sakde asymptotics`` calls: all
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
-  estimators at the origin, ``--n 100 --reps 500 --seed 42``.
+  estimators at the origin, ``--n 100 --reps 500 --seed 42``;
+- the streaming estimator, run by ``python -c`` snippets at seed 42: the
+  computation of the benchmark's ``stream`` workload (``update_many`` at
+  m = 100 under a closed-form and a weight-induced stepsize, at m = 10^4 in
+  2-d, and the three closed forms), a loop of one-step ``update`` calls, and
+  one mixed sequence of call sizes.  Each snippet prints the shape and the
+  SHA-256 of the bytes of each array it computes.
 
 A digest covers the exit status and stderr as well as the output, so a query
 that starts failing shows too.  To compare a change with its parent, export
@@ -73,16 +79,74 @@ def cell_calls():
                    f"--n 100 --reps 500 --seed 42")
 
 
+# The data and plans of the `stream` workload, at its full size and seed 42.
+STREAM_SETUP = """
+import hashlib
+import numpy as np
+from sakde.estimators import RecursiveEstimator, recursive_at_points, weighted_closed_form
+from sakde.kernels import gaussian_kernel
+from sakde.sequences import SequencePlan, bandwidth_plan, stepsize_from_weights, stepsize_plan
+rng = np.random.default_rng(42)
+x1 = rng.standard_normal((10000, 1))
+x2 = rng.standard_normal((1024, 2)) @ np.array([[1.0, 0.5], [0.0, 1.0]])
+grid1 = np.linspace(-3.0, 3.0, 100)[:, None]
+axis = np.linspace(-3.0, 3.0, 100)
+grid2 = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+k1, k2 = gaussian_kernel(1), gaussian_kernel(2)
+bw1, bw2 = bandwidth_plan(1.0, 0.21), bandwidth_plan(1.0, 0.17)
+step1, step2 = stepsize_plan(1.0 - 0.21), stepsize_plan(1.0 - 0.17 * 2)
+weights = SequencePlan(1.0, -0.21 / 2.0)
+step_w = stepsize_from_weights(weights)
+def show(*arrays):
+    for a in arrays:
+        print(a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+def streamed(kern, step, bw, grid, x):
+    est = RecursiveEstimator(kern, step, bw, grid)
+    est.update_many(x)
+    return est.values
+"""
+
+# The one-step loop runs 2053 = 2 * 1024 + 5 steps, past two gain-block ends;
+# the mixed call sizes are those of the block-update tests.
+STREAM_SNIPPETS = {
+    "stream update_many m=100 closed-form gains": "show(streamed(k1, step1, bw1, grid1, x1))",
+    "stream update_many m=100 weight-induced gains": "show(streamed(k1, step_w, bw1, grid1, x1))",
+    "stream update_many m=10000 2-d": "show(streamed(k2, step2, bw2, grid2, x2))",
+    "stream closed forms": """show(recursive_at_points(k1, step1, bw1, x1, grid1),
+     weighted_closed_form(k1, weights, bw1, x1, grid1),
+     recursive_at_points(k2, step2, bw2, x2, grid2))""",
+    "stream one-step update loop": """for step in (step1, step_w):
+    est = RecursiveEstimator(k1, step, bw1, grid1)
+    for row in x1[:2053]:
+        est.update(row)
+    show(est.values)""",
+    "stream mixed call sizes": """for step in (step1, step_w):
+    est, lo = RecursiveEstimator(k1, step, bw1, grid1), 0
+    for size in (1, 1023, None, 1025, None, 2):
+        if size is None:
+            est.update(x1[lo])
+        else:
+            est.update_many(x1[lo:lo + size])
+        lo += size or 1
+    show(est.values)""",
+}
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_cli(root: Path, args, cwd: Path) -> str:
-    """Exit status, stdout and stderr of one ``sakde`` call, as one text."""
+def run_python(root: Path, args, cwd: Path) -> str:
+    """Exit status, stdout and stderr of one Python run on the tree's ``src``, as one text."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "sakde.cli", *args], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     return f"exit {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
+
+
+def run_cli(root: Path, args, cwd: Path) -> str:
+    """Exit status, stdout and stderr of one ``sakde`` call, as one text."""
+    return run_python(root, ["-m", "sakde.cli", *args], cwd)
 
 
 def outputs(root: Path, work: Path):
@@ -99,6 +163,8 @@ def outputs(root: Path, work: Path):
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
         yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
+    for label, snippet in STREAM_SNIPPETS.items():
+        yield label, run_python(root, ["-c", STREAM_SETUP + snippet], work)
 
 
 def main(argv=None) -> int:
