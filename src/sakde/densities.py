@@ -6,8 +6,8 @@ Laplacian: the product Gaussian kernel's second moments are all 1.
 ``sample`` and a human-readable ``label``; the exact oracles are closed-form
 sums over its components.  The image ``X = A Y`` of a mixture under an
 invertible A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``:
-:class:`LinearImage` is that mixture, keeping only the image step of the draws
-and the change of variables of Y.
+:class:`LinearImage` only builds that mixture, which then draws and evaluates
+like any other.
 """
 
 from __future__ import annotations
@@ -28,33 +28,9 @@ def _as_batch(x, dim):
     return x, single
 
 
-#: fewest uniforms worth skipping by a counter advance: the state read, the
-#: advance and the last draw cost about as much as 650-1000 drawn uniforms
-_ADVANCE_MIN = 1024
-
 #: scalars in a chunk's gathered Cholesky factors (256 kB): the temporaries of
 #: the map from normals to draws stay a few chunks, whatever the block size
 _MAP_SCALARS = 1 << 15
-
-
-def _advance_past(rng: np.random.Generator, count: int) -> bool:
-    """Move a Philox ``rng`` past ``count`` uniforms without drawing them, leaving
-    the state ``rng.random(count)`` would; False, with nothing moved, for any
-    other generator or state.  Philox makes 4 words per counter step and a
-    uniform takes one, so from an empty buffer and no cached half word, live or
-    stale (``advance`` zeroes both its fields), the counter skips all but the
-    last 1-4 words, whose draw refills the buffer as the drawn path does
-    (Salmon et al. 2011, SC'11)."""
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.Philox:
-        return False
-    state = bitgen.state
-    if state["buffer_pos"] != 4 or state["has_uint32"] != 0 or state["uinteger"] != 0:
-        return False
-    steps = (int(count) - 1) // 4  # advance overflows on a numpy integer
-    bitgen.advance(steps)
-    rng.random(count - 4 * steps)
-    return True
 
 
 class GaussianMixture:
@@ -85,8 +61,7 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    # built on the first draw: a LinearImage draws through its base, and a
-    # one-component model picks no component
+    # built on the first draw; a one-component model picks no component
     @cached_property
     def _chols(self):
         return np.linalg.cholesky(self.covs)
@@ -128,14 +103,14 @@ class GaussianMixture:
 
     def sample_block(self, rngs, reps: int, count: int) -> np.ndarray:
         """``reps`` samples of ``count`` draws, shape (reps, count, dim), the i-th
-        from the i-th generator of ``rngs``: byte for byte ``sample`` of each,
-        up to the one-row case of :class:`LinearImage`.
+        from the i-th generator of ``rngs``: byte for byte ``sample`` of each.
 
-        Each generator fills only its own rows of the block, its uniforms and
-        then its normals, and is not used again once the next is taken (so the
-        generators may share one bit generator that is rekeyed in turn).  The
-        component pick and the map to the model run once over the block, in
-        place, in chunks of ``_MAP_SCALARS // dim**2`` rows.
+        Each generator fills only its own rows of the block, its component
+        uniforms (none for one component) and then its normals, and is not used
+        again once the next is taken (so the generators may share one bit
+        generator that is rekeyed in turn).  The component pick and the
+        Cholesky map then run once over the block, in place, in chunks of
+        ``_MAP_SCALARS // dim**2`` rows.
         """
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise TypeError(f"count must be an integer, not {type(count).__name__}")
@@ -143,40 +118,27 @@ class GaussianMixture:
             raise ValueError("count must be positive")
         picks = self.weights.shape[0] > 1
         z = np.empty((reps, count, self.dim))
-        # a one-component model picks no component, but its uniforms keep the
-        # stream position; below the break-even they are drawn, without a read
-        # of the generator state, into one row that is overwritten
-        u = np.empty((reps if picks else 1, count))
+        u = np.empty((reps, count)) if picks else None
         for i, rng in zip(range(reps), rngs, strict=True):
             if picks:
                 rng.random(out=u[i])
-            elif count < _ADVANCE_MIN or not _advance_past(rng, count):
-                rng.random(out=u[0])
             rng.standard_normal(out=z[i])
-        flat, u = z.reshape(-1, self.dim), u.reshape(-1)
+        flat, comp = z.reshape(-1, self.dim), 0
         rows = max(1, _MAP_SCALARS // self.dim**2)
         for lo in range(0, len(flat), rows):
-            self._map_rows(flat[lo:lo + rows], u[lo:lo + rows] if picks else None)
+            chunk = flat[lo:lo + rows]
+            if picks:
+                comp = self._cdf.searchsorted(u.reshape(-1)[lo:lo + rows], side="right")
+            # index 0 broadcasts the one factor, which einsum sums in the order of
+            # gathered factors (written-out sums would not from d = 3 on)
+            np.add(self.means[comp], np.einsum("...ij,...j->...i", self._chols[comp], chunk),
+                   out=chunk)
         return z
-
-    def _map_rows(self, z, u) -> None:
-        """Map standard normal rows ``z`` in place to draws of the model, with
-        component uniforms ``u`` (None for one component)."""
-        if u is None:
-            # the broadcast factor has the gathered factors' strides, so einsum
-            # sums in the same order (written-out sums would not from d = 3 on)
-            np.add(self.means[0], np.einsum("ij,nj->ni", self._chols[0], z), out=z)
-            return
-        comp = self._cdf.searchsorted(u, side="right")
-        np.add(self.means[comp], np.einsum("nij,nj->ni", self._chols[comp], z), out=z)
 
 
 class LinearImage(GaussianMixture):
-    """Density of ``X = A Y`` for an invertible matrix A and a mixture Y.
-
-    It is the mixture with the weights of Y, means ``A m_i`` and covariances
-    ``A S_i A^T``.  Draws are A times the draws of Y, and ``pdf`` is the change
-    of variables ``f_Y(A^-1 x) / |det A|``.
+    """Density of ``X = A Y`` for an invertible matrix A and a mixture Y: the
+    mixture with the weights of Y, means ``A m_i`` and covariances ``A S_i A^T``.
     """
 
     def __init__(self, base: GaussianMixture, matrix, label: str | None = None):
@@ -184,27 +146,11 @@ class LinearImage(GaussianMixture):
         d = base.dim
         if matrix.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}")
-        det = np.linalg.det(matrix)
-        if det == 0:
+        if np.linalg.det(matrix) == 0:
             raise ValueError("matrix must be invertible")
         super().__init__(base.weights, base.means @ matrix.T,
                          np.einsum("ij,njk,lk->nil", matrix, base.covs, matrix),
                          label=label or f"linear-image({base.label})")
-        self.base = base
-        self.matrix = matrix
-        self._inv = np.linalg.inv(matrix)
-        self._absdet = abs(det)
-
-    def pdf(self, x):
-        x, single = _as_batch(x, self.dim)
-        vals = self.base.pdf(x @ self._inv.T) / self._absdet
-        return float(vals[0]) if single else vals
-
-    def _map_rows(self, z, u) -> None:
-        self.base._map_rows(z, u)
-        # BLAS sums each row alike in any number of rows, but from d = 3 on it
-        # can sum a single row (count 1, or a last chunk of one row) differently
-        z[...] = z @ self.matrix.T
 
 
 def standard_gaussian(dim: int) -> GaussianMixture:

@@ -12,11 +12,9 @@ all of them.  The block structure is fixed by (n, d, replications), so a run
 is bit-reproducible for a given seed no matter which cells are read together
 or how groups are scheduled across workers.  Within a block, each
 replication's generator fills only its own rows with its uniforms and
-normals, and the component pick and the map to the model then run once over
-the block: the draws are byte for byte those of one draw per replication.
-One-component models pick no component, but their draws keep the stream
-position of the component uniforms: a long draw moves past them by a Philox
-counter advance.
+normals, and the component pick and the Cholesky map then run once over the
+block: the draws are byte for byte those of one draw per replication.  A
+one-component model picks no component and draws no component uniforms.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ Z_95 = 1.96
 #: 1% critical constant of the sup-CDF (Kolmogorov) statistic
 KS_1PCT = 1.63
 
-_SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
+#: the shear that maps the 2-d table models' base densities
+SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
 
 
 def variance_optimal_step(a: float, d: int) -> StepsizePlan:
@@ -65,13 +64,13 @@ def table_model(name: str):
             label="mixture",
         )
     if name == "gaussian-2d":
-        return LinearImage(standard_gaussian(2), _SHEAR, label="gaussian-2d")
+        return LinearImage(standard_gaussian(2), SHEAR, label="gaussian-2d")
     if name == "mixture-2d":
         base = GaussianMixture(
             [0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
             np.broadcast_to(np.eye(2), (2, 2, 2)), label="mixture-base-2d",
         )
-        return LinearImage(base, _SHEAR, label="mixture-2d")
+        return LinearImage(base, SHEAR, label="mixture-2d")
     raise ValueError(f"unknown model name: {name!r}")
 
 

@@ -59,6 +59,11 @@ def gs_index_diagnostic(plan: SequencePlan, n_max: int) -> float:
     return n_max * (1.0 - plan.value(n_max - 1) / plan.value(n_max))
 
 
+def _check_alpha(alpha) -> None:
+    if not 0.5 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class StepsizePlan:
     """Gain sequence for the density recursion, ``seq`` in closed form.  When
@@ -69,8 +74,7 @@ class StepsizePlan:
     weights: Optional[SequencePlan] = None
 
     def __post_init__(self):
-        if not 0.5 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def alpha(self) -> float:
@@ -134,6 +138,7 @@ def stepsize_plan(scale: float, alpha: float = 1.0) -> StepsizePlan:
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
+    _check_alpha(alpha)  # before the sequence plan, which would name only its exponent
     return StepsizePlan(SequencePlan(scale, -alpha))
 
 

@@ -48,6 +48,9 @@ def test_classify_regime_rejects_inadmissible_plans():
     for gamma0 in (math.nan, -3.0, 0.0):
         with pytest.raises(ValueError, match="gamma0 must be positive"):
             asy.classify_regime(0.2, 1.0, 1, gamma0)
+    for alpha in (math.nan, math.inf, -math.inf):  # named as alpha, not as a plan exponent
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \(1/2, 1\], got {alpha}$"):
+            asy.classify_regime(0.2, alpha, 1)
 
 
 def test_bias_leading_plain_average():

@@ -193,6 +193,9 @@ def test_bad_point_is_one_line_exit(argv):
     ("asymptotics ci-constant --gamma0 inf --a 0.21 --d 1", "positive and finite"),
     ("asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.3 --n 100", "bias pole"),
     ("asymptotics regime --a 0.9 --alpha 1 --d 2", "a must lie in"),
+    ("asymptotics regime --a 0.2 --alpha nan --d 1", "alpha must lie in (1/2, 1], got nan"),
+    ("asymptotics regime --a 0.2 --alpha inf --d 1", "alpha must lie in (1/2, 1], got inf"),
+    ("asymptotics regime --a 0.2 --alpha=-inf --d 1", "alpha must lie in (1/2, 1], got -inf"),
     ("cell --density gaussian --x 0 --n 50 --estimator recursive --reps 10 --a 1.5",
      "0 < a*d < 1"),
     ("asymptotics ci-constant --gamma0 0.79 --a nan --d 1", "a*d must lie in (0, 1)"),

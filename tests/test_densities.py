@@ -6,8 +6,6 @@ from scipy.integrate import quad
 
 from sakde import mc
 from sakde.densities import (
-    _ADVANCE_MIN,
-    _advance_past,
     GaussianMixture,
     LinearImage,
     curvature,
@@ -102,13 +100,6 @@ def test_hessian_diag_matches_finite_differences(name):
     assert worst < 1e-5
 
 
-def test_linear_image_change_of_variables_identity():
-    model = LinearImage(standard_gaussian(2), SHEAR)
-    pts = np.random.default_rng(1).standard_normal((50, 2)) * 2.0
-    manual = model.base.pdf(pts @ np.linalg.inv(SHEAR).T) / abs(np.linalg.det(SHEAR))
-    np.testing.assert_allclose(model.pdf(pts), manual, rtol=0, atol=1e-17)
-
-
 def test_linear_image_requires_invertible_matrix():
     with pytest.raises(ValueError):
         LinearImage(standard_gaussian(2), [[1.0, 0.0], [2.0, 0.0]])
@@ -129,14 +120,14 @@ def test_sampling_covariance_of_linear_image():
     np.testing.assert_allclose(np.cov(xs.T), target, atol=0.02)
 
 
-@pytest.mark.parametrize("name", ["gaussian-2d", "mixture-2d"])
-def test_linear_image_builds_no_sampler_state(name):
-    image = mc.table_model(name)
-    image.sample(np.random.default_rng(3), 20)
-    assert "_chols" not in vars(image) and "_cdf" not in vars(image)
-    # the base draws: it factors its covariances, and picks components only if it has two
-    assert "_chols" in vars(image.base)
-    assert ("_cdf" in vars(image.base)) == (image.base.weights.shape[0] > 1)
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d"])
+def test_sampler_state_is_built_on_the_first_draw(name):
+    model = mc.table_model(name)
+    assert "_chols" not in vars(model) and "_cdf" not in vars(model)
+    model.sample(np.random.default_rng(3), 20)
+    # a linear image factors its own covariances, and only a mixture picks components
+    assert "_chols" in vars(model)
+    assert ("_cdf" in vars(model)) == (model.weights.shape[0] > 1)
 
 
 def _plain(value):
@@ -150,98 +141,26 @@ def _state(rng):
     return _plain(rng.bit_generator.state)
 
 
-class _RandomSpy:
-    """A generator stand-in that records the counts ``random`` draws."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.drawn = rng, rng.bit_generator, []
-
-    def random(self, count=None, out=None):
-        self.drawn.append(count if out is None else out.size)
-        return self.rng.random(count, out=out)
-
-    def standard_normal(self, size=None, out=None):
-        return self.rng.standard_normal(size, out=out)
-
-
-def _drawn_path(rng, count):
-    """What a 1-d one-component draw does without the skip."""
-    rng.random(count)
-    return rng.standard_normal((count, 1))
-
-
-@pytest.mark.parametrize("steps", [1, 2, 3, 255, 10**4])
-def test_philox_advance_is_four_words_per_counter_step(steps):
-    advanced, drawn = np.random.Philox(key=(7, 3)), np.random.Philox(key=(7, 3))
-    advanced.advance(steps)
-    drawn.random_raw(4 * steps)
-    # advance leaves a zeroed buffer where the draws leave their last block,
-    # dead either way at buffer_pos 4; the next counter step overwrites both
-    before, after = advanced.state, drawn.state
-    assert before["buffer_pos"] == after["buffer_pos"] == 4
-    np.testing.assert_array_equal(before["state"]["counter"], after["state"]["counter"])
-    assert before["has_uint32"] == after["has_uint32"] == 0
-    np.testing.assert_array_equal(advanced.random_raw(9), drawn.random_raw(9))
-    assert _state(np.random.Generator(advanced)) == _state(np.random.Generator(drawn))
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 9])
-def test_advance_past_leaves_the_drawn_state_at_any_count(count):
-    skipped, drawn = _RandomSpy(mc.replication_rng(11, 4)), mc.replication_rng(11, 4)
-    assert _advance_past(skipped, count)
-    drawn.random(count)
-    assert skipped.drawn == [count - 4 * ((count - 1) // 4)]  # only the last 1-4 words
-    assert _state(skipped.rng) == _state(drawn)
-    np.testing.assert_array_equal(skipped.rng.standard_normal(9), drawn.standard_normal(9))
-
-
-@pytest.mark.parametrize("count", [_ADVANCE_MIN - 1, _ADVANCE_MIN, _ADVANCE_MIN + 1,
-                                   _ADVANCE_MIN + 2, _ADVANCE_MIN + 3,
-                                   10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3])
-def test_one_component_draw_skips_its_uniforms_from_the_break_even_on(count):
-    spy, drawn = _RandomSpy(mc.replication_rng(11, 4)), mc.replication_rng(11, 4)
-    np.testing.assert_array_equal(standard_gaussian(1).sample(spy, count),
-                                  _drawn_path(drawn, count))
-    assert spy.drawn == ([count] if count < _ADVANCE_MIN else [count - 4 * ((count - 1) // 4)])
-    assert _state(spy.rng) == _state(drawn)
-    np.testing.assert_array_equal(spy.rng.standard_normal(9), drawn.standard_normal(9))
-
-
-def _partly_used_buffer(words):
-    rng = mc.replication_rng(11, 4)
-    rng.bit_generator.random_raw(words)
-    return rng
-
-
-def _cached_half_word(has_uint32, uinteger):
-    rng = mc.replication_rng(11, 4)
-    state = rng.bit_generator.state
-    rng.bit_generator.state = {**state, "has_uint32": has_uint32, "uinteger": uinteger}
-    return rng
-
-
-FALLBACKS = {
-    "pcg64": lambda: np.random.default_rng(11),
-    "buffer-pos-1": lambda: _partly_used_buffer(1),
-    "buffer-pos-2": lambda: _partly_used_buffer(2),
-    "buffer-pos-3": lambda: _partly_used_buffer(3),
-    "has-uint32": lambda: _cached_half_word(1, 0),  # a live half word that reads 0
-    "stale-uinteger": lambda: _cached_half_word(0, 12345),
+#: one-component models: the two table ones and a full 3-d covariance
+ONE_COMPONENT = {
+    "gaussian": mc.table_model("gaussian"),
+    "gaussian-2d": mc.table_model("gaussian-2d"),
+    "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
+                               [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
 }
 
 
-@pytest.mark.parametrize("name", FALLBACKS)
-def test_one_component_draw_falls_back_to_drawing(name):
-    count = 10**4 + 1
-    rng = FALLBACKS[name]()
-    before = _state(rng)
-    assert not _advance_past(rng, count)
-    assert _state(rng) == before
-    spy, drawn = _RandomSpy(FALLBACKS[name]()), FALLBACKS[name]()
-    np.testing.assert_array_equal(standard_gaussian(1).sample(spy, count),
-                                  _drawn_path(drawn, count))
-    assert spy.drawn == [count]
-    assert _state(spy.rng) == _state(drawn)
+@pytest.mark.parametrize("count", [1, 1023, 10**5 + 1])
+@pytest.mark.parametrize("name", ONE_COMPONENT)
+def test_one_component_draw_is_the_mean_plus_the_factor_times_normals(name, count):
+    # no component uniforms: the draw reads only the normals of the twin generator
+    model = ONE_COMPONENT[name]
+    rng, twin = mc.replication_rng(11, 4), mc.replication_rng(11, 4)
+    z = twin.standard_normal((count, model.dim))
+    # einsum's sum order for L z; a BLAS product differs in the last bit from d = 3 on
+    lz = np.einsum("ij,nj->ni", np.linalg.cholesky(model.covs[0]), z)
+    np.testing.assert_array_equal(model.sample(rng, count), model.means[0] + lz)
+    assert _state(rng) == _state(twin)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d"])
@@ -254,7 +173,7 @@ def test_sample_rejects_a_bad_count_before_any_draw(name):
         with pytest.raises(error, match="^count must be"):
             model.sample(rng, count)
         assert _state(rng) == before, count
-    for count in (5, _ADVANCE_MIN + 1):  # a numpy integer draws on both sides of the skip
+    for count in (5, 1025):  # a numpy integer count draws as its int does
         np.testing.assert_array_equal(model.sample(mc.replication_rng(2, 0), np.int64(count)),
                                       model.sample(mc.replication_rng(2, 0), count))
 
@@ -276,11 +195,15 @@ def test_curvature_value():
 
 def test_linear_image_is_a_mixture_with_the_same_density():
     # the image of a mixture under A has means A m_i and covariances A S_i A^T
+    base = GaussianMixture([0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
+                           np.array([np.eye(2), np.eye(2)]))
     model = mc.table_model("mixture-2d")
     assert isinstance(model, GaussianMixture) and model.label == "mixture-2d"
-    np.testing.assert_array_equal(model.means, model.base.means @ SHEAR.T)
+    np.testing.assert_array_equal(model.means, base.means @ SHEAR.T)
     pts = np.random.default_rng(2).standard_normal((50, 2)) * 2.0
-    np.testing.assert_allclose(GaussianMixture.pdf(model, pts), model.pdf(pts), rtol=1e-13)
+    # the change of variables f_Y(A^-1 x) / |det A|
+    moved = base.pdf(pts @ np.linalg.inv(SHEAR).T) / abs(np.linalg.det(SHEAR))
+    np.testing.assert_allclose(model.pdf(pts), moved, rtol=1e-13)
 
 
 def test_curvature_squared_integral_gaussian_closed_form():

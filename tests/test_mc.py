@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sakde import asymptotics, densities, estimators, mc
-from sakde.densities import _ADVANCE_MIN, GaussianMixture, LinearImage, standard_gaussian
+from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_roughness
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
@@ -384,31 +384,36 @@ def test_run_table_draws_each_sample_once(monkeypatch):
 
 
 def _choice_sample(model, rng, count):
-    """The sampler as written with ``rng.choice`` for the component pick."""
-    if isinstance(model, LinearImage):
-        return _choice_sample(model.base, rng, count) @ model.matrix.T
-    comp = rng.choice(model.weights.shape[0], size=count, p=model.weights)
+    """The sampler as written with ``rng.choice`` for the component pick, which
+    one component skips."""
+    k = model.weights.shape[0]
+    comp = rng.choice(k, size=count, p=model.weights) if k > 1 else np.zeros(count, int)
     z = rng.standard_normal((count, model.dim))
     chols = np.linalg.cholesky(model.covs)
     return model.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
 
 
-#: one-component models whose Cholesky factor is neither the identity nor a scalar,
-#: and the `clt-gate` model, which draws through its one-component base
-ONE_COMPONENT = {
+#: models beyond the table ones: one-component models whose Cholesky factor is
+#: neither the identity nor a scalar, the `clt-gate` model (a one-component
+#: linear image), and a 3-d linear image of a two-component mixture (a BLAS
+#: product with the matrix would sum its one-row blocks differently)
+MODELS = {
     "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
     "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
                                [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
     "clt-gate": LinearImage(standard_gaussian(1), [[3.0]]),
+    "image-3d": LinearImage(
+        GaussianMixture([0.4, 0.6], [[0.5, 0.0, -1.0], [-0.5, 1.0, 0.5]],
+                        [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]]]),
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.7, 1.2]]),
 }
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
-                                  *ONE_COMPONENT])
+                                  *MODELS])
 def test_component_pick_matches_rng_choice(name):
-    model = ONE_COMPONENT.get(name) or mc.table_model(name)
-    # counts on both sides of the break-even of the one-component uniform skip
-    for count, reps in ((50, 200), (_ADVANCE_MIN - 1, 3), (_ADVANCE_MIN + 2, 3), (10**4, 5)):
+    model = MODELS.get(name) or mc.table_model(name)
+    for count, reps in ((50, 200), (1023, 3), (10**4, 5)):
         for r in range(reps):
             fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
             np.testing.assert_array_equal(model.sample(fast, count),
@@ -417,10 +422,10 @@ def test_component_pick_matches_rng_choice(name):
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
-                                  *ONE_COMPONENT])
+                                  *MODELS])
 def test_block_draw_equals_the_stack_of_its_replications(name, monkeypatch):
-    model = ONE_COMPONENT.get(name) or mc.table_model(name)
-    for count, reps in ((50, 40), (_ADVANCE_MIN - 1, 3), (_ADVANCE_MIN + 2, 3), (10**4, 2)):
+    model = MODELS.get(name) or mc.table_model(name)
+    for count, reps in ((1, 40), (50, 40), (1023, 3), (10**4, 2)):
         stacked = np.stack([model.sample(mc.replication_rng(5, r), count) for r in range(reps)])
         after = [mc.replication_rng(5, r) for r in range(reps)]
         for rng in after:
@@ -450,20 +455,21 @@ def _peak_bytes(draw):
 
 def test_block_draw_keeps_one_block_alive():
     # a table-4 block: the block, its uniforms, and one chunk of gathered
-    # factors (d^2 a row), einsum output, gathered means, image (d each) and
+    # factors (d^2 a row), einsum output, gathered means (d each) and
     # component indices (1), with 64 kB for the generators and Python objects
     model, reps, n, d = mc.table_model("mixture-2d"), 500, 200, 2
     rows = densities._MAP_SCALARS // d**2
-    bound = 8 * (reps * n * d + reps * n + rows * (d * d + 3 * d + 1)) + (64 << 10)
+    bound = 8 * (reps * n * d + reps * n + rows * (d * d + 2 * d + 1)) + (64 << 10)
     philox = np.random.Philox(0)
     model.sample(mc.replication_rng(0, 0), 1)  # factors and cdf built outside the count
     assert _peak_bytes(lambda: model.sample_block(
         (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n)) <= bound
-    # a one-component block of 2^21 scalars, past the uniform skip's break-even
+    # a one-component block of 2^21 scalars: no uniforms, one chunk's einsum output
     one, reps, n = standard_gaussian(1), 16, 1 << 17
     one.sample(mc.replication_rng(0, 0), 1)
-    assert _peak_bytes(lambda: one.sample_block(
-        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n)) < 2 * 8 * reps * n
+    peak = _peak_bytes(lambda: one.sample_block(
+        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n))
+    assert peak < 8 * reps * n + (512 << 10)
 
 
 @pytest.mark.parametrize("readout", [mc.estimates, mc.run_cell, mc.empirical_moments],

@@ -16,6 +16,10 @@ lines for:
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
+- the raw draws of each table model: ``sample_block`` with the replication
+  generators keyed ``(42, 0..2)``, at n = 50 and n = 1025, printed as the
+  shape and the SHA-256 of each block's bytes, so a change to the sampler's
+  stream shows at its source;
 - the streaming estimator, run by ``python -c`` snippets at seed 42: the
   computation of the benchmark's ``stream`` workload (``update_many`` at
   m = 100 under a closed-form and a weight-induced stepsize, at m = 10^4 in
@@ -132,6 +136,17 @@ STREAM_SNIPPETS = {
 }
 
 
+# The draws behind every Monte Carlo readout, for the model named in argv[1].
+DRAW_SNIPPET = """
+import hashlib, sys
+from sakde import mc
+model = mc.table_model(sys.argv[1])
+for n in (50, 1025):
+    block = model.sample_block((mc.replication_rng(42, r) for r in range(3)), 3, n)
+    print(block.shape, hashlib.sha256(block.tobytes()).hexdigest())
+"""
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -163,6 +178,8 @@ def outputs(root: Path, work: Path):
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
         yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
+    for density in DENSITIES:
+        yield f"draws {density}", run_python(root, ["-c", DRAW_SNIPPET, density], work)
     for label, snippet in STREAM_SNIPPETS.items():
         yield label, run_python(root, ["-c", STREAM_SETUP + snippet], work)
 
