@@ -90,7 +90,7 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     norm = gaussian_norm(d)
     coef = c / h**d
     rows = math.prod(batch) * len(points)
-    chunk = max(1, SCALAR_BUDGET // (rows * d))
+    chunk = max(1, SCALAR_BUDGET // max(1, rows * d))
     kbuf = np.empty(rows * min(chunk, n))
     tbuf = np.empty_like(kbuf) if d > 1 else kbuf
     out = np.zeros((*batch, len(points)))

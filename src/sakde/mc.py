@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
@@ -98,8 +97,9 @@ class CellConfig:
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
         if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
             raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
-        if self.n < 1 or self.replications < 1:
-            raise ValueError("n and replications must be positive")
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
+               for v in (self.n, self.replications)):
+            raise ValueError("n and replications must be positive integers")
         if not 0.0 < self.a * self.dim < 1.0:
             raise ValueError("bandwidth exponent must satisfy 0 < a*d < 1")
         if self.bandwidth is None:
@@ -391,7 +391,7 @@ def clt_empirical_check(cfg: CellConfig) -> CltReport:
     scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
     (values,) = estimates(cfg)
     z = np.sort(scale * (values - f_true) / math.sqrt(variance))
-    cdf = ndtr(z)
+    cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     i = np.arange(1, reps + 1)
     distance = float(max(np.max(i / reps - cdf),
                          np.max(cdf - (i - 1) / reps)))

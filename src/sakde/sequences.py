@@ -165,7 +165,7 @@ def suffix_products(a: np.ndarray) -> np.ndarray:
     """``out[k] = prod_{j>k} a[j]``, with 1 for the last entry (empty product)."""
     out = np.empty_like(a)
     out[:-1] = np.cumprod(a[:0:-1])[::-1]
-    out[-1] = 1.0
+    out[-1:] = 1.0
     return out
 
 

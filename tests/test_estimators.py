@@ -126,6 +126,7 @@ def test_recursion_weights_plain_average():
     step = stepsize_from_weights(SequencePlan(1.0, 0.0))
     c = recursion_weights(step, 100)
     np.testing.assert_allclose(c, np.full(100, 0.01), rtol=1e-12)
+    assert recursion_weights(step, 0).shape == (0,)  # no steps, no coefficients
 
 
 def test_weighted_closed_form_single_observation():
@@ -171,15 +172,37 @@ def test_rosenblatt_rejects_empty_sample():
         RosenblattEstimator(1, bandwidth_plan(1.0, 0.21), np.empty((0, 1)))
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda kern, bw, sample, pts: recursive_at_points(kern, stepsize_plan(0.79), bw, sample, pts),
-    lambda kern, bw, sample, pts: weighted_closed_form(kern, SequencePlan(1.0, 0.0), bw,
-                                                       sample, pts),
-    lambda kern, bw, sample, pts: RosenblattEstimator(1, bw, sample).eval(kern, pts),
-], ids=["recursive_at_points", "weighted_closed_form", "RosenblattEstimator"])
+#: the entry points that estimate after a whole sample, as ``(kernel, bandwidth, sample, points)``
+WHOLE_SAMPLE = {
+    "recursive_at_points": lambda kern, bw, sample, pts: recursive_at_points(
+        kern, stepsize_plan(0.79), bw, sample, pts),
+    "weighted_closed_form": lambda kern, bw, sample, pts: weighted_closed_form(
+        kern, SequencePlan(1.0, 0.0), bw, sample, pts),
+    "RosenblattEstimator": lambda kern, bw, sample, pts: RosenblattEstimator(
+        1, bw, sample).eval(kern, pts),
+}
+
+
+@pytest.mark.parametrize("estimate", WHOLE_SAMPLE.values(), ids=WHOLE_SAMPLE.keys())
 def test_estimators_reject_empty_sample_alike(estimate):
     with pytest.raises(ValueError, match="sample must be nonempty"):
         estimate(gaussian_kernel(1), bandwidth_plan(1.0, 0.21), np.zeros((0, 1)), np.zeros((2, 1)))
+
+
+def _update_many(kern, bw, sample, pts):
+    est = RecursiveEstimator(kern, stepsize_plan(0.79), bw, pts)
+    est.update_many(sample)
+    assert est.n == len(sample)
+    return est.values
+
+
+@pytest.mark.parametrize("estimate", [*WHOLE_SAMPLE.values(), _update_many],
+                         ids=[*WHOLE_SAMPLE, "update_many"])
+def test_estimators_take_an_empty_grid(estimate):
+    # a (0, d) grid gives a (0,) estimate, as RecursiveEstimator.update does
+    sample = np.array([[0.1], [-0.2], [0.5]])
+    out = estimate(gaussian_kernel(1), bandwidth_plan(1.0, 0.21), sample, np.zeros((0, 1)))
+    assert out.shape == (0,)
 
 
 def test_batch_paths_match_streaming():

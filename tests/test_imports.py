@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used, every module-level
+"""The package imports only numpy and the standard library, every
+module-level import in the package is used, every module-level
 private name is referenced somewhere in the package, every module-level
 public function has a caller in the package or is exported, every public
 method has a caller in the package, and every option of a public function or
@@ -6,6 +7,7 @@ method and every defaulted field of a public dataclass is passed by some call
 in the package (stdlib ``ast`` scans; named exemptions)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,29 @@ def test_no_unused_module_imports(path):
     used |= _dunder_all(tree)  # names exported through __all__ count as used
     assert [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used] == []
+
+
+#: the top-level modules the package may import besides the standard library
+RUNTIME_IMPORTS = {"__future__", "numpy", "sakde"}
+
+
+def _imported_roots(tree):
+    """``(line, top-level module)`` for every import statement, at any depth, so
+    that an import inside a ``try`` or a function counts too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import stays inside the package
+            yield node.lineno, "sakde" if node.level else node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_runtime_imports_are_numpy_and_the_stdlib(path):
+    # scipy and mpmath are test-only oracles; numpy is the one runtime dependency
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [f"{path.name}:{line} {root}" for line, root in _imported_roots(tree)
+            if root not in RUNTIME_IMPORTS and root not in sys.stdlib_module_names] == []
 
 
 def _private_definitions(node):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from sakde import asymptotics, densities, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
@@ -207,11 +208,20 @@ def test_length_ratio_approaches_ci_factor():
 
 def test_clt_check_passes_on_low_distortion_config():
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
-    report = mc.clt_empirical_check(mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE,
-                                                  replications=1000, seed=3))
+    cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
+    report = mc.clt_empirical_check(cfg)
     assert report.passed
     assert not report.slow_regime
     assert report.threshold == pytest.approx(1.63 / math.sqrt(1000), rel=1e-12)
+    # oracle: the same sup distance with scipy's normal CDF, which the package does not import
+    f_true = model.pdf(np.array([2.0]))
+    variance = asymptotics.clt_params(0.0, f_true, 0.0, 1, cfg.a, cfg.step).asym_var
+    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n)) / float(cfg.step.seq.value(cfg.n)))
+    (values,) = mc.estimates(cfg)
+    cdf = ndtr(np.sort(scale * (values - f_true) / math.sqrt(variance)))
+    i = np.arange(1, 1001)
+    distance = max(np.max(i / 1000 - cdf), np.max(cdf - (i - 1) / 1000))
+    assert abs(distance - report.distance) <= 1e-15
 
 
 def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
@@ -270,6 +280,10 @@ def test_cell_config_validation():
                       mc.ROSENBLATT, 10, 0)
     with pytest.raises(ValueError, match="disagrees"):
         mc.CellConfig(model, (0.0,), 50, 0.21, mc.RECURSIVE, bandwidth=bandwidth_plan(1.0, 0.2))
+    for n, reps in ((50.5, 10), (50.0, 10), (50, 10.5), (50, True), (True, 10), (50, 0)):
+        with pytest.raises(ValueError, match="n and replications must be positive integers"):
+            mc.CellConfig(model, (0.0,), n, 0.21, mc.ROSENBLATT, reps, 0)
+    assert mc.CellConfig(model, (0.0,), np.int64(50), 0.21, mc.ROSENBLATT, np.int32(10)).n == 50
 
 
 @pytest.mark.parametrize("model, x", [

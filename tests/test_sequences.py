@@ -246,7 +246,9 @@ def test_bandwidth_plan_requires_positive_exponent():
 
 
 def test_suffix_products_matches_explicit_products():
-    a = np.random.default_rng(4).uniform(0.5, 1.5, 7)
-    expected = [math.prod(a[k + 1:]) for k in range(a.size)]
-    np.testing.assert_allclose(suffix_products(a), expected, rtol=1e-15)
+    for size in (0, 1, 7):
+        a = np.random.default_rng(4).uniform(0.5, 1.5, size)
+        expected = [math.prod(a[k + 1:]) for k in range(a.size)]
+        assert suffix_products(a).shape == (size,)
+        np.testing.assert_allclose(suffix_products(a), expected, rtol=1e-15)
     assert suffix_products(np.array([0.3])).tolist() == [1.0]
