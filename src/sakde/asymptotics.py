@@ -209,11 +209,11 @@ def mise_optimal_plan(curv_integral: float, d: int) -> OptimalPlan:
 def efficiency_ratio(d: int) -> float:
     """Ratio of the optimal baseline MSE to the optimal recursive MSE.
 
-    Equals ``(2^4 (d+2)^(2d+4) / (d+4)^(2d+4))^(1/(d+4))``, always below 1.
+    Equals ``(2^4 ((d+2)/(d+4))^(2d+4))^(1/(d+4))``, below 1 and finite for every d.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return (2.0**4 * (d + 2.0) ** (2 * d + 4) / (d + 4.0) ** (2 * d + 4)) ** (1.0 / (d + 4))
+    return (2.0**4 * ((d + 2.0) / (d + 4.0)) ** (2 * d + 4)) ** (1.0 / (d + 4))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ def _resolve_seed(arg_seed: Optional[int]) -> Tuple[int, str]:
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env), f"env:{SEED_ENV}"
-        except ValueError:
-            raise SystemExit(f"{SEED_ENV} must be an integer, got {env!r}") from None
+            return _seed(env), f"env:{SEED_ENV}"
+        except (ValueError, argparse.ArgumentTypeError):
+            raise SystemExit(f"{SEED_ENV} must be an integer in [0, 2^64), got {env!r}") from None
     return DEFAULT_SEED, "default"
 
 
@@ -62,6 +62,13 @@ def _write_text(path: str, text: str) -> None:
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """A master seed: an integer in [0, 2^64), the first word of every Philox key."""
+    if not 0 <= int(text) < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
     return int(text)
 
 
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="run one benchmark coverage table")
     p_table.add_argument("table", type=int, choices=(1, 2, 3, 4))
-    p_table.add_argument("--seed", type=int)
+    p_table.add_argument("--seed", type=_seed)
     p_table.add_argument("--out", type=str)
     p_table.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_table.add_argument("--reps", type=_positive_int, default=5000)
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell.add_argument("--a", type=float, required=True)
     p_cell.add_argument("--n", type=_positive_int, required=True)
     p_cell.add_argument("--estimator", required=True, choices=(mc.ROSENBLATT, mc.RECURSIVE))
-    p_cell.add_argument("--seed", type=int)
+    p_cell.add_argument("--seed", type=_seed)
     p_cell.add_argument("--reps", type=_positive_int, default=5000)
     p_cell.add_argument("--out", type=str)
     p_cell.set_defaults(func=cmd_cell)
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the invariant check suites")
     p_check.add_argument("suite", choices=("fast", "full"))
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=_seed)
     p_check.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p_check.set_defaults(func=cmd_check)
 

@@ -19,11 +19,11 @@ differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
 caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
 product-Gaussian evaluation that takes ``(c, h)`` and reads d from the shapes,
-and :meth:`RecursiveEstimator.update_many` runs on it too, in runs of rows cut
-where its one held block of :data:`~sakde.sequences.STREAM_BLOCK` gains and
-bandwidths ends.  Only the public entry points that take a
-:class:`~sakde.kernels.Kernel` see one: they reject any kernel but the product
-Gaussian, by name, and read d from it.
+and :meth:`RecursiveEstimator.update_many` runs on it too; the streaming
+estimator keeps its estimate, step count and one weight sum, and takes each
+step's gain and bandwidth from the step's index.  Only the public entry points
+that take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but
+the product Gaussian, by name, and read d from it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from sakde.kernels import Kernel, gaussian_kernel, gaussian_norm, product_gaussian
-from sakde.sequences import (STREAM_BLOCK, BandwidthPlan, SequencePlan, StepsizePlan, pi_product,
-                             suffix_products)
+from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
@@ -128,44 +127,35 @@ class RecursiveEstimator:
         self.points = _as_points(points, self.dim)
         self.values = _initial_values(f0, len(self.points))
         self.n = 0
-        self._plan = zip(step.gamma_blocks(block=STREAM_BLOCK),
-                         bandwidth.seq.blocks(block=STREAM_BLOCK))
-        self._held, self._end = None, 0  # the held (gains, bandwidths) and the n at their end
-
-    def _steps(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Gains and bandwidths of the next ``count`` steps, or fewer where the held
-        block ends; it moves on only once ``n`` reaches its end, so a failed
-        update leaves its steps to the next one."""
-        if self.n == self._end:
-            self._held = next(self._plan)
-            self._end += len(self._held[0])
-        g, h = self._held
-        lo = len(g) - (self._end - self.n)
-        return g[lo:lo + count], h[lo:lo + count]
+        self._wsum = 0.0  # the weight sum through step n of a weight-induced stepsize
 
     def update(self, x_obs) -> None:
         """Absorb one observation; a non-finite one raises ValueError, changing nothing."""
         x_obs = np.asarray(x_obs, dtype=float).reshape(self.dim)
         if not all(map(math.isfinite, x_obs.tolist())):
             raise ValueError("observations must be finite")
-        g, h = (a.item() for a in self._steps(1))
+        g, wsum = self.step.gains(self.n + 1, self._wsum)
+        h = self.bandwidth.value(self.n + 1)
         z = (self.points - x_obs) / h
         self.values = (1.0 - g) * self.values + g * product_gaussian(z) / h**self.dim
-        self.n += 1
+        self.n, self._wsum = self.n + 1, wsum
 
     def update_many(self, sample) -> None:
         """Absorb the rows of ``sample`` in order, once all are checked to be finite:
-        per run of rows up to the held block's end, with the gains and bandwidths
+        per run of at most :data:`SCALAR_BUDGET` rows, with the gains and bandwidths
         :meth:`update` would take, ``f <- Pi_b f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
-        ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``, the recursion expanded exactly."""
+        ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``; the state changes only at the end."""
         sample = _as_points(sample, self.dim)
-        while len(sample):
-            g, h = self._steps(len(sample))
-            run, sample = sample[:len(g)], sample[len(g):]
+        values, n, wsum = self.values, self.n, self._wsum
+        for lo in range(0, len(sample), SCALAR_BUDGET):
+            run = sample[lo:lo + SCALAR_BUDGET]
+            k = np.arange(n + 1, n + len(run) + 1)
+            g, wsum = self.step.gains(k, wsum)
             tail = suffix_products(1.0 - g)
-            self.values = (tail[0] * (1.0 - g[0]) * self.values
-                           + _kernel_sum(g * tail, h, run, self.points))
-            self.n += len(g)
+            values = (tail[0] * (1.0 - g[0]) * values
+                      + _kernel_sum(g * tail, self.bandwidth.value(k), run, self.points))
+            n += len(run)
+        self.values, self.n, self._wsum = values, n, wsum
 
 
 def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:

@@ -48,11 +48,6 @@ KS_1PCT = 1.63
 SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
 
 
-def variance_optimal_step(a: float, d: int) -> StepsizePlan:
-    """The variance-minimising stepsize ``gamma_n = (1 - a d) / n``."""
-    return stepsize_plan(1.0 - a * d)
-
-
 def table_model(name: str):
     """The four benchmark densities by name."""
     if name == "gaussian":
@@ -73,13 +68,18 @@ def table_model(name: str):
     raise ValueError(f"unknown model name: {name!r}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CellConfig:
     """One estimand: an estimator of the density of ``model`` at ``x`` after ``n``
     observations, with ``replications`` Monte Carlo draws keyed by ``seed``.
 
     ``bandwidth`` and ``step`` default to the table protocol ``h_n = n^-a`` and
-    ``gamma_n = (1 - a d)/n``; every branch on the estimator kind lives here.
+    ``gamma_n = gamma0/n``, ``gamma0`` the minimiser of the interval constant C;
+    every branch on the estimator kind lives here.  ``seed`` lies in [0, 2^64).
     """
 
     model: object
@@ -97,9 +97,10 @@ class CellConfig:
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
         if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
             raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
-               for v in (self.n, self.replications)):
+        if not all(_is_integer(v) and v >= 1 for v in (self.n, self.replications)):
             raise ValueError("n and replications must be positive integers")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not 0.0 < self.a * self.dim < 1.0:
             raise ValueError("bandwidth exponent must satisfy 0 < a*d < 1")
         if self.bandwidth is None:
@@ -107,7 +108,8 @@ class CellConfig:
         elif self.bandwidth.a != self.a:
             raise ValueError(f"bandwidth exponent {self.bandwidth.a} disagrees with a = {self.a}")
         if self.step is None:
-            object.__setattr__(self, "step", variance_optimal_step(self.a, self.dim))
+            gamma0, _ = asymptotics.ci_constant_minimum(self.a, self.dim)
+            object.__setattr__(self, "step", stepsize_plan(gamma0))
 
     @property
     def dim(self) -> int:
@@ -152,8 +154,7 @@ def replication_rng(seed: int, index: int,
     buffer) instead of building one: the same stream at a fraction of the
     cost, which ends the stream of any generator handed out on it before.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     if bit_generator is None:
         return np.random.Generator(np.random.Philox(key=key))
     fresh = dict(counter=np.zeros(4, np.uint64), key=key)

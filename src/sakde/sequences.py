@@ -9,7 +9,6 @@ streaming recursion (no arrays of length ``n`` are ever stored).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -18,11 +17,6 @@ import numpy as np
 
 # Block length for streaming evaluations; memory use is O(_BLOCK), not O(n).
 _BLOCK = 1 << 15
-
-# Block length of the gains and bandwidths a streaming estimator holds, one
-# block at a time, and at whose ends it cuts its block updates: every value is
-# the same for any block length, and a short block keeps each estimator small.
-STREAM_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -41,12 +35,6 @@ class SequencePlan:
         out = self.scale * np.asarray(n, dtype=float) ** self.exponent
         return out if out.ndim else float(out)
 
-    def blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
-        """Values at 1..n_max (without end by default) in consecutive arrays
-        of at most ``block`` indices."""
-        for lo in itertools.takewhile(lambda start: start <= n_max, itertools.count(1, block)):
-            yield np.asarray(self.value(np.arange(lo, min(lo + block, n_max + 1))), dtype=float)
-
 
 def gs_index_diagnostic(plan: SequencePlan, n_max: int) -> float:
     """Return ``n_max * (1 - v(n_max - 1) / v(n_max))``.
@@ -64,17 +52,25 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
 
 
+def _check_scale(scale) -> None:
+    if not 0.0 < scale <= 1.0:
+        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+
+
 @dataclass(frozen=True)
 class StepsizePlan:
     """Gain sequence for the density recursion, ``seq`` in closed form.  When
     built from a weight sequence, ``weights`` yields the exact gains
-    ``w_n / sum_{k<=n} w_k`` in place of the asymptotic closed form."""
+    ``w_n / sum_{k<=n} w_k`` in place of the asymptotic closed form.  Every gain
+    lies in (0, 1]: a closed-form scale outside it is rejected here."""
 
     seq: SequencePlan
     weights: Optional[SequencePlan] = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        if self.weights is None:
+            _check_scale(self.seq.scale)
 
     @property
     def alpha(self) -> float:
@@ -90,26 +86,31 @@ class StepsizePlan:
         return 1.0 / self.gamma0  # 0 when gamma0 is infinite
 
     def gamma(self, n: int) -> float:
-        """Exact gain at step ``n`` (O(n) work; drive a recursion with :meth:`gamma_blocks`)."""
+        """Exact gain at step ``n``, from all n gains (O(n); a recursion calls :meth:`gains`)."""
         return float(self.gamma_values(n)[-1])
 
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array (empty for n_max = 0)."""
-        return np.concatenate((np.empty(0), *self.gamma_blocks(n_max)))
+        return self.gains(np.arange(1, n_max + 1), 0.0)[0]
 
-    def gamma_blocks(self, n_max: float = math.inf, block: int = _BLOCK) -> Iterator[np.ndarray]:
-        """Gains for steps 1..n_max (without end by default) in consecutive
-        arrays of at most ``block`` steps; the one place where gains are computed.
-        Weight sums run through one ``cumsum`` carried across blocks, so no gain
-        depends on where the blocks end."""
-        if self.weights is None:
-            yield from self.seq.blocks(n_max, block)
-            return
+    def gamma_blocks(self, n_max: int) -> Iterator[np.ndarray]:
+        """Gains for steps 1..n_max in consecutive arrays of at most ``_BLOCK`` steps."""
         wsum = 0.0
-        for w in self.weights.blocks(n_max, block):
-            sums = np.cumsum(np.concatenate(([wsum], w)))[1:]
-            wsum = float(sums[-1])
-            yield w / sums
+        for lo in range(1, n_max + 1, _BLOCK):
+            g, wsum = self.gains(np.arange(lo, min(lo + _BLOCK, n_max + 1)), wsum)
+            yield g
+
+    def gains(self, k, wsum: float):
+        """Gains at step ``k`` (an int) or steps ``k`` (consecutive, an array) and the
+        weight sum through the last, from ``wsum``, the sum through the step before;
+        the one place where gains are computed, the same bits however steps are cut."""
+        if self.weights is None:
+            return self.seq.value(k), wsum
+        w = self.weights.value(k)
+        if np.ndim(w) == 0:
+            return w / (wsum + w), wsum + w
+        sums = np.cumsum(np.concatenate(([wsum], w)))
+        return w / sums[1:], float(sums[-1])
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,11 @@ class BandwidthPlan:
 def stepsize_plan(scale: float, alpha: float = 1.0) -> StepsizePlan:
     """Build a stepsize plan ``gamma_n = scale * n**(-alpha)``.
 
-    ``alpha`` must lie in (1/2, 1] and ``scale`` in (0, 1] so that every gain
-    stays in (0, 1].
+    ``alpha`` must lie in (1/2, 1] and ``scale`` in (0, 1], the bounds that
+    :class:`StepsizePlan` enforces so that every gain lies in (0, 1].
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
-    _check_alpha(alpha)  # before the sequence plan, which would name only its exponent
+    _check_scale(scale)  # before the sequence plan, which would name only its scale and exponent
+    _check_alpha(alpha)
     return StepsizePlan(SequencePlan(scale, -alpha))
 
 
@@ -172,20 +172,15 @@ def suffix_products(a: np.ndarray) -> np.ndarray:
 def pi_product(step: StepsizePlan, n: int) -> float:
     """Product ``prod_{j<=n} (1 - gamma_j)``.
 
-    Accumulates in log space while all factors are positive and switches to
-    an exact 0 once some ``gamma_j = 1`` (e.g. any weight-induced plan, whose
-    first gain is 1).
+    Every gain lies in (0, 1], so every factor lies in [0, 1): accumulates in
+    log space while all factors are positive and switches to an exact 0 once
+    some ``gamma_j = 1`` (e.g. any weight-induced plan, whose first gain is 1).
     """
     log_pi = 0.0
-    count = 0
     for g in step.gamma_blocks(n):
-        if np.any(g > 1.0):
-            raise ValueError("stepsize exceeds 1; product is not sign-definite")
         if np.any(g == 1.0):
             return 0.0
         log_pi += float(np.sum(np.log1p(-g)))
-        count += g.size
-    assert count == n
     return math.exp(log_pi)
 
 

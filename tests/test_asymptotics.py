@@ -219,6 +219,10 @@ def test_efficiency_ratio_values_and_shape():
     assert 0 < amin < 49  # interior minimum: decreases, then increases toward 1
     assert rhos[-1] > rhos[amin]
     assert rhos[-1] > 0.99 * rhos[-2]
+    # (d + 2)^(2d + 4) alone overflows a float from d = 79 on; the ratio's power does not
+    far = [asy.efficiency_ratio(d) for d in (79, 10**3, 10**6)]
+    np.testing.assert_allclose(far, [0.98590, 0.99878, 0.9999988], rtol=0, atol=5e-6)
+    assert rhos[-1] < far[0] < far[1] < far[2] < 1.0
 
 
 def test_efficiency_ratio_matches_composed_optima():

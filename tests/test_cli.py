@@ -16,6 +16,13 @@ def test_asymptotics_rho(capsys):
     assert "0.94320" in out
 
 
+def test_asymptotics_rho_in_high_dimension(capsys):
+    # (d + 2)^(2d + 4) alone would overflow a float from d = 79 on
+    code, out = run(capsys, "asymptotics", "rho", "--d", "1000")
+    assert code == 0
+    assert out == "optimal-MSE efficiency ratio rho(d=1000) = 0.99878\n"
+
+
 def test_asymptotics_ci_constant(capsys):
     code, out = run(capsys, "asymptotics", "ci-constant",
                     "--gamma0", "0.79", "--a", "0.21", "--d", "1")
@@ -157,6 +164,14 @@ def test_check_failure_is_reported_and_exits_1(capsys, monkeypatch):
     ["asymptotics", "rho", "--d", "0"],
     ["asymptotics", "bias", "--density", "gaussian", "--x", "0", "--a", "0.21",
      "--gamma0", "1", "--n", "-5"],
+    # a seed is an integer in [0, 2^64), the first word of every Philox key
+    ["check", "fast", "--seed", "-1"],
+    ["table", "1", "--seed", "-1"],
+    ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "50",
+     "--estimator", "recursive", "--seed", "18446744073709551616"],
+    ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "50",
+     "--estimator", "recursive", "--seed", "-1"],
+    ["table", "1", "--seed", "4.5"],
 ])
 def test_nonpositive_reps_and_jobs_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -166,12 +181,14 @@ def test_nonpositive_reps_and_jobs_are_usage_errors(argv, capsys):
 
 
 def test_non_integer_seed_env_is_one_line_exit(tmp_path, monkeypatch):
-    monkeypatch.setenv("SAKDE_SEED", "4x2")
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "1", "--reps", "10", "--jobs", "1", "--out", str(tmp_path / "t.csv")])
-    message = str(exc.value.code)
-    assert "SAKDE_SEED" in message and "'4x2'" in message
-    assert "\n" not in message
+    # the variable takes the domain of --seed, through the same parser
+    for env in ("4x2", "-1", "18446744073709551616", "4.5"):
+        monkeypatch.setenv("SAKDE_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "1", "--reps", "10", "--jobs", "1", "--out", str(tmp_path / "t.csv")])
+        message = str(exc.value.code)
+        assert message == f"SAKDE_SEED must be an integer in [0, 2^64), got {env!r}"
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -191,6 +208,10 @@ def test_bad_point_is_one_line_exit(argv):
 @pytest.mark.parametrize("argv, message", [
     ("asymptotics ci-constant --gamma0 0.3 --a 0.21 --d 1", "variance pole"),
     ("asymptotics ci-constant --gamma0 inf --a 0.21 --d 1", "positive and finite"),
+    ("asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 nan --n 100",
+     "scale must lie in (0, 1], got nan"),
+    ("asymptotics variance --density gaussian --x 0 --a 0.21 --gamma0 1.5 --n 100",
+     "scale must lie in (0, 1], got 1.5"),
     ("asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.3 --n 100", "bias pole"),
     ("asymptotics regime --a 0.9 --alpha 1 --d 2", "a must lie in"),
     ("asymptotics regime --a 0.2 --alpha nan --d 1", "alpha must lie in (1/2, 1], got nan"),

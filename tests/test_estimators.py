@@ -16,8 +16,8 @@ from sakde.estimators import (
     weighted_closed_form,
 )
 from sakde.kernels import Kernel, gaussian_kernel
-from sakde.sequences import (STREAM_BLOCK, SequencePlan, bandwidth_plan, pi_product,
-                             stepsize_from_weights, stepsize_plan)
+from sakde.sequences import (SequencePlan, bandwidth_plan, pi_product, stepsize_from_weights,
+                             stepsize_plan)
 
 
 def test_first_update_annihilates_f0_when_gain_is_one():
@@ -341,13 +341,13 @@ def test_kernel_sums_reject_other_kernels():
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("weighted", [True, False])
 def test_block_updates_match_one_step_recursion(d, weighted):
-    # blocks of STREAM_BLOCK rows, cut anywhere and interleaved with single
-    # updates, stay on the one-observation recursion across block boundaries
+    # blocks of rows, cut anywhere and interleaved with single updates, stay
+    # on the one-observation recursion
     rng = np.random.default_rng(50 + d)
     kern, bw = gaussian_kernel(d), bandwidth_plan(0.9, 0.21 / d)
     step = stepsize_from_weights(SequencePlan(1.0, -0.1)) if weighted else stepsize_plan(0.79)
     f0 = 0.0 if weighted else 0.4  # a weight-induced plan has gamma_1 = 1
-    n = 2 * STREAM_BLOCK + 5
+    n = 2053
     sample = rng.standard_normal((n, d))
     pts = rng.standard_normal((30, d)) * 1.5
     stepwise = RecursiveEstimator(kern, step, bw, pts, f0=f0)
@@ -356,8 +356,8 @@ def test_block_updates_match_one_step_recursion(d, weighted):
     whole = RecursiveEstimator(kern, step, bw, pts, f0=f0)
     whole.update_many(sample)
     mixed, lo = RecursiveEstimator(kern, step, bw, pts, f0=f0), 0
-    # update_many on 1, 1023, 1025 (two blocks) and 2 rows, update on single rows
-    for size in (1, STREAM_BLOCK - 1, None, STREAM_BLOCK + 1, None, 2):
+    # update_many on 1, 1023, 1025 and 2 rows, update on single rows
+    for size in (1, 1023, None, 1025, None, 2):
         if size is None:
             mixed.update(sample[lo])
         else:
@@ -366,6 +366,42 @@ def test_block_updates_match_one_step_recursion(d, weighted):
     assert stepwise.n == whole.n == mixed.n == lo == n
     for est in (whole, mixed):
         assert float(np.max(np.abs(est.values - stepwise.values))) < 1e-12
+
+
+@pytest.mark.parametrize("step", [stepsize_plan(0.79),
+                                  stepsize_from_weights(SequencePlan(1.0, -0.1))],
+                         ids=["closed-form", "weight-induced"])
+def test_fresh_block_update_is_the_closed_form_bit_for_bit(step):
+    # one run of 2053 rows takes the gains and bandwidths recursive_at_points
+    # takes and sums them in the same order
+    rng = np.random.default_rng(61)
+    kern, bw = gaussian_kernel(1), bandwidth_plan(0.9, 0.21)
+    sample, pts = rng.standard_normal((2053, 1)), np.linspace(-3.0, 3.0, 40)
+    est = RecursiveEstimator(kern, step, bw, pts)
+    est.update_many(sample)
+    assert est.n == 2053
+    np.testing.assert_array_equal(est.values, recursive_at_points(kern, step, bw, sample, pts))
+
+
+@pytest.mark.parametrize("step", [stepsize_plan(0.79),
+                                  stepsize_from_weights(SequencePlan(1.0, -0.1))],
+                         ids=["closed-form", "weight-induced"])
+def test_block_update_runs_follow_scalar_budget(step, monkeypatch):
+    # a budget of a few rows cuts update_many into many runs; each run starts
+    # from the gains and weight sum the previous one ended with
+    rng = np.random.default_rng(62)
+    kern, bw = gaussian_kernel(2), bandwidth_plan(0.9, 0.1)
+    sample, pts = rng.standard_normal((203, 2)), rng.standard_normal((6, 2))
+    f0 = 0.0 if step.weights is not None else 0.3
+    stepwise = RecursiveEstimator(kern, step, bw, pts, f0=f0)
+    for row in sample:
+        stepwise.update(row)
+    monkeypatch.setattr(estimators, "SCALAR_BUDGET", 7)
+    est = RecursiveEstimator(kern, step, bw, pts, f0=f0)
+    est.update_many(sample[:1])
+    est.update_many(sample[1:])
+    assert est.n == len(sample)
+    assert float(np.max(np.abs(est.values - stepwise.values))) < 1e-12
 
 
 def test_recursive_at_points_memory_is_bounded():
@@ -388,7 +424,8 @@ def test_recursive_at_points_memory_is_bounded():
 @pytest.mark.parametrize("step", [stepsize_plan(0.79),
                                   stepsize_from_weights(SequencePlan(1.0, -0.21))])
 def test_streaming_estimator_holds_short_buffers(step):
-    # gains and bandwidths are buffered one short block at a time, not 2**15
+    # between updates the estimator holds its estimate and a weight sum, no
+    # gains or bandwidths
     tracemalloc.start()
     try:
         est = RecursiveEstimator(gaussian_kernel(1), step, bandwidth_plan(1.0, 0.21),
@@ -401,14 +438,14 @@ def test_streaming_estimator_holds_short_buffers(step):
 
 
 def test_failed_block_update_after_a_refill_keeps_its_steps(monkeypatch):
-    # the held block moves on only when n reaches its end: an update that
-    # fails right after taking the next block leaves those steps to the next one
+    # update_many writes its state only once its kernel sums return: an update
+    # that fails leaves its steps, and the weight sum, to the next one
     rng = np.random.default_rng(7)
-    sample, pts = rng.standard_normal((STREAM_BLOCK + 40, 1)), np.linspace(-2, 2, 9)
+    sample, pts = rng.standard_normal((1024 + 40, 1)), np.linspace(-2, 2, 9)
     args = (gaussian_kernel(1), stepsize_from_weights(SequencePlan(1.0, -0.1)),
             bandwidth_plan(1.0, 0.21), pts)
     est, fresh = RecursiveEstimator(*args), RecursiveEstimator(*args)
-    est.update_many(sample[:STREAM_BLOCK])
+    est.update_many(sample[:1024])
     kernel_sum = estimators._kernel_sum
 
     def fails_once(*a):
@@ -416,14 +453,16 @@ def test_failed_block_update_after_a_refill_keeps_its_steps(monkeypatch):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(estimators, "_kernel_sum", fails_once)
+    before = est.values.copy()
     with pytest.raises(RuntimeError):
-        est.update_many(sample[STREAM_BLOCK:STREAM_BLOCK + 10])
-    assert est.n == STREAM_BLOCK
-    fresh.update_many(sample[:STREAM_BLOCK])
+        est.update_many(sample[1024:1024 + 10])
+    assert est.n == 1024
+    np.testing.assert_array_equal(est.values, before)
+    fresh.update_many(sample[:1024])
     for e in (est, fresh):
-        e.update_many(sample[STREAM_BLOCK:STREAM_BLOCK + 10])
-        e.update(sample[STREAM_BLOCK + 10])
-        e.update_many(sample[STREAM_BLOCK + 11:])
+        e.update_many(sample[1024:1024 + 10])
+        e.update(sample[1024 + 10])
+        e.update_many(sample[1024 + 11:])
     assert est.n == fresh.n == len(sample)
     np.testing.assert_array_equal(est.values, fresh.values)
 

@@ -1,10 +1,9 @@
-"""The package imports only numpy and the standard library, every
-module-level import in the package is used, every module-level
-private name is referenced somewhere in the package, every module-level
-public function has a caller in the package or is exported, every public
-method has a caller in the package, and every option of a public function or
-method and every defaulted field of a public dataclass is passed by some call
-in the package (stdlib ``ast`` scans; named exemptions)."""
+"""The package imports only numpy and the standard library, has no ``assert``
+statement, uses every module-level import, references every module-level
+private name somewhere, has a caller for every module-level public function
+that it does not export and for every public method, and passes every option
+of a public function or method and every defaulted field of a public
+dataclass in some call (stdlib ``ast`` scans; named exemptions)."""
 
 import ast
 import sys
@@ -56,6 +55,14 @@ def test_runtime_imports_are_numpy_and_the_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [f"{path.name}:{line} {root}" for line, root in _imported_roots(tree)
             if root not in RUNTIME_IMPORTS and root not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips every assert, so a check written as one is no check
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []
 
 
 def _private_definitions(node):

@@ -284,6 +284,13 @@ def test_cell_config_validation():
         with pytest.raises(ValueError, match="n and replications must be positive integers"):
             mc.CellConfig(model, (0.0,), n, 0.21, mc.ROSENBLATT, reps, 0)
     assert mc.CellConfig(model, (0.0,), np.int64(50), 0.21, mc.ROSENBLATT, np.int32(10)).n == 50
+    # a seed is one word of the Philox key: -1 would run on the key 2^64 - 1
+    # and 2^64 on the key 0, each under its own name
+    for seed in (-1, 2**64, 2**64 + 42, 1.5, 42.0, True, "42", None):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            mc.CellConfig(model, (0.0,), 50, 0.21, mc.ROSENBLATT, 10, seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)):
+        assert mc.CellConfig(model, (0.0,), 50, 0.21, mc.ROSENBLATT, 10, seed).seed == seed
 
 
 @pytest.mark.parametrize("model, x", [
@@ -300,7 +307,7 @@ def test_cell_config_defaults_to_table_protocol():
     for table in (1, 2, 3, 4):
         for cfg in mc.table_configs(table, seed=0):
             assert cfg.bandwidth == bandwidth_plan(1.0, cfg.a)
-            assert cfg.step == mc.variance_optimal_step(cfg.a, cfg.dim)
+            assert cfg.step == stepsize_plan(1.0 - cfg.a * cfg.dim)
             expected = 1.0 if cfg.estimator == mc.ROSENBLATT else math.sqrt(1 - cfg.a * cfg.dim)
             assert cfg.ci_factor == expected  # bit for bit
 

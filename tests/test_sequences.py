@@ -6,7 +6,6 @@ import pytest
 
 from sakde import sequences
 from sakde.sequences import (
-    STREAM_BLOCK,
     SequencePlan,
     bandwidth_plan,
     gs_index_diagnostic,
@@ -72,6 +71,22 @@ def test_stepsize_plan_validation():
         stepsize_plan(1.0, alpha=1.2)
     with pytest.raises(ValueError):
         stepsize_plan(1.5)
+
+
+def test_stepsize_plan_rejects_a_gain_above_one_at_construction():
+    # gains 2.5, 1.25, ... would make the first steps non-convex updates; the
+    # type rejects the plan before any estimator or cell holds it
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\], got 2.5"):
+        sequences.StepsizePlan(SequencePlan(2.5, -1.0))
+    with pytest.raises(ValueError, match="scale must lie in"):
+        sequences.StepsizePlan(SequencePlan(1.5, -0.7))
+    with pytest.raises(ValueError, match=r"scale must lie in \(0, 1\], got nan"):
+        stepsize_plan(math.nan)
+    # weight-induced gains w_n / sum_{k<=n} w_k lie in (0, 1] whatever the gain limit
+    step = stepsize_from_weights(SequencePlan(1.0, 0.5))
+    assert step.gamma0 == 1.5
+    g = step.gamma_values(1000)
+    assert g[0] == 1.0 and np.all((g > 0.0) & (g <= 1.0))
 
 
 @pytest.mark.parametrize("plan_type, exponent, message", [
@@ -146,28 +161,36 @@ def test_weight_induced_gain_limit(w_star):
 
 
 def test_gamma_stream_matches_gamma_values():
-    # the stream without end that a streaming estimator holds, block by block,
-    # gives the first n gains bitwise as gamma_values does
-    for n in (100, 2**15 + 10):
-        for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
-            stream = step.gamma_blocks(block=STREAM_BLOCK)
-            first = np.concatenate([next(stream) for _ in range(-(-n // STREAM_BLOCK))])[:n]
-            np.testing.assert_array_equal(first, step.gamma_values(n))
+    # gains taken one step at a time from the step index, carrying the weight
+    # sum as the streaming estimator does, equal gamma_values bitwise
+    for step in (stepsize_plan(0.6), stepsize_plan(0.9, alpha=0.7),
+                 stepsize_from_weights(SequencePlan(1.0, -0.21))):
+        expected, wsum = step.gamma_values(3000), 0.0
+        for k in range(1, 3001):
+            g, wsum = step.gains(k, wsum)
+            assert g == expected[k - 1]
+        assert wsum == step.gains(np.arange(1, 3001), 0.0)[1]
 
 
 def test_gamma_values_fill_every_step_whatever_the_block_length():
-    # gamma_values cuts blocks of 2**15 steps, so past 2**15 its block ends
-    # differ from those of short blocks; one running weight sum makes the
-    # gains agree bitwise, and every step is filled exactly once
+    # gains over consecutive runs of steps, cut at any lengths (those of the
+    # streaming tests and the 2**15 steps of gamma_blocks), agree bitwise with
+    # gamma_values, and every step is filled exactly once
     for step in (stepsize_plan(0.6), stepsize_from_weights(SequencePlan(1.0, -0.21))):
         for n in (100, 2**15 + 10):
             expected = step.gamma_values(n)
             assert expected.shape == (n,)
-            for block in (1000, STREAM_BLOCK):
-                blocks = list(step.gamma_blocks(n, block=block))
-                assert all(len(b) == block for b in blocks[:-1])
-                np.testing.assert_array_equal(np.concatenate(blocks), expected)
+            blocks = list(step.gamma_blocks(n))
+            assert [len(b) for b in blocks[:-1]] == [2**15] * (len(blocks) - 1)
+            np.testing.assert_array_equal(np.concatenate(blocks), expected)
+            for size in (1000, 1024):
+                runs, wsum = [], 0.0
+                for lo in range(1, n + 1, size):
+                    g, wsum = step.gains(np.arange(lo, min(lo + size, n + 1)), wsum)
+                    runs.append(g)
+                np.testing.assert_array_equal(np.concatenate(runs), expected)
         assert step.gamma_values(0).shape == (0,)
+        assert list(step.gamma_blocks(0)) == []
 
 
 def test_pi_product_exact_zero_for_weight_induced():

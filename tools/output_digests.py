@@ -16,6 +16,8 @@ lines for:
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
+- each of a fixed list of calls the CLI must reject with a one-line message
+  (a seed outside [0, 2^64));
 - the raw draws of each table model: ``sample_block`` with the replication
   generators keyed ``(42, 0..2)``, at n = 50 and n = 1025, printed as the
   shape and the SHA-256 of each block's bytes, so a change to the sampler's
@@ -54,7 +56,7 @@ POINTS = ("0", "0.5", "1")
 
 def asymptotics_queries():
     """The fixed query list: every query inside the domain of its formulas."""
-    yield from (f"rho --d {d}" for d in (1, 2, 3))
+    yield from (f"rho --d {d}" for d in (1, 2, 3, 79))
     yield from (f"ci-constant --gamma0 {g} --a {a} --d {d}"
                 for g, a, d in ((0.79, 0.21, 1), (1.0, 0.23, 1), (0.66, 0.17, 2)))
     yield from (f"regime --a {a} --alpha 1 --d {d}{gamma0}"
@@ -81,6 +83,13 @@ def cell_calls():
             yield (f"--density {density} --x {','.join(['0'] * dim)} "
                    f"--a {0.21 if dim == 1 else 0.17} --estimator {estimator} "
                    f"--n 100 --reps 500 --seed 42")
+
+
+# Calls outside the CLI's domain: each must end in a usage error, not a traceback.
+REJECTED_CALLS = (
+    "check fast --seed -1",
+    "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --seed -1",
+)
 
 
 # The data and plans of the `stream` workload, at its full size and seed 42.
@@ -110,8 +119,8 @@ def streamed(kern, step, bw, grid, x):
     return est.values
 """
 
-# The one-step loop runs 2053 = 2 * 1024 + 5 steps, past two gain-block ends;
-# the mixed call sizes are those of the block-update tests.
+# The one-step loop runs 2053 steps; the mixed call sizes are those of the
+# block-update tests.
 STREAM_SNIPPETS = {
     "stream update_many m=100 closed-form gains": "show(streamed(k1, step1, bw1, grid1, x1))",
     "stream update_many m=100 weight-induced gains": "show(streamed(k1, step_w, bw1, grid1, x1))",
@@ -178,6 +187,8 @@ def outputs(root: Path, work: Path):
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
         yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
+    for call in REJECTED_CALLS:
+        yield f"rejected {call}", run_cli(root, call.split(), work)
     for density in DENSITIES:
         yield f"draws {density}", run_python(root, ["-c", DRAW_SNIPPET, density], work)
     for label, snippet in STREAM_SNIPPETS.items():
