@@ -5,7 +5,8 @@ Each check is a function of ``(seed, jobs)`` returning a list of
 plus ``value``, the raw measured numbers (gaps, ratios, margins, reports) and
 never a verdict, so a test can apply its own thresholds to the same
 measurement.  ``FAST`` and ``FULL`` fix the order of the suites.  A check that
-draws random numbers seeds its own ``default_rng(seed)``.
+draws random numbers seeds its own ``default_rng(seed)`` or Monte Carlo cells;
+one call of ``mc.estimates`` serves every cell a check reads off one draw.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import Any, List, NamedTuple, Sequence
 import numpy as np
 
 from sakde import asymptotics, mc, reference
-from sakde.densities import (LinearImage, curvature, curvature_squared_integral,
-                             standard_gaussian)
+from sakde.densities import curvature, curvature_squared_integral, standard_gaussian
 from sakde.estimators import RecursiveEstimator, recursive_at_points, weighted_closed_form
 from sakde.kernels import gaussian_kernel, gaussian_roughness, kernel_moments
 from sakde.sequences import (SequencePlan, bandwidth_plan, gs_index_diagnostic, lemma_limit,
@@ -236,15 +236,23 @@ def coverage_smoke(seed: int, jobs: int) -> List[CheckOutcome]:
 
 # full suite adds the Monte Carlo oracles
 
-def moments_vs_exact(seed: int, jobs: int) -> List[CheckOutcome]:
+def moments_and_clt(seed: int, jobs: int) -> List[CheckOutcome]:
     """Moments at n = 10^4 against the exact finite-n ones, for the
-    plain-average and the variance-optimal gain."""
+    plain-average and the variance-optimal gain, and the CLT gate, all read
+    from one draw of 2000 standard-Gaussian samples."""
     model, out = mc.table_model("gaussian"), []
     labels = ("plain-average", "variance-optimal")
     cells = [mc.CellConfig(model, (0.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed, step=step)
              for step in (stepsize_plan(1.0), None)]
-    for label, cell, emp in zip(labels, cells, mc.empirical_moments(*cells)):
-        ex_mean, ex_var = mc.exact_moments(cell)
+    # the CLT gate reads N(0, 9) at its curvature-free point x = 3 (a negligible
+    # finite-n center shift; gamma0 = 1-ad, a = 0.21, d = 1).  With X = 3Z, its
+    # estimate and f(3) are one third of this N(0, 1) cell's at x = 1 with
+    # bandwidth scale 1/3, so both standardise to the same statistic
+    clt = mc.CellConfig(model, (1.0,), 10**4, 0.21, mc.RECURSIVE, 2000, seed,
+                        bandwidth=bandwidth_plan(1 / 3, 0.21))
+    *moment_estimates, clt_estimates = mc.estimates(*cells, clt)
+    for label, cell, g in zip(labels, cells, moment_estimates):
+        emp, (ex_mean, ex_var) = mc.empirical_moments(cell, g), mc.exact_moments(cell)
         lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), 1, cell.bandwidth,
                                             cell.step, cell.n)
         tol = 5.0 * math.sqrt(ex_var / cell.replications)
@@ -256,27 +264,19 @@ def moments_vs_exact(seed: int, jobs: int) -> List[CheckOutcome]:
             {"empirical": emp, "exact_mean": ex_mean, "exact_var": ex_var},
             f"leading-order variance ratio at n={cell.n}: {emp.variance / lead:.3f} "
             "(finite-n deficit, see docs)")
-    return out
+    rep = mc.clt_empirical_check(clt, clt_estimates)
+    return out + _outcome("clt-gate", rep.passed, f"sup-CDF distance {rep.distance:.4f} vs "
+                          f"threshold {rep.threshold:.4f}", rep)
 
 
 def bias_oracle(seed: int, jobs: int) -> List[CheckOutcome]:
     model = mc.table_model("gaussian")
     cell = mc.CellConfig(model, (0.0,), 10**5, 0.1, mc.RECURSIVE, 200, seed,
                          step=stepsize_plan(1.0))
-    ratio = mc.empirical_moments(cell)[0].mean_bias / asymptotics.bias_leading(
+    ratio = mc.empirical_moments(cell, *mc.estimates(cell)).mean_bias / asymptotics.bias_leading(
         curvature(model, cell.x), cell.bandwidth, cell.step, cell.n)
     return _outcome("bias-oracle", abs(ratio - 1.0) < 0.15,
                     f"empirical/leading bias ratio {ratio:.3f}", ratio)
-
-
-def clt_gate(seed: int, jobs: int) -> List[CheckOutcome]:
-    # curvature-free point of a dilated Gaussian keeps the finite-n center
-    # shift negligible; gamma0 = 1-ad, a = 0.21, d = 1
-    scaled = LinearImage(standard_gaussian(1), [[3.0]], label="gaussian-sigma3")
-    rep = mc.clt_empirical_check(mc.CellConfig(scaled, (3.0,), 10**4, 0.21, mc.RECURSIVE,
-                                               2000, seed))
-    return _outcome("clt-gate", rep.passed,
-                    f"sup-CDF distance {rep.distance:.4f} vs threshold {rep.threshold:.4f}", rep)
 
 
 def table1_baseline_cells(seed: int, jobs: int) -> List[CheckOutcome]:
@@ -297,4 +297,4 @@ FAST = (kernel_constants, sequence_diagnostic, weight_induced_gain, lemma_identi
         lemma_limit_value, recursion_equivalence, closed_form_expansion, density_hessians,
         change_of_variables, curvature_integral, ci_constant_minimum, efficiency_ratio,
         mse_first_order_condition, balanced_plan_ratios, coverage_smoke)
-FULL = FAST + (moments_vs_exact, bias_oracle, clt_gate, table1_baseline_cells)
+FULL = FAST + (moments_and_clt, bias_oracle, table1_baseline_cells)

@@ -3,7 +3,8 @@
 Reproduces the four benchmark coverage tables and provides the empirical
 oracles (moments, CLT) used to validate the leading-order formulas.  Each
 readout is a statistic of one vector per cell: its estimate in every
-replication, from :func:`estimates`.
+replication, from :func:`estimates`.  :func:`run_cell` draws its vectors; the
+oracles take theirs, so cells of other checks can share the draw.
 
 Determinism contract: every replication draws from its own counter-based
 generator derived from ``(master_seed, replication_index)``, so every cell of
@@ -189,14 +190,15 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     reps, n = first.replications, first.n
     block = max(1, min(reps, estimators.SCALAR_BUDGET // (n * first.dim)))
     philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
-    blocks = []
+    out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
     for lo in range(0, reps, block):
         hi = min(lo + block, reps)
         samples = first.model.sample_block(
             (replication_rng(first.seed, r, philox) for r in range(lo, hi)), hi - lo, n)
-        blocks.append([cfg.estimate(samples) for cfg in cfgs])
+        for g, cfg in zip(out, cfgs):
+            g[lo:hi] = cfg.estimate(samples)
         del samples  # freed before the next block is drawn
-    return [np.concatenate(g) for g in zip(*blocks)]
+    return out
 
 
 def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
@@ -317,18 +319,15 @@ class MomentReport:
     replications: int
 
 
-def empirical_moments(*cfgs: CellConfig) -> List[MomentReport]:
-    """Monte Carlo moments of each cell's estimator at its point; the cells
-    share (model, n, replications, seed) and read one draw of each sample block."""
-    reps = _shared_draw(cfgs).replications
-    if reps < 100:
+def empirical_moments(cfg: CellConfig, g: np.ndarray) -> MomentReport:
+    """Monte Carlo moments of the cell's estimator at its point, from its estimates ``g``."""
+    if cfg.replications < 100:
         raise ValueError("need at least 100 replications for stable moments")
-    reports = []
-    for cfg, g in zip(cfgs, estimates(*cfgs)):
-        mean = float(np.mean(g))
-        reports.append(MomentReport(mean, mean - cfg.model.pdf(np.asarray(cfg.x, dtype=float)),
-                                    float(np.var(g, ddof=1)), reps))
-    return reports
+    if np.shape(g) != (cfg.replications,):
+        raise ValueError(f"estimates must have shape ({cfg.replications},), got {np.shape(g)}")
+    mean = float(np.mean(g))
+    return MomentReport(mean, mean - cfg.model.pdf(np.asarray(cfg.x, dtype=float)),
+                        float(np.var(g, ddof=1)), cfg.replications)
 
 
 def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
@@ -373,10 +372,10 @@ class CltReport:
     sample_std: float
 
 
-def clt_empirical_check(cfg: CellConfig) -> CltReport:
+def clt_empirical_check(cfg: CellConfig, g: np.ndarray) -> CltReport:
     """Standardise ``sqrt(gamma_n^{-1} h_n^d) (f_n(x) - f(x))`` of a recursive
-    cell by the limit variance and measure the sup distance between its
-    empirical CDF and the standard normal CDF.
+    cell, over its vector ``g`` of estimates, by the limit variance and measure
+    the sup distance between its empirical CDF and the standard normal CDF.
 
     Requires an undersmoothing bandwidth (``n h_n^{d+4} -> 0``).  Plans with
     ``xi = 0`` converge slowly and are flagged, not gated.
@@ -386,12 +385,13 @@ def clt_empirical_check(cfg: CellConfig) -> CltReport:
     d = cfg.dim
     if cfg.a * (d + 4) <= 1.0:
         raise ValueError("undersmoothing required: a*(d+4) must exceed 1")
+    if np.shape(g) != (cfg.replications,):
+        raise ValueError(f"estimates must have shape ({cfg.replications},), got {np.shape(g)}")
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     variance = asymptotics.clt_params(0.0, f_true, 0.0, d, cfg.a, cfg.step).asym_var
     reps = cfg.replications
     scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
-    (values,) = estimates(cfg)
-    z = np.sort(scale * (values - f_true) / math.sqrt(variance))
+    z = np.sort(scale * (g - f_true) / math.sqrt(variance))
     cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     i = np.arange(1, reps + 1)
     distance = float(max(np.max(i / reps - cdf),

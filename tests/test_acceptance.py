@@ -33,6 +33,12 @@ def measure(*suite_checks):
 
 
 @pytest.fixture(scope="module")
+def moments_and_clt():
+    """Criteria 3 and 5 read one draw of the standard-Gaussian sample."""
+    return measure(checks.moments_and_clt)
+
+
+@pytest.fixture(scope="module")
 def full_tables():
     return {t: mc.run_table(t, seed=SEED, replications=5000, jobs=2) for t in (1, 2, 3, 4)}
 
@@ -58,7 +64,7 @@ def test_criterion_2_streaming_limit_evaluation():
                   f"telescoping identity dev {ident_worst:.2e} (tol 1e-12)")
 
 
-def test_criterion_3_variance_formula_oracle():
+def test_criterion_3_variance_formula_oracle(moments_and_clt):
     n, a = 10**4, 0.21
     h = float(n) ** -a
     # hand-written leading-order constants, independent of asymptotics.py
@@ -66,10 +72,9 @@ def test_criterion_3_variance_formula_oracle():
         "plain-average": PHI0 * gaussian_roughness(1) / ((1 + a) * n * h),
         "variance-optimal": (1 - a) * PHI0 * gaussian_roughness(1) / (n * h),
     }
-    moments = measure(checks.moments_vs_exact)
     ratios = {}
     for label, target in targets.items():
-        m = moments[f"moments-vs-exact({label})"]
+        m = moments_and_clt[f"moments-vs-exact({label})"]
         emp_var, exact_var = m["empirical"].variance, m["exact_var"]
         ratios[label] = emp_var / target
         print(f"  {label}: empirical/leading = {emp_var / target:.3f}, "
@@ -87,8 +92,8 @@ def test_criterion_4_bias_formula_oracle():
                   f"empirical/leading bias ratio {ratio:.3f} (tol 15%)")
 
 
-def test_criterion_5_clt_sup_cdf_distance():
-    report = measure(checks.clt_gate)["clt-gate"]
+def test_criterion_5_clt_sup_cdf_distance(moments_and_clt):
+    report = moments_and_clt["clt-gate"]
     assert record(5, report.passed,
                   f"sup-CDF distance {report.distance:.4f} vs threshold "
                   f"{report.threshold:.4f} (sample mean {report.sample_mean:+.3f}, "

@@ -150,9 +150,6 @@ def test_no_uncalled_public_functions():
 #: passes, or that are kept for a path no package call takes, with the reason for each
 UNPASSED_OPTIONS = {
     "main.argv": "the console entry point reads sys.argv; the tests pass argv",
-    "CellConfig.bandwidth": "only the MISE oracle in tests/test_mc.py and a validation "
-                            "test set it; the finite-n map at optimal plans (ROADMAP "
-                            "item 4) would be its first package caller",
 }
 
 

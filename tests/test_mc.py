@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sakde import asymptotics, densities, estimators, mc
+from sakde import asymptotics, checks, densities, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_roughness
 from sakde.sequences import bandwidth_plan, stepsize_plan
@@ -120,13 +120,18 @@ def test_empirical_moments_match_exact_oracle():
             ("plain-average", stepsize_plan(1.0), mc.RECURSIVE),
             ("rosenblatt", None, mc.ROSENBLATT),
         )))
-    for label, cell, emp in zip(labels, cells, mc.empirical_moments(*cells)):
-        ex_mean, ex_var = mc.exact_moments(cell)
+    for label, cell, g in zip(labels, cells, mc.estimates(*cells)):
+        emp, (ex_mean, ex_var) = mc.empirical_moments(cell, g), mc.exact_moments(cell)
         assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps)), label
         assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps)), label
 
 
-@pytest.mark.parametrize("readout", [mc.empirical_moments, mc.run_cell],
+def _moments(*cells):
+    """Each cell's moments, read from one draw of the cells' estimates."""
+    return [mc.empirical_moments(cell, g) for cell, g in zip(cells, mc.estimates(*cells))]
+
+
+@pytest.mark.parametrize("readout", [_moments, mc.run_cell],
                          ids=["empirical_moments", "run_cell"])
 def test_empirical_moments_of_cells_drawn_together_equal_separate_runs(monkeypatch, readout):
     # one draw of each block serves every cell, without changing any cell's
@@ -154,7 +159,7 @@ def test_exact_moments_linear_image_matches_monte_carlo():
     model = mc.table_model("gaussian-2d")
     n, a, reps = 100, 0.19, 4000
     cell = mc.CellConfig(model, (0.5, 0.5), n, a, mc.RECURSIVE, reps, seed=6)
-    (emp,) = mc.empirical_moments(cell)
+    emp = mc.empirical_moments(cell, *mc.estimates(cell))
     ex_mean, ex_var = mc.exact_moments(cell)
     assert emp.mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps))
     assert emp.variance == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps))
@@ -209,16 +214,13 @@ def test_length_ratio_approaches_ci_factor():
 def test_clt_check_passes_on_low_distortion_config():
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
     cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
-    report = mc.clt_empirical_check(cfg)
+    (values,) = mc.estimates(cfg)
+    report = mc.clt_empirical_check(cfg, values)
     assert report.passed
     assert not report.slow_regime
     assert report.threshold == pytest.approx(1.63 / math.sqrt(1000), rel=1e-12)
     # oracle: the same sup distance with scipy's normal CDF, which the package does not import
-    f_true = model.pdf(np.array([2.0]))
-    variance = asymptotics.clt_params(0.0, f_true, 0.0, 1, cfg.a, cfg.step).asym_var
-    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n)) / float(cfg.step.seq.value(cfg.n)))
-    (values,) = mc.estimates(cfg)
-    cdf = ndtr(np.sort(scale * (values - f_true) / math.sqrt(variance)))
+    cdf = ndtr(np.sort(_standardised(cfg, values)))
     i = np.arange(1, 1001)
     distance = max(np.max(i / 1000 - cdf), np.max(cdf - (i - 1) / 1000))
     assert abs(distance - report.distance) <= 1e-15
@@ -234,16 +236,16 @@ def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "clt_params", mis_scaled)
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
-    report = mc.clt_empirical_check(mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE,
-                                                  replications=1000, seed=3))
+    cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
+    report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
     assert not report.passed
     assert report.sample_std == pytest.approx(0.5, abs=0.1)
 
 
 def test_clt_check_flags_slow_regime():
-    report = mc.clt_empirical_check(mc.CellConfig(
-        mc.table_model("gaussian"), (1.0,), 500, 0.21, mc.RECURSIVE, replications=400, seed=5,
-        step=stepsize_plan(1.0, alpha=0.7)))
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (1.0,), 500, 0.21, mc.RECURSIVE,
+                        replications=400, seed=5, step=stepsize_plan(1.0, alpha=0.7))
+    report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
     assert report.slow_regime
     assert report.distance > 0
 
@@ -251,13 +253,64 @@ def test_clt_check_flags_slow_regime():
 def test_clt_check_rejects_rosenblatt_cell():
     with pytest.raises(ValueError, match="recursive"):
         mc.clt_empirical_check(mc.CellConfig(mc.table_model("gaussian"), (0.0,), 500, 0.21,
-                                             mc.ROSENBLATT, replications=200))
+                                             mc.ROSENBLATT, replications=200), np.zeros(200))
 
 
 def test_clt_check_requires_undersmoothing():
     with pytest.raises(ValueError):
         mc.clt_empirical_check(mc.CellConfig(mc.table_model("gaussian"), (0.0,), 500, 0.15,
-                                             mc.RECURSIVE, replications=200))
+                                             mc.RECURSIVE, replications=200), np.zeros(200))
+
+
+@pytest.mark.parametrize("readout", [mc.empirical_moments, mc.clt_empirical_check],
+                         ids=["empirical_moments", "clt_empirical_check"])
+@pytest.mark.parametrize("shape", [(199,), (201,), (200, 1), (1, 200), ()],
+                         ids=["short", "long", "column", "row", "scalar"])
+def test_readouts_reject_a_vector_of_another_cell(readout, shape):
+    # a vector of another replication count, or not a vector, never reaches the
+    # arithmetic, which would raise TypeError on these None entries
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (1.0,), 500, 0.21, mc.RECURSIVE, 200)
+    with pytest.raises(ValueError, match=r"^estimates must have shape \(200,\), got "):
+        readout(cfg, np.full(shape, None))
+
+
+def test_readouts_check_their_cell_before_its_vector():
+    gaussian = mc.table_model("gaussian")
+    for readout, cfg, message in (
+            (mc.empirical_moments, mc.CellConfig(gaussian, (1.0,), 500, 0.21, mc.RECURSIVE, 99),
+             "at least 100 replications"),
+            (mc.clt_empirical_check, mc.CellConfig(gaussian, (1.0,), 500, 0.21, mc.ROSENBLATT,
+                                                   200), "recursive"),
+            (mc.clt_empirical_check, mc.CellConfig(gaussian, (1.0,), 500, 0.15, mc.RECURSIVE,
+                                                   200), "undersmoothing")):
+        with pytest.raises(ValueError, match=message):
+            readout(cfg, np.zeros(3))
+
+
+def _standardised(cfg, g):
+    """``sqrt(gamma_n^-1 h_n) (g - f(x))`` over the limit sd, written out for a 1-d cell."""
+    f_true = cfg.model.pdf(np.asarray(cfg.x))
+    variance = asymptotics.clt_params(0.0, f_true, 0.0, 1, cfg.a, cfg.step).asym_var
+    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n)) / float(cfg.step.seq.value(cfg.n)))
+    return scale * (g - f_true) / math.sqrt(variance)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clt_cell_on_a_dilated_gaussian_is_a_rescaled_standard_cell(seed):
+    # X = 3 Z: at x = 3 with h_n, the N(0, 9) estimate and true value are one
+    # third of the N(0, 1) ones at x = 1 with h_n / 3, so the standardised
+    # statistic is the same; `check full` reads its CLT gate this way
+    scaled = mc.CellConfig(LinearImage(standard_gaussian(1), [[3.0]]), (3.0,), 2000, 0.21,
+                           mc.RECURSIVE, 200, seed)
+    standard = mc.CellConfig(standard_gaussian(1), (1.0,), 2000, 0.21, mc.RECURSIVE, 200,
+                             seed, bandwidth=bandwidth_plan(1 / 3, 0.21))
+    cells = (scaled, standard)
+    vectors = [mc.estimates(cfg)[0] for cfg in cells]
+    np.testing.assert_allclose(*(_standardised(cfg, g) for cfg, g in zip(cells, vectors)),
+                               rtol=0, atol=1e-12)
+    ours, theirs = (mc.clt_empirical_check(cfg, g) for cfg, g in zip(cells, vectors))
+    for field in ("distance", "sample_mean", "sample_std"):
+        assert getattr(ours, field) == pytest.approx(getattr(theirs, field), rel=0, abs=1e-12)
 
 
 def test_table_model_names():
@@ -380,6 +433,22 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
         assert [row.result] == mc.run_cell(cfg)
 
 
+def test_check_full_draws_its_standard_gaussian_sample_once(monkeypatch):
+    # the moment cells and the CLT cell share one draw of 2000 x 10^4 normals
+    drawn, draw_block = [], GaussianMixture.sample_block
+
+    def counting(self, rngs, reps, count):
+        block = draw_block(self, rngs, reps, count)
+        drawn.append(block.size)
+        return block
+
+    monkeypatch.setattr(GaussianMixture, "sample_block", counting)
+    names = [outcome.name for outcome in checks.moments_and_clt(1, 1)]
+    assert names == ["moments-vs-exact(plain-average)", "moments-vs-exact(variance-optimal)",
+                     "clt-gate"]
+    assert sum(drawn) == 2000 * 10**4
+
+
 def test_run_table_draws_each_sample_once(monkeypatch):
     keys, drawn = [], []
     make_rng, draw_block = mc.replication_rng, GaussianMixture.sample_block
@@ -415,8 +484,9 @@ def _choice_sample(model, rng, count):
 
 
 #: models beyond the table ones: one-component models whose Cholesky factor is
-#: neither the identity nor a scalar, the `clt-gate` model (a one-component
-#: linear image), and a 3-d linear image of a two-component mixture (a BLAS
+#: neither the identity nor a scalar, the N(0, 9) model of the CLT gate (a
+#: one-component linear image, which `check full` reads through its N(0, 1)
+#: rescaling), and a 3-d linear image of a two-component mixture (a BLAS
 #: product with the matrix would sum its one-row blocks differently)
 MODELS = {
     "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
@@ -493,7 +563,7 @@ def test_block_draw_keeps_one_block_alive():
     assert peak < 8 * reps * n + (512 << 10)
 
 
-@pytest.mark.parametrize("readout", [mc.estimates, mc.run_cell, mc.empirical_moments],
+@pytest.mark.parametrize("readout", [mc.estimates, mc.run_cell, _moments],
                          ids=["estimates", "run_cell", "empirical_moments"])
 def test_readouts_reject_an_empty_cell_list(monkeypatch, readout):
     draws = []
