@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from sakde.kernels import gaussian_roughness
+from sakde.kernels import check_dim, gaussian_roughness
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
 
 BIAS_DOMINATED = "bias-dominated"
@@ -100,17 +100,29 @@ def _variance_denom(a: float, d: int, xi: float) -> float:
     return denom
 
 
+def _check_n(n) -> None:
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be at least 1 and finite, got {n}")
+
+
+def _check_h(h) -> None:
+    if not 0 < h < math.inf:
+        raise ValueError(f"bandwidth h must be positive and finite, got {h}")
+
+
 def bias_leading(S_x: float, bandwidth: BandwidthPlan, step: StepsizePlan, n: int) -> float:
     """Leading bias ``h_n^2 S(x) / (2 (1 - 2 a xi))``.
 
     With ``xi = 0`` this reduces to the nonrecursive constant ``h_n^2 S(x)/2``.
     """
+    _check_n(n)
     h = float(bandwidth.value(n))
     return h * h * S_x / (2.0 * _bias_denom(bandwidth.a, step.xi))
 
 
 def rosenblatt_bias(S_x: float, h: float) -> float:
     """Leading bias of the nonrecursive baseline, ``h^2 S(x) / 2``."""
+    _check_h(h)
     return h * h * S_x / 2.0
 
 
@@ -121,6 +133,7 @@ def variance_leading(f_x: float, d: int, bandwidth: BandwidthPlan,
     Uses the closed-form gain ``step.seq.value(n)`` (the regular-variation
     equivalent for weight-induced plans).
     """
+    _check_n(n)
     denom = _variance_denom(bandwidth.a, d, step.xi)
     gamma_n = float(step.seq.value(n))
     h = float(bandwidth.value(n))
@@ -129,6 +142,8 @@ def variance_leading(f_x: float, d: int, bandwidth: BandwidthPlan,
 
 def rosenblatt_variance(f_x: float, d: int, n: int, h: float) -> float:
     """Leading variance of the nonrecursive baseline, ``f(x) R / (n h^d)``."""
+    _check_n(n)
+    _check_h(h)
     return f_x * gaussian_roughness(d) / (n * h**d)
 
 
@@ -211,8 +226,7 @@ def efficiency_ratio(d: int) -> float:
 
     Equals ``(2^4 ((d+2)/(d+4))^(2d+4))^(1/(d+4))``, below 1 and finite for every d.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    check_dim(d)
     return (2.0**4 * ((d + 2.0) / (d + 4.0)) ** (2 * d + 4)) ** (1.0 / (d + 4))
 
 

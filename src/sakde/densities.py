@@ -51,6 +51,12 @@ class GaussianMixture:
         k, d = self.means.shape
         if self.weights.shape[0] != k or self.covs.shape != (k, d, d):
             raise ValueError("inconsistent mixture component shapes")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.covs).all()):
+            raise ValueError("means and covariances must be finite")
+        # pdf reads the whole matrix, the sampler and the exact oracles its lower triangle
+        scale = np.abs(self.covs).max(axis=(1, 2), keepdims=True)
+        if np.any(np.abs(self.covs - self.covs.swapaxes(1, 2)) > 1e-12 * scale):
+            raise ValueError("covariances must be symmetric")
         if not np.all(np.linalg.eigvalsh(self.covs) > 0):
             raise ValueError("covariances must be positive definite")
         self._invs = np.linalg.inv(self.covs)

@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from sakde.kernels import Kernel, gaussian_kernel, gaussian_norm, product_gaussian
+from sakde.kernels import Kernel, check_dim, gaussian_kernel, gaussian_norm, product_gaussian
 from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
@@ -212,7 +212,7 @@ class RosenblattEstimator:
     """
 
     def __init__(self, dim: int, bandwidth: BandwidthPlan, sample):
-        self.dim = dim
+        self.dim = check_dim(dim)
         self.bandwidth = bandwidth
         self.sample = _as_sample(sample, dim)
 

@@ -42,10 +42,16 @@ class Kernel:
     name: str
 
 
+def check_dim(dim) -> int:
+    """``dim``, once it is known to be a positive integer (not a bool)."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError("dim must be a positive integer")
+    return dim
+
+
 def gaussian_kernel(dim: int) -> Kernel:
     """Product standard Gaussian kernel on R^d."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    check_dim(dim)
     return Kernel(dim=dim, fn=product_gaussian, name=f"gaussian-product(d={dim})")
 
 

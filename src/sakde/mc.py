@@ -212,11 +212,10 @@ def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
 def run_cell(*cfgs: CellConfig) -> List[CellResult]:
     """Each cell's coverage of its true density value and average interval
     length; the cells share (model, n, replications, seed)."""
-    first = _shared_draw(cfgs)
-    n, reps = first.n, first.replications
     factors = [cfg.ci_factor for cfg in cfgs]  # raises on an infinite gain limit before any draw
     results = []
     for cfg, c_factor, g in zip(cfgs, factors, estimates(*cfgs)):
+        n, reps = cfg.n, cfg.replications
         f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
         lo, hi = build_interval(g, c_factor, cfg.dim, n, float(cfg.bandwidth.value(n)))
         p = np.count_nonzero((lo <= f_true) & (f_true <= hi)) / reps
@@ -309,25 +308,20 @@ def format_report(rows: Sequence[TableRow], meta: dict) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Across-replication mean bias and variance of an estimator at a point."""
-
-    mean: float
-    mean_bias: float
-    variance: float
-    replications: int
-
-
-def empirical_moments(cfg: CellConfig, g: np.ndarray) -> MomentReport:
-    """Monte Carlo moments of the cell's estimator at its point, from its estimates ``g``."""
+def _check_estimates(cfg: CellConfig, g: np.ndarray) -> None:
+    """The guard of every readout: enough replications for a stable statistic,
+    and one estimate of the cell per replication."""
     if cfg.replications < 100:
-        raise ValueError("need at least 100 replications for stable moments")
+        raise ValueError(f"need at least 100 replications, got {cfg.replications}")
     if np.shape(g) != (cfg.replications,):
         raise ValueError(f"estimates must have shape ({cfg.replications},), got {np.shape(g)}")
-    mean = float(np.mean(g))
-    return MomentReport(mean, mean - cfg.model.pdf(np.asarray(cfg.x, dtype=float)),
-                        float(np.var(g, ddof=1)), cfg.replications)
+
+
+def empirical_moments(cfg: CellConfig, g: np.ndarray) -> Tuple[float, float]:
+    """Monte Carlo mean and variance of the cell's estimator at its point, from
+    its estimates ``g``: the pair that :func:`exact_moments` gives exactly."""
+    _check_estimates(cfg, g)
+    return float(np.mean(g)), float(np.var(g, ddof=1))
 
 
 def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
@@ -366,8 +360,6 @@ class CltReport:
     distance: float
     threshold: float
     passed: bool
-    replications: int
-    slow_regime: bool
     sample_mean: float
     sample_std: float
 
@@ -377,16 +369,14 @@ def clt_empirical_check(cfg: CellConfig, g: np.ndarray) -> CltReport:
     cell, over its vector ``g`` of estimates, by the limit variance and measure
     the sup distance between its empirical CDF and the standard normal CDF.
 
-    Requires an undersmoothing bandwidth (``n h_n^{d+4} -> 0``).  Plans with
-    ``xi = 0`` converge slowly and are flagged, not gated.
+    Requires an undersmoothing bandwidth (``n h_n^{d+4} -> 0``).
     """
     if cfg.estimator != RECURSIVE:
         raise ValueError("the CLT readout standardises by the recursive gain")
     d = cfg.dim
     if cfg.a * (d + 4) <= 1.0:
         raise ValueError("undersmoothing required: a*(d+4) must exceed 1")
-    if np.shape(g) != (cfg.replications,):
-        raise ValueError(f"estimates must have shape ({cfg.replications},), got {np.shape(g)}")
+    _check_estimates(cfg, g)
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
     variance = asymptotics.clt_params(0.0, f_true, 0.0, d, cfg.a, cfg.step).asym_var
     reps = cfg.replications
@@ -401,8 +391,6 @@ def clt_empirical_check(cfg: CellConfig, g: np.ndarray) -> CltReport:
         distance=distance,
         threshold=threshold,
         passed=distance < threshold,
-        replications=reps,
-        slow_regime=cfg.step.xi == 0.0,
         sample_mean=float(np.mean(z)),
         sample_std=float(np.std(z, ddof=1)),
     )

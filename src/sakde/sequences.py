@@ -52,6 +52,11 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
 
 
+def _check_count(n_max) -> None:
+    if not n_max >= 0:
+        raise ValueError(f"step count must be nonnegative, got {n_max}")
+
+
 def _check_scale(scale) -> None:
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
@@ -91,10 +96,12 @@ class StepsizePlan:
 
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array (empty for n_max = 0)."""
+        _check_count(n_max)
         return self.gains(np.arange(1, n_max + 1), 0.0)[0]
 
     def gamma_blocks(self, n_max: int) -> Iterator[np.ndarray]:
         """Gains for steps 1..n_max in consecutive arrays of at most ``_BLOCK`` steps."""
+        _check_count(n_max)
         wsum = 0.0
         for lo in range(1, n_max + 1, _BLOCK):
             g, wsum = self.gains(np.arange(lo, min(lo + _BLOCK, n_max + 1)), wsum)

@@ -75,7 +75,7 @@ def test_criterion_3_variance_formula_oracle(moments_and_clt):
     ratios = {}
     for label, target in targets.items():
         m = moments_and_clt[f"moments-vs-exact({label})"]
-        emp_var, exact_var = m["empirical"].variance, m["exact_var"]
+        (_, emp_var), (_, exact_var) = m["empirical"], m["exact"]
         ratios[label] = emp_var / target
         print(f"  {label}: empirical/leading = {emp_var / target:.3f}, "
               f"exact-finite-n/leading = {exact_var / target:.3f}, "

@@ -329,3 +329,34 @@ def test_ci_constant_rejects_pole():
     for gamma0 in (math.inf, math.nan, 0.0):  # the interval needs a finite gain limit
         with pytest.raises(ValueError, match="positive and finite"):
             asy.ci_constant(gamma0, 0.21, 1)
+
+
+_BW, _STEP = bandwidth_plan(1.0, 0.2), stepsize_plan(0.8)
+
+
+@pytest.mark.parametrize("formula, message", [
+    (lambda: asy.bias_leading(1.0, _BW, _STEP, 0), "n must be at least 1"),
+    (lambda: asy.bias_leading(1.0, _BW, _STEP, math.nan), "n must be at least 1"),
+    (lambda: asy.variance_leading(0.3, 1, _BW, _STEP, 0), "n must be at least 1"),
+    (lambda: asy.variance_leading(0.3, 1, _BW, _STEP, -5), "n must be at least 1"),
+    (lambda: asy.mise_leading(1.0, 1, _STEP, _BW, 0), "n must be at least 1"),
+    (lambda: asy.mise_leading(1.0, 1, stepsize_plan(1.0, 0.9), _BW, 0), "n must be at least 1"),
+    (lambda: asy.rosenblatt_variance(0.3, 1, 0, 0.5), "n must be at least 1"),
+    (lambda: asy.rosenblatt_variance(0.3, 1, 10, 0.0), "bandwidth h must be positive"),
+    (lambda: asy.rosenblatt_variance(0.3, 1, 10, -1.0), "bandwidth h must be positive"),
+    (lambda: asy.rosenblatt_variance(0.3, 1, 10, math.nan), "bandwidth h must be positive"),
+    (lambda: asy.rosenblatt_bias(1.0, 0.0), "bandwidth h must be positive"),
+    (lambda: asy.rosenblatt_bias(1.0, -1.0), "bandwidth h must be positive"),
+    (lambda: asy.rosenblatt_bias(1.0, math.nan), "bandwidth h must be positive"),
+    (lambda: asy.efficiency_ratio(0), "dim must be a positive integer"),
+    (lambda: asy.efficiency_ratio(math.nan), "dim must be a positive integer"),
+    (lambda: asy.efficiency_ratio(1.5), "dim must be a positive integer"),
+    (lambda: asy.efficiency_ratio(2.0), "dim must be a positive integer"),
+], ids=["bias-n0", "bias-nan", "variance-n0", "variance-negative", "mise-balanced-n0",
+        "mise-variance-dominated-n0", "rosenblatt-variance-n0", "rosenblatt-variance-h0",
+        "rosenblatt-variance-negative-h", "rosenblatt-variance-nan-h", "rosenblatt-bias-h0",
+        "rosenblatt-bias-negative-h", "rosenblatt-bias-nan-h", "efficiency-d0",
+        "efficiency-nan", "efficiency-fractional", "efficiency-float"])
+def test_formulas_reject_parameters_outside_their_domain(formula, message):
+    with pytest.raises(ValueError, match=message):
+        formula()

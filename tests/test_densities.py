@@ -293,3 +293,26 @@ def test_mixture_validation():
     for cov in ([[-1.0]], -np.eye(2)):  # rejected when built, not at the first draw
         with pytest.raises(ValueError, match="positive definite"):
             GaussianMixture([1.0], np.zeros((1, len(cov))), np.array([cov]))
+
+
+@pytest.mark.parametrize("means, cov", [([math.nan], [[1.0]]), ([math.inf], [[1.0]]),
+                                        ([0.0], [[math.inf]]), ([0.0], [[math.nan]])],
+                         ids=["nan-mean", "inf-mean", "inf-cov", "nan-cov"])
+def test_mixture_rejects_non_finite_parameters(means, cov):
+    with pytest.raises(ValueError, match="^means and covariances must be finite$"):
+        GaussianMixture([1.0], [means], [cov])
+
+
+def test_mixture_rejects_an_asymmetric_covariance():
+    # pdf would invert the whole matrix while the sampler reads its lower triangle
+    with pytest.raises(ValueError, match="^covariances must be symmetric$"):
+        GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.9], [0.0, 1.0]]])
+    # second component asymmetric beyond round-off, relative to its own scale
+    covs = [np.eye(2), [[1e6, 1e-4], [0.0, 1e6]]]
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianMixture([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], covs)
+    # round-off asymmetry is accepted, and so is every table model
+    GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5 + 1e-15, 1.0]]])
+    for name in ("gaussian", "mixture", "gaussian-2d", "mixture-2d"):
+        covs = mc.table_model(name).covs
+        assert np.array_equal(covs, covs.swapaxes(1, 2))

@@ -172,6 +172,14 @@ def test_rosenblatt_rejects_empty_sample():
         RosenblattEstimator(1, bandwidth_plan(1.0, 0.21), np.empty((0, 1)))
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1.0, 1.5, True, "1"])
+def test_rosenblatt_rejects_a_dim_no_kernel_evaluates(dim):
+    with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+        RosenblattEstimator(dim, bandwidth_plan(1.0, 0.2), np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+        gaussian_kernel(dim)
+
+
 #: the entry points that estimate after a whole sample, as ``(kernel, bandwidth, sample, points)``
 WHOLE_SAMPLE = {
     "recursive_at_points": lambda kern, bw, sample, pts: recursive_at_points(

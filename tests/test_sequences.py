@@ -262,6 +262,19 @@ def test_lemma_limit_rejects_pole():
             lemma_limit(m, SequencePlan(1.0, v_index), stepsize_plan(1.0), 100)
 
 
+@pytest.mark.parametrize("count", [
+    lambda n: lemma_limit(1.0, SequencePlan(1.0, 0.0), stepsize_plan(1.0), n),
+    lambda n: pi_product(stepsize_plan(1.0), n),
+    lambda n: stepsize_plan(1.0).gamma_values(n),
+    lambda n: stepsize_from_weights(SequencePlan(1.0, 0.0)).gamma_values(n),
+], ids=["lemma_limit", "pi_product", "gamma_values", "gamma_values-weights"])
+def test_step_counts_reject_negative_values(count):
+    for n in (-1, -3, math.nan):
+        with pytest.raises(ValueError, match="step count must be nonnegative"):
+            count(n)
+    count(0)  # the empty sum or product
+
+
 def test_bandwidth_plan_requires_positive_exponent():
     with pytest.raises(ValueError):
         bandwidth_plan(1.0, 0.0)
