@@ -19,7 +19,10 @@ differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
 caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
 product-Gaussian evaluation that takes ``(c, h)`` and reads d from the shapes,
-and :meth:`RecursiveEstimator.update_many` runs on it too; the streaming
+its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in
+:func:`~sakde.kernels.product_gaussian`: with positive ``c_k`` an estimate is
+never exactly 0 and moves by at most ``sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.
+:meth:`RecursiveEstimator.update_many` runs on the sum too; the streaming
 estimator keeps its estimate, step count and one weight sum, and takes each
 step's gain and bandwidth from the step's index.  Only the public entry points
 that take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but
@@ -33,7 +36,8 @@ from typing import Tuple
 
 import numpy as np
 
-from sakde.kernels import Kernel, check_dim, gaussian_kernel, gaussian_norm, product_gaussian
+from sakde.kernels import (EXP_FLOOR, Kernel, check_dim, gaussian_kernel, gaussian_norm,
+                           product_gaussian)
 from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
@@ -84,7 +88,8 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     point ``p`` of ``points`` (m, d), for a ``sample`` of shape (..., n, d) and
     ``c``, ``h`` of shape (n,); returns (..., m).  Each chunk's kernel matrix is
     built in place in one (..., m, chunk) buffer, adding the squared scaled
-    differences in one coordinate at a time."""
+    differences in one coordinate at a time, and its exponent floored at
+    :data:`~sakde.kernels.EXP_FLOOR` as in ``product_gaussian``, bit for bit."""
     *batch, n, d = sample.shape
     norm = gaussian_norm(d)
     coef = c / h**d
@@ -106,6 +111,7 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
             if j:
                 k += s
         k *= -0.5
+        np.maximum(k, EXP_FLOOR, out=k)
         np.exp(k, out=k)
         k *= norm
         out += (k.reshape(-1, shape[-1]) @ coef[sl]).reshape(out.shape)

@@ -34,7 +34,8 @@ from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.estimators import (recursion_coefficients, recursive_batch, rosenblatt_batch,
                               rosenblatt_coefficients)
 from sakde.kernels import gaussian_kernel, gaussian_roughness
-from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
+from sakde.sequences import (BandwidthPlan, StepsizePlan, bandwidth_plan, is_integer,
+                             stepsize_plan)
 
 ROSENBLATT = "rosenblatt"
 RECURSIVE = "recursive"
@@ -69,10 +70,6 @@ def table_model(name: str):
     raise ValueError(f"unknown model name: {name!r}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CellConfig:
     """One estimand: an estimator of the density of ``model`` at ``x`` after ``n``
@@ -98,9 +95,9 @@ class CellConfig:
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
         if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
             raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
-        if not all(_is_integer(v) and v >= 1 for v in (self.n, self.replications)):
+        if not all(is_integer(v) and v >= 1 for v in (self.n, self.replications)):
             raise ValueError("n and replications must be positive integers")
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not 0.0 < self.a * self.dim < 1.0:
             raise ValueError("bandwidth exponent must satisfy 0 < a*d < 1")
@@ -203,8 +200,9 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
 
 def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
     """Confidence intervals ``g(x) -+ Z_95 C sqrt(g(x) R / (n h^d))``, one per
-    entry of the estimate vector ``g_x``; a zero estimate gives the degenerate
-    interval [0, 0]."""
+    entry of the estimate vector ``g_x``.  A kernel sum with positive
+    coefficients is never exactly 0 (the kernel's floor keeps every term
+    positive); a zero estimate would give the degenerate interval [0, 0]."""
     half = Z_95 * c_factor * np.sqrt(g_x * gaussian_roughness(d) / (n * h**d))
     return g_x - half, g_x + half
 

@@ -52,9 +52,14 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must lie in (1/2, 1], got {alpha}")
 
 
+def is_integer(value) -> bool:
+    """``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(n_max) -> None:
-    if not n_max >= 0:
-        raise ValueError(f"step count must be nonnegative, got {n_max}")
+    if not (is_integer(n_max) and n_max >= 0):
+        raise ValueError(f"step count must be nonnegative and an integer, got {n_max!r}")
 
 
 def _check_scale(scale) -> None:
@@ -91,8 +96,13 @@ class StepsizePlan:
         return 1.0 / self.gamma0  # 0 when gamma0 is infinite
 
     def gamma(self, n: int) -> float:
-        """Exact gain at step ``n``, from all n gains (O(n); a recursion calls :meth:`gains`)."""
-        return float(self.gamma_values(n)[-1])
+        """Exact gain at step ``n`` >= 1, from the gains of steps 1..n taken one block
+        at a time (O(n) time, one block of memory; a recursion calls :meth:`gains`)."""
+        if not (is_integer(n) and n >= 1):
+            raise ValueError(f"step index must be a positive integer, got {n!r}")
+        for g in self.gamma_blocks(n):
+            pass
+        return float(g[-1])
 
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array (empty for n_max = 0)."""

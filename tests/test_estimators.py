@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sakde import estimators
+from sakde import checks, estimators, mc
 from sakde.densities import standard_gaussian
 from sakde.estimators import (
     RecursiveEstimator,
@@ -15,7 +16,7 @@ from sakde.estimators import (
     rosenblatt_batch,
     weighted_closed_form,
 )
-from sakde.kernels import Kernel, gaussian_kernel
+from sakde.kernels import EXP_FLOOR, Kernel, gaussian_kernel, gaussian_norm
 from sakde.sequences import (SequencePlan, bandwidth_plan, pi_product, stepsize_from_weights,
                              stepsize_plan)
 
@@ -321,11 +322,69 @@ def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, monkeypatc
     rng = np.random.default_rng(31 + d)
     kern = gaussian_kernel(d)
     n = 45
-    c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.3, 1.5, n)
-    pts = rng.standard_normal((6, d))
-    for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
-        np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
-                                      _unfused_kernel_sum(kern, c, h, sample, pts))
+    c = rng.uniform(0.1, 1.0, n)
+    # bulk bandwidths, then narrow ones read at 2 sigma: exponents from the
+    # bulk through the floor's (-745, -700] band to below -745, where exp is
+    # 0; the last point, at 10 sigma, sees only floored terms
+    u = rng.standard_normal((6, d))
+    tail_pts = np.vstack([2.0 * u / np.linalg.norm(u, axis=1, keepdims=True),
+                          np.full((1, d), 10.0)])
+    for h, pts in ((rng.uniform(0.3, 1.5, n), rng.standard_normal((6, d))),
+                   (rng.uniform(0.01, 0.05, n), tail_pts)):
+        for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
+            np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
+                                          _unfused_kernel_sum(kern, c, h, sample, pts))
+
+
+def _unfloored(d):
+    """The Gaussian kernel without the exponent floor, with the squares summed
+    in the fused sum's order."""
+    def fn(z):
+        return gaussian_norm(d) * np.exp(-0.5 * np.sum(z * z, axis=-1))
+    return Kernel(d, fn, "unfloored")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_all_tail_kernel_sum_is_positive_within_the_floor_bound(d):
+    # every exponent is below -18000: without the floor each term, and the
+    # sum, would be exactly 0; with it the sum is at most
+    # sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700
+    rng = np.random.default_rng(41 + d)
+    n = 50
+    c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.01, 0.05, n)
+    bound = float(np.sum(c / h**d)) * gaussian_norm(d) * math.exp(EXP_FLOOR)
+    pts = np.full((4, d), 10.0)
+    for sample in (0.1 * rng.standard_normal((n, d)), 0.1 * rng.standard_normal((3, n, d))):
+        out = estimators._kernel_sum(c, h, sample, pts)
+        assert np.all(_unfused_kernel_sum(_unfloored(d), c, h, sample, pts) == 0.0)
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        assert np.all(out <= bound * (1.0 + 1e-12))
+
+
+def test_floor_moves_no_bit_of_the_clt_cell(monkeypatch):
+    # check full's CLT cell, undersmoothed and read at x = 1, puts a share of
+    # its exponents below the floor; at 200 replications its estimates equal
+    # those of a kernel sum without the floor, bit for bit
+    cell_config, estimates, drawn = mc.CellConfig, mc.estimates, []
+    monkeypatch.setattr(mc, "CellConfig", lambda *args, **kwargs: dataclasses.replace(
+        cell_config(*args, **kwargs), replications=200))
+    monkeypatch.setattr(mc, "estimates", lambda *cfgs: drawn.append(cfgs) or estimates(*cfgs))
+    checks.moments_and_clt(0, 1)
+    (*_, clt), = drawn
+    assert clt.x == (1.0,) and clt.replications == 200
+    floored, = estimates(clt)
+
+    kern, tail = _unfloored(1), []
+
+    def unfloored_sum(c, h, sample, points):
+        z = (points[:, None, :] - sample[..., None, :, :]) / h[:, None]
+        tail.append(np.count_nonzero(-0.5 * np.sum(z * z, axis=-1) < EXP_FLOOR))
+        return _unfused_kernel_sum(kern, c, h, sample, points)
+
+    monkeypatch.setattr(estimators, "_kernel_sum", unfloored_sum)
+    unfloored, = estimates(clt)
+    assert sum(tail) > 0
+    np.testing.assert_array_equal(floored, unfloored)
 
 
 def test_kernel_sums_reject_other_kernels():

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from sakde import checks
-from sakde.kernels import Kernel, gaussian_kernel, gaussian_roughness, kernel_moments
+from sakde.kernels import (EXP_FLOOR, Kernel, gaussian_kernel, gaussian_norm,
+                           gaussian_roughness, kernel_moments)
 
 
 def test_roughness_d1_quadrature_oracle():
@@ -92,3 +93,15 @@ def test_gaussian_equals_axis_reduction_bit_for_bit(d):
     expected = (2.0 * math.pi) ** (-d / 2.0) * np.exp(-0.5 * np.sum(z * z, axis=-1))
     np.testing.assert_array_equal(gaussian_kernel(d).fn(z), expected)
 
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_exponent_is_floored(d):
+    # |z|^2 / 2 = 700 at |z| = 37.42: below it the kernel is the plain formula;
+    # from it on the floor value, never 0
+    r = np.array([0.0, 1.0, 30.0, 37.4, 37.5, 38.6, 40.0, 1e3, 1e150])
+    z = np.zeros((r.size, d))
+    z[:, -1] = r
+    k = gaussian_kernel(d).fn(z)
+    inside = 0.5 * r**2 < -EXP_FLOOR
+    np.testing.assert_array_equal(k[inside], gaussian_norm(d) * np.exp(-0.5 * r[inside]**2))
+    assert np.all(k[~inside] == gaussian_norm(d) * math.exp(EXP_FLOOR))

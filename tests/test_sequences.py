@@ -262,17 +262,42 @@ def test_lemma_limit_rejects_pole():
             lemma_limit(m, SequencePlan(1.0, v_index), stepsize_plan(1.0), 100)
 
 
-@pytest.mark.parametrize("count", [
+STEP_COUNTS = pytest.mark.parametrize("count", [
     lambda n: lemma_limit(1.0, SequencePlan(1.0, 0.0), stepsize_plan(1.0), n),
     lambda n: pi_product(stepsize_plan(1.0), n),
     lambda n: stepsize_plan(1.0).gamma_values(n),
     lambda n: stepsize_from_weights(SequencePlan(1.0, 0.0)).gamma_values(n),
 ], ids=["lemma_limit", "pi_product", "gamma_values", "gamma_values-weights"])
+
+
+@STEP_COUNTS
 def test_step_counts_reject_negative_values(count):
     for n in (-1, -3, math.nan):
         with pytest.raises(ValueError, match="step count must be nonnegative"):
             count(n)
     count(0)  # the empty sum or product
+
+
+@STEP_COUNTS
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, "3"], ids=repr)
+def test_step_counts_reject_non_integers(count, n):
+    # a count of steps is a whole number, never rounded to one; a bool is no count
+    with pytest.raises(ValueError, match="must be nonnegative and an integer"):
+        count(n)
+    count(np.int64(3))
+
+
+@pytest.mark.parametrize("step", [stepsize_plan(1.0), stepsize_plan(0.6, alpha=0.7),
+                                  stepsize_from_weights(SequencePlan(1.0, -0.21))],
+                         ids=["closed-form", "slow", "weight-induced"])
+def test_gamma_takes_a_step_index_of_at_least_one(step):
+    # steps count from 1, and a fractional index names no step
+    for n in (0, -1, 2.5, 1.0, True, math.nan):
+        with pytest.raises(ValueError, match="step index must be a positive integer"):
+            step.gamma(n)
+    for n in (1, 2, 1000, 2**15, 2**15 + 10):  # within and across gain blocks
+        assert step.gamma(n) == step.gamma_values(n)[-1]
+    assert step.gamma(np.int64(7)) == step.gamma(7)
 
 
 def test_bandwidth_plan_requires_positive_exponent():

@@ -12,6 +12,12 @@ lines for:
   the printed reference diff of ``sakde table N --reps 5000 --seed 42
   --jobs 2``, for N = 1..4;
 - the stdout of ``sakde check full --seed 42 --jobs 1``;
+- each estimate vector that ``check full``'s Monte Carlo cells read at seed
+  42, at full precision (the printed lines show 3-4 decimals): the two moment
+  cells and the CLT cell of ``checks.moments_and_clt`` and the cell of
+  ``checks.bias_oracle``, recorded from their ``mc.estimates`` calls by a
+  ``python -c`` snippet and printed as the shape and the SHA-256 of the
+  vector's bytes;
 - each query of a fixed list of in-domain ``sakde asymptotics`` calls: all
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
@@ -156,6 +162,31 @@ for n in (50, 1025):
 """
 
 
+# Runs one check of `check full` at seed 42, recording every vector its
+# mc.estimates calls return, and prints the one at index argv[2].
+ESTIMATES_SNIPPET = """
+import hashlib, sys
+from sakde import checks, mc
+drawn, estimates = [], mc.estimates
+def recorded(*cfgs):
+    out = estimates(*cfgs)
+    drawn.extend(out)
+    return out
+mc.estimates = recorded
+getattr(checks, sys.argv[1])(42, 1)
+g = drawn[int(sys.argv[2])]
+print(g.shape, hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+# check full's Monte Carlo cells: the check that reads each, and its vector's index
+ESTIMATE_VECTORS = {
+    "moments-vs-exact(plain-average)": ("moments_and_clt", 0),
+    "moments-vs-exact(variance-optimal)": ("moments_and_clt", 1),
+    "clt-gate": ("moments_and_clt", 2),
+    "bias-oracle": ("bias_oracle", 0),
+}
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -183,6 +214,9 @@ def outputs(root: Path, work: Path):
         yield f"table {table} csv rows", "".join(ln for ln in rows if not ln.startswith("#"))
         yield f"table {table} printed diff", printed
     yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
+    for cell, (check, index) in ESTIMATE_VECTORS.items():
+        yield (f"check full estimates {cell}",
+               run_python(root, ["-c", ESTIMATES_SNIPPET, check, str(index)], work))
     for query in asymptotics_queries():
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
