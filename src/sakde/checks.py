@@ -253,8 +253,7 @@ def moments_and_clt(seed: int, jobs: int) -> List[CheckOutcome]:
     *moment_estimates, clt_estimates = mc.estimates(*cells, clt)
     for label, cell, g in zip(labels, cells, moment_estimates):
         (mean, var), (ex_mean, ex_var) = mc.empirical_moments(cell, g), mc.exact_moments(cell)
-        lead = asymptotics.variance_leading(model.pdf(np.zeros(1)), 1, cell.bandwidth,
-                                            cell.step, cell.n)
+        lead = cell.leading_variance(model.pdf(np.zeros(1)))
         tol = 5.0 * math.sqrt(ex_var / cell.replications)
         out += _outcome(
             f"moments-vs-exact({label})",

@@ -4,7 +4,8 @@ Reproduces the four benchmark coverage tables and provides the empirical
 oracles (moments, CLT) used to validate the leading-order formulas.  Each
 readout is a statistic of one vector per cell: its estimate in every
 replication, from :func:`estimates`.  :func:`run_cell` draws its vectors; the
-oracles take theirs, so cells of other checks can share the draw.
+oracles take theirs, so cells of other checks can share the draw.  Every
+interval and the CLT readout read one variance, :meth:`CellConfig.leading_variance`.
 
 Determinism contract: every replication draws from its own counter-based
 generator derived from ``(master_seed, replication_index)``, so every cell of
@@ -99,27 +100,25 @@ class CellConfig:
             raise ValueError("n and replications must be positive integers")
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not 0.0 < self.a * self.dim < 1.0:
-            raise ValueError("bandwidth exponent must satisfy 0 < a*d < 1")
+        gamma0, _ = asymptotics.ci_constant_minimum(self.a, self.dim)  # raises unless 0 < a d < 1
         if self.bandwidth is None:
             object.__setattr__(self, "bandwidth", bandwidth_plan(1.0, self.a))
         elif self.bandwidth.a != self.a:
             raise ValueError(f"bandwidth exponent {self.bandwidth.a} disagrees with a = {self.a}")
         if self.step is None:
-            gamma0, _ = asymptotics.ci_constant_minimum(self.a, self.dim)
             object.__setattr__(self, "step", stepsize_plan(gamma0))
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
-    @property
-    def ci_factor(self) -> float:
-        """Interval constant C: 1 for the baseline, ``ci_constant(gamma0, a, d)``
-        (``sqrt(1 - a d)`` at the protocol gain) for the recursive estimator."""
-        if self.estimator == ROSENBLATT:
-            return 1.0
-        return asymptotics.ci_constant(self.step.gamma0, self.a, self.dim)
+    def leading_variance(self, f):
+        """Leading variance of the estimate where the density is ``f`` (a number or
+        array): ``gamma_n h_n^-d f R / (2 - (1 - a d) xi)`` for the recursion, ``f R /
+        (n h_n^d)`` for the baseline; a recursive plan at the variance pole raises."""
+        if self.estimator == RECURSIVE:
+            return asymptotics.variance_leading(f, self.dim, self.bandwidth, self.step, self.n)
+        return asymptotics.rosenblatt_variance(f, self.dim, self.n, self.bandwidth.value(self.n))
 
     def estimate(self, samples: np.ndarray) -> np.ndarray:
         """Estimates at ``x`` for a batch of samples of shape (reps, n, d)."""
@@ -198,24 +197,25 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     return out
 
 
-def build_interval(g_x: np.ndarray, c_factor: float, d: int, n: int, h: float):
-    """Confidence intervals ``g(x) -+ Z_95 C sqrt(g(x) R / (n h^d))``, one per
-    entry of the estimate vector ``g_x``.  A kernel sum with positive
-    coefficients is never exactly 0 (the kernel's floor keeps every term
-    positive); a zero estimate would give the degenerate interval [0, 0]."""
-    half = Z_95 * c_factor * np.sqrt(g_x * gaussian_roughness(d) / (n * h**d))
+def build_interval(g_x: np.ndarray, cfg: CellConfig):
+    """Confidence intervals ``g(x) -+ Z_95 sqrt(V(g(x)))``, one per entry of the
+    estimate vector ``g_x``, with ``V`` the cell's leading variance.  A kernel sum
+    with positive coefficients is never exactly 0 (the kernel's floor keeps every
+    term positive); a zero estimate would give the degenerate interval [0, 0]."""
+    half = Z_95 * np.sqrt(cfg.leading_variance(g_x))
     return g_x - half, g_x + half
 
 
 def run_cell(*cfgs: CellConfig) -> List[CellResult]:
     """Each cell's coverage of its true density value and average interval
     length; the cells share (model, n, replications, seed)."""
-    factors = [cfg.ci_factor for cfg in cfgs]  # raises on an infinite gain limit before any draw
+    for cfg in cfgs:
+        cfg.leading_variance(1.0)  # a variance pole raises before any draw
     results = []
-    for cfg, c_factor, g in zip(cfgs, factors, estimates(*cfgs)):
-        n, reps = cfg.n, cfg.replications
+    for cfg, g in zip(cfgs, estimates(*cfgs)):
+        reps = cfg.replications
         f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-        lo, hi = build_interval(g, c_factor, cfg.dim, n, float(cfg.bandwidth.value(n)))
+        lo, hi = build_interval(g, cfg)
         p = np.count_nonzero((lo <= f_true) & (f_true <= hi)) / reps
         results.append(CellResult(p, float(np.sum(hi - lo)) / reps, math.sqrt(p * (1 - p) / reps)))
     return results
@@ -353,7 +353,7 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class CltReport:
-    """Sup-CDF distance of the standardised estimator against the normal limit."""
+    """Sup-CDF distance of the estimator, standardised by its leading variance, from Phi."""
 
     distance: float
     threshold: float
@@ -363,23 +363,19 @@ class CltReport:
 
 
 def clt_empirical_check(cfg: CellConfig, g: np.ndarray) -> CltReport:
-    """Standardise ``sqrt(gamma_n^{-1} h_n^d) (f_n(x) - f(x))`` of a recursive
-    cell, over its vector ``g`` of estimates, by the limit variance and measure
-    the sup distance between its empirical CDF and the standard normal CDF.
+    """Standardise ``(f_n(x) - f(x)) / sqrt(V(f(x)))`` over the cell's vector
+    ``g`` of estimates, with ``V`` its :meth:`CellConfig.leading_variance`, and
+    measure the sup distance between its empirical CDF and the standard normal
+    CDF.  Any cell with a leading variance can be read, recursive or baseline.
 
     Requires an undersmoothing bandwidth (``n h_n^{d+4} -> 0``).
     """
-    if cfg.estimator != RECURSIVE:
-        raise ValueError("the CLT readout standardises by the recursive gain")
-    d = cfg.dim
-    if cfg.a * (d + 4) <= 1.0:
+    if cfg.a * (cfg.dim + 4) <= 1.0:
         raise ValueError("undersmoothing required: a*(d+4) must exceed 1")
     _check_estimates(cfg, g)
     f_true = cfg.model.pdf(np.asarray(cfg.x, dtype=float))
-    variance = asymptotics.clt_params(0.0, f_true, 0.0, d, cfg.a, cfg.step).asym_var
     reps = cfg.replications
-    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n))**d / float(cfg.step.seq.value(cfg.n)))
-    z = np.sort(scale * (g - f_true) / math.sqrt(variance))
+    z = np.sort((g - f_true) / math.sqrt(cfg.leading_variance(f_true)))
     cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     i = np.arange(1, reps + 1)
     distance = float(max(np.max(i / reps - cdf),

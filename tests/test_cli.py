@@ -218,7 +218,7 @@ def test_bad_point_is_one_line_exit(argv):
     ("asymptotics regime --a 0.2 --alpha inf --d 1", "alpha must lie in (1/2, 1], got inf"),
     ("asymptotics regime --a 0.2 --alpha=-inf --d 1", "alpha must lie in (1/2, 1], got -inf"),
     ("cell --density gaussian --x 0 --n 50 --estimator recursive --reps 10 --a 1.5",
-     "0 < a*d < 1"),
+     "a*d must lie in (0, 1), got 1.5"),
     ("asymptotics ci-constant --gamma0 0.79 --a nan --d 1", "a*d must lie in (0, 1)"),
     ("asymptotics ci-constant --gamma0 0.79 --a -0.5 --d 1", "a*d must lie in (0, 1)"),
     ("asymptotics regime --a 0.2 --alpha 1 --d 1 --gamma0 nan", "gamma0 must be positive"),

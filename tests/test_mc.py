@@ -14,29 +14,36 @@ from sakde.sequences import bandwidth_plan, stepsize_plan
 PHI0 = 1 / math.sqrt(2 * math.pi)
 
 
+def _cell(n, estimator):
+    """A 1-d N(0, 1) cell at the origin with a = 0.21, at the table protocol."""
+    return mc.CellConfig(mc.table_model("gaussian"), (0.0,), n, 0.21, estimator)
+
+
 def test_build_interval_arithmetic_example():
     n, h = 50, 50.0**-0.21
-    lo, hi = mc.build_interval(np.array([0.39894]), 1.0, 1, n, h)
+    lo, hi = mc.build_interval(np.array([0.39894]), _cell(n, mc.ROSENBLATT))
     expected_half = 1.96 * math.sqrt(0.39894 * gaussian_roughness(1) / (n * h))
     assert hi[0] - lo[0] == pytest.approx(2 * expected_half, rel=1e-12)
     assert hi[0] - lo[0] == pytest.approx(0.2804, abs=1e-4)
 
 
 def test_build_interval_degenerate_at_zero():
-    lo, hi = mc.build_interval(np.zeros(1), 1.0, 1, 50, 0.4)
+    lo, hi = mc.build_interval(np.zeros(1), _cell(50, mc.ROSENBLATT))
     assert lo[0] == hi[0] == 0.0
 
 
 def test_build_interval_length_ratio_is_ci_factor():
+    # at the protocol gain (1 - a d)/n the recursive interval is C = sqrt(1 - a d)
+    # times the baseline's at the same (n, a)
     g = np.array([0.39894])
-    lo1, hi1 = mc.build_interval(g, 1.0, 1, 50, 0.44)
-    lo2, hi2 = mc.build_interval(g, math.sqrt(0.79), 1, 50, 0.44)
+    lo1, hi1 = mc.build_interval(g, _cell(50, mc.ROSENBLATT))
+    lo2, hi2 = mc.build_interval(g, _cell(50, mc.RECURSIVE))
     assert (hi2 - lo2) / (hi1 - lo1) == pytest.approx(math.sqrt(0.79), rel=1e-14)
 
 
 def test_build_interval_vectorised():
     g = np.array([0.0, 0.2, 0.4])
-    lo, hi = mc.build_interval(g, 1.0, 1, 100, 0.3)
+    lo, hi = mc.build_interval(g, _cell(100, mc.ROSENBLATT))
     assert lo.shape == hi.shape == (3,)
     assert lo[0] == hi[0] == 0.0
 
@@ -66,7 +73,7 @@ def test_single_replication_cell():
     sample = mc.table_model("gaussian").sample(mc.replication_rng(9, 0), 50)
     from sakde.estimators import rosenblatt_batch
     g = rosenblatt_batch(cfg.bandwidth, sample[None, :, :], np.zeros(1))
-    (lo,), (hi,) = mc.build_interval(g, 1.0, 1, 50, float(cfg.bandwidth.value(50)))
+    (lo,), (hi,) = mc.build_interval(g, cfg)
     assert res.avg_length == pytest.approx(hi - lo, rel=1e-12)
     assert res.empirical_level == float(lo <= PHI0 <= hi)
 
@@ -226,14 +233,9 @@ def test_clt_check_passes_on_low_distortion_config():
 
 
 def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
-    # the limit variance the readout standardises by, made 4 times too large
-    clt_params = asymptotics.clt_params
-
-    def mis_scaled(*args):
-        params = clt_params(*args)
-        return dataclasses.replace(params, asym_var=4.0 * params.asym_var)
-
-    monkeypatch.setattr(asymptotics, "clt_params", mis_scaled)
+    # the leading variance the readout standardises by, made 4 times too large
+    leading = asymptotics.variance_leading
+    monkeypatch.setattr(asymptotics, "variance_leading", lambda *args: 4.0 * leading(*args))
     model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
     cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
     report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
@@ -249,10 +251,17 @@ def test_clt_check_reads_a_slow_regime_plan():
     assert report.distance > 0
 
 
-def test_clt_check_rejects_rosenblatt_cell():
-    with pytest.raises(ValueError, match="recursive"):
-        mc.clt_empirical_check(mc.CellConfig(mc.table_model("gaussian"), (0.0,), 500, 0.21,
-                                             mc.ROSENBLATT, replications=200), np.zeros(200))
+def test_clt_check_standardises_a_baseline_cell_by_its_variance():
+    # the baseline's leading variance is f R / (n h^d): its readout needs no gain
+    model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
+    cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.ROSENBLATT, replications=1000, seed=3)
+    (values,) = mc.estimates(cfg)
+    report = mc.clt_empirical_check(cfg, values)
+    assert report.passed
+    cdf = ndtr(np.sort(_standardised(cfg, values)))
+    i = np.arange(1, 1001)
+    distance = max(np.max(i / 1000 - cdf), np.max(cdf - (i - 1) / 1000))
+    assert abs(distance - report.distance) <= 1e-15
 
 
 def test_clt_check_requires_undersmoothing():
@@ -282,8 +291,6 @@ def test_readouts_check_their_cell_before_its_vector():
              "at least 100 replications"),
             (mc.clt_empirical_check, mc.CellConfig(gaussian, (1.0,), 500, 0.21, mc.RECURSIVE, 1),
              "at least 100 replications"),
-            (mc.clt_empirical_check, mc.CellConfig(gaussian, (1.0,), 500, 0.21, mc.ROSENBLATT,
-                                                   200), "recursive"),
             (mc.clt_empirical_check, mc.CellConfig(gaussian, (1.0,), 500, 0.15, mc.RECURSIVE,
                                                    200), "undersmoothing")):
         with pytest.raises(ValueError, match=message):
@@ -291,11 +298,15 @@ def test_readouts_check_their_cell_before_its_vector():
 
 
 def _standardised(cfg, g):
-    """``sqrt(gamma_n^-1 h_n) (g - f(x))`` over the limit sd, written out for a 1-d cell."""
+    """``(g - f(x)) / sqrt(V)``, with V the leading variance of the cell's estimator
+    taken from its formula here, not from the cell."""
     f_true = cfg.model.pdf(np.asarray(cfg.x))
-    variance = asymptotics.clt_params(0.0, f_true, 0.0, 1, cfg.a, cfg.step).asym_var
-    scale = math.sqrt(float(cfg.bandwidth.value(cfg.n)) / float(cfg.step.seq.value(cfg.n)))
-    return scale * (g - f_true) / math.sqrt(variance)
+    if cfg.estimator == mc.ROSENBLATT:
+        h = float(cfg.bandwidth.value(cfg.n))
+        variance = asymptotics.rosenblatt_variance(f_true, cfg.dim, cfg.n, h)
+    else:
+        variance = asymptotics.variance_leading(f_true, cfg.dim, cfg.bandwidth, cfg.step, cfg.n)
+    return (g - f_true) / math.sqrt(variance)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -331,7 +342,7 @@ def test_cell_config_validation():
         mc.CellConfig(model, (0.0,), 50, 0.21, "median", 10, 0)
     with pytest.raises(ValueError):
         mc.CellConfig(model, (0.0,), 0, 0.21, mc.ROSENBLATT, 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a\*d must lie in \(0, 1\), got 1.2$"):
         mc.CellConfig(mc.table_model("gaussian-2d"), (0.0, 0.0), 50, 0.6,
                       mc.ROSENBLATT, 10, 0)
     with pytest.raises(ValueError, match="disagrees"):
@@ -364,8 +375,13 @@ def test_cell_config_defaults_to_table_protocol():
         for cfg in mc.table_configs(table, seed=0):
             assert cfg.bandwidth == bandwidth_plan(1.0, cfg.a)
             assert cfg.step == stepsize_plan(1.0 - cfg.a * cfg.dim)
-            expected = 1.0 if cfg.estimator == mc.ROSENBLATT else math.sqrt(1 - cfg.a * cfg.dim)
-            assert cfg.ci_factor == expected  # bit for bit
+            # the interval's variance is the C form C^2 f R / (n h^d), with C = 1 for
+            # the baseline and C = sqrt(1 - a d) for the recursion at its protocol gain
+            c2 = 1.0 if cfg.estimator == mc.ROSENBLATT else 1 - cfg.a * cfg.dim
+            f = cfg.model.pdf(np.asarray(cfg.x))
+            h = float(cfg.bandwidth.value(cfg.n))
+            expected = c2 * f * gaussian_roughness(cfg.dim) / (cfg.n * h**cfg.dim)
+            assert cfg.leading_variance(f) == pytest.approx(expected, rel=1e-15)
 
 
 def test_sample_blocks_follow_scalar_budget(monkeypatch):
@@ -388,17 +404,33 @@ def test_sample_blocks_follow_scalar_budget(monkeypatch):
     assert blocks.avg_length == pytest.approx(one_block.avg_length, rel=1e-12)
 
 
-def test_run_cell_rejects_gain_without_finite_limit_before_drawing(monkeypatch):
+def test_run_cell_reads_a_slow_gain_by_its_leading_variance():
+    # gamma_n = n^-0.7 has no finite n gamma_n, and xi = 0: the interval's
+    # half-width is 1.96 sqrt(gamma_n h^-d g R / 2)
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (1.0,), 200, 0.21, mc.RECURSIVE,
+                        replications=300, seed=2, step=stepsize_plan(1.0, alpha=0.7))
+    (g,) = mc.estimates(cfg)
+    lo, hi = mc.build_interval(g, cfg)
+    h = 200.0**-0.21
+    half = 1.96 * np.sqrt(200.0**-0.7 / h * g * gaussian_roughness(1) / 2)
+    np.testing.assert_allclose((hi - lo) / 2, half, rtol=1e-14, atol=0)
+    (res,) = mc.run_cell(cfg)
+    assert res.avg_length == pytest.approx(float(np.mean(hi - lo)), rel=1e-12)
+    assert 0.0 < res.empirical_level < 1.0
+
+
+def test_run_cell_rejects_a_variance_pole_before_drawing(monkeypatch):
+    # gamma0 = 0.3 at a = 0.21: 2 - (1 - a d)/gamma0 < 0, so no leading variance
     draws = []
 
-    def counting(seed, index):
-        draws.append(index)
+    def counting(*args):  # estimates passes its shared Philox as a third argument
+        draws.append(args)
         return np.random.default_rng(0)
 
     monkeypatch.setattr(mc, "replication_rng", counting)
     cfg = mc.CellConfig(mc.table_model("gaussian"), (0.0,), 50, 0.21, mc.RECURSIVE,
-                        replications=20, step=stepsize_plan(1.0, alpha=0.7))
-    with pytest.raises(ValueError, match="positive and finite"):
+                        replications=20, step=stepsize_plan(0.3))
+    with pytest.raises(ValueError, match="variance pole"):
         mc.run_cell(cfg)
     assert draws == []
 

@@ -11,6 +11,9 @@ lines for:
 - the CSV data rows (the ``#`` header carries the version and is left out) and
   the printed reference diff of ``sakde table N --reps 5000 --seed 42
   --jobs 2``, for N = 1..4;
+- each cell of ``mc.run_table(N, 42, 5000, 1)``, for N = 1..4, run by a
+  ``python -c`` snippet that prints its coverage as ``repr`` (full precision)
+  and its average length at 12 significant digits (the CSV shows 6);
 - the stdout of ``sakde check full --seed 42 --jobs 1``;
 - each estimate vector that ``check full``'s Monte Carlo cells read at seed
   42, at full precision (the printed lines show 3-4 decimals): the two moment
@@ -162,6 +165,17 @@ for n in (50, 1025):
 """
 
 
+# Runs table argv[1] at seed 42 with 5000 replications and prints each cell's
+# coverage at full precision and its average length at 12 significant digits.
+TABLE_CELLS_SNIPPET = """
+import sys
+from sakde import mc
+for row in mc.run_table(int(sys.argv[1]), 42, 5000, 1):
+    res = row.result
+    print(row.x, row.a, row.n, row.estimator, repr(res.empirical_level), f"{res.avg_length:.12g}")
+"""
+
+
 # Runs one check of `check full` at seed 42, recording every vector its
 # mc.estimates calls return, and prints the one at index argv[2].
 ESTIMATES_SNIPPET = """
@@ -213,6 +227,8 @@ def outputs(root: Path, work: Path):
         rows = (work / csv).read_text(encoding="utf-8").splitlines(keepends=True)
         yield f"table {table} csv rows", "".join(ln for ln in rows if not ln.startswith("#"))
         yield f"table {table} printed diff", printed
+        yield (f"table {table} cells at full precision",
+               run_python(root, ["-c", TABLE_CELLS_SNIPPET, str(table)], work))
     yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
     for cell, (check, index) in ESTIMATE_VECTORS.items():
         yield (f"check full estimates {cell}",
