@@ -2,12 +2,12 @@
 Hessians, samplers and curvature functionals.  The curvature is the
 Laplacian: the product Gaussian kernel's second moments are all 1.
 
-:class:`GaussianMixture` (full covariances) exposes ``pdf``, ``hessian_diag``,
-``sample`` and a human-readable ``label``; the exact oracles are closed-form
-sums over its components.  The image ``X = A Y`` of a mixture under an
-invertible A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``:
-:class:`LinearImage` only builds that mixture, which then draws and evaluates
-like any other.
+:class:`GaussianMixture` (full covariances) exposes ``pdf`` and ``hessian_diag``
+through its inverse covariances, ``smoothed_pdf`` (the density convolved with
+``N(0, s I)``; the exact oracles sum it) through the eigenbasis taken when built,
+``sample`` and a ``label``.  The image ``X = A Y`` of a mixture under an invertible
+A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``: :class:`LinearImage`
+only builds that mixture, which then draws and evaluates like any other.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from functools import cached_property
 
 import numpy as np
+
+from sakde.kernels import check_dim
 
 
 def _as_batch(x, dim):
@@ -49,6 +51,8 @@ class GaussianMixture:
         if not math.isclose(self.weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
             raise ValueError("weights must sum to 1")
         k, d = self.means.shape
+        if d < 1:
+            raise ValueError("a mixture needs at least one dimension")
         if self.weights.shape[0] != k or self.covs.shape != (k, d, d):
             raise ValueError("inconsistent mixture component shapes")
         if not (np.isfinite(self.means).all() and np.isfinite(self.covs).all()):
@@ -57,7 +61,8 @@ class GaussianMixture:
         scale = np.abs(self.covs).max(axis=(1, 2), keepdims=True)
         if np.any(np.abs(self.covs - self.covs.swapaxes(1, 2)) > 1e-12 * scale):
             raise ValueError("covariances must be symmetric")
-        if not np.all(np.linalg.eigvalsh(self.covs) > 0):
+        self._eigh = np.linalg.eigh(self.covs)  # (eigenvalues, eigenvectors)
+        if not np.all(self._eigh[0] > 0):
             raise ValueError("covariances must be positive definite")
         self._invs = np.linalg.inv(self.covs)
         dets = np.linalg.det(self.covs)
@@ -101,6 +106,23 @@ class GaussianMixture:
             u = delta @ self._invs[i]
             h += self.weights[i] * comp[:, i, None] * (u * u - np.diag(self._invs[i]))
         return h[0] if single else h
+
+    def smoothed_pdf(self, x, s) -> np.ndarray:
+        """``sum_i w_i phi(x; m_i, S_i + s I)`` at one point ``x`` (shape (dim,)) for
+        each variance of the 1-d array ``s >= 0``: the density convolved with
+        ``N(0, s I)``, so ``s = 0`` gives the density itself."""
+        x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+        if x.shape != (self.dim,) or not np.isfinite(x).all():
+            raise ValueError(f"x must be {self.dim} finite number(s), got shape {x.shape}")
+        if s.ndim != 1 or not np.isfinite(s).all() or np.any(s < 0):
+            raise ValueError("s must be a 1-d array of finite variances >= 0")
+        out, d = np.zeros(s.shape[0]), self.dim
+        for w, m, lam, q in zip(self.weights, self.means, *self._eigh):
+            dt = q.T @ (x - m)
+            lam_s = lam[None, :] + s[:, None]
+            quad = np.sum(dt[None, :] ** 2 / lam_s, axis=1)
+            out += w * np.exp(-0.5 * quad) / np.sqrt((2.0 * math.pi) ** d * np.prod(lam_s, axis=1))
+        return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` draws from ``rng``, shape (count, dim): one replication of
@@ -161,6 +183,7 @@ class LinearImage(GaussianMixture):
 
 def standard_gaussian(dim: int) -> GaussianMixture:
     """Standard normal density on R^d as a one-component mixture."""
+    check_dim(dim)
     return GaussianMixture(
         [1.0], np.zeros((1, dim)), np.eye(dim)[None, :, :], label=f"gaussian(d={dim})"
     )

@@ -326,26 +326,14 @@ def exact_moments(cfg: CellConfig) -> Tuple[float, float]:
     """Exact finite-n mean and variance of the cell's estimator at its point
     under the product Gaussian kernel.
 
-    The model is a Gaussian mixture (a linear image is one), so the smoothed
-    density and the squared-kernel smoothing are again Gaussian mixtures, summed
-    with the cell's :meth:`CellConfig.coefficients`.  Serves as a
-    machine-precision oracle for :func:`empirical_moments` and quantifies how
-    far the finite-n moments sit from their leading-order limits.
+    With the cell's :meth:`CellConfig.coefficients` ``(c_k, h_k)``, term k has mean
+    :meth:`GaussianMixture.smoothed_pdf` at ``s = h_k^2`` and second moment
+    ``R h_k^-d`` times it at ``h_k^2 / 2``: a machine-precision oracle for
+    :func:`empirical_moments` and for the finite-n distance from the leading order.
     """
-    d = cfg.dim
-    x = np.asarray(cfg.x, dtype=float).reshape(d)
     c, h = cfg.coefficients()
-    ez = np.zeros(cfg.n)
-    ez2 = np.zeros(cfg.n)
-    for w, m, cov in zip(cfg.model.weights, cfg.model.means, cfg.model.covs):
-        lam, q = np.linalg.eigh(cov)
-        dt = q.T @ (x - m)
-        for shift, out in ((h * h, ez), (h * h / 2.0, ez2)):
-            lam_s = lam[None, :] + shift[:, None]
-            quad = np.sum(dt[None, :] ** 2 / lam_s, axis=1)
-            det = np.prod(lam_s, axis=1)
-            out += w * np.exp(-0.5 * quad) / np.sqrt((2.0 * math.pi) ** d * det)
-    ez2 *= gaussian_roughness(d) / h**d
+    ez = cfg.model.smoothed_pdf(cfg.x, h * h)
+    ez2 = cfg.model.smoothed_pdf(cfg.x, h * h / 2.0) * (gaussian_roughness(cfg.dim) / h**cfg.dim)
     mean = float(np.sum(c * ez))
     variance = float(np.sum(c * c * (ez2 - ez * ez)))
     return mean, variance

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
 
 from sakde import mc
 from sakde.densities import (
@@ -54,6 +55,49 @@ def test_pdf_integrates_to_one():
     vals = model2.pdf(pts).reshape(401, 401)
     total = np.trapezoid(np.trapezoid(vals, g, axis=0), g)
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+#: a 3-d two-component mixture, its second covariance full
+MIXTURE_3D = GaussianMixture([0.4, 0.6], [[0.5, 0.0, -1.0], [-0.5, 1.0, 0.5]],
+                             [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]]])
+SMOOTHED_MODELS = ("gaussian", "mixture", "gaussian-2d", "mixture-2d", "mixture-3d")
+
+
+def _smoothed_model(name):
+    return MIXTURE_3D if name == "mixture-3d" else mc.table_model(name)
+
+
+@pytest.mark.parametrize("name", SMOOTHED_MODELS)
+def test_smoothed_pdf_is_the_mixture_of_widened_normals(name):
+    # scipy oracle: sum_i w_i N(m_i, S_i + s I) evaluated at x
+    model, s = _smoothed_model(name), np.array([0.0, 1e-4, 0.04, 1.0, 25.0])
+    for x in (np.zeros(model.dim), np.full(model.dim, 0.5), np.linspace(-1.0, 1.5, model.dim)):
+        expected = [sum(w * multivariate_normal(m, cov + v * np.eye(model.dim)).pdf(x)
+                        for w, m, cov in zip(model.weights, model.means, model.covs))
+                    for v in s]
+        np.testing.assert_allclose(model.smoothed_pdf(x, s), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", SMOOTHED_MODELS)
+def test_smoothed_pdf_without_smoothing_is_the_pdf(name):
+    # the eigenbasis path against the inverse-matrix path of pdf
+    model = _smoothed_model(name)
+    for x in np.random.default_rng(8).normal(0.0, 1.5, (20, model.dim)):
+        (value,) = model.smoothed_pdf(x, [0.0])
+        assert value == pytest.approx(model.pdf(x), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0, [math.nan, 0.0],
+                               [0.0, math.inf]])
+def test_smoothed_pdf_rejects_a_point_that_is_not_d_finite_numbers(x):
+    with pytest.raises(ValueError, match="^x must be 2 finite number"):
+        mc.table_model("mixture-2d").smoothed_pdf(x, np.ones(3))
+
+
+@pytest.mark.parametrize("s", [1.0, [[1.0]], [-1e-300], [0.5, -1.0], [math.nan], [math.inf]])
+def test_smoothed_pdf_rejects_variances_that_are_not_a_finite_nonnegative_vector(s):
+    with pytest.raises(ValueError, match="^s must be a 1-d array of finite variances >= 0$"):
+        mc.table_model("mixture-2d").smoothed_pdf(np.zeros(2), s)
 
 
 def test_hessian_standard_gaussian_closed_form():
@@ -293,6 +337,12 @@ def test_mixture_validation():
     for cov in ([[-1.0]], -np.eye(2)):  # rejected when built, not at the first draw
         with pytest.raises(ValueError, match="positive definite"):
             GaussianMixture([1.0], np.zeros((1, len(cov))), np.array([cov]))
+    # no dimension: rejected before any reduction over the covariances
+    with pytest.raises(ValueError, match="^a mixture needs at least one dimension$"):
+        GaussianMixture([1.0], np.zeros((1, 0)), np.zeros((1, 0, 0)))
+    for dim in (0, -1, True, 1.5, 2.0):
+        with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+            standard_gaussian(dim)
 
 
 @pytest.mark.parametrize("means, cov", [([math.nan], [[1.0]]), ([math.inf], [[1.0]]),

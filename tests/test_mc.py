@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from sakde import asymptotics, checks, densities, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
@@ -170,6 +171,39 @@ def test_exact_moments_linear_image_matches_monte_carlo():
     ex_mean, ex_var = mc.exact_moments(cell)
     assert mean == pytest.approx(ex_mean, abs=5 * math.sqrt(ex_var / reps))
     assert var == pytest.approx(ex_var, rel=5 * math.sqrt(2 / reps))
+
+
+def _exact_moment_cells():
+    """Each table model at its second point and first a, both estimators, n = 50
+    and 200, and one recursive 3-d cell."""
+    for table in (1, 2, 3, 4):
+        layout = mc.table_layout(table)
+        model = mc.table_model(layout.density)
+        yield from (mc.CellConfig(model, layout.xs[1], n, layout.a_values[0], estimator)
+                    for estimator in (mc.ROSENBLATT, mc.RECURSIVE) for n in (50, 200))
+    yield mc.CellConfig(MODELS["image-3d"], (0.5, -0.5, 0.0), 200, 0.15, mc.RECURSIVE)
+
+
+def test_exact_moments_match_sums_of_scipy_normal_densities():
+    # E Z_k = sum_i w_i N(x; m_i, S_i + h_k^2 I) and E Z_k^2 = (4 pi)^(-d/2) h_k^-d
+    # sum_i w_i N(x; m_i, S_i + h_k^2/2 I), with scipy called once per distinct h
+    oracle = {}
+
+    def z_moments(model, x, h):
+        key = (id(model), x, h)
+        if key not in oracle:
+            d = model.dim
+            smoothed = [sum(w * multivariate_normal(m, cov + v * np.eye(d)).pdf(x)
+                            for w, m, cov in zip(model.weights, model.means, model.covs))
+                        for v in (h * h, h * h / 2.0)]
+            oracle[key] = (smoothed[0], (4 * math.pi) ** (-d / 2) * h**-d * smoothed[1])
+        return oracle[key]
+
+    for cell in _exact_moment_cells():
+        c, h = cell.coefficients()
+        ez, ez2 = np.array([z_moments(cell.model, cell.x, v) for v in h.tolist()]).T
+        expected = (np.sum(c * ez), np.sum(c * c * (ez2 - ez * ez)))
+        assert mc.exact_moments(cell) == pytest.approx(expected, rel=1e-12, abs=0), cell
 
 
 def test_mise_monte_carlo_matches_exact_finite_n():

@@ -21,6 +21,13 @@ lines for:
   ``checks.bias_oracle``, recorded from their ``mc.estimates`` calls by a
   ``python -c`` snippet and printed as the shape and the SHA-256 of the
   vector's bytes;
+- the exact finite-n moments of each table model, ``repr`` of
+  ``mc.exact_moments`` (full precision; ``check full`` prints 3-decimal ratios)
+  over a fixed cell list, run by a ``python -c`` snippet: the table's points at
+  its first ``a``, both estimators, n = 50, 200 and 10^4; ``check full``'s two
+  moment cells (the origin, n = 10^4, a = 0.21, the plain-average and the
+  variance-optimal gain) on the model; one weight-induced recursive cell and
+  one cell with gains ``n^-0.7``;
 - each query of a fixed list of in-domain ``sakde asymptotics`` calls: all
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
@@ -176,6 +183,26 @@ for row in mc.run_table(int(sys.argv[1]), 42, 5000, 1):
 """
 
 
+# Prints the exact moments of table argv[1]'s model over a fixed cell list.
+EXACT_MOMENTS_SNIPPET = """
+import sys
+from sakde import mc
+from sakde.sequences import SequencePlan, stepsize_from_weights, stepsize_plan
+layout = mc.table_layout(int(sys.argv[1]))
+model, a = mc.table_model(layout.density), layout.a_values[0]
+cells = [mc.CellConfig(model, x, n, a, est) for x in layout.xs for n in (50, 200, 10**4)
+         for est in (mc.ROSENBLATT, mc.RECURSIVE)]
+origin = (0.0,) * model.dim
+cells += [mc.CellConfig(model, origin, 10**4, 0.21, mc.RECURSIVE, step=step)
+          for step in (stepsize_plan(1.0), None)]
+cells += [mc.CellConfig(model, layout.xs[1], 200, a, mc.RECURSIVE, step=step)
+          for step in (stepsize_from_weights(SequencePlan(1.0, -a / 2.0)),
+                       stepsize_plan(1.0, alpha=0.7))]
+for cell in cells:
+    print(cell.x, cell.n, cell.estimator, repr(mc.exact_moments(cell)))
+"""
+
+
 # Runs one check of `check full` at seed 42, recording every vector its
 # mc.estimates calls return, and prints the one at index argv[2].
 ESTIMATES_SNIPPET = """
@@ -233,6 +260,9 @@ def outputs(root: Path, work: Path):
     for cell, (check, index) in ESTIMATE_VECTORS.items():
         yield (f"check full estimates {cell}",
                run_python(root, ["-c", ESTIMATES_SNIPPET, check, str(index)], work))
+    for table in (1, 2, 3, 4):
+        yield (f"exact moments table {table}",
+               run_python(root, ["-c", EXACT_MOMENTS_SNIPPET, str(table)], work))
     for query in asymptotics_queries():
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
