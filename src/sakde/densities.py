@@ -50,6 +50,8 @@ class GaussianMixture:
             raise ValueError("weights must be a nonnegative vector")
         if not math.isclose(self.weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
             raise ValueError("weights must sum to 1")
+        if self.means.ndim != 2:
+            raise ValueError("inconsistent mixture component shapes")
         k, d = self.means.shape
         if d < 1:
             raise ValueError("a mixture needs at least one dimension")
@@ -174,6 +176,8 @@ class LinearImage(GaussianMixture):
         d = base.dim
         if matrix.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must be finite")
         if np.linalg.det(matrix) == 0:
             raise ValueError("matrix must be invertible")
         super().__init__(base.weights, base.means @ matrix.T,

@@ -17,11 +17,15 @@ replications, is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
 (:func:`_kernel_sum`, chunked under :data:`SCALAR_BUDGET`); the estimators
 differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
 recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
-caller, the exact oracle in :mod:`sakde.mc` included.  The sum is one fused
-product-Gaussian evaluation that takes ``(c, h)`` and reads d from the shapes,
-its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in
-:func:`~sakde.kernels.product_gaussian`: with positive ``c_k`` an estimate is
-never exactly 0 and moves by at most ``sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.
+caller, the exact oracle in :mod:`sakde.mc` included.  The sum takes ``(c, h)``
+and reads d from the shapes.  In general it is one fused product-Gaussian
+evaluation, its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in
+:func:`~sakde.kernels.product_gaussian`, bit for bit: with positive ``c_k`` an
+estimate is never exactly 0 and moves by at most
+``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.  On a tensor grid in d >= 2,
+detected from the points, the kernel factors by coordinate and the sum is one
+matrix product of per-axis factors; it stays within L of the fused sum, up to
+rounding of about |exponent| ulp, and never below L.
 :meth:`RecursiveEstimator.update_many` runs on the sum too; the streaming
 estimator keeps its estimate, step count and one weight sum, and takes each
 step's gain and bandwidth from the step's index.  Only the public entry points
@@ -82,17 +86,80 @@ def _gaussian_dim(kernel: Kernel) -> int:
     return kernel.dim
 
 
+def _grid_axes(points: np.ndarray):
+    """The axes ``(a_1, ..., a_d)`` whose tensor grid, flattened in
+    ``meshgrid(indexing="ij")`` order, is ``points`` (m, d) exactly, if
+    ``sum_j len(a_j) < m``; else None.  Each axis is read off the first block
+    of the one before it, and the grid they span is compared with every point."""
+    m, d = points.shape
+    axes, block = [], m
+    for j in range(d):
+        col = points[:block, j]
+        run = int(np.argmax(col != col[0])) or block  # the first change, if any
+        if block % run:
+            return None
+        axes.append(points[:block:run, j])
+        block = run
+    shape = tuple(map(len, axes))
+    if block != 1 or sum(shape) >= m:
+        return None
+    for j, a in enumerate(axes):
+        if not (points[:, j].reshape(shape) == a.reshape(a.shape + (1,) * (d - 1 - j))).all():
+            return None
+    return axes
+
+
+def _grid_sum(coef: np.ndarray, h: np.ndarray, sample: np.ndarray, axes) -> np.ndarray:
+    """``sum_k coef_k prod_j exp(max(-(a_j[i_j] - X_kj)^2 / (2 h_k^2), EXP_FLOOR))``
+    over the tensor grid of ``axes``, flattened in ``meshgrid(indexing="ij")``
+    order, for a ``sample`` (n, d): per chunk of observations, one factor
+    ``E_j`` (len(a_j), chunk) per axis, the row-wise product of all but the
+    last scaled by ``coef``, and one matrix product with the last.  The result
+    is floored at ``sum_k coef_k e^-700``, the least the fused sum can be, so
+    no estimate is 0 where the factors' products underflow."""
+    shape = [len(a) for a in axes]
+    head = math.prod(shape[:-1])
+    chunk = max(1, SCALAR_BUDGET // max(head, shape[-1]))
+    out = np.zeros((head, shape[-1]))
+    for lo in range(0, len(sample), chunk):
+        sl = slice(lo, lo + chunk)
+        factors = []
+        for j, a in enumerate(axes):
+            e = np.subtract.outer(a, sample[sl, j])
+            e /= h[sl]
+            e *= e
+            e *= -0.5
+            np.maximum(e, EXP_FLOOR, out=e)
+            factors.append(np.exp(e, out=e))
+        left = factors[0]
+        left *= coef[sl]
+        for e in factors[1:-1]:
+            left = (left[:, None, :] * e).reshape(-1, e.shape[-1])
+        out += left @ factors[-1].T
+    return np.maximum(out.reshape(-1), math.exp(EXP_FLOOR) * float(np.sum(coef)))
+
+
 def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
                 points: np.ndarray) -> np.ndarray:
     """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` for the product Gaussian K at every
     point ``p`` of ``points`` (m, d), for a ``sample`` of shape (..., n, d) and
-    ``c``, ``h`` of shape (n,); returns (..., m).  Each chunk's kernel matrix is
+    ``c``, ``h`` of shape (n,); returns (..., m).
+
+    Unbatched points in d >= 2 that form a tensor grid (:func:`_grid_axes`)
+    take the separable sum :func:`_grid_sum`, (m_1 + ... + m_d) n exponentials
+    and one matrix product.  It agrees with the fused sum within
+    ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` plus rounding of about
+    |exponent| ulp, since ``exp(a) exp(b)`` is not ``exp(a + b)``, and never
+    falls below L.  Every other sum is fused: each chunk's kernel matrix is
     built in place in one (..., m, chunk) buffer, adding the squared scaled
     differences in one coordinate at a time, and its exponent floored at
     :data:`~sakde.kernels.EXP_FLOOR` as in ``product_gaussian``, bit for bit."""
     *batch, n, d = sample.shape
     norm = gaussian_norm(d)
     coef = c / h**d
+    axes = None if batch or d < 2 or len(points) <= d else _grid_axes(points)
+    if axes is not None:
+        return _grid_sum(norm * coef, h, sample, axes)
     rows = math.prod(batch) * len(points)
     chunk = max(1, SCALAR_BUDGET // max(1, rows * d))
     kbuf = np.empty(rows * min(chunk, n))

@@ -7,7 +7,14 @@ The kernel's exponent is floored at :data:`EXP_FLOOR`:
 ``e^-700 ~ 9.9e-305`` reads as that value, so a weighted kernel sum
 ``sum_k c_k h_k^-d K(.)`` with positive ``c_k`` moves by at most
 ``sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` and is never exactly 0; inside a sum
-of normal size such a term is below half an ulp and moves no bit.
+of normal size such a term is below half an ulp and moves no bit.  The fused
+kernel sum of :mod:`sakde.estimators` follows this rule bit for bit.  Its grid
+path, which multiplies one factor per coordinate, floors each factor's
+exponent at :data:`EXP_FLOOR` and the sum at that same bound: a term then lies
+between 0 and the floored kernel's, so the sum keeps both properties, up to
+rounding of about |exponent| ulp, since ``exp(a) exp(b)`` is not
+``exp(a + b)``.  (Flooring each factor at ``EXP_FLOOR / d`` would lift a tail
+term from about ``e^-700`` to ``e^(-700/d)``.)
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import numpy as np
 # numpy 2.4.6 on AVX-512F.  Mixed into one array, such lanes slow every vector
 # that holds one (an undersmoothed kernel far from most of the data puts 13 %
 # of its exponents there, and triples the kernel sum's time), and every term
-# they compute is below 1e-304.  Both kernel evaluations, product_gaussian and
-# the fused sum in sakde.estimators, floor the exponent here.
+# they compute is below 1e-304.  Every kernel evaluation, product_gaussian and
+# the fused and grid sums in sakde.estimators, floors the exponent here.
 EXP_FLOOR = -700.0
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ def test_hessian_diag_matches_finite_differences(name):
 def test_linear_image_requires_invertible_matrix():
     with pytest.raises(ValueError):
         LinearImage(standard_gaussian(2), [[1.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_linear_image_rejects_a_non_finite_matrix_before_any_linear_algebra(bad):
+    # np.linalg.det of such a matrix would warn before the mixture rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base, matrix in ((standard_gaussian(1), [[bad]]),
+                             (standard_gaussian(2), [[1.0, 0.0], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="^matrix must be finite$"):
+                LinearImage(base, matrix)
 
 
 def test_sampling_moments_standard_gaussian():
@@ -337,6 +349,10 @@ def test_mixture_validation():
     for cov in ([[-1.0]], -np.eye(2)):  # rejected when built, not at the first draw
         with pytest.raises(ValueError, match="positive definite"):
             GaussianMixture([1.0], np.zeros((1, len(cov))), np.array([cov]))
+    # means of another rank than 2: rejected by the class, not by an unpacking
+    for means in (np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 2))):
+        with pytest.raises(ValueError, match="^inconsistent mixture component shapes$"):
+            GaussianMixture([1.0], means, [[[1.0]]])
     # no dimension: rejected before any reduction over the covariances
     with pytest.raises(ValueError, match="^a mixture needs at least one dimension$"):
         GaussianMixture([1.0], np.zeros((1, 0)), np.zeros((1, 0, 0)))

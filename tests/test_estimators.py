@@ -188,7 +188,7 @@ WHOLE_SAMPLE = {
     "weighted_closed_form": lambda kern, bw, sample, pts: weighted_closed_form(
         kern, SequencePlan(1.0, 0.0), bw, sample, pts),
     "RosenblattEstimator": lambda kern, bw, sample, pts: RosenblattEstimator(
-        1, bw, sample).eval(kern, pts),
+        kern.dim, bw, sample).eval(kern, pts),
 }
 
 
@@ -208,10 +208,13 @@ def _update_many(kern, bw, sample, pts):
 @pytest.mark.parametrize("estimate", [*WHOLE_SAMPLE.values(), _update_many],
                          ids=[*WHOLE_SAMPLE, "update_many"])
 def test_estimators_take_an_empty_grid(estimate):
-    # a (0, d) grid gives a (0,) estimate, as RecursiveEstimator.update does
-    sample = np.array([[0.1], [-0.2], [0.5]])
-    out = estimate(gaussian_kernel(1), bandwidth_plan(1.0, 0.21), sample, np.zeros((0, 1)))
-    assert out.shape == (0,)
+    # a (0, d) grid gives a (0,) estimate, as RecursiveEstimator.update does,
+    # in 2-d too, where there is no point to read a grid's axes from
+    sample = np.array([[0.1, 0.3], [-0.2, 0.0], [0.5, -0.4]])
+    for d in (1, 2):
+        out = estimate(gaussian_kernel(d), bandwidth_plan(1.0, 0.21), sample[:, :d],
+                       np.zeros((0, d)))
+        assert out.shape == (0,)
 
 
 def test_batch_paths_match_streaming():
@@ -344,21 +347,87 @@ def _unfloored(d):
     return Kernel(d, fn, "unfloored")
 
 
+def _ij_grid(*axes):
+    """The tensor grid of ``axes``, flattened in ``meshgrid(indexing="ij")`` order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _floor_bound(c, h, d):
+    """``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``, the least term of the fused sum."""
+    return float(np.sum(c / h**d)) * gaussian_norm(d) * math.exp(EXP_FLOOR)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_all_tail_kernel_sum_is_positive_within_the_floor_bound(d):
     # every exponent is below -18000: without the floor each term, and the
-    # sum, would be exactly 0; with it the sum is at most
-    # sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700
+    # sum, would be exactly 0; with it the sum is at most L, on the fused sum
+    # and, over a 3^d grid with no batch axis in d >= 2, on the grid path,
+    # where the factors' products underflow to 0 and the sum is floored at L
     rng = np.random.default_rng(41 + d)
     n = 50
     c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.01, 0.05, n)
-    bound = float(np.sum(c / h**d)) * gaussian_norm(d) * math.exp(EXP_FLOOR)
-    pts = np.full((4, d), 10.0)
-    for sample in (0.1 * rng.standard_normal((n, d)), 0.1 * rng.standard_normal((3, n, d))):
-        out = estimators._kernel_sum(c, h, sample, pts)
-        assert np.all(_unfused_kernel_sum(_unfloored(d), c, h, sample, pts) == 0.0)
-        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
-        assert np.all(out <= bound * (1.0 + 1e-12))
+    samples = 0.1 * rng.standard_normal((n, d)), 0.1 * rng.standard_normal((3, n, d))
+    grid = _ij_grid(*[np.linspace(10.0, 11.0, 3)] * d)
+    assert (estimators._grid_axes(grid) is not None) == (d > 1)
+    for pts in (np.full((4, d), 10.0), grid):
+        for sample in samples:
+            out = estimators._kernel_sum(c, h, sample, pts)
+            assert out.shape == (*sample.shape[:-2], len(pts))
+            assert np.all(_unfused_kernel_sum(_unfloored(d), c, h, sample, pts) == 0.0)
+            assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+            assert np.all(out <= _floor_bound(c, h, d) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_grid_kernel_sum_is_the_fused_sum_within_the_floor_bound(d, budget, monkeypatch):
+    # the same points permuted are no grid and take the fused sum; the grid
+    # path stays within L of it, up to rounding of about |exponent| ulp
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    rng = np.random.default_rng(71 + d)
+    n = 40
+    c = rng.uniform(0.1, 1.0, n)
+    sample = rng.standard_normal((n, d))
+    sizes = {2: (9, 7), 3: (5, 4, 6), 4: (3, 4, 2, 3)}[d]
+    # the last value of each axis, at 10, sees only floored terms under the
+    # narrow bandwidths
+    axes = [np.append(np.sort(rng.uniform(-3.0, 3.0, s - 1)), 10.0) for s in sizes]
+    pts = _ij_grid(*axes)
+    perm = rng.permutation(len(pts))
+    assert estimators._grid_axes(pts) is not None and estimators._grid_axes(pts[perm]) is None
+    for h in (rng.uniform(0.3, 1.5, n), rng.uniform(0.01, 0.05, n)):
+        grid = estimators._kernel_sum(c, h, sample, pts)
+        fused = np.empty_like(grid)
+        fused[perm] = estimators._kernel_sum(c, h, sample, pts[perm])
+        assert np.all(grid > 0.0)
+        assert np.all(np.abs(grid - fused) <= 1e-12 * np.abs(fused) + _floor_bound(c, h, d))
+
+
+def _not_grids(rng):
+    """``(label, sample, points)`` that must take the fused sum."""
+    x, y = np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 3.0, 5)
+    grid = _ij_grid(x, y)
+    moved = grid.copy()
+    moved[13, 1] = np.nextafter(moved[13, 1], np.inf)
+    sample = rng.standard_normal((30, 2))
+    yield "permuted", sample, grid[rng.permutation(len(grid))]
+    yield "one ulp off", sample, moved
+    yield "xy order", sample, np.stack(np.meshgrid(x, y, indexing="xy"), -1).reshape(-1, 2)
+    yield "1-d", rng.standard_normal((30, 1)), x[:, None]
+    yield "batched", rng.standard_normal((3, 30, 2)), grid
+
+
+def test_kernel_sum_off_a_grid_is_the_fused_sum_bit_for_bit():
+    rng = np.random.default_rng(83)
+    c, h = rng.uniform(0.1, 1.0, 30), rng.uniform(0.1, 1.0, 30)
+    for label, sample, pts in _not_grids(rng):
+        if sample.ndim == 2 and sample.shape[1] > 1:
+            assert estimators._grid_axes(pts) is None, label
+        kern = gaussian_kernel(sample.shape[-1])
+        np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
+                                      _unfused_kernel_sum(kern, c, h, sample, pts),
+                                      err_msg=label)
 
 
 def test_floor_moves_no_bit_of_the_clt_cell(monkeypatch):
@@ -473,19 +542,23 @@ def test_block_update_runs_follow_scalar_budget(step, monkeypatch):
 
 def test_recursive_at_points_memory_is_bounded():
     # one chunk of the whole sample would hold 2048 * 10^4 * 2 scalars (328 MB)
-    # per temporary; the scalar budget keeps the traced peak far below that
+    # per temporary; the scalar budget keeps the traced peak far below that,
+    # on the grid's separable sum and, with its points permuted, the fused sum
     rng = np.random.default_rng(5)
     sample = rng.standard_normal((2048, 2))
     axis = np.linspace(-3.0, 3.0, 100)
-    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    tracemalloc.start()
-    try:
-        recursive_at_points(gaussian_kernel(2), stepsize_plan(0.66), bandwidth_plan(1.0, 0.17),
-                            sample, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 96 * 2**20
+    grid = _ij_grid(axis, axis)
+    permuted = grid[rng.permutation(len(grid))]
+    assert estimators._grid_axes(grid) is not None and estimators._grid_axes(permuted) is None
+    for pts in (grid, permuted):
+        tracemalloc.start()
+        try:
+            recursive_at_points(gaussian_kernel(2), stepsize_plan(0.66),
+                                bandwidth_plan(1.0, 0.17), sample, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize("step", [stepsize_plan(0.79),

@@ -41,8 +41,10 @@ lines for:
 - the streaming estimator, run by ``python -c`` snippets at seed 42: the
   computation of the benchmark's ``stream`` workload (``update_many`` at
   m = 100 under a closed-form and a weight-induced stepsize, at m = 10^4 in
-  2-d, and the three closed forms), a loop of one-step ``update`` calls, and
-  one mixed sequence of call sizes.  Each snippet prints the shape and the
+  2-d, and the three closed forms), ``recursive_at_points`` at the 2-d grid's
+  points in a fixed permutation (so the general sum, not the grid path, is
+  pinned at m = 10^4), a loop of one-step ``update`` calls, and one mixed
+  sequence of call sizes.  Each snippet prints the shape and the
   SHA-256 of the bytes of each array it computes.
 
 A digest covers the exit status and stderr as well as the output, so a query
@@ -144,6 +146,10 @@ STREAM_SNIPPETS = {
     "stream closed forms": """show(recursive_at_points(k1, step1, bw1, x1, grid1),
      weighted_closed_form(k1, weights, bw1, x1, grid1),
      recursive_at_points(k2, step2, bw2, x2, grid2))""",
+    # 7919 is prime to 10^4, so this is a permutation: points that are no
+    # grid, on the general kernel sum at m = 10^4
+    "stream closed form m=10000 2-d permuted grid":
+        "show(recursive_at_points(k2, step2, bw2, x2, grid2[np.arange(10000) * 7919 % 10000]))",
     "stream one-step update loop": """for step in (step1, step_w):
     est = RecursiveEstimator(k1, step, bw1, grid1)
     for row in x1[:2053]:
