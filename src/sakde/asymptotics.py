@@ -54,6 +54,7 @@ def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassif
     The boundary ``a = alpha/(d+4)`` is resolved within 1e-12, with every real
     input (``float``, ``int`` or ``Fraction``) taken through ``float``.
     """
+    check_dim(d)
     alpha = stepsize_plan(1.0, alpha).alpha  # a stepsize plan owns the check of alpha
     af, alphaf = float(a), float(alpha)
     if not 0.0 < af < alphaf / d:
@@ -87,7 +88,7 @@ def _bias_denom(a: float, xi: float) -> float:
 
 def _variance_margin(a: float, d: int) -> float:
     """``1 - a d``, for ``a d`` in (0, 1): the variance's bandwidth domain."""
-    if not 0.0 < a * d < 1.0:
+    if not 0.0 < a * check_dim(d) < 1.0:
         raise ValueError(f"a*d must lie in (0, 1), got {a * d}")
     return 1.0 - a * d
 
@@ -144,7 +145,7 @@ def rosenblatt_variance(f_x: float, d: int, n: int, h: float) -> float:
     """Leading variance of the nonrecursive baseline, ``f(x) R / (n h^d)``."""
     _check_n(n)
     _check_h(h)
-    return f_x * gaussian_roughness(d) / (n * h**d)
+    return f_x * gaussian_roughness(check_dim(d)) / (n * h**d)
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,14 @@ class OptimalPlan:
 
 def _minimise(A: float, B: float, d: int) -> OptimalPlan:
     """The one optimiser: ``h = (d B / (4 A))^(1/(d+4))`` minimises ``A h^4 + B h^-d``."""
-    h = (d * B / (4.0 * A)) ** (1.0 / (d + 4))
+    h = (check_dim(d) * B / (4.0 * A)) ** (1.0 / (d + 4))
     return OptimalPlan(h, A * h**4 + B * h ** (-d), d)
 
 
 def _unit_gain_optimum(quad_term: float, rough_term: float, d: int) -> OptimalPlan:
     # quad_term = S(x)^2 (pointwise) or the integrated squared curvature;
     # rough_term = f(x) R (pointwise) or R (integrated); gain 1/n, a = 1/(d+4)
-    a = 1.0 / (d + 4)
+    a = 1.0 / (check_dim(d) + 4)
     return _minimise(quad_term / (2.0 * _bias_denom(a, 1.0)) ** 2,
                      rough_term / _variance_denom(a, d, 1.0), d)
 
@@ -207,7 +208,7 @@ def mise_leading(curv_integral: float, d: int, step: StepsizePlan,
     ``curv_integral`` is the integral of the squared curvature functional
     (see :func:`sakde.densities.curvature_squared_integral`).
     """
-    cmp = _compare_regime(bandwidth.a, step.alpha, d)
+    cmp = _compare_regime(bandwidth.a, step.alpha, check_dim(d))
     bias2 = curv_integral * bias_leading(1.0, bandwidth, step, n) ** 2 if cmp <= 0 else 0.0
     return bias2 + (variance_leading(1.0, d, bandwidth, step, n) if cmp >= 0 else 0.0)
 
@@ -252,6 +253,7 @@ class CltParams:
 def clt_params(c: float, f_x: float, S_x: float, d: int, a: float,
                step: StepsizePlan) -> CltParams:
     """Limit-law parameters for a plan with ``gamma_n^{-1} h_n^{d+4} -> c``."""
+    check_dim(d)
     if not f_x > 0:
         raise ValueError("f(x) must be positive")
     if not c >= 0:

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from sakde.kernels import check_dim
+from sakde.sequences import is_integer
 
 
 def _as_batch(x, dim):
@@ -142,7 +143,7 @@ class GaussianMixture:
         Cholesky map then run once over the block, in place, in chunks of
         ``_MAP_SCALARS // dim**2`` rows.
         """
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        if not is_integer(count):
             raise TypeError(f"count must be an integer, not {type(count).__name__}")
         if count < 1:
             raise ValueError("count must be positive")

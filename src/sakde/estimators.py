@@ -12,21 +12,21 @@ at O(#points) cost independent of n.  With the weight-induced stepsize
 
 an identity the test suite certifies to 1e-12.
 
-Every estimate after the whole sample, of one sample or of a batch of
-replications, is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
-(:func:`_kernel_sum`, chunked under :data:`SCALAR_BUDGET`); the estimators
-differ only in ``(c_k, h_k)``.  :func:`recursion_coefficients` builds the
-recursion's and :func:`rosenblatt_coefficients` the baseline's, once for every
-caller, the exact oracle in :mod:`sakde.mc` included.  The sum takes ``(c, h)``
-and reads d from the shapes.  In general it is one fused product-Gaussian
+Every estimate is built from one weighted kernel sum
+``sum_k c_k h_k^-d K((x - X_k) / h_k)`` (:func:`_kernel_sum`, chunked under
+:data:`SCALAR_BUDGET`); the estimators differ only in ``(c_k, h_k)``.  The
+recursion is expanded in one place, :func:`_recursion`, one run of at most
+:data:`SCALAR_BUDGET` rows at a time, and :meth:`RecursiveEstimator.update_many`,
+:func:`recursive_at_points` and the Monte Carlo's :func:`recursive_batch` run it;
+the baseline's ``(c_k, h_k)`` are :func:`rosenblatt_coefficients`.  The sum
+reads d from the shapes.  In general it is one fused product-Gaussian
 evaluation, its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in
 :func:`~sakde.kernels.product_gaussian`, bit for bit: with positive ``c_k`` an
 estimate is never exactly 0 and moves by at most
 ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.  On a tensor grid in d >= 2,
 detected from the points, the kernel factors by coordinate and the sum is one
 matrix product of per-axis factors; it stays within L of the fused sum, up to
-rounding of about |exponent| ulp, and never below L.
-:meth:`RecursiveEstimator.update_many` runs on the sum too; the streaming
+rounding of about |exponent| ulp, and never below L.  The streaming
 estimator keeps its estimate, step count and one weight sum, and takes each
 step's gain and bandwidth from the step's index.  Only the public entry points
 that take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but
@@ -42,7 +42,7 @@ import numpy as np
 
 from sakde.kernels import (EXP_FLOOR, Kernel, check_dim, gaussian_kernel, gaussian_norm,
                            product_gaussian)
-from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, pi_product, suffix_products
+from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, suffix_products
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary:
 # a kernel-evaluation chunk (batch x observations x points x dim, at least one
@@ -185,6 +185,26 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     return out
 
 
+def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, samples: np.ndarray,
+               points: np.ndarray, values: np.ndarray, n: int, wsum: float):
+    """The recursion from ``values`` (..., m) after ``n`` steps and weight sum
+    ``wsum`` over the rows of ``samples`` (..., count, d), per run of at most
+    :data:`SCALAR_BUDGET` rows: ``f <- Pi_run f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
+    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run.  Returns ``(values, n, wsum)``."""
+    for lo in range(0, samples.shape[-2], SCALAR_BUDGET):
+        run = samples[..., lo:lo + SCALAR_BUDGET, :]
+        count = run.shape[-2]
+        g, wsum = step.gains(np.arange(n + 1, n + count + 1), wsum)
+        coef = suffix_products(1.0 - g)
+        start = coef[0] * (1.0 - g[0])
+        coef *= g
+        del g  # freed, as the step indices are, before h: the sum holds no n-long array but (c, h)
+        h = bandwidth.value(np.arange(n + 1, n + count + 1))
+        values = start * values + _kernel_sum(coef, h, run, points)
+        n += count
+    return values, n, wsum
+
+
 class RecursiveEstimator:
     """Streaming estimator state over a fixed grid of evaluation points.
 
@@ -214,21 +234,12 @@ class RecursiveEstimator:
         self.n, self._wsum = self.n + 1, wsum
 
     def update_many(self, sample) -> None:
-        """Absorb the rows of ``sample`` in order, once all are checked to be finite:
-        per run of at most :data:`SCALAR_BUDGET` rows, with the gains and bandwidths
-        :meth:`update` would take, ``f <- Pi_b f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
-        ``c_k = gamma_k prod_{j>k} (1 - gamma_j)``; the state changes only at the end."""
-        sample = _as_points(sample, self.dim)
-        values, n, wsum = self.values, self.n, self._wsum
-        for lo in range(0, len(sample), SCALAR_BUDGET):
-            run = sample[lo:lo + SCALAR_BUDGET]
-            k = np.arange(n + 1, n + len(run) + 1)
-            g, wsum = self.step.gains(k, wsum)
-            tail = suffix_products(1.0 - g)
-            values = (tail[0] * (1.0 - g[0]) * values
-                      + _kernel_sum(g * tail, self.bandwidth.value(k), run, self.points))
-            n += len(run)
-        self.values, self.n, self._wsum = values, n, wsum
+        """Absorb the rows of ``sample`` in order, once all are checked to be finite,
+        with the gains and bandwidths :meth:`update` would take, one run at a time
+        (:func:`_recursion`); the state changes only at the end."""
+        self.values, self.n, self._wsum = _recursion(
+            self.step, self.bandwidth, _as_points(sample, self.dim), self.points,
+            self.values, self.n, self._wsum)
 
 
 def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:
@@ -240,12 +251,6 @@ def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:
     return g * suffix_products(1.0 - g)
 
 
-def recursion_coefficients(step: StepsizePlan, bandwidth: BandwidthPlan,
-                           n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The recursion's ``(c_k, h_k)``, k = 1..n: :func:`recursion_weights` and ``h_1..h_n``."""
-    return recursion_weights(step, n), bandwidth.value(np.arange(1, n + 1))
-
-
 def rosenblatt_coefficients(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """The baseline's ``(c_k, h_k) = (1/n, h)``, k = 1..n."""
     return np.full(n, 1.0 / n), np.full(n, float(h))
@@ -253,17 +258,12 @@ def rosenblatt_coefficients(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: BandwidthPlan,
                         sample, points, f0=0.0) -> np.ndarray:
-    """Closed-form evaluation of the recursion after the whole sample.
-
-    Equals driving :class:`RecursiveEstimator` over the sample, up to
-    accumulation round-off.
-    """
+    """Closed-form evaluation of the recursion after the whole sample: the
+    expansion :meth:`RecursiveEstimator.update_many` runs, so it equals a fresh
+    estimator's ``update_many`` over the sample bit for bit."""
     dim = _gaussian_dim(kernel)
     sample, points = _as_sample(sample, dim), _as_points(points, dim)
-    start = _initial_values(f0, len(points))
-    n = sample.shape[0]
-    out = _kernel_sum(*recursion_coefficients(step, bandwidth, n), sample, points)
-    return out + pi_product(step, n) * start
+    return _recursion(step, bandwidth, sample, points, _initial_values(f0, len(points)), 0, 0.0)[0]
 
 
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
@@ -305,12 +305,11 @@ def recursive_batch(step: StepsizePlan, bandwidth: BandwidthPlan,
                     samples: np.ndarray, x) -> np.ndarray:
     """Recursive estimate at one point ``x`` for a batch of replication samples.
 
-    ``samples`` has shape (reps, n, dim); returns shape (reps,).  Matches the
-    streaming recursion (certified in the tests) but vectorises across
-    replications for the Monte Carlo driver.
+    ``samples`` has shape (reps, n, dim); returns shape (reps,): the recursion
+    from 0, with a replication axis.
     """
-    c, h = recursion_coefficients(step, bandwidth, samples.shape[1])
-    return _kernel_sum(c, h, samples, np.reshape(x, (1, samples.shape[-1])))[:, 0]
+    return _recursion(step, bandwidth, samples, np.reshape(x, (1, samples.shape[-1])),
+                      np.zeros((len(samples), 1)), 0, 0.0)[0][:, 0]
 
 
 def rosenblatt_batch(bandwidth: BandwidthPlan, samples: np.ndarray, x) -> np.ndarray:

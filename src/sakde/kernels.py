@@ -25,6 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from sakde.sequences import is_integer
+
 # numpy's vector exp runs at about 1 ns per element down to -700, but leaves
 # its vector path below: 3.3 ns at -707, 20 ns at -708, 101 ns at -720 (a
 # subnormal result) and 14 ns from -746 on (a result of 0), measured with
@@ -70,7 +72,7 @@ class Kernel:
 
 def check_dim(dim) -> int:
     """``dim``, once it is known to be a positive integer (not a bool)."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not (is_integer(dim) and dim >= 1):
         raise ValueError("dim must be a positive integer")
     return dim
 

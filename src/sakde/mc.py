@@ -32,7 +32,7 @@ import numpy as np
 
 from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
-from sakde.estimators import (recursion_coefficients, recursive_batch, rosenblatt_batch,
+from sakde.estimators import (recursion_weights, recursive_batch, rosenblatt_batch,
                               rosenblatt_coefficients)
 from sakde.kernels import gaussian_kernel, gaussian_roughness
 from sakde.sequences import (BandwidthPlan, StepsizePlan, bandwidth_plan, is_integer,
@@ -128,9 +128,10 @@ class CellConfig:
 
     def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``:
-        the coefficients that :meth:`estimate` sums, from the same builders."""
+        the coefficients that :meth:`estimate` sums, from the same plans."""
         if self.estimator == RECURSIVE:
-            return recursion_coefficients(self.step, self.bandwidth, self.n)
+            steps = np.arange(1, self.n + 1)
+            return recursion_weights(self.step, self.n), self.bandwidth.value(steps)
         return rosenblatt_coefficients(self.n, self.bandwidth.value(self.n))
 
 
@@ -256,7 +257,7 @@ class TableRow:
     result: CellResult
 
 
-def table_configs(table: int, seed: int, replications: int = 5000) -> List[CellConfig]:
+def table_configs(table: int, seed: int, replications: int) -> List[CellConfig]:
     layout = table_layout(table)
     model = table_model(layout.density)
     grid = itertools.product(layout.a_values, layout.xs, layout.ns, (ROSENBLATT, RECURSIVE))
@@ -264,7 +265,7 @@ def table_configs(table: int, seed: int, replications: int = 5000) -> List[CellC
             for a, x, n, estimator in grid]
 
 
-def run_table(table: int, seed: int, replications: int = 5000, jobs: int = 1) -> List[TableRow]:
+def run_table(table: int, seed: int, replications: int, jobs: int) -> List[TableRow]:
     """Run a full benchmark table grid.  Cells that share (model, n) read the
     same sample blocks, drawn once; ``jobs`` parallelises across these groups
     without affecting any numeric result."""

@@ -333,6 +333,26 @@ def test_ci_constant_rejects_pole():
 
 _BW, _STEP = bandwidth_plan(1.0, 0.2), stepsize_plan(0.8)
 
+# every formula that takes a dimension, on a plan whose other parameters lie in
+# its domain, and a dimension that is no positive integer
+_DIM_FORMULAS = {
+    "rosenblatt-variance": lambda d: asy.rosenblatt_variance(1.0, d, 100, 0.5),
+    "variance": lambda d: asy.variance_leading(0.3, d, _BW, _STEP, 100),
+    "mise-bias-dominated": lambda d: asy.mise_leading(1.0, d, stepsize_plan(1.0),
+                                                      bandwidth_plan(1.0, 0.1), 100),
+    "clt": lambda d: asy.clt_params(0.5, 0.3, -0.4, d, 0.2, _STEP),
+    "clt-degenerate": lambda d: asy.clt_params(math.inf, 0.3, -0.4, d, 0.2, _STEP),
+    "ci-constant": lambda d: asy.ci_constant(0.8, 0.2, d),
+    "ci-constant-minimum": lambda d: asy.ci_constant_minimum(0.2, d),
+    "regime": lambda d: asy.classify_regime(0.2, 1.0, d),
+    "mse-optimal": lambda d: asy.mse_optimal_plan(0.35, -0.4, d),
+    "rosenblatt-mse-optimal": lambda d: asy.rosenblatt_mse_optimal(0.35, -0.4, d),
+    "mise-optimal": lambda d: asy.mise_optimal_plan(1.0, d),
+}
+_BAD_DIMS = {"d0": 0, "d-negative": -1, "d-fractional": 1.5, "d-float": 2.0, "d-bool": True}
+_DIM_CASES = {f"{name}-{label}": (lambda f=f, d=d: f(d), "dim must be a positive integer")
+              for name, f in _DIM_FORMULAS.items() for label, d in _BAD_DIMS.items()}
+
 
 @pytest.mark.parametrize("formula, message", [
     (lambda: asy.bias_leading(1.0, _BW, _STEP, 0), "n must be at least 1"),
@@ -352,11 +372,12 @@ _BW, _STEP = bandwidth_plan(1.0, 0.2), stepsize_plan(0.8)
     (lambda: asy.efficiency_ratio(math.nan), "dim must be a positive integer"),
     (lambda: asy.efficiency_ratio(1.5), "dim must be a positive integer"),
     (lambda: asy.efficiency_ratio(2.0), "dim must be a positive integer"),
+    *_DIM_CASES.values(),
 ], ids=["bias-n0", "bias-nan", "variance-n0", "variance-negative", "mise-balanced-n0",
         "mise-variance-dominated-n0", "rosenblatt-variance-n0", "rosenblatt-variance-h0",
         "rosenblatt-variance-negative-h", "rosenblatt-variance-nan-h", "rosenblatt-bias-h0",
         "rosenblatt-bias-negative-h", "rosenblatt-bias-nan-h", "efficiency-d0",
-        "efficiency-nan", "efficiency-fractional", "efficiency-float"])
+        "efficiency-nan", "efficiency-fractional", "efficiency-float", *_DIM_CASES])
 def test_formulas_reject_parameters_outside_their_domain(formula, message):
     with pytest.raises(ValueError, match=message):
         formula()

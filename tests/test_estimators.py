@@ -217,23 +217,33 @@ def test_estimators_take_an_empty_grid(estimate):
         assert out.shape == (0,)
 
 
-def test_batch_paths_match_streaming():
-    rng = np.random.default_rng(17)
-    for d in (1, 2):
-        kern = gaussian_kernel(d)
-        step = stepsize_plan(1.0 - 0.21)
-        bw = bandwidth_plan(1.0, 0.21 / d)
-        x = np.full(d, 0.25)
-        samples = rng.standard_normal((4, 60, d))
-        batch_rec = recursive_batch(step, bw, samples, x)
-        batch_ros = rosenblatt_batch(bw, samples, x)
-        for r in range(4):
-            est = RecursiveEstimator(kern, step, bw, x[None, :])
-            for row in samples[r]:
-                est.update(row)
-            assert batch_rec[r] == pytest.approx(est.values[0], rel=1e-12)
-            ros = RosenblattEstimator(d, bw, samples[r])
-            assert batch_ros[r] == pytest.approx(ros.eval(kern, x[None, :])[0], rel=1e-12)
+def test_batch_paths_match_streaming(monkeypatch):
+    for budget in (estimators.SCALAR_BUDGET, 7):  # one run of 60 rows, and runs of 7
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+        rng = np.random.default_rng(17)
+        for d in (1, 2):
+            kern = gaussian_kernel(d)
+            step = stepsize_plan(1.0 - 0.21)
+            bw = bandwidth_plan(1.0, 0.21 / d)
+            x = np.full(d, 0.25)
+            samples = rng.standard_normal((4, 60, d))
+            batch_rec = recursive_batch(step, bw, samples, x)
+            batch_ros = rosenblatt_batch(bw, samples, x)
+            for r in range(4):
+                est = RecursiveEstimator(kern, step, bw, x[None, :])
+                for row in samples[r]:
+                    est.update(row)
+                assert batch_rec[r] == pytest.approx(est.values[0], rel=1e-12)
+                ros = RosenblattEstimator(d, bw, samples[r])
+                assert batch_ros[r] == pytest.approx(ros.eval(kern, x[None, :])[0], rel=1e-12)
+                # the Monte Carlo cell runs the streaming expansion: one replication
+                # is a fresh update_many bit for bit; in a batch, BLAS blocks the
+                # last sum by replication rows, which moves an estimate's last bits
+                # (a 60-term positive sum reordered moves by under 60 eps)
+                fresh = RecursiveEstimator(kern, step, bw, x[None, :])
+                fresh.update_many(samples[r])
+                assert recursive_batch(step, bw, samples[r:r + 1], x)[0] == fresh.values[0]
+                assert batch_rec[r] == pytest.approx(fresh.values[0], rel=1e-14)
 
 
 # Reference loops for the chunked kernel sum: one observation at a time, in
@@ -504,19 +514,25 @@ def test_block_updates_match_one_step_recursion(d, weighted):
         assert float(np.max(np.abs(est.values - stepwise.values))) < 1e-12
 
 
-@pytest.mark.parametrize("step", [stepsize_plan(0.79),
-                                  stepsize_from_weights(SequencePlan(1.0, -0.1))],
-                         ids=["closed-form", "weight-induced"])
-def test_fresh_block_update_is_the_closed_form_bit_for_bit(step):
-    # one run of 2053 rows takes the gains and bandwidths recursive_at_points
-    # takes and sums them in the same order
+@pytest.mark.parametrize("step, f0, n, budget", [
+    (stepsize_plan(0.79), 0.0, 2053, None),
+    (stepsize_from_weights(SequencePlan(1.0, -0.1)), 0.0, 2053, None),
+    (stepsize_plan(0.5), 0.3, 10**4, None),
+    (stepsize_plan(0.79), 0.3, 2053, 7),
+], ids=["closed-form", "weight-induced", "f0-slow-gains", "f0-runs-of-7"])
+def test_fresh_block_update_is_the_closed_form_bit_for_bit(step, f0, n, budget, monkeypatch):
+    # both run the one expansion: the same runs, gains, bandwidths and start
+    # factors, summed in the same order, whatever f0 and the run length
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     rng = np.random.default_rng(61)
     kern, bw = gaussian_kernel(1), bandwidth_plan(0.9, 0.21)
-    sample, pts = rng.standard_normal((2053, 1)), np.linspace(-3.0, 3.0, 40)
-    est = RecursiveEstimator(kern, step, bw, pts)
+    sample, pts = rng.standard_normal((n, 1)), np.linspace(-3.0, 3.0, 40)
+    est = RecursiveEstimator(kern, step, bw, pts, f0=f0)
     est.update_many(sample)
-    assert est.n == 2053
-    np.testing.assert_array_equal(est.values, recursive_at_points(kern, step, bw, sample, pts))
+    assert est.n == n
+    np.testing.assert_array_equal(est.values,
+                                  recursive_at_points(kern, step, bw, sample, pts, f0=f0))
 
 
 @pytest.mark.parametrize("step", [stepsize_plan(0.79),

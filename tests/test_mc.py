@@ -86,7 +86,7 @@ def test_run_cell_deterministic():
 
 
 def test_run_table_rows_and_grid():
-    rows = mc.run_table(1, seed=3, replications=20)
+    rows = mc.run_table(1, seed=3, replications=20, jobs=1)
     assert len(rows) == 36  # 2 exponents x 3 points x 3 sizes x 2 estimators
     layout = mc.table_layout(1)
     assert layout.ns == (50, 100, 200)
@@ -103,7 +103,7 @@ def test_run_table_parallel_is_bit_identical():
 
 
 def test_format_report_header_and_digits():
-    rows = mc.run_table(1, seed=5, replications=10)
+    rows = mc.run_table(1, seed=5, replications=10, jobs=1)
     text = mc.format_report(rows, {"seed": 5, "replications": 10})
     lines = text.strip().split("\n")
     header = [ln for ln in lines if not ln.startswith("#")][0]
@@ -406,7 +406,7 @@ def test_cell_config_rejects_a_point_it_cannot_score(model, x):
 
 def test_cell_config_defaults_to_table_protocol():
     for table in (1, 2, 3, 4):
-        for cfg in mc.table_configs(table, seed=0):
+        for cfg in mc.table_configs(table, seed=0, replications=5000):
             assert cfg.bandwidth == bandwidth_plan(1.0, cfg.a)
             assert cfg.step == stepsize_plan(1.0 - cfg.a * cfg.dim)
             # the interval's variance is the C form C^2 f R / (n h^d), with C = 1 for
@@ -496,7 +496,7 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
     # splits every group into several sample blocks (2 to 15 at 30 replications)
     if budget is not None:
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
-    rows = mc.run_table(table, seed=8, replications=30)
+    rows = mc.run_table(table, seed=8, replications=30, jobs=1)
     for row, cfg in zip(rows, mc.table_configs(table, seed=8, replications=30)):
         assert (row.x, row.a, row.n, row.estimator) == (cfg.x, cfg.a, cfg.n, cfg.estimator)
         assert [row.result] == mc.run_cell(cfg)
@@ -536,7 +536,7 @@ def test_run_table_draws_each_sample_once(monkeypatch):
     monkeypatch.setattr(mc, "replication_rng", keyed)
     monkeypatch.setattr(GaussianMixture, "sample_block", counting)
     reps = 7
-    mc.run_table(1, seed=2, replications=reps)
+    mc.run_table(1, seed=2, replications=reps, jobs=1)
     # one draw per (n, replication), for all 12 cells of each n
     assert sorted(drawn) == [(n, r) for n in (50, 100, 200) for r in range(reps)]
     assert len(keys) == 3 * reps

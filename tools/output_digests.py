@@ -41,7 +41,9 @@ lines for:
 - the streaming estimator, run by ``python -c`` snippets at seed 42: the
   computation of the benchmark's ``stream`` workload (``update_many`` at
   m = 100 under a closed-form and a weight-induced stepsize, at m = 10^4 in
-  2-d, and the three closed forms), ``recursive_at_points`` at the 2-d grid's
+  2-d, and the three closed forms), ``recursive_at_points`` from ``f0 = 0.3``
+  (at m = 100 under the workload's gains and under ``gamma_n = 0.5 / n``, and
+  on the 2-d grid), ``recursive_at_points`` at the 2-d grid's
   points in a fixed permutation (so the general sum, not the grid path, is
   pinned at m = 10^4), a loop of one-step ``update`` calls, and one mixed
   sequence of call sizes.  Each snippet prints the shape and the
@@ -146,6 +148,10 @@ STREAM_SNIPPETS = {
     "stream closed forms": """show(recursive_at_points(k1, step1, bw1, x1, grid1),
      weighted_closed_form(k1, weights, bw1, x1, grid1),
      recursive_at_points(k2, step2, bw2, x2, grid2))""",
+    # a start f0 != 0 is carried by the run expansion's product of (1 - gamma)
+    "stream closed forms from f0=0.3": """show(recursive_at_points(k1, step1, bw1, x1, grid1, f0=0.3),
+     recursive_at_points(k1, stepsize_plan(0.5), bw1, x1, grid1, f0=0.3),
+     recursive_at_points(k2, step2, bw2, x2, grid2, f0=0.3))""",
     # 7919 is prime to 10^4, so this is a permutation: points that are no
     # grid, on the general kernel sum at m = 10^4
     "stream closed form m=10000 2-d permuted grid":
