@@ -7,8 +7,8 @@ The package provides:
 - the product Gaussian kernel, whose constants are functions of d
   (:mod:`sakde.kernels`),
 - closed-form ground-truth densities (:mod:`sakde.densities`),
-- the recursive estimator, its weighted closed form and the Rosenblatt
-  baseline (:mod:`sakde.estimators`),
+- the recursive estimator, its weighted closed form, its batch form at one
+  point and the Rosenblatt baseline (:mod:`sakde.estimators`),
 - leading-order bias/variance/MSE/MISE formulas, CLT parameters and
   confidence-interval calibration constants (:mod:`sakde.asymptotics`),
 - a deterministic Monte Carlo harness for confidence-interval coverage
@@ -35,6 +35,7 @@ from sakde.estimators import (
     RecursiveEstimator,
     RosenblattEstimator,
     recursive_at_points,
+    recursive_batch,
     weighted_closed_form,
 )
 
@@ -53,6 +54,7 @@ __all__ = [
     "gs_index_diagnostic",
     "lemma_limit",
     "recursive_at_points",
+    "recursive_batch",
     "standard_gaussian",
     "stepsize_from_weights",
     "stepsize_plan",

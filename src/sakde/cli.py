@@ -45,7 +45,7 @@ def _meta(command: str, seed: int, seed_source: str, replications: int, dim: int
         "seed_source": seed_source,
         "replications": replications,
         "kernel": gaussian_kernel(dim).name,
-        "rng": "philox4x64 key=(seed, replication_index)",
+        "rng": mc.RNG_LAYOUT,
         "interval": f"estimate -+ {mc.Z_95} * C * sqrt(estimate*R/(n*h^d))",
         "version": f"sakde {__version__}",
     }

@@ -128,20 +128,24 @@ class GaussianMixture:
         return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` draws from ``rng``, shape (count, dim): one replication of
-        :meth:`sample_block`."""
-        return self.sample_block([rng], 1, count)[0]
+        """``count`` draws from ``rng``, shape (count, dim): its component uniforms
+        (none for one component), then its normals; :meth:`sample_block` with
+        ``rng`` as both generators of one replication."""
+        return self.sample_block([rng], [rng], 1, count)[0]
 
-    def sample_block(self, rngs, reps: int, count: int) -> np.ndarray:
-        """``reps`` samples of ``count`` draws, shape (reps, count, dim), the i-th
-        from the i-th generator of ``rngs``: byte for byte ``sample`` of each.
+    def sample_block(self, normals, uniforms, reps: int, count: int) -> np.ndarray:
+        """``reps`` samples of ``count`` draws, shape (reps, count, dim): the i-th
+        replication takes its component uniforms from the i-th generator of
+        ``uniforms`` (a one-component model takes none) and its normals from the
+        i-th of ``normals``, ``count`` values from each.  Where no generator
+        serves both, the block at ``count`` is the first ``count`` rows of the
+        block at any larger count from generators in the same states.
 
-        Each generator fills only its own rows of the block, its component
-        uniforms (none for one component) and then its normals, and is not used
-        again once the next is taken (so the generators may share one bit
-        generator that is rekeyed in turn).  The component pick and the
-        Cholesky map then run once over the block, in place, in chunks of
-        ``_MAP_SCALARS // dim**2`` rows.
+        The uniforms of every replication are drawn first, then the normals,
+        each generator filling only its own rows, and none is used again once
+        the next is taken (so they may share one bit generator that is rekeyed
+        in turn).  The component pick and the Cholesky map then run once over
+        the block, in place, in chunks of ``_MAP_SCALARS // dim**2`` rows.
         """
         if not is_integer(count):
             raise TypeError(f"count must be an integer, not {type(count).__name__}")
@@ -150,9 +154,10 @@ class GaussianMixture:
         picks = self.weights.shape[0] > 1
         z = np.empty((reps, count, self.dim))
         u = np.empty((reps, count)) if picks else None
-        for i, rng in zip(range(reps), rngs, strict=True):
-            if picks:
+        if picks:
+            for i, rng in zip(range(reps), uniforms, strict=True):
                 rng.random(out=u[i])
+        for i, rng in zip(range(reps), normals, strict=True):
             rng.standard_normal(out=z[i])
         flat, comp = z.reshape(-1, self.dim), 0
         rows = max(1, _MAP_SCALARS // self.dim**2)

@@ -17,7 +17,8 @@ Every estimate is built from one weighted kernel sum
 :data:`SCALAR_BUDGET`); the estimators differ only in ``(c_k, h_k)``.  The
 recursion is expanded in one place, :func:`_recursion`, one run of at most
 :data:`SCALAR_BUDGET` rows at a time, and :meth:`RecursiveEstimator.update_many`,
-:func:`recursive_at_points` and the Monte Carlo's :func:`recursive_batch` run it;
+:func:`recursive_at_points`, the batch form :func:`recursive_batch` and the Monte
+Carlo's trajectories (which extend one run from each n to the next) run it;
 the baseline's ``(c_k, h_k)`` are :func:`rosenblatt_coefficients`.  The sum
 reads d from the shapes.  In general it is one fused product-Gaussian
 evaluation, its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in

@@ -7,16 +7,20 @@ replication, from :func:`estimates`.  :func:`run_cell` draws its vectors; the
 oracles take theirs, so cells of other checks can share the draw.  Every
 interval and the CLT readout read one variance, :meth:`CellConfig.leading_variance`.
 
-Determinism contract: every replication draws from its own counter-based
-generator derived from ``(master_seed, replication_index)``, so every cell of
-one (model, n) sees the same samples, and each sample block is drawn once for
-all of them.  The block structure is fixed by (n, d, replications), so a run
-is bit-reproducible for a given seed no matter which cells are read together
-or how groups are scheduled across workers.  Within a block, each
-replication's generator fills only its own rows with its uniforms and
-normals, and the component pick and the Cholesky map then run once over the
-block: the draws are byte for byte those of one draw per replication.  A
-one-component model picks no component and draws no component uniforms.
+Determinism contract: replication r of a cell with master seed ``seed`` reads
+two counter-based Philox streams keyed by ``(seed, r)``, each from its start:
+its normals from counter 0 and, for a mixture, its component uniforms from the
+counter whose top word is 1, 2^192 blocks beyond any normal it draws.  So its
+sample at n is the first n rows of its sample at any larger n, and a
+one-component model reads only the normals, as it always has.  Cells that share
+(model, replications, seed) read prefixes of one draw at their largest n, N,
+made once in blocks of replications; the blocks are fixed by (N, d,
+replications), so a run is bit-reproducible for a given seed however its cells
+are scheduled across workers.  Within a block, each replication's streams fill
+only its own rows, and the component pick and the Cholesky map then run once
+over the block.  Recursive cells that share (x, step, bandwidth) read one
+trajectory: the estimate at each n extends the one at the n before it, so it
+carries that run's rounding.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ import numpy as np
 
 from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
-from sakde.estimators import (recursion_weights, recursive_batch, rosenblatt_batch,
-                              rosenblatt_coefficients)
+from sakde.estimators import recursion_weights, rosenblatt_batch, rosenblatt_coefficients
 from sakde.kernels import gaussian_kernel, gaussian_roughness
 from sakde.sequences import (BandwidthPlan, StepsizePlan, bandwidth_plan, is_integer,
                              stepsize_plan)
@@ -120,15 +123,9 @@ class CellConfig:
             return asymptotics.variance_leading(f, self.dim, self.bandwidth, self.step, self.n)
         return asymptotics.rosenblatt_variance(f, self.dim, self.n, self.bandwidth.value(self.n))
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        """Estimates at ``x`` for a batch of samples of shape (reps, n, d)."""
-        if self.estimator == RECURSIVE:
-            return recursive_batch(self.step, self.bandwidth, samples, self.x)
-        return rosenblatt_batch(self.bandwidth, samples, self.x)
-
     def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``:
-        the coefficients that :meth:`estimate` sums, from the same plans."""
+        the coefficients that :func:`estimates` sums for the cell, from the same plans."""
         if self.estimator == RECURSIVE:
             steps = np.arange(1, self.n + 1)
             return recursion_weights(self.step, self.n), self.bandwidth.value(steps)
@@ -144,56 +141,89 @@ class CellResult:
     stderr_level: float
 
 
-def replication_rng(seed: int, index: int,
-                    bit_generator: Optional[np.random.Philox] = None) -> np.random.Generator:
-    """Counter-based generator for one replication: Philox keyed by (seed, index).
+#: the top word of the Philox counter at which each stream of a replication starts
+_NORMALS, _UNIFORMS = 0, 1
 
-    Given a ``bit_generator``, rekeys that Philox in place (counter 0, empty
-    buffer) instead of building one: the same stream at a fraction of the
-    cost, which ends the stream of any generator handed out on it before.
-    """
-    key = np.array([seed, index], dtype=np.uint64)
-    if bit_generator is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    fresh = dict(counter=np.zeros(4, np.uint64), key=key)
-    bit_generator.state = dict(bit_generator="Philox", state=fresh, buffer=np.zeros(4, np.uint64),
-                               buffer_pos=4, has_uint32=0, uinteger=0)
+#: the streams, as the report header names them
+RNG_LAYOUT = (f"philox4x64 key=(seed, replication_index), normals from counter "
+              f"(0, 0, 0, {_NORMALS}), component uniforms from counter (0, 0, 0, {_UNIFORMS})")
+
+
+def _rekey(bit_generator: np.random.Philox, seed: int, index: int,
+           stream: int) -> np.random.Generator:
+    """``bit_generator`` rekeyed in place to ``(seed, index)`` at the counter whose
+    top word is ``stream``, with an empty buffer: a new Philox's stream at a
+    fraction of the cost (the state is plain ints and lists, so numpy builds no
+    array), which ends the stream of any generator handed out on it before."""
+    bit_generator.state = {"bit_generator": "Philox",
+                           "state": {"counter": [0, 0, 0, stream], "key": [seed, index]},
+                           "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                           "uinteger": 0}
     return np.random.Generator(bit_generator)
 
 
-def _draw_key(cfg: CellConfig) -> tuple:
-    """What a cell's samples depend on: cells with one key read the same draws."""
-    return cfg.model, cfg.n, cfg.replications, cfg.seed
+def replication_rng(seed: int, index: int,
+                    bit_generator: Optional[np.random.Philox] = None) -> np.random.Generator:
+    """Counter-based generator of one replication's normals: Philox keyed by
+    (seed, index), at counter 0.  Given a ``bit_generator``, rekeys that Philox
+    in place (:func:`_rekey`) instead of building one."""
+    if bit_generator is None:
+        key = np.array([seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, _NORMALS]))
+    return _rekey(bit_generator, seed, index, _NORMALS)
+
+
+def _draw(model, seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """Replications ``lo`` to ``hi - 1`` of ``model`` at ``count`` draws each, shape
+    (hi - lo, count, dim): replication r reads its normals from
+    ``replication_rng(seed, r)`` and a mixture its component uniforms from the
+    same key's second stream, on one Philox rekeyed in turn."""
+    philox, reps = np.random.Philox(0), range(lo, hi)
+    return model.sample_block((replication_rng(seed, r, philox) for r in reps),
+                              (_rekey(philox, seed, r, _UNIFORMS) for r in reps), hi - lo, count)
 
 
 def _shared_draw(cfgs: Sequence[CellConfig]) -> CellConfig:
     """The first of ``cfgs``, once they are known to be a nonempty list of cells
-    that read the same draws."""
+    that read prefixes of one draw: their samples depend on (model,
+    replications, seed) alone."""
     if not cfgs:
         raise ValueError("need at least one cell")
-    if len({_draw_key(cfg) for cfg in cfgs}) > 1:
-        raise ValueError("cells drawn together must share (model, n, replications, seed)")
+    if len({(cfg.model, cfg.replications, cfg.seed) for cfg in cfgs}) > 1:
+        raise ValueError("cells drawn together must share (model, replications, seed)")
     return cfgs[0]
 
 
 def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
-    the cells share (model, n, replications, seed).  Each block of at most
+    the cells share (model, replications, seed), and each reads the first n rows
+    of one draw at their largest n, N.  Each block of at most
     ``estimators.SCALAR_BUDGET`` sample scalars is drawn once for all the cells.
-    An estimate's last bits can move with its block (BLAS blocks the kernel sum
-    by rows), so the blocks depend only on (n, d, replications), never on the
-    cells drawn together or the worker count."""
+    A baseline cell sums its rows; the recursive cells that share (x, step,
+    bandwidth) run one trajectory, in which the run expansion at each n extends
+    the one at the n before it.  An estimate's last bits can move with its block
+    (BLAS blocks the kernel sum by rows), so the blocks depend only on (N, d,
+    replications), never on the worker count."""
     first = _shared_draw(cfgs)
-    reps, n = first.replications, first.n
-    block = max(1, min(reps, estimators.SCALAR_BUDGET // (n * first.dim)))
-    philox = np.random.Philox(0)  # rekeyed to (seed, r) for each replication r
+    reps, top = first.replications, max(cfg.n for cfg in cfgs)
+    block = max(1, min(reps, estimators.SCALAR_BUDGET // (top * first.dim)))
+    runs = {}  # the indices of each trajectory's cells, by n
+    for i in sorted(range(len(cfgs)), key=lambda i: cfgs[i].n):
+        if cfgs[i].estimator == RECURSIVE:
+            runs.setdefault((cfgs[i].x, cfgs[i].step, cfgs[i].bandwidth), []).append(i)
     out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
     for lo in range(0, reps, block):
         hi = min(lo + block, reps)
-        samples = first.model.sample_block(
-            (replication_rng(first.seed, r, philox) for r in range(lo, hi)), hi - lo, n)
+        samples = _draw(first.model, first.seed, lo, hi, top)
         for g, cfg in zip(out, cfgs):
-            g[lo:hi] = cfg.estimate(samples)
+            if cfg.estimator == ROSENBLATT:
+                g[lo:hi] = rosenblatt_batch(cfg.bandwidth, samples[:, :cfg.n], cfg.x)
+        for (x, step, bandwidth), cells in runs.items():
+            state = np.zeros((hi - lo, 1)), 0, 0.0  # (values, n, wsum), from 0
+            for i in cells:
+                state = estimators._recursion(step, bandwidth, samples[:, state[1]:cfgs[i].n],
+                                              np.reshape(x, (1, -1)), *state)
+                out[i][lo:hi] = state[0][:, 0]
         del samples  # freed before the next block is drawn
     return out
 
@@ -209,7 +239,7 @@ def build_interval(g_x: np.ndarray, cfg: CellConfig):
 
 def run_cell(*cfgs: CellConfig) -> List[CellResult]:
     """Each cell's coverage of its true density value and average interval
-    length; the cells share (model, n, replications, seed)."""
+    length; the cells share (model, replications, seed)."""
     for cfg in cfgs:
         cfg.leading_variance(1.0)  # a variance pole raises before any draw
     results = []
@@ -266,21 +296,23 @@ def table_configs(table: int, seed: int, replications: int) -> List[CellConfig]:
 
 
 def run_table(table: int, seed: int, replications: int, jobs: int) -> List[TableRow]:
-    """Run a full benchmark table grid.  Cells that share (model, n) read the
-    same sample blocks, drawn once; ``jobs`` parallelises across these groups
-    without affecting any numeric result."""
+    """Run a full benchmark table grid.  Every cell reads a prefix of one draw of
+    the table's replications at its largest n.  With ``jobs`` > 1, the cells of
+    each bandwidth exponent go whole to one of at most ``jobs`` workers, each of
+    which draws the table's blocks once for all its cells: that changes no
+    number."""
     layout = table_layout(table)
     cfgs = table_configs(table, seed, replications)
-    groups = {}
-    for cfg in cfgs:
-        groups.setdefault(_draw_key(cfg), []).append(cfg)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            futures = [pool.submit(run_cell, *group) for group in groups.values()]
+        workers = min(jobs, len(layout.a_values))
+        groups = [[cfg for cfg in cfgs if cfg.a in layout.a_values[w::workers]]
+                  for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_cell, *group) for group in groups]
             outputs = [future.result() for future in futures]
+        results = dict(zip(itertools.chain(*groups), itertools.chain(*outputs)))
     else:
-        outputs = [run_cell(*group) for group in groups.values()]
-    results = dict(zip(itertools.chain(*groups.values()), itertools.chain(*outputs)))
+        results = dict(zip(cfgs, run_cell(*cfgs)))
     return [TableRow(table, layout.density, cfg.x, cfg.a, cfg.n, cfg.estimator, results[cfg])
             for cfg in cfgs]
 

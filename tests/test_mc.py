@@ -419,13 +419,13 @@ def test_cell_config_defaults_to_table_protocol():
 
 
 def test_sample_blocks_follow_scalar_budget(monkeypatch):
-    calls = []
+    calls, draw = [], mc._draw
 
     def counting(*args):
         calls.append(1)
-        return estimators.recursive_batch(*args)
+        return draw(*args)
 
-    monkeypatch.setattr(mc, "recursive_batch", counting)
+    monkeypatch.setattr(mc, "_draw", counting)
     cfg = mc.CellConfig(mc.table_model("gaussian-2d"), (0.5, 0.5), 50, 0.19,
                         mc.RECURSIVE, replications=300, seed=4)
     (one_block,) = mc.run_cell(cfg)
@@ -470,8 +470,8 @@ def test_run_cell_rejects_a_variance_pole_before_drawing(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [
-    {"model": mc.table_model("mixture")}, {"n": 60}, {"replications": 21}, {"seed": 1},
-], ids=["model", "n", "replications", "seed"])
+    {"model": mc.table_model("mixture")}, {"replications": 21}, {"seed": 1},
+], ids=["model", "replications", "seed"])
 def test_estimates_rejects_cells_that_do_not_share_their_draws(monkeypatch, change):
     draws = []
 
@@ -489,25 +489,61 @@ def test_estimates_rejects_cells_that_do_not_share_their_draws(monkeypatch, chan
     assert draws == []
 
 
+@pytest.mark.parametrize("model", ["gaussian", "mixture-2d"])
+def test_estimates_reads_cells_at_different_n_off_one_draw(monkeypatch, model):
+    # the cell at n = 50 reads the first 50 rows of each replication's draw at
+    # n = 80, taken once, and so estimates as it does alone
+    draws, make_rng = [], mc.replication_rng
+
+    def counting(seed, index, bit_generator=None):
+        draws.append(index)
+        return make_rng(seed, index, bit_generator)
+
+    cfg = mc.CellConfig(mc.table_model(model), (0.5,) * mc.table_model(model).dim, 50, 0.17,
+                        mc.ROSENBLATT, replications=20)
+    longer = dataclasses.replace(cfg, n=80, estimator=mc.RECURSIVE)
+    alone = mc.estimates(cfg)
+    monkeypatch.setattr(mc, "replication_rng", counting)
+    together = mc.estimates(cfg, longer)
+    assert draws == list(range(20))
+    np.testing.assert_array_equal(together[0], alone[0])
+    np.testing.assert_array_equal(together[1], mc.estimates(longer)[0])
+
+
 @pytest.mark.parametrize("budget", [None, 1000], ids=["default-budget", "small-budget"])
 @pytest.mark.parametrize("table", [1, 2, 3, 4])
 def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
-    # grouping cells by (model, n) changes no number; a budget of 1000 scalars
-    # splits every group into several sample blocks (2 to 15 at 30 replications)
+    # drawing a whole table at once changes no number of a trajectory: the cells
+    # of one (x, a, estimator) at every n, which read one draw at n = 200; a
+    # budget of 1000 scalars splits the draw into blocks (3 to 5 replications)
     if budget is not None:
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     rows = mc.run_table(table, seed=8, replications=30, jobs=1)
-    for row, cfg in zip(rows, mc.table_configs(table, seed=8, replications=30)):
+    cfgs = mc.table_configs(table, seed=8, replications=30)
+    for row, cfg in zip(rows, cfgs):
         assert (row.x, row.a, row.n, row.estimator) == (cfg.x, cfg.a, cfg.n, cfg.estimator)
-        assert [row.result] == mc.run_cell(cfg)
+    trajectories = {}
+    for row, cfg in zip(rows, cfgs):
+        trajectories.setdefault((cfg.x, cfg.a, cfg.estimator), []).append((row.result, cfg))
+    for cells in trajectories.values():
+        results, trajectory = zip(*cells)
+        assert list(results) == mc.run_cell(*trajectory)
+
+
+def test_run_table_at_one_job_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    assert len(mc.run_table(4, seed=1, replications=5, jobs=1)) == 72
 
 
 def test_check_full_draws_its_standard_gaussian_sample_once(monkeypatch):
     # the moment cells and the CLT cell share one draw of 2000 x 10^4 normals
     drawn, draw_block = [], GaussianMixture.sample_block
 
-    def counting(self, rngs, reps, count):
-        block = draw_block(self, rngs, reps, count)
+    def counting(self, normals, uniforms, reps, count):
+        block = draw_block(self, normals, uniforms, reps, count)
         drawn.append(block.size)
         return block
 
@@ -519,34 +555,45 @@ def test_check_full_draws_its_standard_gaussian_sample_once(monkeypatch):
 
 
 def test_run_table_draws_each_sample_once(monkeypatch):
+    # one draw of each replication at n = 200 serves the whole table: table 1
+    # rekeys each replication's Philox once (its normals), table 4 twice (its
+    # component uniforms, then its normals)
     keys, drawn = [], []
-    make_rng, draw_block = mc.replication_rng, GaussianMixture.sample_block
+    rekey, draw_block = mc._rekey, GaussianMixture.sample_block
 
-    def keyed(seed, index, bit_generator=None):
-        keys.append(index)
-        return make_rng(seed, index, bit_generator)
+    def keyed(bit_generator, seed, index, stream):
+        keys.append((index, stream))
+        return rekey(bit_generator, seed, index, stream)
 
-    def counting(self, rngs, reps, count):
-        def taken():
-            for rng in rngs:
-                drawn.append((count, keys[-1]))
-                yield rng
-        return draw_block(self, taken(), reps, count)
+    def counting(self, normals, uniforms, reps, count):
+        drawn.append((reps, count))
+        return draw_block(self, normals, uniforms, reps, count)
 
-    monkeypatch.setattr(mc, "replication_rng", keyed)
+    monkeypatch.setattr(mc, "_rekey", keyed)
     monkeypatch.setattr(GaussianMixture, "sample_block", counting)
     reps = 7
-    mc.run_table(1, seed=2, replications=reps, jobs=1)
-    # one draw per (n, replication), for all 12 cells of each n
-    assert sorted(drawn) == [(n, r) for n in (50, 100, 200) for r in range(reps)]
-    assert len(keys) == 3 * reps
+    for table, streams in ((1, [0]), (4, [1, 0])):
+        keys.clear(), drawn.clear()
+        mc.run_table(table, seed=2, replications=reps, jobs=1)
+        assert drawn == [(reps, 200)]
+        assert keys == [(r, s) for s in streams for r in range(reps)]
 
 
-def _choice_sample(model, rng, count):
-    """The sampler as written with ``rng.choice`` for the component pick, which
-    one component skips."""
+def _uniform_rng(seed, index):
+    """Replication ``index``'s second stream: Philox keyed by (seed, index), its
+    counter's top word set to 1 (a key array, since numpy keys a tuple holding
+    2^64 - 1 through a float)."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 1]))
+
+
+def _choice_sample(model, rng, count, uniforms=None):
+    """The sampler as written with ``choice`` for the component pick, which one
+    component skips, on the generator ``uniforms`` (by default ``rng``), and
+    the normals from ``rng``."""
     k = model.weights.shape[0]
-    comp = rng.choice(k, size=count, p=model.weights) if k > 1 else np.zeros(count, int)
+    uniforms = rng if uniforms is None else uniforms
+    comp = uniforms.choice(k, size=count, p=model.weights) if k > 1 else np.zeros(count, int)
     z = rng.standard_normal((count, model.dim))
     chols = np.linalg.cholesky(model.covs)
     return model.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
@@ -572,13 +619,24 @@ MODELS = {
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
                                   *MODELS])
 def test_component_pick_matches_rng_choice(name):
+    # the Monte Carlo's draw of replication r picks its components from the
+    # uniforms of its second stream as `choice` does, and maps the normals of
+    # its first; `sample` on one generator picks as `choice` on that generator
     model = MODELS.get(name) or mc.table_model(name)
     for count, reps in ((50, 200), (1023, 3), (10**4, 5)):
+        block = mc._draw(model, 5, 0, reps, count)
         for r in range(reps):
             fast, slow = mc.replication_rng(5, r), mc.replication_rng(5, r)
-            np.testing.assert_array_equal(model.sample(fast, count),
-                                          _choice_sample(model, slow, count))
-            assert fast.random() == slow.random()  # both consumed the same stream
+            fast_u, slow_u = _uniform_rng(5, r), _uniform_rng(5, r)
+            expected = _choice_sample(model, slow, count, slow_u)
+            np.testing.assert_array_equal(model.sample_block([fast], [fast_u], 1, count)[0],
+                                          expected)
+            np.testing.assert_array_equal(block[r], expected)
+            # each generator consumed the same stream as its twin
+            assert (fast.random(), fast_u.random()) == (slow.random(), slow_u.random())
+            # `sample` reads the uniforms, then the normals, of its one generator
+            np.testing.assert_array_equal(model.sample(mc.replication_rng(5, r), count),
+                                          _choice_sample(model, mc.replication_rng(5, r), count))
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
@@ -586,22 +644,61 @@ def test_component_pick_matches_rng_choice(name):
 def test_block_draw_equals_the_stack_of_its_replications(name, monkeypatch):
     model = MODELS.get(name) or mc.table_model(name)
     for count, reps in ((1, 40), (50, 40), (1023, 3), (10**4, 2)):
-        stacked = np.stack([model.sample(mc.replication_rng(5, r), count) for r in range(reps)])
-        after = [mc.replication_rng(5, r) for r in range(reps)]
-        for rng in after:
-            _choice_sample(model, rng, count)
+        stacked = np.stack([model.sample_block([mc.replication_rng(5, r)], [_uniform_rng(5, r)],
+                                               1, count)[0] for r in range(reps)])
+        after = [(mc.replication_rng(5, r), _uniform_rng(5, r)) for r in range(reps)]
+        for rng, uniforms in after:
+            _choice_sample(model, rng, count, uniforms)
         with monkeypatch.context() as patch:
             # chunks of 61, 15 and 6 rows at d = 1, 2, 3 end inside a replication
             patch.setattr(densities, "_MAP_SCALARS", 61)
-            rngs = [mc.replication_rng(5, r) for r in range(reps)]
-            np.testing.assert_array_equal(model.sample_block(iter(rngs), reps, count), stacked)
-            philox = np.random.Philox(0)
-            rekeyed = (mc.replication_rng(5, r, philox) for r in range(reps))
-            np.testing.assert_array_equal(model.sample_block(rekeyed, reps, count), stacked)
-        for rng, ref in zip(rngs, after):  # each generator moved as a draw of its own does
-            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+            rngs = [(mc.replication_rng(5, r), _uniform_rng(5, r)) for r in range(reps)]
+            normals, uniforms = zip(*rngs)
+            np.testing.assert_array_equal(
+                model.sample_block(iter(normals), iter(uniforms), reps, count), stacked)
+            np.testing.assert_array_equal(mc._draw(model, 5, 0, reps, count), stacked)
+        for pair, ref in zip(rngs, after):  # each generator moved as a draw of its own does
+            for rng, twin in zip(pair, ref):
+                np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
     with pytest.raises(ValueError):
-        model.sample_block(iter(rngs[:1]), 2, 5)
+        model.sample_block(iter(normals[:1]), iter(uniforms[:1]), 2, 5)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
+                                  *MODELS])
+def test_draw_at_n_is_the_prefix_of_the_draw_at_a_larger_n(name):
+    model = MODELS.get(name) or mc.table_model(name)
+    longest = mc._draw(model, 42, 3, 7, 1025)
+    for n in (1, 50, 200, 1024):
+        np.testing.assert_array_equal(mc._draw(model, 42, 3, 7, n), longest[:, :n])
+
+
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+@pytest.mark.parametrize("name", ["gaussian", "gaussian-2d", "full-2d", "full-3d", "clt-gate"])
+def test_one_component_draw_reads_only_the_normals_of_its_key(name, seed):
+    # the mean plus the factor times the normals of a new Philox keyed (seed, r)
+    model = MODELS.get(name) or mc.table_model(name)
+    block = mc._draw(model, seed, 0, 3, 200)
+    factor = np.linalg.cholesky(model.covs[0])
+    for r in range(3):
+        key = np.array([seed, r], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal((200, model.dim))
+        np.testing.assert_array_equal(block[r], model.means[0] + np.einsum("ij,nj->ni", factor, z))
+
+
+def test_recursive_cells_across_n_are_one_trajectory():
+    # at n = 50 a trajectory is the recursion from 0; at n = 100 and 200 it
+    # extends the run before it, which rounds apart from a fresh run
+    model = mc.table_model("mixture-2d")
+    cells = [mc.CellConfig(model, (0.5, 0.5), n, 0.19, mc.RECURSIVE, 40, seed=3)
+             for n in (50, 100, 200)]
+    block = mc._draw(model, 3, 0, 40, 200)
+    for cell, g in zip(cells, mc.estimates(*cells)):
+        fresh = estimators.recursive_batch(cell.step, cell.bandwidth, block[:, :cell.n], cell.x)
+        if cell.n == 50:
+            np.testing.assert_array_equal(g, fresh)
+        else:
+            np.testing.assert_allclose(g, fresh, rtol=1e-14, atol=0)
 
 
 def _peak_bytes(draw):
@@ -620,15 +717,12 @@ def test_block_draw_keeps_one_block_alive():
     model, reps, n, d = mc.table_model("mixture-2d"), 500, 200, 2
     rows = densities._MAP_SCALARS // d**2
     bound = 8 * (reps * n * d + reps * n + rows * (d * d + 2 * d + 1)) + (64 << 10)
-    philox = np.random.Philox(0)
     model.sample(mc.replication_rng(0, 0), 1)  # factors and cdf built outside the count
-    assert _peak_bytes(lambda: model.sample_block(
-        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n)) <= bound
+    assert _peak_bytes(lambda: mc._draw(model, 3, 0, reps, n)) <= bound
     # a one-component block of 2^21 scalars: no uniforms, one chunk's einsum output
     one, reps, n = standard_gaussian(1), 16, 1 << 17
     one.sample(mc.replication_rng(0, 0), 1)
-    peak = _peak_bytes(lambda: one.sample_block(
-        (mc.replication_rng(3, r, philox) for r in range(reps)), reps, n))
+    peak = _peak_bytes(lambda: mc._draw(one, 3, 0, reps, n))
     assert peak < 8 * reps * n + (512 << 10)
 
 
@@ -642,15 +736,21 @@ def test_readouts_reject_an_empty_cell_list(monkeypatch, readout):
     assert draws == []
 
 
-def test_rekeyed_philox_draws_like_a_new_generator():
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+def test_rekeyed_philox_draws_like_a_new_generator(seed):
     philox = np.random.Philox(0)
     for r in range(20):
-        rng = mc.replication_rng(42, r, philox)
-        new = np.random.Generator(np.random.Philox(key=(42, r)))
-        # each key leaves the buffer and the cached half word partly used for the next
-        np.testing.assert_array_equal(rng.standard_normal(9), new.standard_normal(9))
-        assert rng.integers(0, 2**32, dtype=np.uint32) == new.integers(0, 2**32, dtype=np.uint32)
-        np.testing.assert_array_equal(rng.random(r), new.random(r))
+        key = np.array([seed, r], dtype=np.uint64)  # a tuple would key 2^64 - 1 as 0
+        # the normals, then the uniforms, on the one Philox
+        for rekeyed, new in ((lambda: mc.replication_rng(seed, r, philox),
+                              np.random.Generator(np.random.Philox(key=key))),
+                             (lambda: mc._rekey(philox, seed, r, 1), _uniform_rng(seed, r))):
+            rng = rekeyed()
+            # each key leaves the buffer and the cached half word partly used for the next
+            np.testing.assert_array_equal(rng.standard_normal(9), new.standard_normal(9))
+            assert (rng.integers(0, 2**32, dtype=np.uint32)
+                    == new.integers(0, 2**32, dtype=np.uint32))
+            np.testing.assert_array_equal(rng.random(r), new.random(r))
 
 
 def test_replication_rng_without_bit_generator_never_aliases():

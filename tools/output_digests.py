@@ -34,10 +34,11 @@ lines for:
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
 - each of a fixed list of calls the CLI must reject with a one-line message
   (a seed outside [0, 2^64));
-- the raw draws of each table model: ``sample_block`` with the replication
-  generators keyed ``(42, 0..2)``, at n = 50 and n = 1025, printed as the
-  shape and the SHA-256 of each block's bytes, so a change to the sampler's
-  stream shows at its source;
+- the raw draws of each table model: the first three replications at seed 42
+  that ``mc.estimates`` draws for a cell at n = 50, 200 and 1025, recorded
+  from ``sample_block`` by a ``python -c`` snippet and printed as the shape
+  and the SHA-256 of each block's bytes, so a change to the sampler or to the
+  layout of the replication streams shows at its source;
 - the streaming estimator, run by ``python -c`` snippets at seed 42: the
   computation of the benchmark's ``stream`` workload (``update_many`` at
   m = 100 under a closed-form and a weight-induced stepsize, at m = 10^4 in
@@ -173,13 +174,20 @@ STREAM_SNIPPETS = {
 }
 
 
-# The draws behind every Monte Carlo readout, for the model named in argv[1].
+# The draws behind every Monte Carlo readout, for the model named in argv[1]:
+# the blocks mc.estimates draws for three replications at seed 42.
 DRAW_SNIPPET = """
 import hashlib, sys
 from sakde import mc
-model = mc.table_model(sys.argv[1])
-for n in (50, 1025):
-    block = model.sample_block((mc.replication_rng(42, r) for r in range(3)), 3, n)
+from sakde.densities import GaussianMixture
+model, blocks, draw_block = mc.table_model(sys.argv[1]), [], GaussianMixture.sample_block
+def recorded(self, *args):
+    blocks.append(draw_block(self, *args))
+    return blocks[-1]
+GaussianMixture.sample_block = recorded
+for n in (50, 200, 1025):
+    mc.estimates(mc.CellConfig(model, (0.0,) * model.dim, n, 0.17, mc.ROSENBLATT, 3, 42))
+for block in blocks:
     print(block.shape, hashlib.sha256(block.tobytes()).hexdigest())
 """
 
