@@ -36,6 +36,7 @@ from sakde.estimators import (
     RosenblattEstimator,
     recursive_at_points,
     recursive_batch,
+    rosenblatt_batch,
     weighted_closed_form,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "lemma_limit",
     "recursive_at_points",
     "recursive_batch",
+    "rosenblatt_batch",
     "standard_gaussian",
     "stepsize_from_weights",
     "stepsize_plan",

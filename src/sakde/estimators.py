@@ -18,20 +18,29 @@ Every estimate is built from one weighted kernel sum
 recursion is expanded in one place, :func:`_recursion`, one run of at most
 :data:`SCALAR_BUDGET` rows at a time, and :meth:`RecursiveEstimator.update_many`,
 :func:`recursive_at_points`, the batch form :func:`recursive_batch` and the Monte
-Carlo's trajectories (which extend one run from each n to the next) run it;
-the baseline's ``(c_k, h_k)`` are :func:`rosenblatt_coefficients`.  The sum
-reads d from the shapes.  In general it is one fused product-Gaussian
-evaluation, its exponent floored at :data:`~sakde.kernels.EXP_FLOOR` as in
-:func:`~sakde.kernels.product_gaussian`, bit for bit: with positive ``c_k`` an
-estimate is never exactly 0 and moves by at most
-``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.  On a tensor grid in d >= 2,
-detected from the points, the kernel factors by coordinate and the sum is one
-matrix product of per-axis factors; it stays within L of the fused sum, up to
-rounding of about |exponent| ulp, and never below L.  The streaming
-estimator keeps its estimate, step count and one weight sum, and takes each
-step's gain and bandwidth from the step's index.  Only the public entry points
-that take a :class:`~sakde.kernels.Kernel` see one: they reject any kernel but
-the product Gaussian, by name, and read d from it.
+Carlo's trajectories (which extend one run from each n to the next) run it,
+each with its own kernel sum over a run; the baseline's ``(c_k, h_k)`` are
+:func:`rosenblatt_coefficients`.  The sum reads d from the shapes.  In general
+it is fused: the squared distances ``q = sum_j (x_j - X_kj)^2``
+(:func:`_squared_distances`), then, one cache-sized tile of rows at a time,
+``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_k s_k, EXP_FLOOR))`` with
+``s_k = -1/(2 h_k^2)`` (:func:`_gaussian_sum`), the exponent form of
+:mod:`sakde.kernels`, whose floor's pass runs only where it can act.  The Monte
+Carlo computes ``q`` once per block and point, and every cell at the point
+reads its columns.  With positive ``c_k`` an estimate is never exactly 0 and
+moves by at most ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.  On a tensor grid
+in d >= 2, detected from the points, the kernel factors by coordinate and the
+sum is one matrix product of per-axis factors of the same form; it stays
+within L of the fused sum, up to rounding of about |exponent| ulp, and never
+below L.
+
+The streaming estimator keeps its estimate, step count and one weight sum, and
+takes each step's gain and bandwidth from the step's index; its one-step
+:meth:`RecursiveEstimator.update` evaluates
+:func:`~sakde.kernels.product_gaussian` at ``(x - X_n) / h_n``, an oracle
+independent of the fused sum.  Only the public entry points that take a
+:class:`~sakde.kernels.Kernel` see one: they reject any kernel but the product
+Gaussian, by name, and read d from it.
 """
 
 from __future__ import annotations
@@ -50,6 +59,11 @@ from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, suffix_pr
 # observation) and a Monte Carlo sample block (replications x n x dim, at
 # least one replication) stay within it
 SCALAR_BUDGET = 1 << 21
+
+# the exponent tile of every fused kernel sum, in float64 scalars (512 KB): it
+# stays in L2, and its matrix-vector products stay below OpenBLAS's threading
+# threshold
+_TILE = 1 << 16
 
 
 def _as_points(points, dim) -> np.ndarray:
@@ -110,14 +124,14 @@ def _grid_axes(points: np.ndarray):
     return axes
 
 
-def _grid_sum(coef: np.ndarray, h: np.ndarray, sample: np.ndarray, axes) -> np.ndarray:
-    """``sum_k coef_k prod_j exp(max(-(a_j[i_j] - X_kj)^2 / (2 h_k^2), EXP_FLOOR))``
-    over the tensor grid of ``axes``, flattened in ``meshgrid(indexing="ij")``
-    order, for a ``sample`` (n, d): per chunk of observations, one factor
-    ``E_j`` (len(a_j), chunk) per axis, the row-wise product of all but the
-    last scaled by ``coef``, and one matrix product with the last.  The result
-    is floored at ``sum_k coef_k e^-700``, the least the fused sum can be, so
-    no estimate is 0 where the factors' products underflow."""
+def _grid_sum(coef: np.ndarray, scale: np.ndarray, sample: np.ndarray, axes) -> np.ndarray:
+    """``sum_k coef_k prod_j exp(max((a_j[i_j] - X_kj)^2 scale_k, EXP_FLOOR))`` over the
+    tensor grid of ``axes``, flattened in ``meshgrid(indexing="ij")`` order, for a
+    ``sample`` (n, d): per chunk of observations, one factor ``E_j`` (len(a_j),
+    chunk) per axis, the row-wise product of all but the last scaled by
+    ``coef``, and one matrix product with the last.  The result is floored at
+    ``sum_k coef_k e^-700``, the least the fused sum can be, so no estimate is 0
+    where the factors' products underflow."""
     shape = [len(a) for a in axes]
     head = math.prod(shape[:-1])
     chunk = max(1, SCALAR_BUDGET // max(head, shape[-1]))
@@ -127,9 +141,8 @@ def _grid_sum(coef: np.ndarray, h: np.ndarray, sample: np.ndarray, axes) -> np.n
         factors = []
         for j, a in enumerate(axes):
             e = np.subtract.outer(a, sample[sl, j])
-            e /= h[sl]
             e *= e
-            e *= -0.5
+            e *= scale[sl]
             np.maximum(e, EXP_FLOOR, out=e)
             factors.append(np.exp(e, out=e))
         left = factors[0]
@@ -138,6 +151,71 @@ def _grid_sum(coef: np.ndarray, h: np.ndarray, sample: np.ndarray, axes) -> np.n
             left = (left[:, None, :] * e).reshape(-1, e.shape[-1])
         out += left @ factors[-1].T
     return np.maximum(out.reshape(-1), math.exp(EXP_FLOOR) * float(np.sum(coef)))
+
+
+def _exponent_terms(c: np.ndarray, h: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(c_k (2 pi)^(-d/2) h_k^-d, -1 / (2 h_k^2))``: the coefficients, with the
+    kernel's norm folded in, and the exponent scales of a kernel sum."""
+    return c * gaussian_norm(dim) / h**dim, -0.5 / (h * h)
+
+
+def _squared_distances(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    """``q = sum_j (p_j - X_kj)^2`` for every point ``p`` of ``points`` (m, d) and
+    row ``X_k`` of a ``sample`` (..., n, d), the squares added in coordinate
+    order; returns (..., m, n).  Tiles of the leading axis are filled in turn,
+    so a coordinate's squares take one tile, not a second (..., m, n) array."""
+    *batch, n, d = sample.shape
+    q = np.empty((*batch, len(points), n))
+    step = max(1, _TILE // max(1, math.prod(q.shape[1:])))
+    for lo in range(0, len(q), step):
+        sl = slice(lo, lo + step)
+        p, x = (points, sample[sl]) if batch else (points[sl], sample)
+        tile = q[sl]
+        np.subtract(p[:, None, 0], x[..., None, :, 0], out=tile)
+        tile *= tile
+        for j in range(1, d):
+            t = np.subtract(p[:, None, j], x[..., None, :, j])
+            t *= t
+            tile += t
+    return q
+
+
+def _gaussian_sum(q: np.ndarray, c: np.ndarray, h: np.ndarray, dim: int,
+                  qmax: float) -> np.ndarray:
+    """``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_rk s_k, EXP_FLOOR))``,
+    ``s_k = -1/(2 h_k^2)``, for each row r of the squared distances ``q`` (rows, n)
+    (:func:`_squared_distances`); returns (rows,).
+
+    The exponents are built one tile of at most :data:`_TILE` scalars (plus 3
+    rows) at a time, and each tile's sum is one matrix-vector product.
+    OpenBLAS's gemv sums rows in groups of 4, the last 1-3 rows apart, and a
+    lone 1-3 row product rounds apart from them, so a tile holds whole groups
+    of 4 rows and the last one at least 4 rows: each row then has the bits of
+    one product over all rows.  A row of more than ``_TILE / 4`` terms is summed
+    in blocks of that many columns, in order.  ``qmax`` bounds ``q``: where
+    ``qmax max_k 1/(2 h_k^2) <= -EXP_FLOOR``, no exponent can fall below the
+    floor (rounding is monotone), so its pass is skipped with the same bits."""
+    rows, n = q.shape
+    width = min(n, _TILE // 4)
+    step = _TILE // width // 4 * 4
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] < 4:
+        starts.pop()  # the last rows join the tile before them
+    bounds = list(zip(starts, starts[1:] + [rows]))
+    buf = np.empty(max((hi - lo for lo, hi in bounds), default=0) * width)
+    out = np.zeros(rows)
+    for a in range(0, n, width):
+        cols = slice(a, a + width)
+        coef, scale = _exponent_terms(c[cols], h[cols], dim)
+        floored = qmax * -float(np.min(scale)) > -EXP_FLOOR
+        for lo, hi in bounds:
+            t = buf[:(hi - lo) * len(scale)].reshape(hi - lo, -1)
+            np.multiply(q[lo:hi, cols], scale, out=t)
+            if floored:
+                np.maximum(t, EXP_FLOOR, out=t)
+            np.exp(t, out=t)
+            out[lo:hi] += t @ coef
+    return out
 
 
 def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
@@ -151,59 +229,49 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     and one matrix product.  It agrees with the fused sum within
     ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` plus rounding of about
     |exponent| ulp, since ``exp(a) exp(b)`` is not ``exp(a + b)``, and never
-    falls below L.  Every other sum is fused: each chunk's kernel matrix is
-    built in place in one (..., m, chunk) buffer, adding the squared scaled
-    differences in one coordinate at a time, and its exponent floored at
-    :data:`~sakde.kernels.EXP_FLOOR` as in ``product_gaussian``, bit for bit."""
+    falls below L.  Every other sum is fused: per chunk of observations, the
+    squared distances (:func:`_squared_distances`) and their tiled exponential
+    sum (:func:`_gaussian_sum`)."""
     *batch, n, d = sample.shape
-    norm = gaussian_norm(d)
-    coef = c / h**d
     axes = None if batch or d < 2 or len(points) <= d else _grid_axes(points)
     if axes is not None:
-        return _grid_sum(norm * coef, h, sample, axes)
+        return _grid_sum(*_exponent_terms(c, h, d), sample, axes)
     rows = math.prod(batch) * len(points)
     chunk = max(1, SCALAR_BUDGET // max(1, rows * d))
-    kbuf = np.empty(rows * min(chunk, n))
-    tbuf = np.empty_like(kbuf) if d > 1 else kbuf
-    out = np.zeros((*batch, len(points)))
+    out = np.zeros(rows)
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
-        x = sample[..., None, sl, :]
-        shape = (*batch, len(points), x.shape[-2])
-        k, t = (buf[:math.prod(shape)].reshape(shape) for buf in (kbuf, tbuf))
-        for j in range(d):
-            s = t if j else k
-            np.subtract(points[:, j, None], x[..., j], out=s)
-            s /= h[sl]
-            s *= s
-            if j:
-                k += s
-        k *= -0.5
-        np.maximum(k, EXP_FLOOR, out=k)
-        np.exp(k, out=k)
-        k *= norm
-        out += (k.reshape(-1, shape[-1]) @ coef[sl]).reshape(out.shape)
-    return out
+        q = _squared_distances(points, sample[..., sl, :])
+        q = q.reshape(-1, q.shape[-1])
+        out += _gaussian_sum(q, c[sl], h[sl], d, float(q.max(initial=0.0)))
+    return out.reshape(*batch, len(points))
 
 
-def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, samples: np.ndarray,
-               points: np.ndarray, values: np.ndarray, n: int, wsum: float):
+def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, kernel_sum,
+               values: np.ndarray, n: int, wsum: float):
     """The recursion from ``values`` (..., m) after ``n`` steps and weight sum
-    ``wsum`` over the rows of ``samples`` (..., count, d), per run of at most
-    :data:`SCALAR_BUDGET` rows: ``f <- Pi_run f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
-    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run.  Returns ``(values, n, wsum)``."""
-    for lo in range(0, samples.shape[-2], SCALAR_BUDGET):
-        run = samples[..., lo:lo + SCALAR_BUDGET, :]
-        count = run.shape[-2]
-        g, wsum = step.gains(np.arange(n + 1, n + count + 1), wsum)
+    ``wsum`` over ``count`` new rows, per run of at most :data:`SCALAR_BUDGET`
+    rows: ``f <- Pi_run f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
+    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run, the sum given by
+    ``kernel_sum(rows, c, h)`` for the slice ``rows`` of the new rows.  Returns
+    ``(values, n, wsum)``."""
+    for lo in range(0, count, SCALAR_BUDGET):
+        rows = slice(lo, min(lo + SCALAR_BUDGET, count))
+        size = rows.stop - lo
+        g, wsum = step.gains(np.arange(n + 1, n + size + 1), wsum)
         coef = suffix_products(1.0 - g)
         start = coef[0] * (1.0 - g[0])
         coef *= g
         del g  # freed, as the step indices are, before h: the sum holds no n-long array but (c, h)
-        h = bandwidth.value(np.arange(n + 1, n + count + 1))
-        values = start * values + _kernel_sum(coef, h, run, points)
-        n += count
+        h = bandwidth.value(np.arange(n + 1, n + size + 1))
+        values = start * values + kernel_sum(rows, coef, h)
+        n += size
     return values, n, wsum
+
+
+def _sample_sum(sample: np.ndarray, points: np.ndarray):
+    """The run expansion's kernel sum over ``sample`` (..., count, d) at ``points``."""
+    return lambda rows, c, h: _kernel_sum(c, h, sample[..., rows, :], points)
 
 
 class RecursiveEstimator:
@@ -238,8 +306,9 @@ class RecursiveEstimator:
         """Absorb the rows of ``sample`` in order, once all are checked to be finite,
         with the gains and bandwidths :meth:`update` would take, one run at a time
         (:func:`_recursion`); the state changes only at the end."""
+        sample = _as_points(sample, self.dim)
         self.values, self.n, self._wsum = _recursion(
-            self.step, self.bandwidth, _as_points(sample, self.dim), self.points,
+            self.step, self.bandwidth, len(sample), _sample_sum(sample, self.points),
             self.values, self.n, self._wsum)
 
 
@@ -264,7 +333,8 @@ def recursive_at_points(kernel: Kernel, step: StepsizePlan, bandwidth: Bandwidth
     estimator's ``update_many`` over the sample bit for bit."""
     dim = _gaussian_dim(kernel)
     sample, points = _as_sample(sample, dim), _as_points(points, dim)
-    return _recursion(step, bandwidth, sample, points, _initial_values(f0, len(points)), 0, 0.0)[0]
+    return _recursion(step, bandwidth, len(sample), _sample_sum(sample, points),
+                      _initial_values(f0, len(points)), 0, 0.0)[0]
 
 
 def weighted_closed_form(kernel: Kernel, weights: SequencePlan, bandwidth: BandwidthPlan,
@@ -309,7 +379,8 @@ def recursive_batch(step: StepsizePlan, bandwidth: BandwidthPlan,
     ``samples`` has shape (reps, n, dim); returns shape (reps,): the recursion
     from 0, with a replication axis.
     """
-    return _recursion(step, bandwidth, samples, np.reshape(x, (1, samples.shape[-1])),
+    points = np.reshape(x, (1, samples.shape[-1]))
+    return _recursion(step, bandwidth, samples.shape[1], _sample_sum(samples, points),
                       np.zeros((len(samples), 1)), 0, 0.0)[0][:, 0]
 
 

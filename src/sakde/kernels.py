@@ -2,19 +2,25 @@
 moments all 1 and roughness :func:`gaussian_roughness`; :func:`kernel_moments`
 recomputes them by quadrature.
 
-The kernel's exponent is floored at :data:`EXP_FLOOR`:
-``K(z) = (2 pi)^(-d/2) exp(max(-|z|^2 / 2, EXP_FLOOR))``.  A value below
-``e^-700 ~ 9.9e-305`` reads as that value, so a weighted kernel sum
-``sum_k c_k h_k^-d K(.)`` with positive ``c_k`` moves by at most
-``sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` and is never exactly 0; inside a sum
-of normal size such a term is below half an ulp and moves no bit.  The fused
-kernel sum of :mod:`sakde.estimators` follows this rule bit for bit.  Its grid
-path, which multiplies one factor per coordinate, floors each factor's
-exponent at :data:`EXP_FLOOR` and the sum at that same bound: a term then lies
-between 0 and the floored kernel's, so the sum keeps both properties, up to
-rounding of about |exponent| ulp, since ``exp(a) exp(b)`` is not
-``exp(a + b)``.  (Flooring each factor at ``EXP_FLOOR / d`` would lift a tail
-term from about ``e^-700`` to ``e^(-700/d)``.)
+Every evaluation of the kernel takes one exponent form.  A term at squared
+distance ``q = sum_j (p_j - X_j)^2``, the squares added in coordinate order,
+with bandwidth h is ``(2 pi)^(-d/2) h^-d exp(max(q s, EXP_FLOOR))``, where
+``s = -1/(2 h^2)``; :func:`product_gaussian` is its h = 1 case, ``s = -1/2`` and
+``q = |z|^2``, bit for bit.  A value below ``e^-700 ~ 9.9e-305`` reads as that
+value, so a weighted kernel sum ``sum_k c_k h_k^-d K(.)`` with positive ``c_k``
+moves by at most ``sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` and is never exactly
+0; inside a sum of normal size such a term is below half an ulp and moves no
+bit.  Where ``max q * max_k 1/(2 h_k^2) <= -EXP_FLOOR``, no rounded exponent
+``q s_k`` lies below the floor (rounding is monotone), so the floor's pass can be
+skipped with the same bits.  The fused kernel sum of :mod:`sakde.estimators`
+follows this rule bit for bit; since ``q s`` rounds apart from ``-|z|^2 / 2``
+at ``z = (p - X) / h``, it agrees with ``h^-d K((p - X) / h)`` only to an ulp or
+so of the exponent.  Its grid path, which multiplies one factor per
+coordinate, floors each factor's exponent at :data:`EXP_FLOOR` and the sum at
+that same bound: a term then lies between 0 and the floored kernel's, so the
+sum keeps both properties, up to rounding of about |exponent| ulp, since
+``exp(a) exp(b)`` is not ``exp(a + b)``.  (Flooring each factor at
+``EXP_FLOOR / d`` would lift a tail term from about ``e^-700`` to ``e^(-700/d)``.)
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from sakde.sequences import is_integer
 # that holds one (an undersmoothed kernel far from most of the data puts 13 %
 # of its exponents there, and triples the kernel sum's time), and every term
 # they compute is below 1e-304.  Every kernel evaluation, product_gaussian and
-# the fused and grid sums in sakde.estimators, floors the exponent here.
+# the fused and grid sums in sakde.estimators, is exp(max(q * s, EXP_FLOOR)) with
+# q a squared distance and s = -1/(2 h^2); the fused sum skips the floor's pass
+# where max q * max 1/(2 h^2) <= -EXP_FLOOR, where it moves no bit.
 EXP_FLOOR = -700.0
 
 
@@ -49,15 +57,15 @@ def gaussian_roughness(dim: int) -> float:
 
 
 def product_gaussian(z) -> np.ndarray:
-    """The product standard-normal kernel on R^d at ``z`` of shape ``(..., d)``,
-    its exponent floored at :data:`EXP_FLOOR`."""
+    """The product standard-normal kernel on R^d at ``z`` of shape ``(..., d)``:
+    ``(2 pi)^(-d/2) exp(max(q s, EXP_FLOOR))`` with ``q = |z|^2`` and ``s = -1/2``."""
     z = np.asarray(z, dtype=float)
     # squares added coordinate by coordinate, left to right: the same sum
     # as a reduction over the short last axis, at a fraction of its cost
     sq = z[..., 0] ** 2
     for j in range(1, z.shape[-1]):
         sq += z[..., j] ** 2
-    return gaussian_norm(z.shape[-1]) * np.exp(np.maximum(-0.5 * sq, EXP_FLOOR))
+    return gaussian_norm(z.shape[-1]) * np.exp(np.maximum(sq * -0.5, EXP_FLOOR))
 
 
 @dataclass(frozen=True)

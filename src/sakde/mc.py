@@ -18,9 +18,12 @@ made once in blocks of replications; the blocks are fixed by (N, d,
 replications), so a run is bit-reproducible for a given seed however its cells
 are scheduled across workers.  Within a block, each replication's streams fill
 only its own rows, and the component pick and the Cholesky map then run once
-over the block.  Recursive cells that share (x, step, bandwidth) read one
-trajectory: the estimate at each n extends the one at the n before it, so it
-carries that run's rounding.
+over the block.  The cells at one point read one array of squared distances
+per block; its kernel sums run in tiles of rows fixed by the columns a cell
+reads, that is by its n (and, in a trajectory, the n before it), never by the
+workers.  Recursive cells that share (x, step, bandwidth) read one trajectory:
+the estimate at each n extends the one at the n before it, so it carries that
+run's rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from sakde import asymptotics, estimators
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
-from sakde.estimators import recursion_weights, rosenblatt_batch, rosenblatt_coefficients
+from sakde.estimators import recursion_weights, rosenblatt_coefficients
 from sakde.kernels import gaussian_kernel, gaussian_roughness
 from sakde.sequences import (BandwidthPlan, StepsizePlan, bandwidth_plan, is_integer,
                              stepsize_plan)
@@ -198,34 +200,53 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, replications, seed), and each reads the first n rows
     of one draw at their largest n, N.  Each block of at most
-    ``estimators.SCALAR_BUDGET`` sample scalars is drawn once for all the cells.
-    A baseline cell sums its rows; the recursive cells that share (x, step,
-    bandwidth) run one trajectory, in which the run expansion at each n extends
-    the one at the n before it.  An estimate's last bits can move with its block
-    (BLAS blocks the kernel sum by rows), so the blocks depend only on (N, d,
-    replications), never on the worker count."""
+    ``estimators.SCALAR_BUDGET`` sample scalars is drawn once for all the cells,
+    and the cells at each point read one array of squared distances from it,
+    computed once per block and point (:func:`_point_estimates`).  An estimate's
+    last bits can move with its block (BLAS blocks the kernel sum by rows), so
+    the blocks depend only on (N, d, replications), never on the worker count."""
     first = _shared_draw(cfgs)
     reps, top = first.replications, max(cfg.n for cfg in cfgs)
     block = max(1, min(reps, estimators.SCALAR_BUDGET // (top * first.dim)))
-    runs = {}  # the indices of each trajectory's cells, by n
+    at = {}  # the indices of the cells at each point, by n
     for i in sorted(range(len(cfgs)), key=lambda i: cfgs[i].n):
-        if cfgs[i].estimator == RECURSIVE:
-            runs.setdefault((cfgs[i].x, cfgs[i].step, cfgs[i].bandwidth), []).append(i)
+        at.setdefault(cfgs[i].x, []).append(i)
     out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
     for lo in range(0, reps, block):
         hi = min(lo + block, reps)
         samples = _draw(first.model, first.seed, lo, hi, top)
-        for g, cfg in zip(out, cfgs):
-            if cfg.estimator == ROSENBLATT:
-                g[lo:hi] = rosenblatt_batch(cfg.bandwidth, samples[:, :cfg.n], cfg.x)
-        for (x, step, bandwidth), cells in runs.items():
-            state = np.zeros((hi - lo, 1)), 0, 0.0  # (values, n, wsum), from 0
-            for i in cells:
-                state = estimators._recursion(step, bandwidth, samples[:, state[1]:cfgs[i].n],
-                                              np.reshape(x, (1, -1)), *state)
-                out[i][lo:hi] = state[0][:, 0]
+        for cells in at.values():
+            for j, g in _point_estimates([cfgs[i] for i in cells], samples):
+                out[cells[j]][lo:hi] = g
         del samples  # freed before the next block is drawn
     return out
+
+
+def _point_estimates(cfgs: Sequence[CellConfig], samples: np.ndarray):
+    """``(index, estimates)`` for each of ``cfgs``, cells at one point ordered by
+    n, over a block of ``samples`` (replications, N, d).  The squared distances
+    ``q`` from the point to every row are computed once; a baseline cell sums
+    its first n columns, and the recursive cells that share (step, bandwidth)
+    run one trajectory, in which the run expansion at each n extends the one at
+    the n before it over the next columns."""
+    d = samples.shape[-1]
+    q = estimators._squared_distances(np.reshape(cfgs[0].x, (1, d)), samples)[:, 0]
+    qmax = float(q.max())
+    runs = {}  # the indices of each trajectory's cells, by n
+    for i, cfg in enumerate(cfgs):
+        if cfg.estimator == ROSENBLATT:
+            c, h = rosenblatt_coefficients(cfg.n, cfg.bandwidth.value(cfg.n))
+            yield i, estimators._gaussian_sum(q[:, :cfg.n], c, h, d, qmax)
+        else:
+            runs.setdefault((cfg.step, cfg.bandwidth), []).append(i)
+    for (step, bandwidth), cells in runs.items():
+        state = np.zeros(len(q)), 0, 0.0  # (values, n, wsum), from 0
+        for i in cells:
+            new = q[:, state[1]:cfgs[i].n]  # the columns this n adds to the trajectory
+            state = estimators._recursion(
+                step, bandwidth, new.shape[1],
+                lambda rows, c, h: estimators._gaussian_sum(new[:, rows], c, h, d, qmax), *state)
+            yield i, state[0]
 
 
 def build_interval(g_x: np.ndarray, cfg: CellConfig):
@@ -304,6 +325,7 @@ def run_table(table: int, seed: int, replications: int, jobs: int) -> List[Table
     layout = table_layout(table)
     cfgs = table_configs(table, seed, replications)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it: 20 ms to import
         workers = min(jobs, len(layout.a_values))
         groups = [[cfg for cfg in cfgs if cfg.a in layout.a_values[w::workers]]
                   for w in range(workers)]

@@ -16,7 +16,7 @@ from sakde.estimators import (
     rosenblatt_batch,
     weighted_closed_form,
 )
-from sakde.kernels import EXP_FLOOR, Kernel, gaussian_kernel, gaussian_norm
+from sakde.kernels import EXP_FLOOR, Kernel, gaussian_kernel, gaussian_norm, product_gaussian
 from sakde.sequences import (SequencePlan, bandwidth_plan, pi_product, stepsize_from_weights,
                              stepsize_plan)
 
@@ -327,34 +327,108 @@ def _unfused_kernel_sum(kernel, c, h, sample, points):
     return out
 
 
-@pytest.mark.parametrize("budget", [None, 1, 50])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
-    rng = np.random.default_rng(31 + d)
-    kern = gaussian_kernel(d)
+def _direct_kernel_sum(c, h, sample, points, floor=EXP_FLOOR):
+    """The fused kernel sum's formula evaluated directly, chunked by the same
+    rule, untiled and always floored at ``floor``:
+    ``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_k s_k, floor))`` with
+    ``q_k = sum_j (p_j - X_kj)^2`` added in coordinate order and ``s_k = -1/(2 h_k^2)``."""
+    *batch, n, d = sample.shape
+    coef, s = c * gaussian_norm(d) / h**d, -0.5 / (h * h)
+    chunk = max(1, estimators.SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
+    out = np.zeros((*batch, len(points)))
+    for lo in range(0, n, chunk):
+        sl = slice(lo, lo + chunk)
+        diff = points[:, None, :] - sample[..., None, sl, :]
+        q = diff[..., 0] ** 2
+        for j in range(1, d):
+            q = q + diff[..., j] ** 2
+        k = np.exp(np.maximum(q * s[sl], floor))
+        out += (k.reshape(-1, k.shape[-1]) @ coef[sl]).reshape(out.shape)
+    return out
+
+
+def _kernel_sum_cases(rng, d):
+    """``(c, h, sample, points)``: bulk bandwidths, then narrow ones read at 2
+    sigma, with exponents from the bulk through the floor's (-745, -700] band
+    to below -745, where exp is 0; the last point, at 10 sigma, sees only
+    floored terms.  Each with one sample and a batch of 3."""
     n = 45
     c = rng.uniform(0.1, 1.0, n)
-    # bulk bandwidths, then narrow ones read at 2 sigma: exponents from the
-    # bulk through the floor's (-745, -700] band to below -745, where exp is
-    # 0; the last point, at 10 sigma, sees only floored terms
     u = rng.standard_normal((6, d))
     tail_pts = np.vstack([2.0 * u / np.linalg.norm(u, axis=1, keepdims=True),
                           np.full((1, d), 10.0)])
     for h, pts in ((rng.uniform(0.3, 1.5, n), rng.standard_normal((6, d))),
                    (rng.uniform(0.01, 0.05, n), tail_pts)):
         for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
-            np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
-                                          _unfused_kernel_sum(kern, c, h, sample, pts))
+            yield c, h, sample, pts
 
 
-def _unfloored(d):
-    """The Gaussian kernel without the exponent floor, with the squares summed
-    in the fused sum's order."""
-    def fn(z):
-        return gaussian_norm(d) * np.exp(-0.5 * np.sum(z * z, axis=-1))
-    return Kernel(d, fn, "unfloored")
+@pytest.mark.parametrize("tile", [None, 256])
+@pytest.mark.parametrize("budget", [None, 1, 50])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, tile, monkeypatch):
+    # the tiled sum, with the floor's pass skipped where it cannot act, is the
+    # formula evaluated directly and always floored, bit for bit; a tile of 256
+    # scalars puts 4 rows of 45 terms in each tile
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    if tile is not None:
+        monkeypatch.setattr(estimators, "_TILE", tile)
+    for c, h, sample, pts in _kernel_sum_cases(np.random.default_rng(31 + d), d):
+        np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
+                                      _direct_kernel_sum(c, h, sample, pts))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_kernel_sum_is_the_divided_kernel_sum_within_the_floor_bound(d):
+    # the squared distance times -1/(2 h^2) rounds apart from ((p - X)/h)^2 / -2,
+    # so the fused sum agrees with kernel.fn((p - X)/h) @ (c/h^d) within the grid
+    # path's bound, floored tail points included
+    kern = gaussian_kernel(d)
+    for c, h, sample, pts in _kernel_sum_cases(np.random.default_rng(37 + d), d):
+        fused = estimators._kernel_sum(c, h, sample, pts)
+        divided = _unfused_kernel_sum(kern, c, h, sample, pts)
+        assert np.all(np.abs(fused - divided) <= 1e-12 * np.abs(divided) + _floor_bound(c, h, d))
+
+
+def test_product_gaussian_is_the_kernel_sum_at_unit_bandwidth():
+    # one observation, c = h = 1: the kernel sum is norm * exp(max(-|z|^2/2, EXP_FLOOR)),
+    # z = p - X, the kernel itself, bit for bit, tail points included
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3):
+        x, pts = rng.standard_normal(d), 20.0 * rng.standard_normal((50, d))
+        np.testing.assert_array_equal(
+            estimators._kernel_sum(np.ones(1), np.ones(1), x[None, :], pts),
+            product_gaussian(pts - x))
+
+
+def _counting_maximum(monkeypatch):
+    """The calls to ``np.maximum`` from here on, counted in a list."""
+    calls, maximum = [], np.maximum
+    monkeypatch.setattr(np, "maximum", lambda *args, **kwargs: calls.append(1)
+                        or maximum(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("scale, fires", [(1.0, False), (2.0, True), (10.0, True)])
+def test_floor_pass_runs_only_where_its_bound_fires(scale, fires, monkeypatch):
+    # squared distances up to 1400 scale**2 at h = 1: qmax / 2 = 700 scale**2 is
+    # exactly -EXP_FLOOR at scale 1, where no exponent can pass the floor and
+    # the pass is skipped; at scale 2 the bound fires and exponents reach -2800,
+    # and at 10 the bound fires with every exponent below the floor.  Each sum is
+    # the always-floored sum bit for bit
+    rng = np.random.default_rng(47)
+    c, h = rng.uniform(0.1, 1.0, 30), np.ones(30)
+    q = scale**2 * np.append(rng.uniform(0.0, 1400.0, (8, 29)), np.full((8, 1), 1400.0), axis=1)
+    if scale == 10.0:
+        q = np.maximum(q, 2000.0)
+    coef = c * gaussian_norm(2)
+    floored = np.exp(np.maximum(q * -0.5, EXP_FLOOR)) @ coef
+    calls = _counting_maximum(monkeypatch)
+    out = estimators._gaussian_sum(q, c, h, 2, float(q.max()))
+    assert bool(calls) == fires
+    np.testing.assert_array_equal(out, floored)
+    assert np.any(q * -0.5 < EXP_FLOOR) == (scale > 1.0)
 
 
 def _ij_grid(*axes):
@@ -383,7 +457,7 @@ def test_all_tail_kernel_sum_is_positive_within_the_floor_bound(d):
         for sample in samples:
             out = estimators._kernel_sum(c, h, sample, pts)
             assert out.shape == (*sample.shape[:-2], len(pts))
-            assert np.all(_unfused_kernel_sum(_unfloored(d), c, h, sample, pts) == 0.0)
+            assert np.all(_direct_kernel_sum(c, h, sample, pts, floor=-np.inf) == 0.0)
             assert np.all(np.isfinite(out)) and np.all(out > 0.0)
             assert np.all(out <= _floor_bound(c, h, d) * (1.0 + 1e-12))
 
@@ -434,16 +508,14 @@ def test_kernel_sum_off_a_grid_is_the_fused_sum_bit_for_bit():
     for label, sample, pts in _not_grids(rng):
         if sample.ndim == 2 and sample.shape[1] > 1:
             assert estimators._grid_axes(pts) is None, label
-        kern = gaussian_kernel(sample.shape[-1])
         np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
-                                      _unfused_kernel_sum(kern, c, h, sample, pts),
-                                      err_msg=label)
+                                      _direct_kernel_sum(c, h, sample, pts), err_msg=label)
 
 
 def test_floor_moves_no_bit_of_the_clt_cell(monkeypatch):
     # check full's CLT cell, undersmoothed and read at x = 1, puts a share of
     # its exponents below the floor; at 200 replications its estimates equal
-    # those of a kernel sum without the floor, bit for bit
+    # those of the same sums without the floor, bit for bit
     cell_config, estimates, drawn = mc.CellConfig, mc.estimates, []
     monkeypatch.setattr(mc, "CellConfig", lambda *args, **kwargs: dataclasses.replace(
         cell_config(*args, **kwargs), replications=200))
@@ -453,14 +525,14 @@ def test_floor_moves_no_bit_of_the_clt_cell(monkeypatch):
     assert clt.x == (1.0,) and clt.replications == 200
     floored, = estimates(clt)
 
-    kern, tail = _unfloored(1), []
+    gaussian_sum, tail = estimators._gaussian_sum, []
 
-    def unfloored_sum(c, h, sample, points):
-        z = (points[:, None, :] - sample[..., None, :, :]) / h[:, None]
-        tail.append(np.count_nonzero(-0.5 * np.sum(z * z, axis=-1) < EXP_FLOOR))
-        return _unfused_kernel_sum(kern, c, h, sample, points)
+    def unfloored_sum(q, c, h, dim, qmax):
+        tail.append(np.count_nonzero(q * (-0.5 / (h * h)) < EXP_FLOOR))
+        return gaussian_sum(q, c, h, dim, qmax)
 
-    monkeypatch.setattr(estimators, "_kernel_sum", unfloored_sum)
+    monkeypatch.setattr(estimators, "EXP_FLOOR", -np.inf)  # the floor's pass never runs
+    monkeypatch.setattr(estimators, "_gaussian_sum", unfloored_sum)
     unfloored, = estimates(clt)
     assert sum(tail) > 0
     np.testing.assert_array_equal(floored, unfloored)

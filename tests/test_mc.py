@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,11 +535,22 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
 
 
 def test_run_table_at_one_job_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert len(mc.run_table(4, seed=1, replications=5, jobs=1)) == 72
+
+
+def test_the_cli_imports_no_process_pool():
+    # the pool's module is imported by run_table's jobs > 1 branch alone
+    code = "import sys, sakde.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_check_full_draws_its_standard_gaussian_sample_once(monkeypatch):
@@ -757,3 +772,48 @@ def test_replication_rng_without_bit_generator_never_aliases():
     a, b = mc.replication_rng(1, 0), mc.replication_rng(1, 0)
     assert a.bit_generator is not b.bit_generator
     np.testing.assert_array_equal(a.random(4), b.random(4))
+
+
+@pytest.mark.parametrize("budget, blocks", [(None, 1), (7 * 200 * 2, 3)])
+def test_estimates_compute_squared_distances_once_per_block_and_point(budget, blocks,
+                                                                     monkeypatch):
+    # table 4 puts 24 cells at each of 3 points; a budget of 7 replications at
+    # n = 200 splits 20 replications into blocks of 7, 7 and 6
+    if budget is not None:
+        monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    calls, squared_distances = [], estimators._squared_distances
+
+    def counting(points, samples):
+        calls.append((tuple(points[0]), len(samples)))
+        return squared_distances(points, samples)
+
+    monkeypatch.setattr(estimators, "_squared_distances", counting)
+    mc.estimates(*mc.table_configs(4, seed=5, replications=20))
+    sizes = (20,) if blocks == 1 else (7, 7, 6)
+    assert len(calls) == 3 * blocks
+    assert sorted(calls) == sorted((x, r) for x in mc.table_layout(4).xs for r in sizes)
+
+
+def test_estimates_hold_the_draw_one_distance_array_and_one_tile(monkeypatch):
+    # check full's moment and CLT cells: 2000 replications at n = 10^4, at two
+    # points, in blocks of 209 replications.  The peak is the draw block, one
+    # array of squared distances (209 x 10^4 scalars each) and one exponent
+    # tile (2^16 scalars hold 6 rows of 10^4, and a tile takes whole groups of
+    # 4 rows), with 1 MiB for a run's (c, h) and exponent terms (10^4 scalars
+    # each) and the estimate vectors.  Each point's distances held to the end
+    # of its block, or a tile of the whole block, would add another 16 MiB
+    recorded = []
+
+    def record(*cfgs):
+        recorded.extend(cfgs)
+        raise LookupError  # the cells, not their estimates
+
+    monkeypatch.setattr(mc, "estimates", record)
+    with pytest.raises(LookupError):
+        checks.moments_and_clt(0, 1)
+    monkeypatch.undo()
+    assert len({cfg.x for cfg in recorded}) == 2
+    n = recorded[0].n
+    block = estimators.SCALAR_BUDGET // n
+    bound = 8 * (2 * block * n + 4 * n) + (1 << 20)
+    assert _peak_bytes(lambda: mc.estimates(*recorded)) <= bound

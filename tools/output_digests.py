@@ -21,6 +21,11 @@ lines for:
   ``checks.bias_oracle``, recorded from their ``mc.estimates`` calls by a
   ``python -c`` snippet and printed as the shape and the SHA-256 of the
   vector's bytes;
+- each estimate vector of table 4's cells at x = (0, 0) (every a, n and
+  estimator: 24 cells) at seed 42 and 1000 replications, from one
+  ``mc.estimates`` call run by a ``python -c`` snippet and printed as the
+  shape and the SHA-256 of the vector's bytes, so the 2-d kernel sums are
+  pinned at full precision (the table digests show them at 12 digits);
 - the exact finite-n moments of each table model, ``repr`` of
   ``mc.exact_moments`` (full precision; ``check full`` prints 3-decimal ratios)
   over a fixed cell list, run by a ``python -c`` snippet: the table's points at
@@ -203,6 +208,17 @@ for row in mc.run_table(int(sys.argv[1]), 42, 5000, 1):
 """
 
 
+# Prints each estimate vector of table 4's cells at the origin, at seed 42 and
+# 1000 replications, in table order.
+TABLE4_ESTIMATES_SNIPPET = """
+import hashlib
+from sakde import mc
+cells = [cfg for cfg in mc.table_configs(4, 42, 1000) if cfg.x == (0.0, 0.0)]
+for cfg, g in zip(cells, mc.estimates(*cells)):
+    print(cfg.a, cfg.n, cfg.estimator, g.shape, hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
 # Prints the exact moments of table argv[1]'s model over a fixed cell list.
 EXACT_MOMENTS_SNIPPET = """
 import sys
@@ -280,6 +296,8 @@ def outputs(root: Path, work: Path):
     for cell, (check, index) in ESTIMATE_VECTORS.items():
         yield (f"check full estimates {cell}",
                run_python(root, ["-c", ESTIMATES_SNIPPET, check, str(index)], work))
+    yield ("table 4 estimates at x=(0, 0)",
+           run_python(root, ["-c", TABLE4_ESTIMATES_SNIPPET], work))
     for table in (1, 2, 3, 4):
         yield (f"exact moments table {table}",
                run_python(root, ["-c", EXACT_MOMENTS_SNIPPET, str(table)], work))
