@@ -47,10 +47,11 @@ class RegimeClassification:
     both_expansions_valid: bool    # gamma0 above max{2a, (1-ad)/2}
 
 
-def classify_regime(a, alpha, d: int, gamma0: float = math.inf) -> RegimeClassification:
+def classify_regime(a, alpha, d: int, gamma0: float) -> RegimeClassification:
     """Classify the bias/variance trade-off of a plan pair.
 
-    Requires ``alpha`` in (1/2, 1], ``a`` in (0, alpha/d) and ``gamma0 > 0``.
+    Requires ``alpha`` in (1/2, 1], ``a`` in (0, alpha/d) and ``gamma0 > 0``, with
+    ``math.inf`` for a gain with no bound.
     The boundary ``a = alpha/(d+4)`` is resolved within 1e-12, with every real
     input (``float``, ``int`` or ``Fraction``) taken through ``float``.
     """

@@ -30,8 +30,8 @@ class CheckOutcome:
     name: str
     passed: bool
     detail: str
-    value: Any = None
-    note: str = ""  # reported on a line of its own after the verdict, never gated
+    value: Any
+    note: str  # reported on a line of its own after the verdict, never gated
 
 
 def _outcome(name, passed, detail, value=None, note="") -> List[CheckOutcome]:

@@ -177,7 +177,7 @@ class LinearImage(GaussianMixture):
     mixture with the weights of Y, means ``A m_i`` and covariances ``A S_i A^T``.
     """
 
-    def __init__(self, base: GaussianMixture, matrix, label: str | None = None):
+    def __init__(self, base: GaussianMixture, matrix, label: str):
         matrix = np.asarray(matrix, dtype=float)
         d = base.dim
         if matrix.shape != (d, d):
@@ -188,7 +188,7 @@ class LinearImage(GaussianMixture):
             raise ValueError("matrix must be invertible")
         super().__init__(base.weights, base.means @ matrix.T,
                          np.einsum("ij,njk,lk->nil", matrix, base.covs, matrix),
-                         label=label or f"linear-image({base.label})")
+                         label=label)
 
 
 def standard_gaussian(dim: int) -> GaussianMixture:

@@ -12,27 +12,12 @@ at O(#points) cost independent of n.  With the weight-induced stepsize
 
 an identity the test suite certifies to 1e-12.
 
-Every estimate is built from one weighted kernel sum
-``sum_k c_k h_k^-d K((x - X_k) / h_k)`` (:func:`_kernel_sum`, chunked under
-:data:`SCALAR_BUDGET`); the estimators differ only in ``(c_k, h_k)``.  The
-recursion is expanded in one place, :func:`_recursion`, one run of at most
-:data:`SCALAR_BUDGET` rows at a time, and :meth:`RecursiveEstimator.update_many`,
-:func:`recursive_at_points`, the batch form :func:`recursive_batch` and the Monte
-Carlo's trajectories (which extend one run from each n to the next) run it,
-each with its own kernel sum over a run; the baseline's ``(c_k, h_k)`` are
-:func:`rosenblatt_coefficients`.  The sum reads d from the shapes.  In general
-it is fused: the squared distances ``q = sum_j (x_j - X_kj)^2``
-(:func:`_squared_distances`), then, one cache-sized tile of rows at a time,
-``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_k s_k, EXP_FLOOR))`` with
-``s_k = -1/(2 h_k^2)`` (:func:`_gaussian_sum`), the exponent form of
-:mod:`sakde.kernels`, whose floor's pass runs only where it can act.  The Monte
-Carlo computes ``q`` once per block and point, and every cell at the point
-reads its columns.  With positive ``c_k`` an estimate is never exactly 0 and
-moves by at most ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700``.  On a tensor grid
-in d >= 2, detected from the points, the kernel factors by coordinate and the
-sum is one matrix product of per-axis factors of the same form; it stays
-within L of the fused sum, up to rounding of about |exponent| ulp, and never
-below L.
+Every estimate is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
+in the exponent form of :mod:`sakde.kernels`, the estimators differing only in
+``(c_k, h_k)``; the recursion is expanded in one place, :func:`_recursion`.  Over
+one sample the sum is :func:`_kernel_sum`.  Replication samples are evaluated
+at one point by :func:`estimates_at_point` alone, for the Monte Carlo and the
+batch forms.
 
 The streaming estimator keeps its estimate, step count and one weight sum, and
 takes each step's gain and bandwidth from the step's index; its one-step
@@ -54,10 +39,9 @@ from sakde.kernels import (EXP_FLOOR, Kernel, check_dim, gaussian_kernel, gaussi
                            product_gaussian)
 from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, suffix_products
 
-# the package's one memory budget, in float64 scalars (16 MB) per temporary:
-# a kernel-evaluation chunk (batch x observations x points x dim, at least one
-# observation) and a Monte Carlo sample block (replications x n x dim, at
-# least one replication) stay within it
+# the package's one memory budget, in float64 scalars (16 MB) per temporary: a
+# kernel-evaluation chunk (observations x points x dim) and a block of
+# replication samples (replications x n x dim) stay within it
 SCALAR_BUDGET = 1 << 21
 
 # the exponent tile of every fused kernel sum, in float64 scalars (512 KB): it
@@ -130,8 +114,10 @@ def _grid_sum(coef: np.ndarray, scale: np.ndarray, sample: np.ndarray, axes) -> 
     ``sample`` (n, d): per chunk of observations, one factor ``E_j`` (len(a_j),
     chunk) per axis, the row-wise product of all but the last scaled by
     ``coef``, and one matrix product with the last.  The result is floored at
-    ``sum_k coef_k e^-700``, the least the fused sum can be, so no estimate is 0
-    where the factors' products underflow."""
+    ``L = sum_k coef_k e^-700``, the least the fused sum can be, so no estimate is
+    0 where the factors' products underflow.  It stays within L of the fused sum,
+    up to rounding of about |exponent| ulp, since ``exp(a) exp(b)`` is not
+    ``exp(a + b)``, and never falls below L."""
     shape = [len(a) for a in axes]
     head = math.prod(shape[:-1])
     chunk = max(1, SCALAR_BUDGET // max(head, shape[-1]))
@@ -161,20 +147,19 @@ def _exponent_terms(c: np.ndarray, h: np.ndarray, dim: int) -> Tuple[np.ndarray,
 
 def _squared_distances(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
     """``q = sum_j (p_j - X_kj)^2`` for every point ``p`` of ``points`` (m, d) and
-    row ``X_k`` of a ``sample`` (..., n, d), the squares added in coordinate
-    order; returns (..., m, n).  Tiles of the leading axis are filled in turn,
-    so a coordinate's squares take one tile, not a second (..., m, n) array."""
-    *batch, n, d = sample.shape
-    q = np.empty((*batch, len(points), n))
-    step = max(1, _TILE // max(1, math.prod(q.shape[1:])))
+    row ``X_k`` of ``sample`` (n, d), the squares added in coordinate order;
+    returns (m, n).  Tiles of rows are filled in turn, so a coordinate's squares
+    take one tile, not a second (m, n) array.  ``(p - X)^2`` and ``(X - p)^2``
+    have the same bits, so the two arguments may trade roles."""
+    n, d = sample.shape
+    q = np.empty((len(points), n))
+    step = max(1, _TILE // max(1, n))
     for lo in range(0, len(q), step):
-        sl = slice(lo, lo + step)
-        p, x = (points, sample[sl]) if batch else (points[sl], sample)
-        tile = q[sl]
-        np.subtract(p[:, None, 0], x[..., None, :, 0], out=tile)
+        p, tile = points[lo:lo + step], q[lo:lo + step]
+        np.subtract(p[:, None, 0], sample[:, 0], out=tile)
         tile *= tile
         for j in range(1, d):
-            t = np.subtract(p[:, None, j], x[..., None, :, j])
+            t = np.subtract(p[:, None, j], sample[:, j])
             t *= t
             tile += t
     return q
@@ -184,7 +169,8 @@ def _gaussian_sum(q: np.ndarray, c: np.ndarray, h: np.ndarray, dim: int,
                   qmax: float) -> np.ndarray:
     """``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_rk s_k, EXP_FLOOR))``,
     ``s_k = -1/(2 h_k^2)``, for each row r of the squared distances ``q`` (rows, n)
-    (:func:`_squared_distances`); returns (rows,).
+    (:func:`_squared_distances`): the exponent form of :mod:`sakde.kernels`;
+    returns (rows,).
 
     The exponents are built one tile of at most :data:`_TILE` scalars (plus 3
     rows) at a time, and each tile's sum is one matrix-vector product.
@@ -192,9 +178,9 @@ def _gaussian_sum(q: np.ndarray, c: np.ndarray, h: np.ndarray, dim: int,
     lone 1-3 row product rounds apart from them, so a tile holds whole groups
     of 4 rows and the last one at least 4 rows: each row then has the bits of
     one product over all rows.  A row of more than ``_TILE / 4`` terms is summed
-    in blocks of that many columns, in order.  ``qmax`` bounds ``q``: where
-    ``qmax max_k 1/(2 h_k^2) <= -EXP_FLOOR``, no exponent can fall below the
-    floor (rounding is monotone), so its pass is skipped with the same bits."""
+    in blocks of that many columns, in order.  ``qmax`` bounds ``q``, and the
+    floor's pass is skipped where the rule of :mod:`sakde.kernels` shows it
+    cannot act."""
     rows, n = q.shape
     width = min(n, _TILE // 4)
     step = _TILE // width // 4 * 4
@@ -220,31 +206,31 @@ def _gaussian_sum(q: np.ndarray, c: np.ndarray, h: np.ndarray, dim: int,
 
 def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
                 points: np.ndarray) -> np.ndarray:
-    """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` for the product Gaussian K at every
-    point ``p`` of ``points`` (m, d), for a ``sample`` of shape (..., n, d) and
-    ``c``, ``h`` of shape (n,); returns (..., m).
-
-    Unbatched points in d >= 2 that form a tensor grid (:func:`_grid_axes`)
-    take the separable sum :func:`_grid_sum`, (m_1 + ... + m_d) n exponentials
-    and one matrix product.  It agrees with the fused sum within
-    ``L = sum_k c_k h_k^-d (2 pi)^(-d/2) e^-700`` plus rounding of about
-    |exponent| ulp, since ``exp(a) exp(b)`` is not ``exp(a + b)``, and never
-    falls below L.  Every other sum is fused: per chunk of observations, the
-    squared distances (:func:`_squared_distances`) and their tiled exponential
-    sum (:func:`_gaussian_sum`)."""
-    *batch, n, d = sample.shape
-    axes = None if batch or d < 2 or len(points) <= d else _grid_axes(points)
+    """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d)
+    over a ``sample`` (n, d); returns (m,).  A tensor grid in d >= 2
+    (:func:`_grid_axes`) takes :func:`_grid_sum`; every other sum is fused, per
+    chunk of observations (:func:`_squared_distances`, :func:`_gaussian_sum`)."""
+    n, d = sample.shape
+    axes = None if d < 2 or len(points) <= d else _grid_axes(points)
     if axes is not None:
         return _grid_sum(*_exponent_terms(c, h, d), sample, axes)
-    rows = math.prod(batch) * len(points)
-    chunk = max(1, SCALAR_BUDGET // max(1, rows * d))
-    out = np.zeros(rows)
+    chunk = max(1, SCALAR_BUDGET // max(1, len(points) * d))
+    out = np.zeros(len(points))
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
-        q = _squared_distances(points, sample[..., sl, :])
-        q = q.reshape(-1, q.shape[-1])
+        q = _squared_distances(points, sample[sl])
         out += _gaussian_sum(q, c[sl], h[sl], d, float(q.max(initial=0.0)))
-    return out.reshape(*batch, len(points))
+    return out
+
+
+def _run_coefficients(g: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``(c, Pi)`` of a run of gains ``g``: ``c_k = g_k prod_{j>k} (1 - g_j)`` and
+    ``Pi = prod_j (1 - g_j)`` (1 for no gains), so the run maps f to
+    ``Pi f + sum_k c_k Z_k``; the one place where gains become coefficients."""
+    coef = suffix_products(1.0 - g)
+    start = coef[0] * (1.0 - g[0]) if len(g) else 1.0
+    coef *= g
+    return coef, start
 
 
 def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, kernel_sum,
@@ -252,16 +238,14 @@ def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, kernel_
     """The recursion from ``values`` (..., m) after ``n`` steps and weight sum
     ``wsum`` over ``count`` new rows, per run of at most :data:`SCALAR_BUDGET`
     rows: ``f <- Pi_run f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
-    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run, the sum given by
-    ``kernel_sum(rows, c, h)`` for the slice ``rows`` of the new rows.  Returns
-    ``(values, n, wsum)``."""
+    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run (:func:`_run_coefficients`),
+    the sum given by ``kernel_sum(rows, c, h)`` for the slice ``rows`` of the new
+    rows.  Returns ``(values, n, wsum)``."""
     for lo in range(0, count, SCALAR_BUDGET):
         rows = slice(lo, min(lo + SCALAR_BUDGET, count))
         size = rows.stop - lo
         g, wsum = step.gains(np.arange(n + 1, n + size + 1), wsum)
-        coef = suffix_products(1.0 - g)
-        start = coef[0] * (1.0 - g[0])
-        coef *= g
+        coef, start = _run_coefficients(g)
         del g  # freed, as the step indices are, before h: the sum holds no n-long array but (c, h)
         h = bandwidth.value(np.arange(n + 1, n + size + 1))
         values = start * values + kernel_sum(rows, coef, h)
@@ -270,8 +254,44 @@ def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, kernel_
 
 
 def _sample_sum(sample: np.ndarray, points: np.ndarray):
-    """The run expansion's kernel sum over ``sample`` (..., count, d) at ``points``."""
-    return lambda rows, c, h: _kernel_sum(c, h, sample[..., rows, :], points)
+    """The run expansion's kernel sum over ``sample`` (count, d) at ``points``."""
+    return lambda rows, c, h: _kernel_sum(c, h, sample[rows], points)
+
+
+def replication_blocks(replications: int, n: int, dim: int):
+    """``(lo, hi)`` of each block of ``replications`` samples (n, dim): at most
+    :data:`SCALAR_BUDGET` scalars and at least one replication a block.  An
+    estimate's last bits can move with its block (BLAS blocks a sum by rows)."""
+    block = max(1, min(replications, SCALAR_BUDGET // (n * dim)))
+    return [(lo, min(lo + block, replications)) for lo in range(0, replications, block)]
+
+
+def estimates_at_point(x, samples: np.ndarray, cells):
+    """``(index, estimates)`` for each cell ``(n, bandwidth, step)`` of ``cells`` at
+    ``x`` over ``samples`` (replications, N >= n, d), yielded as computed: step
+    None is the baseline, which sums the first n of the squared distances ``q``
+    (computed once), and the recursive cells that share (step, bandwidth) run
+    one trajectory in order of n, each n extending the run before it."""
+    reps, top, d = samples.shape
+    # each row a point and x the sample: the rows fill the tiles
+    q = _squared_distances(samples.reshape(-1, d), np.reshape(x, (1, d))).reshape(reps, top)
+    qmax = float(q.max())
+    runs = {}  # the indices of each trajectory's cells, by n
+    for i in sorted(range(len(cells)), key=lambda i: cells[i][0]):
+        n, bandwidth, step = cells[i]
+        if step is None:
+            yield i, _gaussian_sum(q[:, :n], *rosenblatt_coefficients(n, bandwidth.value(n)),
+                                   d, qmax)
+        else:
+            runs.setdefault((step, bandwidth), []).append(i)
+    for (step, bandwidth), run in runs.items():
+        state = np.zeros(reps), 0, 0.0  # (values, n, wsum), from 0
+        for i in run:
+            new = q[:, state[1]:cells[i][0]]  # the columns this n adds to the trajectory
+            state = _recursion(step, bandwidth, new.shape[1],
+                               lambda rows, c, h: _gaussian_sum(new[:, rows], c, h, d, qmax),
+                               *state)
+            yield i, state[0]
 
 
 class RecursiveEstimator:
@@ -313,12 +333,10 @@ class RecursiveEstimator:
 
 
 def recursion_weights(step: StepsizePlan, n: int) -> np.ndarray:
-    """Coefficients ``c_k = gamma_k * prod_{j=k+1..n} (1 - gamma_j)``, k = 1..n.
-
-    These expand the recursion as ``f_n = sum_k c_k Z_k + Pi_n f_0``.
-    """
-    g = step.gamma_values(n)
-    return g * suffix_products(1.0 - g)
+    """Coefficients ``c_k = gamma_k * prod_{j=k+1..n} (1 - gamma_j)``, k = 1..n:
+    those of one run of the expansion ``f_n = sum_k c_k Z_k + Pi_n f_0``
+    (:func:`_run_coefficients`)."""
+    return _run_coefficients(step.gamma_values(n))[0]
 
 
 def rosenblatt_coefficients(n: int, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -372,20 +390,30 @@ class RosenblattEstimator:
                            self.sample, _as_points(points, self.dim))
 
 
+def _one_cell(samples, x, bandwidth: BandwidthPlan, step) -> np.ndarray:
+    """The cell ``(n, bandwidth, step)`` at ``x`` over ``samples`` (replications, n,
+    d), once both are checked, in the Monte Carlo's blocks; returns (replications,)."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3 or 0 in samples.shape[1:] or np.shape(x) != samples.shape[2:]:
+        raise ValueError("need samples of shape (replications, n, d), n and d at least 1, "
+                         "and x of shape (d,)")
+    if not (np.isfinite(samples).all() and np.isfinite(x).all()):
+        raise ValueError("points and observations must be finite")
+    reps, n, d = samples.shape
+    out = np.empty(reps)
+    for lo, hi in replication_blocks(reps, n, d):
+        [(_, out[lo:hi])] = estimates_at_point(x, samples[lo:hi], [(n, bandwidth, step)])
+    return out
+
+
 def recursive_batch(step: StepsizePlan, bandwidth: BandwidthPlan,
                     samples: np.ndarray, x) -> np.ndarray:
-    """Recursive estimate at one point ``x`` for a batch of replication samples.
-
-    ``samples`` has shape (reps, n, dim); returns shape (reps,): the recursion
-    from 0, with a replication axis.
-    """
-    points = np.reshape(x, (1, samples.shape[-1]))
-    return _recursion(step, bandwidth, samples.shape[1], _sample_sum(samples, points),
-                      np.zeros((len(samples), 1)), 0, 0.0)[0][:, 0]
+    """Recursive estimate from 0 at one point ``x`` for replication ``samples``
+    (replications, n, dim): the Monte Carlo's recursive cell at n, bit for bit."""
+    return _one_cell(samples, x, bandwidth, step)
 
 
 def rosenblatt_batch(bandwidth: BandwidthPlan, samples: np.ndarray, x) -> np.ndarray:
-    """Rosenblatt estimate at one point ``x`` for a batch of replication samples."""
-    n = samples.shape[1]
-    c, h = rosenblatt_coefficients(n, bandwidth.value(n))
-    return _kernel_sum(c, h, samples, np.reshape(x, (1, samples.shape[-1])))[:, 0]
+    """Rosenblatt estimate at one point ``x`` for replication ``samples``
+    (replications, n, dim): the Monte Carlo's baseline cell at n, bit for bit."""
+    return _one_cell(samples, x, bandwidth, None)

@@ -18,9 +18,9 @@ at ``z = (p - X) / h``, it agrees with ``h^-d K((p - X) / h)`` only to an ulp or
 so of the exponent.  Its grid path, which multiplies one factor per
 coordinate, floors each factor's exponent at :data:`EXP_FLOOR` and the sum at
 that same bound: a term then lies between 0 and the floored kernel's, so the
-sum keeps both properties, up to rounding of about |exponent| ulp, since
-``exp(a) exp(b)`` is not ``exp(a + b)``.  (Flooring each factor at
-``EXP_FLOOR / d`` would lift a tail term from about ``e^-700`` to ``e^(-700/d)``.)
+sum keeps both properties (``estimators._grid_sum`` states its bound).
+(Flooring each factor at ``EXP_FLOOR / d`` would lift a tail term from about
+``e^-700`` to ``e^(-700/d)``.)
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ from sakde.sequences import is_integer
 # numpy 2.4.6 on AVX-512F.  Mixed into one array, such lanes slow every vector
 # that holds one (an undersmoothed kernel far from most of the data puts 13 %
 # of its exponents there, and triples the kernel sum's time), and every term
-# they compute is below 1e-304.  Every kernel evaluation, product_gaussian and
-# the fused and grid sums in sakde.estimators, is exp(max(q * s, EXP_FLOOR)) with
-# q a squared distance and s = -1/(2 h^2); the fused sum skips the floor's pass
-# where max q * max 1/(2 h^2) <= -EXP_FLOOR, where it moves no bit.
+# they compute is below 1e-304.
 EXP_FLOOR = -700.0
 
 

@@ -18,12 +18,9 @@ made once in blocks of replications; the blocks are fixed by (N, d,
 replications), so a run is bit-reproducible for a given seed however its cells
 are scheduled across workers.  Within a block, each replication's streams fill
 only its own rows, and the component pick and the Cholesky map then run once
-over the block.  The cells at one point read one array of squared distances
-per block; its kernel sums run in tiles of rows fixed by the columns a cell
-reads, that is by its n (and, in a trajectory, the n before it), never by the
-workers.  Recursive cells that share (x, step, bandwidth) read one trajectory:
-the estimate at each n extends the one at the n before it, so it carries that
-run's rounding.
+over the block.  The cells at one point are evaluated together on each block
+(:func:`sakde.estimators.estimates_at_point`), whose bits depend on the block
+and the cells' n, never on the workers.
 """
 
 from __future__ import annotations
@@ -125,6 +122,12 @@ class CellConfig:
             return asymptotics.variance_leading(f, self.dim, self.bandwidth, self.step, self.n)
         return asymptotics.rosenblatt_variance(f, self.dim, self.n, self.bandwidth.value(self.n))
 
+    @property
+    def evaluation(self):
+        """``(n, bandwidth, step)``, the cell as :func:`estimators.estimates_at_point`
+        evaluates it: step None for the baseline."""
+        return self.n, self.bandwidth, self.step if self.estimator == RECURSIVE else None
+
     def coefficients(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(c_k, h_k)``, k = 1..n, with estimate ``sum_k c_k h_k^-d K((x - X_k)/h_k)``:
         the coefficients that :func:`estimates` sums for the cell, from the same plans."""
@@ -199,54 +202,22 @@ def _shared_draw(cfgs: Sequence[CellConfig]) -> CellConfig:
 def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, replications, seed), and each reads the first n rows
-    of one draw at their largest n, N.  Each block of at most
-    ``estimators.SCALAR_BUDGET`` sample scalars is drawn once for all the cells,
-    and the cells at each point read one array of squared distances from it,
-    computed once per block and point (:func:`_point_estimates`).  An estimate's
-    last bits can move with its block (BLAS blocks the kernel sum by rows), so
-    the blocks depend only on (N, d, replications), never on the worker count."""
+    of one draw at their largest n, N.  Each block of replications
+    (:func:`estimators.replication_blocks`) is drawn once, and the cells at each
+    point are evaluated on it together (:func:`estimators.estimates_at_point`)."""
     first = _shared_draw(cfgs)
     reps, top = first.replications, max(cfg.n for cfg in cfgs)
-    block = max(1, min(reps, estimators.SCALAR_BUDGET // (top * first.dim)))
-    at = {}  # the indices of the cells at each point, by n
-    for i in sorted(range(len(cfgs)), key=lambda i: cfgs[i].n):
-        at.setdefault(cfgs[i].x, []).append(i)
-    out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
-    for lo in range(0, reps, block):
-        hi = min(lo + block, reps)
-        samples = _draw(first.model, first.seed, lo, hi, top)
-        for cells in at.values():
-            for j, g in _point_estimates([cfgs[i] for i in cells], samples):
-                out[cells[j]][lo:hi] = g
-        del samples  # freed before the next block is drawn
-    return out
-
-
-def _point_estimates(cfgs: Sequence[CellConfig], samples: np.ndarray):
-    """``(index, estimates)`` for each of ``cfgs``, cells at one point ordered by
-    n, over a block of ``samples`` (replications, N, d).  The squared distances
-    ``q`` from the point to every row are computed once; a baseline cell sums
-    its first n columns, and the recursive cells that share (step, bandwidth)
-    run one trajectory, in which the run expansion at each n extends the one at
-    the n before it over the next columns."""
-    d = samples.shape[-1]
-    q = estimators._squared_distances(np.reshape(cfgs[0].x, (1, d)), samples)[:, 0]
-    qmax = float(q.max())
-    runs = {}  # the indices of each trajectory's cells, by n
+    at = {}  # the indices of the cells at each point
     for i, cfg in enumerate(cfgs):
-        if cfg.estimator == ROSENBLATT:
-            c, h = rosenblatt_coefficients(cfg.n, cfg.bandwidth.value(cfg.n))
-            yield i, estimators._gaussian_sum(q[:, :cfg.n], c, h, d, qmax)
-        else:
-            runs.setdefault((cfg.step, cfg.bandwidth), []).append(i)
-    for (step, bandwidth), cells in runs.items():
-        state = np.zeros(len(q)), 0, 0.0  # (values, n, wsum), from 0
-        for i in cells:
-            new = q[:, state[1]:cfgs[i].n]  # the columns this n adds to the trajectory
-            state = estimators._recursion(
-                step, bandwidth, new.shape[1],
-                lambda rows, c, h: estimators._gaussian_sum(new[:, rows], c, h, d, qmax), *state)
-            yield i, state[0]
+        at.setdefault(cfg.x, []).append(i)
+    out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
+    for lo, hi in estimators.replication_blocks(reps, top, first.dim):
+        block = _draw(first.model, first.seed, lo, hi, top)
+        for x, idx in at.items():
+            for j, g in estimators.estimates_at_point(x, block, [cfgs[i].evaluation for i in idx]):
+                out[idx[j]][lo:hi] = g
+        del block  # freed before the next block is drawn
+    return out
 
 
 def build_interval(g_x: np.ndarray, cfg: CellConfig):

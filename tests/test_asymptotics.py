@@ -14,20 +14,20 @@ PHI0 = 1 / math.sqrt(2 * math.pi)
 
 
 def test_classify_regime_balanced_float_and_rational():
-    assert asy.classify_regime(0.2, 1.0, 1).regime == asy.BALANCED
-    assert asy.classify_regime(Fraction(1, 5), 1, 1).regime == asy.BALANCED
+    assert asy.classify_regime(0.2, 1.0, 1, math.inf).regime == asy.BALANCED
+    assert asy.classify_regime(Fraction(1, 5), 1, 1, math.inf).regime == asy.BALANCED
 
 
 def test_classify_regime_variance_dominated():
-    r = asy.classify_regime(0.21, 1.0, 1)
+    r = asy.classify_regime(0.21, 1.0, 1, math.inf)
     assert r.regime == asy.VARIANCE_DOMINATED
     assert r.bias_negligible and r.variance_leading_applies
     assert not r.h2_bias_applies and not r.variance_negligible
 
 
 def test_classify_regime_d2():
-    assert asy.classify_regime(0.17, 1.0, 2).regime == asy.VARIANCE_DOMINATED
-    assert asy.classify_regime(0.15, 1.0, 2).regime == asy.BIAS_DOMINATED
+    assert asy.classify_regime(0.17, 1.0, 2, math.inf).regime == asy.VARIANCE_DOMINATED
+    assert asy.classify_regime(0.15, 1.0, 2, math.inf).regime == asy.BIAS_DOMINATED
 
 
 def test_classify_regime_gain_limit_flags():
@@ -36,21 +36,21 @@ def test_classify_regime_gain_limit_flags():
     assert low.gain_limit_admissible and not low.both_expansions_valid
     high = asy.classify_regime(0.21, 1.0, 1, gamma0=0.79)
     assert high.gain_limit_admissible and high.both_expansions_valid
-    default = asy.classify_regime(0.21, 1.0, 1)
-    assert default.both_expansions_valid  # gamma0 defaults to +inf
+    unbounded = asy.classify_regime(0.21, 1.0, 1, math.inf)
+    assert unbounded.both_expansions_valid  # the CLI's reading of no --gamma0
 
 
 def test_classify_regime_rejects_inadmissible_plans():
     with pytest.raises(ValueError):
-        asy.classify_regime(0.21, 0.4, 1)
+        asy.classify_regime(0.21, 0.4, 1, math.inf)
     with pytest.raises(ValueError):
-        asy.classify_regime(0.6, 1.0, 2)  # a >= alpha/d
+        asy.classify_regime(0.6, 1.0, 2, math.inf)  # a >= alpha/d
     for gamma0 in (math.nan, -3.0, 0.0):
         with pytest.raises(ValueError, match="gamma0 must be positive"):
             asy.classify_regime(0.2, 1.0, 1, gamma0)
     for alpha in (math.nan, math.inf, -math.inf):  # named as alpha, not as a plan exponent
         with pytest.raises(ValueError, match=rf"^alpha must lie in \(1/2, 1\], got {alpha}$"):
-            asy.classify_regime(0.2, alpha, 1)
+            asy.classify_regime(0.2, alpha, 1, math.inf)
 
 
 def test_bias_leading_plain_average():
@@ -344,7 +344,7 @@ _DIM_FORMULAS = {
     "clt-degenerate": lambda d: asy.clt_params(math.inf, 0.3, -0.4, d, 0.2, _STEP),
     "ci-constant": lambda d: asy.ci_constant(0.8, 0.2, d),
     "ci-constant-minimum": lambda d: asy.ci_constant_minimum(0.2, d),
-    "regime": lambda d: asy.classify_regime(0.2, 1.0, d),
+    "regime": lambda d: asy.classify_regime(0.2, 1.0, d, math.inf),
     "mse-optimal": lambda d: asy.mse_optimal_plan(0.35, -0.4, d),
     "rosenblatt-mse-optimal": lambda d: asy.rosenblatt_mse_optimal(0.35, -0.4, d),
     "mise-optimal": lambda d: asy.mise_optimal_plan(1.0, d),

@@ -142,7 +142,7 @@ def test_check_fast_passes(capsys):
 
 def test_check_failure_is_reported_and_exits_1(capsys, monkeypatch):
     def broken(seed, jobs):
-        return [checks.CheckOutcome("lemma-limit", False, "forced failure")]
+        return [checks.CheckOutcome("lemma-limit", False, "forced failure", None, "")]
 
     monkeypatch.setattr(checks, "FAST", tuple(
         broken if c is checks.lemma_limit_value else c for c in checks.FAST))

@@ -122,6 +122,22 @@ def test_closed_form_expansion_with_initial_value():
     assert pi_product(step, 500) > 0
 
 
+@pytest.mark.parametrize("step", [stepsize_plan(0.79),
+                                  stepsize_from_weights(SequencePlan(1.0, -0.21))],
+                         ids=["closed-form", "weight-induced"])
+def test_recursion_weights_are_one_runs_coefficients_bit_for_bit(step):
+    # the exact oracle's coefficients are those the run expansion sums
+    bw, runs = bandwidth_plan(1.0, 0.21), []
+
+    def kernel_sum(rows, c, h):
+        runs.append(c.copy())
+        return np.zeros(1)
+
+    estimators._recursion(step, bw, 500, kernel_sum, np.zeros(1), 0, 0.0)
+    assert len(runs) == 1
+    np.testing.assert_array_equal(recursion_weights(step, 500), runs[0])
+
+
 def test_recursion_weights_plain_average():
     # gamma_n = 1/n collapses the coefficients to 1/n each
     step = stepsize_from_weights(SequencePlan(1.0, 0.0))
@@ -236,14 +252,51 @@ def test_batch_paths_match_streaming(monkeypatch):
                 assert batch_rec[r] == pytest.approx(est.values[0], rel=1e-12)
                 ros = RosenblattEstimator(d, bw, samples[r])
                 assert batch_ros[r] == pytest.approx(ros.eval(kern, x[None, :])[0], rel=1e-12)
-                # the Monte Carlo cell runs the streaming expansion: one replication
-                # is a fresh update_many bit for bit; in a batch, BLAS blocks the
-                # last sum by replication rows, which moves an estimate's last bits
-                # (a 60-term positive sum reordered moves by under 60 eps)
+                # one replication runs the streaming expansion: where each run's
+                # rows fit one chunk of update_many's kernel sum, it is a fresh
+                # update_many bit for bit (runs of 7 rows in 2-d take chunks of
+                # 3); in a batch, BLAS blocks the last sum by replication rows,
+                # which moves an estimate's last bits (a 60-term positive sum
+                # reordered moves by under 60 eps)
                 fresh = RecursiveEstimator(kern, step, bw, x[None, :])
                 fresh.update_many(samples[r])
-                assert recursive_batch(step, bw, samples[r:r + 1], x)[0] == fresh.values[0]
+                one = recursive_batch(step, bw, samples[r:r + 1], x)[0]
+                if min(budget, 60) <= budget // d:
+                    assert one == fresh.values[0]
+                assert one == pytest.approx(fresh.values[0], rel=1e-14)
                 assert batch_rec[r] == pytest.approx(fresh.values[0], rel=1e-14)
+            # the batch forms are the Monte Carlo's cells at every budget
+            model = standard_gaussian(d)
+            cells = [mc.CellConfig(model, tuple(x), 60, 0.21 / d, kind, 30, seed=5,
+                                   step=step, bandwidth=bw)
+                     for kind in (mc.RECURSIVE, mc.ROSENBLATT)]
+            block = mc._draw(model, 5, 0, 30, 60)
+            rec, ros = mc.estimates(*cells)
+            np.testing.assert_array_equal(rec, recursive_batch(step, bw, block, x))
+            np.testing.assert_array_equal(ros, rosenblatt_batch(bw, block, x))
+
+
+def test_batch_forms_reject_bad_input_before_any_arithmetic():
+    step, bw = stepsize_plan(0.79), bandwidth_plan(1.0, 0.21)
+    samples = np.random.default_rng(3).standard_normal((4, 20, 2))
+    for bad in (math.nan, math.inf):
+        poisoned = samples.copy()
+        poisoned[2, 7, 1] = bad
+        for form in (lambda s, x: recursive_batch(step, bw, s, x),
+                     lambda s, x: rosenblatt_batch(bw, s, x)):
+            with pytest.raises(ValueError, match="finite"):
+                form(poisoned, np.zeros(2))
+            with pytest.raises(ValueError, match="finite"):
+                form(samples, np.array([0.0, bad]))
+    for form in (lambda s, x: recursive_batch(step, bw, s, x),
+                 lambda s, x: rosenblatt_batch(bw, s, x)):
+        for shape in ((4, 0, 2), (4, 20, 0), (20, 2), (1, 4, 20, 2)):
+            with pytest.raises(ValueError, match="^need samples of shape"):
+                form(np.zeros(shape), np.zeros(shape[-1]))
+        for x in (np.zeros(1), np.zeros(3), np.zeros((1, 2)), np.zeros((2, 2)), 0.0):
+            with pytest.raises(ValueError, match="^need samples of shape"):
+                form(samples, x)
+        assert form(np.zeros((0, 20, 2)), np.zeros(2)).shape == (0,)
 
 
 # Reference loops for the chunked kernel sum: one observation at a time, in
@@ -327,23 +380,38 @@ def _unfused_kernel_sum(kernel, c, h, sample, points):
     return out
 
 
+def _direct_terms(diff, h, floor):
+    """``exp(max(q_k s_k, floor))`` for the differences ``diff`` (..., n, d) of a
+    point and the rows, ``q_k`` added in coordinate order and ``s_k = -1/(2 h_k^2)``."""
+    q = diff[..., 0] ** 2
+    for j in range(1, diff.shape[-1]):
+        q = q + diff[..., j] ** 2
+    return np.exp(np.maximum(q * (-0.5 / (h * h)), floor))
+
+
 def _direct_kernel_sum(c, h, sample, points, floor=EXP_FLOOR):
     """The fused kernel sum's formula evaluated directly, chunked by the same
     rule, untiled and always floored at ``floor``:
     ``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_k s_k, floor))`` with
     ``q_k = sum_j (p_j - X_kj)^2`` added in coordinate order and ``s_k = -1/(2 h_k^2)``."""
-    *batch, n, d = sample.shape
-    coef, s = c * gaussian_norm(d) / h**d, -0.5 / (h * h)
-    chunk = max(1, estimators.SCALAR_BUDGET // (math.prod(batch) * len(points) * d))
-    out = np.zeros((*batch, len(points)))
+    n, d = sample.shape
+    coef = c * gaussian_norm(d) / h**d
+    chunk = max(1, estimators.SCALAR_BUDGET // (len(points) * d))
+    out = np.zeros(len(points))
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
-        diff = points[:, None, :] - sample[..., None, sl, :]
-        q = diff[..., 0] ** 2
-        for j in range(1, d):
-            q = q + diff[..., j] ** 2
-        k = np.exp(np.maximum(q * s[sl], floor))
-        out += (k.reshape(-1, k.shape[-1]) @ coef[sl]).reshape(out.shape)
+        out += _direct_terms(points[:, None, :] - sample[None, sl], h[sl], floor) @ coef[sl]
+    return out
+
+
+def _direct_point_sum(c, h, samples, x, floor=EXP_FLOOR):
+    """The same formula at one point ``x`` over replication ``samples`` (reps, n, d),
+    one product per block of replications (:func:`estimators.replication_blocks`),
+    untiled and always floored at ``floor``."""
+    reps, n, d = samples.shape
+    coef, out = c * gaussian_norm(d) / h**d, np.empty(reps)
+    for lo, hi in estimators.replication_blocks(reps, n, d):
+        out[lo:hi] = _direct_terms(x - samples[lo:hi], h, floor) @ coef
     return out
 
 
@@ -351,7 +419,7 @@ def _kernel_sum_cases(rng, d):
     """``(c, h, sample, points)``: bulk bandwidths, then narrow ones read at 2
     sigma, with exponents from the bulk through the floor's (-745, -700] band
     to below -745, where exp is 0; the last point, at 10 sigma, sees only
-    floored terms.  Each with one sample and a batch of 3."""
+    floored terms."""
     n = 45
     c = rng.uniform(0.1, 1.0, n)
     u = rng.standard_normal((6, d))
@@ -359,8 +427,26 @@ def _kernel_sum_cases(rng, d):
                           np.full((1, d), 10.0)])
     for h, pts in ((rng.uniform(0.3, 1.5, n), rng.standard_normal((6, d))),
                    (rng.uniform(0.01, 0.05, n), tail_pts)):
-        for sample in (rng.standard_normal((n, d)), rng.standard_normal((3, n, d))):
-            yield c, h, sample, pts
+        yield c, h, rng.standard_normal((n, d)), pts
+
+
+def _batch_cases(rng, d):
+    """``(form, c, h, samples, x)`` for the same two regimes at each point, over a
+    batch of 3 replications: each batch form with the ``(c_k, h_k)`` it sums,
+    the recursion only where its 45 rows are one run (a run's sum starts from 0)."""
+    n, step = 45, stepsize_plan(0.7)
+    u = rng.standard_normal((6, d))
+    tail_pts = np.vstack([2.0 * u / np.linalg.norm(u, axis=1, keepdims=True),
+                          np.full((1, d), 10.0)])
+    for bw, pts in ((bandwidth_plan(1.2, 0.2), rng.standard_normal((6, d))),
+                    (bandwidth_plan(0.05, 0.2), tail_pts)):
+        samples = rng.standard_normal((3, n, d))
+        for x in pts:
+            yield (lambda s, x, bw=bw: rosenblatt_batch(bw, s, x),
+                   *estimators.rosenblatt_coefficients(n, bw.value(n)), samples, x)
+            if estimators.SCALAR_BUDGET >= n:
+                yield (lambda s, x, bw=bw: recursive_batch(step, bw, s, x),
+                       recursion_weights(step, n), bw.value(np.arange(1, n + 1)), samples, x)
 
 
 @pytest.mark.parametrize("tile", [None, 256])
@@ -377,6 +463,9 @@ def test_fused_kernel_sum_is_bit_identical_to_kernel_calls(d, budget, tile, monk
     for c, h, sample, pts in _kernel_sum_cases(np.random.default_rng(31 + d), d):
         np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
                                       _direct_kernel_sum(c, h, sample, pts))
+    # a batch of replications at one point: the batch forms' one evaluation
+    for form, c, h, samples, x in _batch_cases(np.random.default_rng(31 + d), d):
+        np.testing.assert_array_equal(form(samples, x), _direct_point_sum(c, h, samples, x))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -388,6 +477,10 @@ def test_fused_kernel_sum_is_the_divided_kernel_sum_within_the_floor_bound(d):
     for c, h, sample, pts in _kernel_sum_cases(np.random.default_rng(37 + d), d):
         fused = estimators._kernel_sum(c, h, sample, pts)
         divided = _unfused_kernel_sum(kern, c, h, sample, pts)
+        assert np.all(np.abs(fused - divided) <= 1e-12 * np.abs(divided) + _floor_bound(c, h, d))
+    for form, c, h, samples, x in _batch_cases(np.random.default_rng(37 + d), d):
+        fused = form(samples, x)
+        divided = _unfused_kernel_sum(kern, c, h, samples, x[None, :])[:, 0]
         assert np.all(np.abs(fused - divided) <= 1e-12 * np.abs(divided) + _floor_bound(c, h, d))
 
 
@@ -444,22 +537,31 @@ def _floor_bound(c, h, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_all_tail_kernel_sum_is_positive_within_the_floor_bound(d):
     # every exponent is below -18000: without the floor each term, and the
-    # sum, would be exactly 0; with it the sum is at most L, on the fused sum
-    # and, over a 3^d grid with no batch axis in d >= 2, on the grid path,
-    # where the factors' products underflow to 0 and the sum is floored at L
+    # sum, would be exactly 0; with it the sum is at most L, on the fused sum,
+    # on the batch forms at one point and, over a 3^d grid in d >= 2, on the
+    # grid path, where the factors' products underflow to 0 and the sum is
+    # floored at L
     rng = np.random.default_rng(41 + d)
     n = 50
     c, h = rng.uniform(0.1, 1.0, n), rng.uniform(0.01, 0.05, n)
-    samples = 0.1 * rng.standard_normal((n, d)), 0.1 * rng.standard_normal((3, n, d))
+    sample = 0.1 * rng.standard_normal((n, d))
     grid = _ij_grid(*[np.linspace(10.0, 11.0, 3)] * d)
     assert (estimators._grid_axes(grid) is not None) == (d > 1)
     for pts in (np.full((4, d), 10.0), grid):
-        for sample in samples:
-            out = estimators._kernel_sum(c, h, sample, pts)
-            assert out.shape == (*sample.shape[:-2], len(pts))
-            assert np.all(_direct_kernel_sum(c, h, sample, pts, floor=-np.inf) == 0.0)
-            assert np.all(np.isfinite(out)) and np.all(out > 0.0)
-            assert np.all(out <= _floor_bound(c, h, d) * (1.0 + 1e-12))
+        out = estimators._kernel_sum(c, h, sample, pts)
+        assert out.shape == (len(pts),)
+        assert np.all(_direct_kernel_sum(c, h, sample, pts, floor=-np.inf) == 0.0)
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        assert np.all(out <= _floor_bound(c, h, d) * (1.0 + 1e-12))
+    samples, x = 0.1 * rng.standard_normal((3, n, d)), np.full(d, 10.0)
+    bw = bandwidth_plan(0.05, 0.2)
+    for c, h, out in ((*estimators.rosenblatt_coefficients(n, bw.value(n)),
+                       rosenblatt_batch(bw, samples, x)),
+                      (recursion_weights(stepsize_plan(0.7), n), bw.value(np.arange(1, n + 1)),
+                       recursive_batch(stepsize_plan(0.7), bw, samples, x))):
+        assert np.all(_direct_point_sum(c, h, samples, x, floor=-np.inf) == 0.0)
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        assert np.all(out <= _floor_bound(c, h, d) * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 50])
@@ -499,14 +601,13 @@ def _not_grids(rng):
     yield "one ulp off", sample, moved
     yield "xy order", sample, np.stack(np.meshgrid(x, y, indexing="xy"), -1).reshape(-1, 2)
     yield "1-d", rng.standard_normal((30, 1)), x[:, None]
-    yield "batched", rng.standard_normal((3, 30, 2)), grid
 
 
 def test_kernel_sum_off_a_grid_is_the_fused_sum_bit_for_bit():
     rng = np.random.default_rng(83)
     c, h = rng.uniform(0.1, 1.0, 30), rng.uniform(0.1, 1.0, 30)
     for label, sample, pts in _not_grids(rng):
-        if sample.ndim == 2 and sample.shape[1] > 1:
+        if sample.shape[1] > 1:
             assert estimators._grid_axes(pts) is None, label
         np.testing.assert_array_equal(estimators._kernel_sum(c, h, sample, pts),
                                       _direct_kernel_sum(c, h, sample, pts), err_msg=label)

@@ -1,9 +1,9 @@
 """The package imports only numpy and the standard library, has no ``assert``
 statement, uses every module-level import, references every module-level
 private name somewhere, has a caller for every module-level public function
-that it does not export and for every public method, and passes every option
-of a public function or method and every defaulted field of a public
-dataclass in some call (stdlib ``ast`` scans; named exemptions)."""
+that it does not export and for every public method, and both passes and
+omits every option of a public function or method and every defaulted field
+of a public dataclass in some call (stdlib ``ast`` scans; named exemptions)."""
 
 import ast
 import sys
@@ -99,6 +99,24 @@ def test_no_unreferenced_private_names():
             if not any(private in refs for _, other, refs in statements if other is not node):
                 orphans.append(f"{name}:{node.lineno} {private}")
     assert orphans == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    # a module's private names are its own: the Monte Carlo evaluates through
+    # estimators' public entry points, not through its private kernel sums
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "sakde"
+               for alias in node.names}
+    reads = [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and node.attr.startswith("_")
+             and not node.attr.startswith("__")]
+    reads += [f"{path.name}:{node.lineno} {node.module}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sakde.")
+              for alias in node.names if alias.name.startswith("_")]
+    assert reads == []
 
 
 #: public functions and methods kept without a package caller, with the reason for each
@@ -204,13 +222,40 @@ def _passes(call, param, index):
             or (index is not None and len(call.args) > index))
 
 
+def _package_calls():
+    return [node for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
 def test_every_option_has_a_package_caller():
-    calls = [node for path in MODULES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)]
-    options = list(_options())
-    unpassed = [qualified for qualified, name, param, index in options
+    calls = _package_calls()
+    unpassed = [qualified for qualified, name, param, index in _options()
                 if not any(_callee(c) == name and _passes(c, param, index) for c in calls)]
     assert [q for q in unpassed if q not in UNPASSED_OPTIONS] == []
     # every exemption names an option the scan flags
     assert set(UNPASSED_OPTIONS) <= set(unpassed)
+
+
+#: defaulted parameters that every package call passes, kept with their default
+#: for callers outside the package, with the reason for each
+ALWAYS_PASSED_OPTIONS = {
+    "recursive_at_points.f0": "the benchmark's stream workload calls it without f0",
+    "replication_rng.bit_generator": "without it, a new Philox: the reference path that "
+                                     "the rekeyed generator is tested against",
+    "CellConfig.replications": "an exact-moment cell draws nothing, and its tests build "
+                               "it without replications or seed",
+    "CellConfig.seed": "an exact-moment cell draws nothing, and its tests build it "
+                       "without replications or seed",
+}
+
+
+def test_every_option_has_a_package_call_that_omits_it():
+    # a default that every call overrides is a required parameter in disguise
+    calls = _package_calls()
+    always = [qualified for qualified, name, param, index in _options()
+              if (callers := [c for c in calls if _callee(c) == name])
+              and all(_passes(c, param, index) for c in callers)]
+    assert [q for q in always if q not in ALWAYS_PASSED_OPTIONS] == []
+    # every exemption names an option the scan flags
+    assert set(ALWAYS_PASSED_OPTIONS) <= set(always)

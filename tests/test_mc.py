@@ -352,7 +352,7 @@ def test_clt_cell_on_a_dilated_gaussian_is_a_rescaled_standard_cell(seed):
     # X = 3 Z: at x = 3 with h_n, the N(0, 9) estimate and true value are one
     # third of the N(0, 1) ones at x = 1 with h_n / 3, so the standardised
     # statistic is the same; `check full` reads its CLT gate this way
-    scaled = mc.CellConfig(LinearImage(standard_gaussian(1), [[3.0]]), (3.0,), 2000, 0.21,
+    scaled = mc.CellConfig(LinearImage(standard_gaussian(1), [[3.0]], label="N(0, 9)"), (3.0,), 2000, 0.21,
                            mc.RECURSIVE, 200, seed)
     standard = mc.CellConfig(standard_gaussian(1), (1.0,), 2000, 0.21, mc.RECURSIVE, 200,
                              seed, bandwidth=bandwidth_plan(1 / 3, 0.21))
@@ -623,11 +623,11 @@ MODELS = {
     "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
     "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
                                [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
-    "clt-gate": LinearImage(standard_gaussian(1), [[3.0]]),
+    "clt-gate": LinearImage(standard_gaussian(1), [[3.0]], label="clt-gate"),
     "image-3d": LinearImage(
         GaussianMixture([0.4, 0.6], [[0.5, 0.0, -1.0], [-0.5, 1.0, 0.5]],
                         [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]]]),
-        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.7, 1.2]]),
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.7, 1.2]], label="image-3d"),
 }
 
 
@@ -716,6 +716,26 @@ def test_recursive_cells_across_n_are_one_trajectory():
             np.testing.assert_allclose(g, fresh, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("table", [1, 4])
+def test_batch_forms_are_the_monte_carlo_cells_bit_for_bit(table):
+    # one block of the table's draw: every baseline cell, and every recursive
+    # cell at n = 50 (the first n of its trajectory), is its batch form on the
+    # block's first n rows
+    cells = mc.table_configs(table, seed=42, replications=1000)
+    block = mc._draw(cells[0].model, 42, 0, 1000, 200)
+    checked = 0
+    for cell, g in zip(cells, mc.estimates(*cells)):
+        if cell.estimator == mc.ROSENBLATT:
+            batch = estimators.rosenblatt_batch(cell.bandwidth, block[:, :cell.n], cell.x)
+        elif cell.n == 50:
+            batch = estimators.recursive_batch(cell.step, cell.bandwidth, block[:, :50], cell.x)
+        else:
+            continue
+        np.testing.assert_array_equal(g, batch)
+        checked += 1
+    assert checked == len(cells) * 2 // 3
+
+
 def _peak_bytes(draw):
     tracemalloc.start()
     try:
@@ -783,9 +803,9 @@ def test_estimates_compute_squared_distances_once_per_block_and_point(budget, bl
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     calls, squared_distances = [], estimators._squared_distances
 
-    def counting(points, samples):
-        calls.append((tuple(points[0]), len(samples)))
-        return squared_distances(points, samples)
+    def counting(rows, point):  # every row of a block, at one point
+        calls.append((tuple(point[0]), len(rows) // 200))
+        return squared_distances(rows, point)
 
     monkeypatch.setattr(estimators, "_squared_distances", counting)
     mc.estimates(*mc.table_configs(4, seed=5, replications=20))

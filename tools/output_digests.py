@@ -39,6 +39,11 @@ lines for:
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
 - each of a fixed list of calls the CLI must reject with a one-line message
   (a seed outside [0, 2^64));
+- the batch forms ``recursive_batch`` and ``rosenblatt_batch`` at one point,
+  run by a ``python -c`` snippet per case on standard normal samples from
+  ``default_rng(42)``: 1-d and 2-d blocks of table size (n = 50 and 200) and
+  one 1-d sample of more than ``SCALAR_BUDGET`` scalars, printed as the shape
+  and the SHA-256 of each vector's bytes;
 - the raw draws of each table model: the first three replications at seed 42
   that ``mc.estimates`` draws for a cell at n = 50, 200 and 1025, recorded
   from ``sample_block`` by a ``python -c`` snippet and printed as the shape
@@ -197,6 +202,25 @@ for block in blocks:
 """
 
 
+# The batch forms at one point, under the table protocol's plans, on standard
+# normal samples (replications, n, d) from default_rng(42): argv[1] indexes
+# BATCH_CASES.  The last case holds 3 * 10^6 scalars, more than one SCALAR_BUDGET.
+BATCH_CASES = ((1000, 50, 1, 0.21), (1000, 200, 1, 0.21), (500, 50, 2, 0.17),
+               (500, 200, 2, 0.17), (600, 5000, 1, 0.21))
+BATCH_SNIPPET = """
+import ast, hashlib, sys
+import numpy as np
+from sakde.estimators import recursive_batch, rosenblatt_batch
+from sakde.sequences import bandwidth_plan, stepsize_plan
+reps, n, d, a = ast.literal_eval(sys.argv[1])
+samples = np.random.default_rng(42).standard_normal((reps, n, d))
+x = np.full(d, 0.5)
+step, bw = stepsize_plan(1.0 - a * d), bandwidth_plan(1.0, a)
+for g in (recursive_batch(step, bw, samples, x), rosenblatt_batch(bw, samples, x)):
+    print(g.shape, hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
 # Runs table argv[1] at seed 42 with 5000 replications and prints each cell's
 # coverage at full precision and its average length at 12 significant digits.
 TABLE_CELLS_SNIPPET = """
@@ -307,6 +331,9 @@ def outputs(root: Path, work: Path):
         yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
     for call in REJECTED_CALLS:
         yield f"rejected {call}", run_cli(root, call.split(), work)
+    for case in BATCH_CASES:
+        yield (f"batch forms (replications, n, d, a) = {case}",
+               run_python(root, ["-c", BATCH_SNIPPET, repr(case)], work))
     for density in DENSITIES:
         yield f"draws {density}", run_python(root, ["-c", DRAW_SNIPPET, density], work)
     for label, snippet in STREAM_SNIPPETS.items():
