@@ -49,7 +49,8 @@ class Deviation(NamedTuple):
 
 
 def reference_deviations(rows: Sequence[mc.TableRow]) -> List[Deviation]:
-    refs = [reference.reference_cell(r.table, r.x, r.a, r.n, r.estimator) for r in rows]
+    refs = [reference.reference_cell(r.table, r.cell.x, r.cell.a, r.cell.n, r.cell.estimator)
+            for r in rows]
     return [Deviation(row, level, length, 100.0 * row.result.empirical_level - level,
                       row.result.avg_length / length - 1.0)
             for row, (level, length) in zip(rows, refs)]
@@ -79,7 +80,7 @@ def sequence_diagnostic(seed: int, jobs: int) -> List[CheckOutcome]:
 
 
 def weight_induced_gain(seed: int, jobs: int) -> List[CheckOutcome]:
-    ng = 10**5 * stepsize_from_weights(SequencePlan(1.0, 0.0)).gamma(10**5)
+    ng = 10**5 * stepsize_from_weights(SequencePlan(1.0, 0.0)).gamma_values(10**5)[-1]
     return _outcome("weight-induced-gain", abs(ng - 1.0) < 0.01, f"n*gamma_n = {ng:.5f} vs 1", ng)
 
 
@@ -134,8 +135,8 @@ def closed_form_expansion(seed: int, jobs: int) -> List[CheckOutcome]:
 
 def density_hessians(seed: int, jobs: int) -> List[CheckOutcome]:
     rng, eps, worst = np.random.default_rng(seed), 1e-4, 0.0
-    for name in ("gaussian", "mixture", "gaussian-2d", "mixture-2d"):
-        model = mc.table_model(name)
+    for build in mc.TABLE_MODELS.values():
+        model = build()
         for x in rng.standard_normal((30, model.dim)):
             for j, e in enumerate(np.eye(model.dim) * eps):
                 fd = (model.pdf(x + e) - 2 * model.pdf(x) + model.pdf(x - e)) / eps**2
@@ -281,7 +282,7 @@ def bias_oracle(seed: int, jobs: int) -> List[CheckOutcome]:
 
 def table1_baseline_cells(seed: int, jobs: int) -> List[CheckOutcome]:
     devs = reference_deviations(mc.run_table(1, seed, replications=1000, jobs=jobs))
-    worst = {est: max(abs(v.d_pp) for v in devs if v.row.estimator == est)
+    worst = {est: max(abs(v.d_pp) for v in devs if v.row.cell.estimator == est)
              for est in (mc.ROSENBLATT, mc.RECURSIVE)}
     # gate on the baseline cells only: the reference recursive cells are not
     # reproducible from the stated update rule (see README, benchmark notes)

@@ -23,7 +23,6 @@ from sakde.sequences import bandwidth_plan, stepsize_plan
 
 DEFAULT_SEED = 42
 SEED_ENV = "SAKDE_SEED"
-DENSITIES = ("gaussian", "mixture", "gaussian-2d", "mixture-2d")
 
 
 def _resolve_seed(arg_seed: Optional[int]) -> Tuple[int, str]:
@@ -90,7 +89,7 @@ def _parse_point(text: str, dim: int) -> Tuple[float, ...]:
 def cmd_table(args) -> int:
     seed, source = _resolve_seed(args.seed)
     rows = mc.run_table(args.table, seed, args.reps, jobs=args.jobs)
-    meta = _meta(f"table {args.table}", seed, source, args.reps, len(rows[0].x))
+    meta = _meta(f"table {args.table}", seed, source, args.reps, rows[0].cell.dim)
     out = args.out or f"table-{args.table}.csv"
     _write_text(out, mc.format_report(rows, meta))
     print(f"wrote {len(rows)} rows to {out}")
@@ -106,7 +105,8 @@ def _print_reference_diff(rows) -> None:
     for row, ref_level, ref_length, d_pp, d_len in checks.reference_deviations(rows):
         max_pp = max(max_pp, abs(d_pp))
         max_len = max(max_len, abs(100.0 * d_len))
-        cell = f"x=({','.join(f'{v:g}' for v in row.x)}) a={row.a:g} n={row.n} {row.estimator}"
+        cfg = row.cell
+        cell = f"x=({','.join(f'{v:g}' for v in cfg.x)}) a={cfg.a:g} n={cfg.n} {cfg.estimator}"
         print(f"{cell:<38}{100.0 * row.result.empirical_level:>8.2f}{ref_level:>8.2f}{d_pp:>+7.2f}"
               f"{row.result.avg_length:>10.4f}{ref_length:>9.4f}{100.0 * d_len:>+7.2f}")
     print(f"max |coverage - reference| = {max_pp:.2f} pp; "
@@ -122,11 +122,10 @@ def cmd_cell(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"cell: {exc}") from None
     (result,) = mc.run_cell(cfg)
-    row = mc.TableRow(0, args.density, cfg.x, cfg.a, cfg.n, cfg.estimator, result)
     meta = _meta(
         f"cell {args.density} x={args.x} a={args.a} n={args.n} {args.estimator}",
         seed, source, args.reps, model.dim)
-    text = mc.format_report([row], meta)
+    text = mc.format_report([mc.TableRow(0, args.density, cfg, result)], meta)
     if args.out:
         _write_text(args.out, text)
         print(f"wrote 1 row to {args.out}")
@@ -237,7 +236,6 @@ def _answer_query(args) -> int:
             print(f"limit law: Normal(mean={params.asym_mean:.6g}, "
                   f"variance={params.asym_var:.6g}) for c={c:g}")
         return 0
-    raise SystemExit(f"unknown asymptotics query: {q!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_cell = sub.add_parser("cell", help="run one coverage cell")
-    p_cell.add_argument("--density", required=True, choices=DENSITIES)
+    p_cell.add_argument("--density", required=True, choices=mc.TABLE_MODELS)
     p_cell.add_argument("--x", required=True, help="evaluation point, comma separated")
     p_cell.add_argument("--a", type=float, required=True)
     p_cell.add_argument("--n", type=_positive_int, required=True)
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asy.add_argument("--c", type=float)
     p_asy.add_argument("--n", type=_positive_int)
     p_asy.add_argument("--x", type=str)
-    p_asy.add_argument("--density", choices=DENSITIES)
+    p_asy.add_argument("--density", choices=mc.TABLE_MODELS)
     p_asy.set_defaults(func=cmd_asymptotics)
 
     p_check = sub.add_parser("check", help="run the invariant check suites")

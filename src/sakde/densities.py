@@ -5,7 +5,7 @@ Laplacian: the product Gaussian kernel's second moments are all 1.
 :class:`GaussianMixture` (full covariances) exposes ``pdf`` and ``hessian_diag``
 through its inverse covariances, ``smoothed_pdf`` (the density convolved with
 ``N(0, s I)``; the exact oracles sum it) through the eigenbasis taken when built,
-``sample`` and a ``label``.  The image ``X = A Y`` of a mixture under an invertible
+and ``sample``.  The image ``X = A Y`` of a mixture under an invertible
 A is the mixture with means ``A m_i`` and covariances ``A S_i A^T``: :class:`LinearImage`
 only builds that mixture, which then draws and evaluates like any other.
 """
@@ -39,14 +39,13 @@ _MAP_SCALARS = 1 << 15
 class GaussianMixture:
     """Mixture of Gaussians with full covariance matrices."""
 
-    def __init__(self, weights, means, covs, label: str = "gaussian-mixture"):
+    def __init__(self, weights, means, covs):
         self.weights = np.asarray(weights, dtype=float)
         self.means = np.atleast_2d(np.asarray(means, dtype=float))
         covs = np.asarray(covs, dtype=float)
         if covs.ndim == 2:
             covs = covs[None, :, :]
         self.covs = covs
-        self.label = label
         if self.weights.ndim != 1 or np.any(self.weights < 0):
             raise ValueError("weights must be a nonnegative vector")
         if not math.isclose(self.weights.sum(), 1.0, rel_tol=0, abs_tol=1e-12):
@@ -177,7 +176,7 @@ class LinearImage(GaussianMixture):
     mixture with the weights of Y, means ``A m_i`` and covariances ``A S_i A^T``.
     """
 
-    def __init__(self, base: GaussianMixture, matrix, label: str):
+    def __init__(self, base: GaussianMixture, matrix):
         matrix = np.asarray(matrix, dtype=float)
         d = base.dim
         if matrix.shape != (d, d):
@@ -187,16 +186,13 @@ class LinearImage(GaussianMixture):
         if np.linalg.det(matrix) == 0:
             raise ValueError("matrix must be invertible")
         super().__init__(base.weights, base.means @ matrix.T,
-                         np.einsum("ij,njk,lk->nil", matrix, base.covs, matrix),
-                         label=label)
+                         np.einsum("ij,njk,lk->nil", matrix, base.covs, matrix))
 
 
 def standard_gaussian(dim: int) -> GaussianMixture:
     """Standard normal density on R^d as a one-component mixture."""
     check_dim(dim)
-    return GaussianMixture(
-        [1.0], np.zeros((1, dim)), np.eye(dim)[None, :, :], label=f"gaussian(d={dim})"
-    )
+    return GaussianMixture([1.0], np.zeros((1, dim)), np.eye(dim)[None, :, :])
 
 
 def curvature(model, x) -> float:

@@ -53,24 +53,23 @@ KS_1PCT = 1.63
 SHEAR = np.array([[1.0, 0.0], [0.5, 1.0]])
 
 
+#: the four benchmark densities by name, each built only when its builder is called
+TABLE_MODELS = {
+    "gaussian": lambda: standard_gaussian(1),
+    "mixture": lambda: GaussianMixture([0.5, 0.5], [[-0.5], [0.5]],
+                                       np.broadcast_to(np.eye(1), (2, 1, 1))),
+    "gaussian-2d": lambda: LinearImage(standard_gaussian(2), SHEAR),
+    "mixture-2d": lambda: LinearImage(
+        GaussianMixture([0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
+                        np.broadcast_to(np.eye(2), (2, 2, 2))), SHEAR),
+}
+
+
 def table_model(name: str):
-    """The four benchmark densities by name."""
-    if name == "gaussian":
-        return standard_gaussian(1)
-    if name == "mixture":
-        return GaussianMixture(
-            [0.5, 0.5], [[-0.5], [0.5]], np.broadcast_to(np.eye(1), (2, 1, 1)),
-            label="mixture",
-        )
-    if name == "gaussian-2d":
-        return LinearImage(standard_gaussian(2), SHEAR, label="gaussian-2d")
-    if name == "mixture-2d":
-        base = GaussianMixture(
-            [0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
-            np.broadcast_to(np.eye(2), (2, 2, 2)), label="mixture-base-2d",
-        )
-        return LinearImage(base, SHEAR, label="mixture-2d")
-    raise ValueError(f"unknown model name: {name!r}")
+    """A new instance of the benchmark density ``name`` of :data:`TABLE_MODELS`."""
+    if name not in TABLE_MODELS:
+        raise ValueError(f"unknown model name: {name!r}")
+    return TABLE_MODELS[name]()
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ class CellConfig:
 
     ``bandwidth`` and ``step`` default to the table protocol ``h_n = n^-a`` and
     ``gamma_n = gamma0/n``, ``gamma0`` the minimiser of the interval constant C;
-    every branch on the estimator kind lives here.  ``seed`` lies in [0, 2^64).
+    every branch on the estimator kind lives here.  ``x`` is stored as a tuple of
+    floats, the key the cells at one point share.  ``seed`` lies in [0, 2^64).
     """
 
     model: object
@@ -98,6 +98,7 @@ class CellConfig:
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
         if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
             raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
+        object.__setattr__(self, "x", tuple(map(float, self.x)))
         if not all(is_integer(v) and v >= 1 for v in (self.n, self.replications)):
             raise ValueError("n and replications must be positive integers")
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
@@ -270,12 +271,11 @@ def table_layout(table: int) -> TableLayout:
 
 @dataclass(frozen=True)
 class TableRow:
+    """One cell of a benchmark table and its Monte Carlo result."""
+
     table: int
     density: str
-    x: Tuple[float, ...]
-    a: float
-    n: int
-    estimator: str
+    cell: CellConfig
     result: CellResult
 
 
@@ -306,28 +306,27 @@ def run_table(table: int, seed: int, replications: int, jobs: int) -> List[Table
         results = dict(zip(itertools.chain(*groups), itertools.chain(*outputs)))
     else:
         results = dict(zip(cfgs, run_cell(*cfgs)))
-    return [TableRow(table, layout.density, cfg.x, cfg.a, cfg.n, cfg.estimator, results[cfg])
-            for cfg in cfgs]
+    return [TableRow(table, layout.density, cfg, results[cfg]) for cfg in cfgs]
 
 
 def format_report(rows: Sequence[TableRow], meta: dict) -> str:
     """Render rows as the CSV report (comment header + one row per cell).
 
-    Floating columns use 6 significant digits; the header echoes enough
-    configuration to reproduce the file byte for byte.
+    Floating columns use 6 significant digits; x, a, n, the estimator, N and
+    the seed are the cell's, and the header echoes enough configuration to
+    reproduce the file byte for byte.
     """
     buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"# {key}={value}\n")
     buf.write("table,density,x,a,n,estimator,empirical_level,stderr,avg_length,N,seed,kernel_id\n")
     for row in rows:
-        xs = ";".join(f"{v:g}" for v in row.x)
-        res = row.result
-        kernel_id = gaussian_kernel(len(row.x)).name
+        cell, res = row.cell, row.result
+        xs = ";".join(f"{v:g}" for v in cell.x)
         buf.write(
-            f"{row.table},{row.density},{xs},{row.a:g},{row.n},{row.estimator},"
+            f"{row.table},{row.density},{xs},{cell.a:g},{cell.n},{cell.estimator},"
             f"{res.empirical_level:.6g},{res.stderr_level:.6g},{res.avg_length:.6g},"
-            f"{meta.get('replications')},{meta.get('seed')},{kernel_id}\n"
+            f"{cell.replications},{cell.seed},{gaussian_kernel(cell.dim).name}\n"
         )
     return buf.getvalue()
 

@@ -95,15 +95,6 @@ class StepsizePlan:
     def xi(self) -> float:
         return 1.0 / self.gamma0  # 0 when gamma0 is infinite
 
-    def gamma(self, n: int) -> float:
-        """Exact gain at step ``n`` >= 1, from the gains of steps 1..n taken one block
-        at a time (O(n) time, one block of memory; a recursion calls :meth:`gains`)."""
-        if not (is_integer(n) and n >= 1):
-            raise ValueError(f"step index must be a positive integer, got {n!r}")
-        for g in self.gamma_blocks(n):
-            pass
-        return float(g[-1])
-
     def gamma_values(self, n_max: int) -> np.ndarray:
         """Gains for steps 1..n_max as one array (empty for n_max = 0)."""
         _check_count(n_max)

@@ -108,11 +108,13 @@ def _deviations(tables):
 def _print_worst(rows, k=6):
     print("  worst coverage deviations:")
     for row, d_pp, _ in sorted(rows, key=lambda r: -abs(r[1]))[:k]:
-        print(f"    T{row.table} x={row.x} a={row.a} n={row.n} {row.estimator}: "
+        cell = row.cell
+        print(f"    T{row.table} x={cell.x} a={cell.a} n={cell.n} {cell.estimator}: "
               f"{100 * row.result.empirical_level:.2f}% vs ref, diff {d_pp:+.2f} pp")
     print("  worst length deviations:")
     for row, _, d_len in sorted(rows, key=lambda r: -abs(r[2]))[:k]:
-        print(f"    T{row.table} x={row.x} a={row.a} n={row.n} {row.estimator}: "
+        cell = row.cell
+        print(f"    T{row.table} x={cell.x} a={cell.a} n={cell.n} {cell.estimator}: "
               f"{row.result.avg_length:.4f} vs ref, diff {100 * d_len:+.2f} %")
 
 
@@ -120,8 +122,8 @@ def test_criterion_6_table_reproduction_full(full_tables):
     rows = _deviations(full_tables)
     worst_pp = max(abs(d) for _, d, _ in rows)
     worst_len = max(abs(d) for _, _, d in rows)
-    ros = [abs(d) for row, d, _ in rows if row.estimator == mc.ROSENBLATT]
-    rec = [abs(d) for row, d, _ in rows if row.estimator == mc.RECURSIVE]
+    ros = [abs(d) for row, d, _ in rows if row.cell.estimator == mc.ROSENBLATT]
+    rec = [abs(d) for row, d, _ in rows if row.cell.estimator == mc.RECURSIVE]
     print(f"  max |coverage dev|: all {worst_pp:.2f} pp "
           f"(baseline-only {max(ros):.2f} pp, recursive-only {max(rec):.2f} pp)")
     print(f"  max |length dev|: {100 * worst_len:.2f} %")
@@ -165,7 +167,8 @@ def test_criterion_6_qualitative_orderings(full_tables):
     for t, rows in full_tables.items():
         by_cell = {}
         for row in rows:
-            by_cell.setdefault((row.x, row.a, row.n), {})[row.estimator] = row.result
+            cfg = row.cell
+            by_cell.setdefault((cfg.x, cfg.a, cfg.n), {})[cfg.estimator] = row.result
         for cell, res in by_cell.items():
             ros, rec = res[mc.ROSENBLATT], res[mc.RECURSIVE]
             if not rec.avg_length < ros.avg_length:

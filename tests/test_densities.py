@@ -39,7 +39,7 @@ def test_mixture_pdf_at_zero():
 
 def test_identity_image_matches_base():
     base = standard_gaussian(2)
-    image = LinearImage(base, np.eye(2), label="identity-image")
+    image = LinearImage(base, np.eye(2))
     pts = np.random.default_rng(0).standard_normal((40, 2))
     np.testing.assert_allclose(image.pdf(pts), base.pdf(pts), rtol=1e-14)
 
@@ -49,7 +49,7 @@ def test_pdf_integrates_to_one():
         grid = np.linspace(-12, 12, 4001)
         total = np.trapezoid(model.pdf(grid[:, None]), grid)
         assert total == pytest.approx(1.0, abs=1e-6)
-    model2 = LinearImage(standard_gaussian(2), SHEAR, label="sheared")
+    model2 = LinearImage(standard_gaussian(2), SHEAR)
     g = np.linspace(-10, 10, 401)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
@@ -124,11 +124,11 @@ def test_hessian_diag_matches_finite_differences(name):
     models = {
         "g1": standard_gaussian(1),
         "mix1": two_point_mixture_1d(),
-        "g2": LinearImage(standard_gaussian(2), SHEAR, label="g2"),
+        "g2": LinearImage(standard_gaussian(2), SHEAR),
         "mix2": LinearImage(
             GaussianMixture([0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
                             np.array([np.eye(2), np.eye(2)])),
-            SHEAR, label="mix2",
+            SHEAR,
         ),
     }
     model = models[name]
@@ -147,7 +147,7 @@ def test_hessian_diag_matches_finite_differences(name):
 
 def test_linear_image_requires_invertible_matrix():
     with pytest.raises(ValueError):
-        LinearImage(standard_gaussian(2), [[1.0, 0.0], [2.0, 0.0]], label="singular")
+        LinearImage(standard_gaussian(2), [[1.0, 0.0], [2.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -158,7 +158,7 @@ def test_linear_image_rejects_a_non_finite_matrix_before_any_linear_algebra(bad)
         for base, matrix in ((standard_gaussian(1), [[bad]]),
                              (standard_gaussian(2), [[1.0, 0.0], [bad, 1.0]])):
             with pytest.raises(ValueError, match="^matrix must be finite$"):
-                LinearImage(base, matrix, label="non-finite")
+                LinearImage(base, matrix)
 
 
 def test_sampling_moments_standard_gaussian():
@@ -170,7 +170,7 @@ def test_sampling_moments_standard_gaussian():
 
 def test_sampling_covariance_of_linear_image():
     rng = np.random.default_rng(5)
-    model = LinearImage(standard_gaussian(2), SHEAR, label="sheared")
+    model = LinearImage(standard_gaussian(2), SHEAR)
     xs = model.sample(rng, 10**5)
     target = SHEAR @ SHEAR.T
     np.testing.assert_allclose(np.cov(xs.T), target, atol=0.02)
@@ -254,7 +254,7 @@ def test_linear_image_is_a_mixture_with_the_same_density():
     base = GaussianMixture([0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]],
                            np.array([np.eye(2), np.eye(2)]))
     model = mc.table_model("mixture-2d")
-    assert isinstance(model, GaussianMixture) and model.label == "mixture-2d"
+    assert isinstance(model, GaussianMixture)
     np.testing.assert_array_equal(model.means, base.means @ SHEAR.T)
     pts = np.random.default_rng(2).standard_normal((50, 2)) * 2.0
     # the change of variables f_Y(A^-1 x) / |det A|
@@ -314,8 +314,7 @@ def test_curvature_squared_integral_anisotropic_kernel(name, golden):
     # the squared integral of tr(M Hf).  With B = M^(1/2) and g(y) = f(B y),
     # tr(M Hf(B y)) is the Laplacian of g and det B = 1, so the same number is
     # the product Gaussian's value for the image of f under B^-1.
-    image = LinearImage(mc.table_model(name), np.diag([1.0 / math.sqrt(2.0), math.sqrt(2.0)]),
-                        label=f"{name}-anisotropic")
+    image = LinearImage(mc.table_model(name), np.diag([1.0 / math.sqrt(2.0), math.sqrt(2.0)]))
     assert curvature_squared_integral(image) == pytest.approx(golden, rel=1e-12)
 
 
@@ -333,7 +332,6 @@ def test_curvature_squared_integral_d2():
 def test_curvature_squared_integral_rejects_other_models():
     class Flat:
         dim = 1
-        label = "flat"
 
         def hessian_diag(self, x):
             return np.zeros_like(np.atleast_2d(x))

@@ -1,9 +1,10 @@
 """The package imports only numpy and the standard library, has no ``assert``
 statement, uses every module-level import, references every module-level
 private name somewhere, has a caller for every module-level public function
-that it does not export and for every public method, and both passes and
+that it does not export and for every public method, both passes and
 omits every option of a public function or method and every defaulted field
-of a public dataclass in some call (stdlib ``ast`` scans; named exemptions)."""
+of a public dataclass in some call, and reads every attribute a method sets on
+``self`` (stdlib ``ast`` scans; named exemptions)."""
 
 import ast
 import sys
@@ -259,3 +260,32 @@ def test_every_option_has_a_package_call_that_omits_it():
     assert [q for q in always if q not in ALWAYS_PASSED_OPTIONS] == []
     # every exemption names an option the scan flags
     assert set(ALWAYS_PASSED_OPTIONS) <= set(always)
+
+
+#: attributes a package method sets on ``self`` that no package statement reads,
+#: with the reason for each
+UNREAD_ATTRIBUTES = {}
+
+
+def _self_attributes(tree):
+    """``(qualified name, line)`` for each attribute a method of a class sets on
+    ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.attr}", sub.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef) for sub in ast.walk(item)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", None) == "self")
+
+
+def test_every_attribute_set_on_self_is_read():
+    # state that nothing reads is a parameter or a field in disguise
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {qualified: f"{name}:{line}" for name, tree in trees.items()
+              for qualified, line in _self_attributes(tree)
+              if qualified.rpartition(".")[2] not in read}
+    assert [f"{where} {q}" for q, where in unread.items() if q not in UNREAD_ATTRIBUTES] == []
+    # every exemption names an attribute the scan flags
+    assert set(UNREAD_ATTRIBUTES) <= set(unread)

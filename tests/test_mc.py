@@ -119,6 +119,9 @@ def test_format_report_header_and_digits():
     # six significant digits on the floating columns
     assert all(len(tok.replace(".", "").replace("-", "").lstrip("0")) <= 6
                for tok in first[6:9])
+    # N and seed are each row's cell's, whatever the header echoes
+    assert first[9:11] == ["10", "5"]
+    assert mc.format_report(rows, {}) == text[text.index("table,"):]
 
 
 def test_empirical_moments_match_exact_oracle():
@@ -257,7 +260,7 @@ def test_length_ratio_approaches_ci_factor():
 
 
 def test_clt_check_passes_on_low_distortion_config():
-    model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
+    model = LinearImage(standard_gaussian(1), [[2.0]])
     cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
     (values,) = mc.estimates(cfg)
     report = mc.clt_empirical_check(cfg, values)
@@ -274,7 +277,7 @@ def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
     # the leading variance the readout standardises by, made 4 times too large
     leading = asymptotics.variance_leading
     monkeypatch.setattr(asymptotics, "variance_leading", lambda *args: 4.0 * leading(*args))
-    model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
+    model = LinearImage(standard_gaussian(1), [[2.0]])
     cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
     report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
     assert not report.passed
@@ -291,7 +294,7 @@ def test_clt_check_reads_a_slow_regime_plan():
 
 def test_clt_check_standardises_a_baseline_cell_by_its_variance():
     # the baseline's leading variance is f R / (n h^d): its readout needs no gain
-    model = LinearImage(standard_gaussian(1), [[2.0]], label="gaussian-sigma2")
+    model = LinearImage(standard_gaussian(1), [[2.0]])
     cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.ROSENBLATT, replications=1000, seed=3)
     (values,) = mc.estimates(cfg)
     report = mc.clt_empirical_check(cfg, values)
@@ -352,7 +355,7 @@ def test_clt_cell_on_a_dilated_gaussian_is_a_rescaled_standard_cell(seed):
     # X = 3 Z: at x = 3 with h_n, the N(0, 9) estimate and true value are one
     # third of the N(0, 1) ones at x = 1 with h_n / 3, so the standardised
     # statistic is the same; `check full` reads its CLT gate this way
-    scaled = mc.CellConfig(LinearImage(standard_gaussian(1), [[3.0]], label="N(0, 9)"), (3.0,), 2000, 0.21,
+    scaled = mc.CellConfig(LinearImage(standard_gaussian(1), [[3.0]]), (3.0,), 2000, 0.21,
                            mc.RECURSIVE, 200, seed)
     standard = mc.CellConfig(standard_gaussian(1), (1.0,), 2000, 0.21, mc.RECURSIVE, 200,
                              seed, bandwidth=bandwidth_plan(1 / 3, 0.21))
@@ -372,6 +375,8 @@ def test_table_model_names():
     assert mc.table_model("mixture-2d").dim == 2
     with pytest.raises(ValueError):
         mc.table_model("cauchy")
+    assert tuple(mc.TABLE_MODELS) == ("gaussian", "mixture", "gaussian-2d", "mixture-2d")
+    assert mc.table_model("mixture") is not mc.table_model("mixture")  # built per call
 
 
 def test_cell_config_validation():
@@ -396,6 +401,18 @@ def test_cell_config_validation():
             mc.CellConfig(model, (0.0,), 50, 0.21, mc.ROSENBLATT, 10, seed)
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)):
         assert mc.CellConfig(model, (0.0,), 50, 0.21, mc.ROSENBLATT, 10, seed).seed == seed
+
+
+@pytest.mark.parametrize("x", [[0.0], np.zeros(1), (np.float64(0.0),), (0,)],
+                         ids=["list", "ndarray", "numpy-float", "int"])
+def test_cell_config_stores_x_as_a_tuple_of_floats(x):
+    # a point given as any sequence of numbers is the tuple's cell: the cells at
+    # one point share it as a key, and a list or an array is no key
+    model = mc.table_model("gaussian")
+    cfg = mc.CellConfig(model, x, 50, 0.21, mc.RECURSIVE, 100, 1)
+    assert type(cfg.x) is tuple and [type(v) for v in cfg.x] == [float]
+    assert cfg == mc.CellConfig(model, (0.0,), 50, 0.21, mc.RECURSIVE, 100, 1)
+    assert mc.run_cell(cfg) == mc.run_cell(dataclasses.replace(cfg, x=(0.0,)))
 
 
 @pytest.mark.parametrize("model, x", [
@@ -525,7 +542,7 @@ def test_run_table_cells_equal_run_cell(table, budget, monkeypatch):
     rows = mc.run_table(table, seed=8, replications=30, jobs=1)
     cfgs = mc.table_configs(table, seed=8, replications=30)
     for row, cfg in zip(rows, cfgs):
-        assert (row.x, row.a, row.n, row.estimator) == (cfg.x, cfg.a, cfg.n, cfg.estimator)
+        assert dataclasses.replace(row.cell, model=cfg.model) == cfg
     trajectories = {}
     for row, cfg in zip(rows, cfgs):
         trajectories.setdefault((cfg.x, cfg.a, cfg.estimator), []).append((row.result, cfg))
@@ -551,6 +568,17 @@ def test_the_cli_imports_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_builds_no_model():
+    # a table model is built when a command asks for it, never on import
+    code = ("import sakde.densities as d; built = []; "
+            "d.GaussianMixture.__init__ = lambda self, *args: built.append(args); "
+            "import sakde.cli; print(len(built))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_check_full_draws_its_standard_gaussian_sample_once(monkeypatch):
@@ -623,11 +651,11 @@ MODELS = {
     "full-2d": GaussianMixture([1.0], [[0.3, -1.2]], [[[2.0, 0.6], [0.6, 0.5]]]),
     "full-3d": GaussianMixture([1.0], [[1.0, -0.5, 2.0]],
                                [[[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]]]),
-    "clt-gate": LinearImage(standard_gaussian(1), [[3.0]], label="clt-gate"),
+    "clt-gate": LinearImage(standard_gaussian(1), [[3.0]]),
     "image-3d": LinearImage(
         GaussianMixture([0.4, 0.6], [[0.5, 0.0, -1.0], [-0.5, 1.0, 0.5]],
                         [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]]]),
-        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.7, 1.2]], label="image-3d"),
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.7, 1.2]]),
 }
 
 

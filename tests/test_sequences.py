@@ -157,7 +157,7 @@ def test_weight_induced_gain_limit(w_star):
     # n * gamma_n -> 1 + w* within 1% at n = 1e5
     step = stepsize_from_weights(SequencePlan(2.0, w_star))
     n = 10**5
-    assert n * step.gamma(n) == pytest.approx(1.0 + w_star, rel=0.01)
+    assert n * step.gamma_values(n)[-1] == pytest.approx(1.0 + w_star, rel=0.01)
 
 
 def test_gamma_stream_matches_gamma_values():
@@ -285,19 +285,6 @@ def test_step_counts_reject_non_integers(count, n):
     with pytest.raises(ValueError, match="must be nonnegative and an integer"):
         count(n)
     count(np.int64(3))
-
-
-@pytest.mark.parametrize("step", [stepsize_plan(1.0), stepsize_plan(0.6, alpha=0.7),
-                                  stepsize_from_weights(SequencePlan(1.0, -0.21))],
-                         ids=["closed-form", "slow", "weight-induced"])
-def test_gamma_takes_a_step_index_of_at_least_one(step):
-    # steps count from 1, and a fractional index names no step
-    for n in (0, -1, 2.5, 1.0, True, math.nan):
-        with pytest.raises(ValueError, match="step index must be a positive integer"):
-            step.gamma(n)
-    for n in (1, 2, 1000, 2**15, 2**15 + 10):  # within and across gain blocks
-        assert step.gamma(n) == step.gamma_values(n)[-1]
-    assert step.gamma(np.int64(7)) == step.gamma(7)
 
 
 def test_bandwidth_plan_requires_positive_exponent():

@@ -81,6 +81,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+# written out, not read from mc.TABLE_MODELS: the tool also runs on older trees
+# (an exported parent) that have no TABLE_MODELS
 DENSITIES = ("gaussian", "mixture", "gaussian-2d", "mixture-2d")
 POINTS = ("0", "0.5", "1")
 
@@ -223,12 +225,15 @@ for g in (recursive_batch(step, bw, samples, x), rosenblatt_batch(bw, samples, x
 
 # Runs table argv[1] at seed 42 with 5000 replications and prints each cell's
 # coverage at full precision and its average length at 12 significant digits.
+# The cells come from table_configs, in the order of run_table's rows, so the
+# snippet reads the same names whether or not a row carries its cell.
 TABLE_CELLS_SNIPPET = """
 import sys
 from sakde import mc
-for row in mc.run_table(int(sys.argv[1]), 42, 5000, 1):
+table = int(sys.argv[1])
+for cfg, row in zip(mc.table_configs(table, 42, 5000), mc.run_table(table, 42, 5000, 1)):
     res = row.result
-    print(row.x, row.a, row.n, row.estimator, repr(res.empirical_level), f"{res.avg_length:.12g}")
+    print(cfg.x, cfg.a, cfg.n, cfg.estimator, repr(res.empirical_level), f"{res.avg_length:.12g}")
 """
 
 
