@@ -9,6 +9,7 @@ is left to external tools.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -141,11 +142,23 @@ def cmd_cell(args) -> int:
 # asymptotics command
 # ---------------------------------------------------------------------------
 
-def _require(args, names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise SystemExit(f"query {args.query!r} needs flags: " +
-                         " ".join(f"--{n}" for n in missing))
+#: each asymptotics flag's argparse settings, declared once for every query that reads it
+_FLAGS = {"density": dict(choices=mc.TABLE_MODELS),
+          "x": dict(help="evaluation point, comma separated"),
+          **dict.fromkeys(("a", "gamma0", "alpha", "c"), dict(type=float)),
+          **dict.fromkeys(("n", "d"), dict(type=_positive_int))}
+
+#: asymptotics query -> (the flags it requires, its optional flags with their defaults)
+QUERIES = {
+    "bias": (("density", "x", "a", "gamma0", "n"), {}),
+    "variance": (("density", "x", "a", "gamma0", "n"), {}),
+    "mse-optimal": (("density", "x"), {}),
+    "mise-optimal": (("density",), {}),
+    "rho": (("d",), {}),
+    "ci-constant": (("gamma0", "a", "d"), {}),
+    "clt": (("density", "x", "a", "gamma0"), {"c": 0.0}),
+    "regime": (("a", "alpha", "d"), {"gamma0": math.inf}),
+}
 
 
 def cmd_asymptotics(args) -> int:
@@ -158,21 +171,17 @@ def cmd_asymptotics(args) -> int:
 def _answer_query(args) -> int:
     q = args.query
     if q == "rho":
-        _require(args, ["d"])
         print(f"optimal-MSE efficiency ratio rho(d={args.d}) = "
               f"{asymptotics.efficiency_ratio(args.d):.5f}")
         return 0
     if q == "ci-constant":
-        _require(args, ["gamma0", "a", "d"])
         c = asymptotics.ci_constant(args.gamma0, args.a, args.d)
         g_min, c_min = asymptotics.ci_constant_minimum(args.a, args.d)
         print(f"interval calibration C(gamma0={args.gamma0:g}, a={args.a:g}, d={args.d}) = {c:.5f}")
         print(f"minimum {c_min:.5f} at gamma0 = {g_min:g}")
         return 0
     if q == "regime":
-        _require(args, ["a", "alpha", "d"])
-        gamma0 = args.gamma0 if args.gamma0 is not None else math.inf
-        r = asymptotics.classify_regime(args.a, args.alpha, args.d, gamma0)
+        r = asymptotics.classify_regime(args.a, args.alpha, args.d, args.gamma0)
         print(r.regime)
         print(f"  h^2 bias expansion applies: {r.h2_bias_applies}")
         print(f"  bias negligible:            {r.bias_negligible}")
@@ -182,11 +191,18 @@ def _answer_query(args) -> int:
         print(f"  both expansions valid:      {r.both_expansions_valid}")
         return 0
 
-    model = mc.table_model(args.density) if args.density else None
-    x = _parse_point(args.x, model.dim) if model and args.x is not None else None
-    f_x = model.pdf(np.asarray(x)) if x is not None else None
+    model = mc.table_model(args.density)
+    if q == "mise-optimal":
+        integral = curvature_squared_integral(model)
+        plan = asymptotics.mise_optimal_plan(integral, model.dim)
+        print(f"integrated squared curvature = {integral:.6g}")
+        print("stepsize: gamma_n = 1/n (gain limit 1)")
+        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
+        print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
+        return 0
+    x = _parse_point(args.x, model.dim)
+    f_x = model.pdf(np.asarray(x))
     if q == "bias":
-        _require(args, ["density", "x", "a", "gamma0", "n"])
         s_x = curvature(model, x)
         step = stepsize_plan(args.gamma0)
         bw = bandwidth_plan(1.0, args.a)
@@ -197,7 +213,6 @@ def _answer_query(args) -> int:
         print(f"leading baseline bias at n={args.n}:  {asymptotics.rosenblatt_bias(s_x, h_n):.6g}")
         return 0
     if q == "variance":
-        _require(args, ["density", "x", "a", "gamma0", "n"])
         step = stepsize_plan(args.gamma0)
         bw = bandwidth_plan(1.0, args.a)
         h_n = float(bw.value(args.n))
@@ -208,33 +223,21 @@ def _answer_query(args) -> int:
         print(f"leading baseline variance at n={args.n}:  {base:.6g}")
         return 0
     if q == "mse-optimal":
-        _require(args, ["density", "x"])
         s_x = curvature(model, x)
         plan = asymptotics.mse_optimal_plan(f_x, s_x, model.dim)
         print("stepsize: gamma_n = 1/n (gain limit 1)")
         print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
         print(f"leading MSE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
         return 0
-    if q == "mise-optimal":
-        _require(args, ["density"])
-        integral = curvature_squared_integral(model)
-        plan = asymptotics.mise_optimal_plan(integral, model.dim)
-        print(f"integrated squared curvature = {integral:.6g}")
-        print("stepsize: gamma_n = 1/n (gain limit 1)")
-        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
-        print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
-        return 0
     if q == "clt":
-        _require(args, ["density", "x", "a", "gamma0"])
         s_x = curvature(model, x)
         step = stepsize_plan(args.gamma0)
-        c = args.c if args.c is not None else 0.0
-        params = asymptotics.clt_params(c, f_x, s_x, model.dim, args.a, step)
+        params = asymptotics.clt_params(args.c, f_x, s_x, model.dim, args.a, step)
         if params.degenerate:
             print(f"degenerate limit: h^-2 (f_n - f) -> {params.asym_mean:.6g} in probability")
         else:
             print(f"limit law: Normal(mean={params.asym_mean:.6g}, "
-                  f"variance={params.asym_var:.6g}) for c={c:g}")
+                  f"variance={params.asym_var:.6g}) for c={args.c:g}")
         return 0
 
 
@@ -261,6 +264,7 @@ def cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: callers may run main many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sakde",
@@ -289,17 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell.set_defaults(func=cmd_cell)
 
     p_asy = sub.add_parser("asymptotics", help="evaluate leading-order constants")
-    p_asy.add_argument("query", choices=("bias", "variance", "mse-optimal",
-                                         "mise-optimal", "rho", "ci-constant",
-                                         "clt", "regime"))
-    p_asy.add_argument("--d", type=_positive_int)
-    p_asy.add_argument("--a", type=float)
-    p_asy.add_argument("--alpha", type=float)
-    p_asy.add_argument("--gamma0", type=float)
-    p_asy.add_argument("--c", type=float)
-    p_asy.add_argument("--n", type=_positive_int)
-    p_asy.add_argument("--x", type=str)
-    p_asy.add_argument("--density", choices=mc.TABLE_MODELS)
+    queries = p_asy.add_subparsers(dest="query", required=True)
+    for query, (required, optional) in QUERIES.items():
+        p_query = queries.add_parser(query, allow_abbrev=False)  # else --d reads as --density
+        for flag in (*required, *optional):
+            p_query.add_argument(f"--{flag}", required=flag in required,
+                                 default=optional.get(flag), **_FLAGS[flag])
     p_asy.set_defaults(func=cmd_asymptotics)
 
     p_check = sub.add_parser("check", help="run the invariant check suites")

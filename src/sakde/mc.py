@@ -96,7 +96,8 @@ class CellConfig:
     def __post_init__(self):
         if self.estimator not in (ROSENBLATT, RECURSIVE):
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
-        if np.shape(self.x) != (self.dim,) or not np.isfinite(self.x).all():
+        p = np.asarray(self.x)  # its kind first: isfinite takes no str, object or complex
+        if p.shape != (self.dim,) or p.dtype.kind not in "iuf" or not np.isfinite(p).all():
             raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
         object.__setattr__(self, "x", tuple(map(float, self.x)))
         if not all(is_integer(v) and v >= 1 for v in (self.n, self.replications)):

@@ -1,7 +1,13 @@
+import re
+
 import pytest
 
 from sakde import checks
-from sakde.cli import main
+from sakde.cli import QUERIES, main
+
+#: an in-domain value of every asymptotics flag
+FLAG_VALUES = {"density": "gaussian", "x": "0", "a": "0.21", "gamma0": "0.79", "n": "100",
+               "d": "1", "alpha": "1", "c": "0"}
 
 
 def run(capsys, *argv):
@@ -65,6 +71,41 @@ def test_asymptotics_mise_optimal_output(capsys):
 def test_asymptotics_missing_flags_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["asymptotics", "rho"])
+
+
+def _query(query, flags):
+    return ["asymptotics", query,
+            *(tok for flag in flags for tok in (f"--{flag}", FLAG_VALUES[flag]))]
+
+
+@pytest.mark.parametrize("query, flag", [
+    (query, flag) for query, (required, optional) in QUERIES.items()
+    for flag in FLAG_VALUES if flag not in (*required, *optional)])
+def test_asymptotics_flag_a_query_does_not_read_is_usage_error(query, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_query(query, (*QUERIES[query][0], flag)))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}\n")
+
+
+@pytest.mark.parametrize("query, flag", [
+    (query, flag) for query, (required, _) in QUERIES.items() for flag in required])
+def test_asymptotics_query_missing_a_flag_is_usage_error(query, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_query(query, [f for f in QUERIES[query][0] if f != flag]))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"the following arguments are required: --{flag}\n")
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_asymptotics_query_help_lists_its_flags(query, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", query, "--help"])
+    assert exc.value.code == 0
+    required, optional = QUERIES[query]
+    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == {"help", *required, *optional}
 
 
 def test_table_writes_csv_and_diff(tmp_path, capsys):

@@ -14,6 +14,7 @@ from scipy.stats import multivariate_normal
 from sakde import asymptotics, checks, densities, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
 from sakde.kernels import gaussian_roughness
+from sakde.reference import REFERENCE_CELLS
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
 PHI0 = 1 / math.sqrt(2 * math.pi)
@@ -379,6 +380,14 @@ def test_table_model_names():
     assert mc.table_model("mixture") is not mc.table_model("mixture")  # built per call
 
 
+def test_reference_cells_are_the_table_cells():
+    # one golden entry per table cell, under the key checks.reference_deviations looks up
+    cells = [(table, tuple(cfg.x), cfg.a, cfg.n, cfg.estimator)
+             for table in (1, 2, 3, 4) for cfg in mc.table_configs(table, 0, 1)]
+    assert len(set(cells)) == len(cells) == len(REFERENCE_CELLS)
+    assert set(cells) == set(REFERENCE_CELLS)
+
+
 def test_cell_config_validation():
     model = mc.table_model("gaussian")
     with pytest.raises(ValueError):
@@ -418,9 +427,10 @@ def test_cell_config_stores_x_as_a_tuple_of_floats(x):
 @pytest.mark.parametrize("model, x", [
     ("gaussian", (math.nan,)), ("gaussian", (math.inf,)),
     ("gaussian-2d", (0.0,)), ("gaussian", (0.0, 0.0)),
-], ids=["nan", "inf", "1d-point-on-2d", "2d-point-on-1d"])
+    ("gaussian", ("a",)), ("gaussian", (None,)), ("gaussian", ("0.5",)), ("gaussian", (1 + 2j,)),
+], ids=["nan", "inf", "1d-point-on-2d", "2d-point-on-1d", "str", "none", "numeric-str", "complex"])
 def test_cell_config_rejects_a_point_it_cannot_score(model, x):
-    # a point of the wrong length or with a non-finite coordinate never reaches a draw
+    # a point of the wrong length or kind, or with a non-finite coordinate, never reaches a draw
     with pytest.raises(ValueError, match="^x must be"):
         mc.CellConfig(mc.table_model(model), x, 50, 0.17, mc.RECURSIVE, 100, 0)
 

@@ -37,8 +37,9 @@ lines for:
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
-- each of a fixed list of calls the CLI must reject with a one-line message
-  (a seed outside [0, 2^64));
+- each of a fixed list of calls the CLI must reject with a usage error (a
+  seed outside [0, 2^64), an ``asymptotics`` query given a flag it does not
+  read or missing one it requires);
 - the batch forms ``recursive_batch`` and ``rosenblatt_batch`` at one point,
   run by a ``python -c`` snippet per case on standard normal samples from
   ``default_rng(42)``: 1-d and 2-d blocks of table size (n = 50 and 200) and
@@ -122,6 +123,8 @@ def cell_calls():
 REJECTED_CALLS = (
     "check fast --seed -1",
     "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --seed -1",
+    "asymptotics variance --density gaussian --x 0 --a 0.21 --gamma0 0.79 --n 100 --alpha 0.7",
+    "asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.79",
 )
 
 
