@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import os
 import sys
@@ -33,7 +34,7 @@ def _resolve_seed(arg_seed: Optional[int]) -> Tuple[int, str]:
     if env is not None:
         try:
             return _seed(env), f"env:{SEED_ENV}"
-        except (ValueError, argparse.ArgumentTypeError):
+        except argparse.ArgumentTypeError:
             raise SystemExit(f"{SEED_ENV} must be an integer in [0, 2^64), got {env!r}") from None
     return DEFAULT_SEED, "default"
 
@@ -60,42 +61,52 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _seed(text: str) -> int:
     """A master seed: an integer in [0, 2^64), the first word of every Philox key."""
-    if not 0 <= int(text) < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
-    return int(text)
-
-
-def _parse_point(text: str, dim: int) -> Tuple[float, ...]:
-    """Parse ``--x`` as ``dim`` finite numbers separated by commas (or semicolons)."""
     try:
-        point = tuple(float(tok) for tok in text.replace(";", ",").split(","))
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+    return value
+
+
+def _point(density: str, x: str):
+    """The table model ``density``, ``--x`` parsed as its point (``dim`` finite numbers
+    separated by commas or semicolons), and the model's density there."""
+    model = mc.table_model(density)
+    try:
+        point = tuple(float(tok) for tok in x.replace(";", ",").split(","))
     except ValueError:
         point = ()
-    if len(point) != dim or not all(map(math.isfinite, point)):
-        raise SystemExit(f"--x must be {dim} finite number(s) separated by commas, got {text!r}")
-    return point
+    if len(point) != model.dim or not all(map(math.isfinite, point)):
+        raise SystemExit(f"--x must be {model.dim} finite number(s) separated by commas, "
+                         f"got {x!r}")
+    return model, point, model.pdf(np.asarray(point))
 
 
 # ---------------------------------------------------------------------------
 # table / cell commands
 # ---------------------------------------------------------------------------
 
-def cmd_table(args) -> int:
-    seed, source = _resolve_seed(args.seed)
-    rows = mc.run_table(args.table, seed, args.reps, jobs=args.jobs)
-    meta = _meta(f"table {args.table}", seed, source, args.reps, rows[0].cell.dim)
-    out = args.out or f"table-{args.table}.csv"
+def _table(table, /, *, seed=None, out=None, jobs=os.cpu_count() or 1, reps=5000) -> None:
+    seed, source = _resolve_seed(seed)
+    rows = mc.run_table(table, seed, reps, jobs=jobs)
+    meta = _meta(f"table {table}", seed, source, reps, rows[0].cell.dim)
+    out = out or f"table-{table}.csv"
     _write_text(out, mc.format_report(rows, meta))
     print(f"wrote {len(rows)} rows to {out}")
     _print_reference_diff(rows)
-    return 0
 
 
 def _print_reference_diff(rows) -> None:
@@ -114,143 +125,118 @@ def _print_reference_diff(rows) -> None:
           f"max |length/reference - 1| = {max_len:.2f} %")
 
 
-def cmd_cell(args) -> int:
-    seed, source = _resolve_seed(args.seed)
-    model = mc.table_model(args.density)
-    try:
-        cfg = mc.CellConfig(model, _parse_point(args.x, model.dim), args.n, args.a,
-                            args.estimator, args.reps, seed)
-    except ValueError as exc:
-        raise SystemExit(f"cell: {exc}") from None
+def _cell(*, density, x, a, n, estimator, seed=None, reps=5000, out=None) -> None:
+    seed, source = _resolve_seed(seed)
+    model, point, _ = _point(density, x)
+    cfg = mc.CellConfig(model, point, n, a, estimator, reps, seed)
     (result,) = mc.run_cell(cfg)
-    meta = _meta(
-        f"cell {args.density} x={args.x} a={args.a} n={args.n} {args.estimator}",
-        seed, source, args.reps, model.dim)
-    text = mc.format_report([mc.TableRow(0, args.density, cfg, result)], meta)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote 1 row to {args.out}")
+    meta = _meta(f"cell {density} x={x} a={a} n={n} {estimator}", seed, source, reps, model.dim)
+    text = mc.format_report([mc.TableRow(0, density, cfg, result)], meta)
+    if out:
+        _write_text(out, text)
+        print(f"wrote 1 row to {out}")
     else:
         sys.stdout.write(text)
     print(f"empirical level {100 * result.empirical_level:.2f}% "
           f"(stderr {100 * result.stderr_level:.2f} pp), "
           f"avg length {result.avg_length:.6g}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# asymptotics command
+# asymptotics queries
 # ---------------------------------------------------------------------------
 
-#: each asymptotics flag's argparse settings, declared once for every query that reads it
-_FLAGS = {"density": dict(choices=mc.TABLE_MODELS),
-          "x": dict(help="evaluation point, comma separated"),
-          **dict.fromkeys(("a", "gamma0", "alpha", "c"), dict(type=float)),
-          **dict.fromkeys(("n", "d"), dict(type=_positive_int))}
-
-#: asymptotics query -> (the flags it requires, its optional flags with their defaults)
-QUERIES = {
-    "bias": (("density", "x", "a", "gamma0", "n"), {}),
-    "variance": (("density", "x", "a", "gamma0", "n"), {}),
-    "mse-optimal": (("density", "x"), {}),
-    "mise-optimal": (("density",), {}),
-    "rho": (("d",), {}),
-    "ci-constant": (("gamma0", "a", "d"), {}),
-    "clt": (("density", "x", "a", "gamma0"), {"c": 0.0}),
-    "regime": (("a", "alpha", "d"), {"gamma0": math.inf}),
-}
+def _bias(*, density, x, a, gamma0, n) -> None:
+    model, x, _ = _point(density, x)
+    s_x = curvature(model, x)
+    step = stepsize_plan(gamma0)
+    bw = bandwidth_plan(1.0, a)
+    value = asymptotics.bias_leading(s_x, bw, step, n)
+    print(f"curvature S(x) = {s_x:.6g}")
+    print(f"leading recursive bias at n={n}: {value:.6g}")
+    print(f"leading baseline bias at n={n}:  "
+          f"{asymptotics.rosenblatt_bias(s_x, float(bw.value(n))):.6g}")
 
 
-def cmd_asymptotics(args) -> int:
-    try:
-        return _answer_query(args)
-    except ValueError as exc:  # a formula's domain or pole check rejected the flags
-        raise SystemExit(f"asymptotics {args.query}: {exc}") from None
+def _variance(*, density, x, a, gamma0, n) -> None:
+    model, _, f_x = _point(density, x)
+    step = stepsize_plan(gamma0)
+    bw = bandwidth_plan(1.0, a)
+    value = asymptotics.variance_leading(f_x, model.dim, bw, step, n)
+    base = asymptotics.rosenblatt_variance(f_x, model.dim, n, float(bw.value(n)))
+    print(f"density f(x) = {f_x:.6g}")
+    print(f"leading recursive variance at n={n}: {value:.6g}")
+    print(f"leading baseline variance at n={n}:  {base:.6g}")
 
 
-def _answer_query(args) -> int:
-    q = args.query
-    if q == "rho":
-        print(f"optimal-MSE efficiency ratio rho(d={args.d}) = "
-              f"{asymptotics.efficiency_ratio(args.d):.5f}")
-        return 0
-    if q == "ci-constant":
-        c = asymptotics.ci_constant(args.gamma0, args.a, args.d)
-        g_min, c_min = asymptotics.ci_constant_minimum(args.a, args.d)
-        print(f"interval calibration C(gamma0={args.gamma0:g}, a={args.a:g}, d={args.d}) = {c:.5f}")
-        print(f"minimum {c_min:.5f} at gamma0 = {g_min:g}")
-        return 0
-    if q == "regime":
-        r = asymptotics.classify_regime(args.a, args.alpha, args.d, args.gamma0)
-        print(r.regime)
-        print(f"  h^2 bias expansion applies: {r.h2_bias_applies}")
-        print(f"  bias negligible:            {r.bias_negligible}")
-        print(f"  leading variance applies:   {r.variance_leading_applies}")
-        print(f"  variance negligible:        {r.variance_negligible}")
-        print(f"  gain limit admissible:      {r.gain_limit_admissible}")
-        print(f"  both expansions valid:      {r.both_expansions_valid}")
-        return 0
+def _print_plan(plan, dim: int, risk: str) -> None:
+    print("stepsize: gamma_n = 1/n (gain limit 1)")
+    print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{dim + 4})")
+    print(f"leading {risk} = {plan.mse_constant:.6g} * n^(-4/{dim + 4})")
 
-    model = mc.table_model(args.density)
-    if q == "mise-optimal":
-        integral = curvature_squared_integral(model)
-        plan = asymptotics.mise_optimal_plan(integral, model.dim)
-        print(f"integrated squared curvature = {integral:.6g}")
-        print("stepsize: gamma_n = 1/n (gain limit 1)")
-        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
-        print(f"leading MISE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
-        return 0
-    x = _parse_point(args.x, model.dim)
-    f_x = model.pdf(np.asarray(x))
-    if q == "bias":
-        s_x = curvature(model, x)
-        step = stepsize_plan(args.gamma0)
-        bw = bandwidth_plan(1.0, args.a)
-        h_n = float(bw.value(args.n))
-        value = asymptotics.bias_leading(s_x, bw, step, args.n)
-        print(f"curvature S(x) = {s_x:.6g}")
-        print(f"leading recursive bias at n={args.n}: {value:.6g}")
-        print(f"leading baseline bias at n={args.n}:  {asymptotics.rosenblatt_bias(s_x, h_n):.6g}")
-        return 0
-    if q == "variance":
-        step = stepsize_plan(args.gamma0)
-        bw = bandwidth_plan(1.0, args.a)
-        h_n = float(bw.value(args.n))
-        value = asymptotics.variance_leading(f_x, model.dim, bw, step, args.n)
-        base = asymptotics.rosenblatt_variance(f_x, model.dim, args.n, h_n)
-        print(f"density f(x) = {f_x:.6g}")
-        print(f"leading recursive variance at n={args.n}: {value:.6g}")
-        print(f"leading baseline variance at n={args.n}:  {base:.6g}")
-        return 0
-    if q == "mse-optimal":
-        s_x = curvature(model, x)
-        plan = asymptotics.mse_optimal_plan(f_x, s_x, model.dim)
-        print("stepsize: gamma_n = 1/n (gain limit 1)")
-        print(f"bandwidth: h_n = {plan.bandwidth_constant:.5f} * gamma_n^(1/{model.dim + 4})")
-        print(f"leading MSE = {plan.mse_constant:.6g} * n^(-4/{model.dim + 4})")
-        return 0
-    if q == "clt":
-        s_x = curvature(model, x)
-        step = stepsize_plan(args.gamma0)
-        params = asymptotics.clt_params(args.c, f_x, s_x, model.dim, args.a, step)
-        if params.degenerate:
-            print(f"degenerate limit: h^-2 (f_n - f) -> {params.asym_mean:.6g} in probability")
-        else:
-            print(f"limit law: Normal(mean={params.asym_mean:.6g}, "
-                  f"variance={params.asym_var:.6g}) for c={args.c:g}")
-        return 0
+
+def _mse_optimal(*, density, x) -> None:
+    model, x, f_x = _point(density, x)
+    _print_plan(asymptotics.mse_optimal_plan(f_x, curvature(model, x), model.dim),
+                model.dim, "MSE")
+
+
+def _mise_optimal(*, density) -> None:
+    model = mc.table_model(density)
+    integral = curvature_squared_integral(model)
+    print(f"integrated squared curvature = {integral:.6g}")
+    _print_plan(asymptotics.mise_optimal_plan(integral, model.dim), model.dim, "MISE")
+
+
+def _rho(*, d) -> None:
+    print(f"optimal-MSE efficiency ratio rho(d={d}) = {asymptotics.efficiency_ratio(d):.5f}")
+
+
+def _ci_constant(*, gamma0, a, d) -> None:
+    c = asymptotics.ci_constant(gamma0, a, d)
+    g_min, c_min = asymptotics.ci_constant_minimum(a, d)
+    print(f"interval calibration C(gamma0={gamma0:g}, a={a:g}, d={d}) = {c:.5f}")
+    print(f"minimum {c_min:.5f} at gamma0 = {g_min:g}")
+
+
+def _clt(*, density, x, a, gamma0, c=0.0) -> None:
+    model, x, f_x = _point(density, x)
+    s_x = curvature(model, x)
+    params = asymptotics.clt_params(c, f_x, s_x, model.dim, a, stepsize_plan(gamma0))
+    if params.degenerate:
+        print(f"degenerate limit: h^-2 (f_n - f) -> {params.asym_mean:.6g} in probability")
+    else:
+        print(f"limit law: Normal(mean={params.asym_mean:.6g}, "
+              f"variance={params.asym_var:.6g}) for c={c:g}")
+
+
+def _regime(*, a, alpha, d, gamma0=math.inf) -> None:
+    r = asymptotics.classify_regime(a, alpha, d, gamma0)
+    print(r.regime)
+    print(f"  h^2 bias expansion applies: {r.h2_bias_applies}")
+    print(f"  bias negligible:            {r.bias_negligible}")
+    print(f"  leading variance applies:   {r.variance_leading_applies}")
+    print(f"  variance negligible:        {r.variance_negligible}")
+    print(f"  gain limit admissible:      {r.gain_limit_admissible}")
+    print(f"  both expansions valid:      {r.both_expansions_valid}")
+
+
+#: asymptotics query -> the function that answers it
+QUERIES = {"bias": _bias, "variance": _variance, "mse-optimal": _mse_optimal,
+           "mise-optimal": _mise_optimal, "rho": _rho, "ci-constant": _ci_constant,
+           "clt": _clt, "regime": _regime}
 
 
 # ---------------------------------------------------------------------------
 # check command
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    seed, source = _resolve_seed(args.seed)
-    print(f"check suite={args.suite} seed={seed} ({source}) version=sakde {__version__}")
+def _check(suite, /, *, seed=None, jobs=os.cpu_count() or 1) -> int:
+    seed, source = _resolve_seed(seed)
+    print(f"check suite={suite} seed={seed} ({source}) version=sakde {__version__}")
     passed = total = 0
-    for check in checks.FAST if args.suite == "fast" else checks.FULL:
-        for outcome in check(seed, args.jobs):
+    for check in checks.FAST if suite == "fast" else checks.FULL:
+        for outcome in check(seed, jobs):
             print(f"[{'PASS' if outcome.passed else 'FAIL'}] {outcome.name}: {outcome.detail}")
             if outcome.note:
                 print(f"       {outcome.note}")
@@ -264,6 +250,31 @@ def cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+#: each argument's argparse settings, declared once for every command that reads it
+_ARGS = {"table": dict(type=int, choices=(1, 2, 3, 4)),
+         "suite": dict(choices=("fast", "full")),
+         "density": dict(choices=mc.TABLE_MODELS),
+         "x": dict(help="evaluation point, comma separated"),
+         "estimator": dict(choices=(mc.ROSENBLATT, mc.RECURSIVE)),
+         **dict.fromkeys(("a", "gamma0", "alpha", "c"), dict(type=float)),
+         **dict.fromkeys(("n", "d", "jobs", "reps"), dict(type=_positive_int)),
+         "seed": dict(type=_seed),
+         "out": {}}
+
+
+def _add_command(parser: argparse.ArgumentParser, command) -> None:
+    """Declare ``command``'s parameters as ``parser``'s arguments: a positional-only
+    parameter is a positional argument, and a keyword-only one a flag that is
+    required when the parameter has no default."""
+    for name, param in inspect.signature(command).parameters.items():
+        if param.kind is param.POSITIONAL_ONLY:
+            parser.add_argument(name, **_ARGS[name])
+        else:  # a required flag's default is never read
+            parser.add_argument(f"--{name}", required=param.default is param.empty,
+                                default=param.default, **_ARGS[name])
+    parser.set_defaults(func=command, parser=parser)
+
+
 @functools.cache  # built once per process: callers may run main many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -272,47 +283,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "asymptotic constants, and invariant checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="run one benchmark coverage table")
-    p_table.add_argument("table", type=int, choices=(1, 2, 3, 4))
-    p_table.add_argument("--seed", type=_seed)
-    p_table.add_argument("--out", type=str)
-    p_table.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
-    p_table.add_argument("--reps", type=_positive_int, default=5000)
-    p_table.set_defaults(func=cmd_table)
-
-    p_cell = sub.add_parser("cell", help="run one coverage cell")
-    p_cell.add_argument("--density", required=True, choices=mc.TABLE_MODELS)
-    p_cell.add_argument("--x", required=True, help="evaluation point, comma separated")
-    p_cell.add_argument("--a", type=float, required=True)
-    p_cell.add_argument("--n", type=_positive_int, required=True)
-    p_cell.add_argument("--estimator", required=True, choices=(mc.ROSENBLATT, mc.RECURSIVE))
-    p_cell.add_argument("--seed", type=_seed)
-    p_cell.add_argument("--reps", type=_positive_int, default=5000)
-    p_cell.add_argument("--out", type=str)
-    p_cell.set_defaults(func=cmd_cell)
-
+    _add_command(sub.add_parser("table", help="run one benchmark coverage table"), _table)
+    _add_command(sub.add_parser("cell", help="run one coverage cell"), _cell)
     p_asy = sub.add_parser("asymptotics", help="evaluate leading-order constants")
     queries = p_asy.add_subparsers(dest="query", required=True)
-    for query, (required, optional) in QUERIES.items():
-        p_query = queries.add_parser(query, allow_abbrev=False)  # else --d reads as --density
-        for flag in (*required, *optional):
-            p_query.add_argument(f"--{flag}", required=flag in required,
-                                 default=optional.get(flag), **_FLAGS[flag])
-    p_asy.set_defaults(func=cmd_asymptotics)
-
-    p_check = sub.add_parser("check", help="run the invariant check suites")
-    p_check.add_argument("suite", choices=("fast", "full"))
-    p_check.add_argument("--seed", type=_seed)
-    p_check.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
-    p_check.set_defaults(func=cmd_check)
-
+    for query, answer in QUERIES.items():
+        # allow_abbrev=False, else --d reads as --density
+        _add_command(queries.add_parser(query, allow_abbrev=False), answer)
+    _add_command(sub.add_parser("check", help="run the invariant check suites"), _check)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # under the usage of the command that does not read them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    params = inspect.signature(args.func).parameters.values()
+    positional = [getattr(args, p.name) for p in params if p.kind is p.POSITIONAL_ONLY]
+    keywords = {p.name: getattr(args, p.name) for p in params if p.kind is p.KEYWORD_ONLY}
+    try:
+        status = args.func(*positional, **keywords)
+    except ValueError as exc:  # a formula's or a cell's domain check rejected an argument
+        raise SystemExit(f"{args.parser.prog.removeprefix('sakde ')}: {exc}") from None
+    return status or 0  # only check has a failing status
 
 
 if __name__ == "__main__":

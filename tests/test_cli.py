@@ -1,13 +1,31 @@
+import inspect
 import re
 
 import pytest
 
-from sakde import checks
+from sakde import checks, cli
 from sakde.cli import QUERIES, main
 
 #: an in-domain value of every asymptotics flag
 FLAG_VALUES = {"density": "gaussian", "x": "0", "a": "0.21", "gamma0": "0.79", "n": "100",
                "d": "1", "alpha": "1", "c": "0"}
+
+#: every command and asymptotics query, by the argv that names it, with the
+#: function whose parameters are its arguments
+COMMANDS = {"table": cli._table, "cell": cli._cell, "check": cli._check,
+            **{f"asymptotics {query}": answer for query, answer in QUERIES.items()}}
+
+
+def _params(command, kind):
+    return [p for p in inspect.signature(command).parameters.values() if p.kind is kind]
+
+
+def _flags(query):
+    """``(required, optional)``: the flags a query's function takes without and
+    with a default."""
+    flags = _params(QUERIES[query], inspect.Parameter.KEYWORD_ONLY)
+    return ([p.name for p in flags if p.default is p.empty],
+            [p.name for p in flags if p.default is not p.empty])
 
 
 def run(capsys, *argv):
@@ -79,33 +97,62 @@ def _query(query, flags):
 
 
 @pytest.mark.parametrize("query, flag", [
-    (query, flag) for query, (required, optional) in QUERIES.items()
-    for flag in FLAG_VALUES if flag not in (*required, *optional)])
+    (query, flag) for query in QUERIES
+    for flag in FLAG_VALUES if flag not in sum(_flags(query), [])])
 def test_asymptotics_flag_a_query_does_not_read_is_usage_error(query, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(_query(query, (*QUERIES[query][0], flag)))
+        main(_query(query, (*_flags(query)[0], flag)))
     assert exc.value.code == 2
+    # reported under the query's own usage, which names the query
     assert capsys.readouterr().err.endswith(
-        f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}\n")
+        f"sakde asymptotics {query}: error: unrecognized arguments: "
+        f"--{flag} {FLAG_VALUES[flag]}\n")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("table 1 --reps 10 --bogus", "--bogus"),
+    ("cell --density gaussian --x 0 --a 0.21 --n 50 --estimator recursive --jobs 2",
+     "--jobs 2"),
+    ("check fast extra", "extra"),
+])
+def test_argument_a_command_does_not_read_is_usage_error(argv, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    command = argv.split()[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sakde {command} ")
+    assert err.endswith(f"sakde {command}: error: unrecognized arguments: {extra}\n")
 
 
 @pytest.mark.parametrize("query, flag", [
-    (query, flag) for query, (required, _) in QUERIES.items() for flag in required])
+    (query, flag) for query in QUERIES for flag in _flags(query)[0]])
 def test_asymptotics_query_missing_a_flag_is_usage_error(query, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(_query(query, [f for f in QUERIES[query][0] if f != flag]))
+        main(_query(query, [f for f in _flags(query)[0] if f != flag]))
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         f"the following arguments are required: --{flag}\n")
 
 
-@pytest.mark.parametrize("query", QUERIES)
-def test_asymptotics_query_help_lists_its_flags(query, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_parameters(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["asymptotics", query, "--help"])
+        main([*command.split(), "--help"])
     assert exc.value.code == 0
-    required, optional = QUERIES[query]
-    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == {"help", *required, *optional}
+    out = capsys.readouterr().out
+    flags = _params(COMMANDS[command], inspect.Parameter.KEYWORD_ONLY)
+    assert set(re.findall(r"--(\w+)", out)) == {"help", *(p.name for p in flags)}
+    # a positional-only parameter is the one positional argument, listed by its choices
+    positional = re.findall(r"^positional arguments:\n((?:  .*\n)*)", out, re.M)
+    assert len("".join(positional).splitlines()) == len(
+        _params(COMMANDS[command], inspect.Parameter.POSITIONAL_ONLY))
+
+
+def test_every_declared_argument_is_a_parameter_of_a_command():
+    # and every parameter has its one declaration
+    assert set(cli._ARGS) == {name for command in COMMANDS.values()
+                              for name in inspect.signature(command).parameters}
 
 
 def test_table_writes_csv_and_diff(tmp_path, capsys):
@@ -213,12 +260,20 @@ def test_check_failure_is_reported_and_exits_1(capsys, monkeypatch):
     ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "50",
      "--estimator", "recursive", "--seed", "-1"],
     ["table", "1", "--seed", "4.5"],
+    # text that is no integer gets the same message as an integer out of range
+    ["check", "fast", "--jobs", "2.5"],
+    ["cell", "--density", "gaussian", "--x", "0", "--a", "0.21", "--n", "ten",
+     "--estimator", "recursive"],
+    ["asymptotics", "rho", "--d", "one"],
 ])
 def test_nonpositive_reps_and_jobs_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "argument --" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(r"argument --\w+: must be (a positive integer|an integer in \[0, 2\^64\)), "
+                     r"got '", err)
+    assert not re.search(r"\b_\w", err)  # no private name of the program
 
 
 def test_non_integer_seed_env_is_one_line_exit(tmp_path, monkeypatch):

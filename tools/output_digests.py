@@ -37,9 +37,12 @@ lines for:
   eight queries, the four densities and the points 0, 0.5 and 1;
 - each of a fixed list of ``sakde cell`` calls: the four densities and both
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
+- the ``--help`` text of the top level, of ``table``, ``cell``, ``check`` and
+  ``asymptotics``, and of each of the eight ``asymptotics`` queries;
 - each of a fixed list of calls the CLI must reject with a usage error (a
-  seed outside [0, 2^64), an ``asymptotics`` query given a flag it does not
-  read or missing one it requires);
+  seed outside [0, 2^64), a ``--reps`` that is no integer, a command or an
+  ``asymptotics`` query given an argument it does not read, a query missing a
+  flag it requires);
 - the batch forms ``recursive_batch`` and ``rosenblatt_batch`` at one point,
   run by a ``python -c`` snippet per case on standard normal samples from
   ``default_rng(42)``: 1-d and 2-d blocks of table size (n = 50 and 200) and
@@ -125,7 +128,17 @@ REJECTED_CALLS = (
     "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --seed -1",
     "asymptotics variance --density gaussian --x 0 --a 0.21 --gamma0 0.79 --n 100 --alpha 0.7",
     "asymptotics bias --density gaussian --x 0 --a 0.21 --gamma0 0.79",
+    "table 1 --bogus",
+    "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --jobs 2",
+    "check fast extra",
+    "table 1 --reps many",
 )
+
+# The commands and queries whose --help text is digested; the tool also runs on
+# older trees, so the queries are written out, not read from cli.QUERIES.
+HELP_CALLS = ("", "table", "cell", "check", "asymptotics", *(
+    f"asymptotics {query}" for query in ("bias", "variance", "mse-optimal", "mise-optimal",
+                                         "rho", "ci-constant", "clt", "regime")))
 
 
 # The data and plans of the `stream` workload, at its full size and seed 42.
@@ -337,6 +350,8 @@ def outputs(root: Path, work: Path):
         yield f"asymptotics {query}", run_cli(root, ["asymptotics", *query.split()], work)
     for call in cell_calls():
         yield f"cell {call}", run_cli(root, ["cell", *call.split()], work)
+    for call in HELP_CALLS:
+        yield f"help {call}".rstrip(), run_cli(root, [*call.split(), "--help"], work)
     for call in REJECTED_CALLS:
         yield f"rejected {call}", run_cli(root, call.split(), work)
     for case in BATCH_CASES:
