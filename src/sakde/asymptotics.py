@@ -15,6 +15,7 @@ domain, NaN included, raise ``ValueError``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -103,8 +104,8 @@ def _variance_denom(a: float, d: int, xi: float) -> float:
 
 
 def _check_n(n) -> None:
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be at least 1 and finite, got {n}")
+    if not 1 <= n <= sys.float_info.max:  # the formulas compute with n as a float
+        raise ValueError(f"n must be at least 1 and at most {sys.float_info.max:g}, got {n}")
 
 
 def _check_h(h) -> None:

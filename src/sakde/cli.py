@@ -295,9 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args, extra = build_parser().parse_known_args(argv)
-    if extra:  # under the usage of the command that does not read them
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if extra:  # under the usage of the level that does not read them: the top
+        # level reads no argument before the command
+        leading = argv[:argv.index(args.command)]
+        (build_parser() if leading else args.parser).error(
+            f"unrecognized arguments: {' '.join(leading or extra)}")
     params = inspect.signature(args.func).parameters.values()
     positional = [getattr(args, p.name) for p in params if p.kind is p.POSITIONAL_ONLY]
     keywords = {p.name: getattr(args, p.name) for p in params if p.kind is p.KEYWORD_ONLY}

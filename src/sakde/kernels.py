@@ -76,9 +76,11 @@ class Kernel:
 
 
 def check_dim(dim) -> int:
-    """``dim``, once it is known to be a positive integer (not a bool)."""
+    """``dim``, once it is known to be a positive integer (not a bool) of at most 2^53."""
     if not (is_integer(dim) and dim >= 1):
         raise ValueError("dim must be a positive integer")
+    if dim > 2**53:  # the formulas compute with d as a float
+        raise ValueError(f"dim must be at most 2^53, got {dim}")
     return dim
 
 

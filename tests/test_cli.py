@@ -109,20 +109,21 @@ def test_asymptotics_flag_a_query_does_not_read_is_usage_error(query, flag, caps
         f"--{flag} {FLAG_VALUES[flag]}\n")
 
 
-@pytest.mark.parametrize("argv, extra", [
-    ("table 1 --reps 10 --bogus", "--bogus"),
+@pytest.mark.parametrize("argv, prog, extra", [
+    ("table 1 --reps 10 --bogus", "sakde table", "--bogus"),
     ("cell --density gaussian --x 0 --a 0.21 --n 50 --estimator recursive --jobs 2",
-     "--jobs 2"),
-    ("check fast extra", "extra"),
+     "sakde cell", "--jobs 2"),
+    ("check fast extra", "sakde check", "extra"),
+    # an argument before the command is the top level's to refuse
+    ("--bogus check fast", "sakde", "--bogus"),
 ])
-def test_argument_a_command_does_not_read_is_usage_error(argv, extra, capsys):
+def test_argument_a_command_does_not_read_is_usage_error(argv, prog, extra, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
-    command = argv.split()[0]
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: sakde {command} ")
-    assert err.endswith(f"sakde {command}: error: unrecognized arguments: {extra}\n")
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: {extra}\n")
 
 
 @pytest.mark.parametrize("query, flag", [
@@ -230,7 +231,7 @@ def test_check_fast_passes(capsys):
 
 def test_check_failure_is_reported_and_exits_1(capsys, monkeypatch):
     def broken(seed, jobs):
-        return [checks.CheckOutcome("lemma-limit", False, "forced failure", None, "")]
+        return [checks.CheckOutcome("lemma-limit", False, "forced failure", {}, "")]
 
     monkeypatch.setattr(checks, "FAST", tuple(
         broken if c is checks.lemma_limit_value else c for c in checks.FAST))
@@ -327,6 +328,11 @@ def test_bad_point_is_one_line_exit(argv):
      "a*d must lie in (0, 1)"),
     ("asymptotics clt --density gaussian --x 0 --a -0.5 --gamma0 0.79", "a*d must lie in (0, 1)"),
     ("asymptotics clt --density gaussian --x 0 --a 1.5 --gamma0 0.79", "a*d must lie in (0, 1)"),
+    # integers beyond float range, where the formulas compute in floats
+    (f"asymptotics variance --density gaussian --x 0 --a 0.21 --gamma0 0.79 --n 1{'0' * 400}",
+     "n must be at least 1 and at most"),
+    (f"asymptotics rho --d 1{'0' * 400}", "dim must be at most 2^53"),
+    (f"asymptotics regime --a 0.2 --alpha 1 --d 1{'0' * 400}", "dim must be at most 2^53"),
 ])
 def test_rejected_input_is_one_line_exit(argv, message):
     with pytest.raises(SystemExit) as exc:

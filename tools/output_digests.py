@@ -15,6 +15,10 @@ lines for:
   ``python -c`` snippet that prints its coverage as ``repr`` (full precision)
   and its average length at 12 significant digits (the CSV shows 6);
 - the stdout of ``sakde check full --seed 42 --jobs 1``;
+- the ``value`` of each outcome of that suite, as ``json.dumps(value,
+  sort_keys=True)`` (its floats at full precision; the printed lines show 2-3
+  digits), from one run of ``checks.FULL`` by a ``python -c`` snippet, plus
+  the exit status and stderr of that run;
 - each estimate vector that ``check full``'s Monte Carlo cells read at seed
   42, at full precision (the printed lines show 3-4 decimals): the two moment
   cells and the CLT cell of ``checks.moments_and_clt`` and the cell of
@@ -39,10 +43,11 @@ lines for:
   estimators at the origin, ``--n 100 --reps 500 --seed 42``;
 - the ``--help`` text of the top level, of ``table``, ``cell``, ``check`` and
   ``asymptotics``, and of each of the eight ``asymptotics`` queries;
-- each of a fixed list of calls the CLI must reject with a usage error (a
-  seed outside [0, 2^64), a ``--reps`` that is no integer, a command or an
-  ``asymptotics`` query given an argument it does not read, a query missing a
-  flag it requires);
+- each of a fixed list of calls the CLI must reject with a usage error or a
+  one-line exit (a seed outside [0, 2^64), a ``--reps`` that is no integer, a
+  command or an ``asymptotics`` query given an argument it does not read, an
+  argument before the command, a query missing a flag it requires, an n or a d
+  beyond float range);
 - the batch forms ``recursive_batch`` and ``rosenblatt_batch`` at one point,
   run by a ``python -c`` snippet per case on standard normal samples from
   ``default_rng(42)``: 1-d and 2-d blocks of table size (n = 50 and 200) and
@@ -122,7 +127,8 @@ def cell_calls():
                    f"--n 100 --reps 500 --seed 42")
 
 
-# Calls outside the CLI's domain: each must end in a usage error, not a traceback.
+# Calls outside the CLI's domain: each must end in a usage error or a one-line
+# exit, not a traceback.
 REJECTED_CALLS = (
     "check fast --seed -1",
     "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --seed -1",
@@ -132,6 +138,9 @@ REJECTED_CALLS = (
     "cell --density gaussian --x 0 --a 0.21 --estimator recursive --n 100 --reps 500 --jobs 2",
     "check fast extra",
     "table 1 --reps many",
+    "--bogus check fast",
+    f"asymptotics variance --density gaussian --x 0 --a 0.21 --gamma0 0.79 --n 1{'0' * 400}",
+    f"asymptotics rho --d 1{'0' * 400}",
 )
 
 # The commands and queries whose --help text is digested; the tool also runs on
@@ -300,6 +309,20 @@ g = drawn[int(sys.argv[2])]
 print(g.shape, hashlib.sha256(g.tobytes()).hexdigest())
 """
 
+# Prints `name<TAB>json.dumps(value, sort_keys=True)` for each outcome of
+# check full at seed 42, or the error of a value that does not serialise.
+CHECK_VALUES_SNIPPET = """
+import json
+from sakde import checks
+for check in checks.FULL:
+    for outcome in check(42, 1):
+        try:
+            text = json.dumps(outcome.value, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            text = repr(exc)
+        print(outcome.name, text, sep="\t")
+"""
+
 # check full's Monte Carlo cells: the check that reads each, and its vector's index
 ESTIMATE_VECTORS = {
     "moments-vs-exact(plain-average)": ("moments_and_clt", 0),
@@ -338,6 +361,12 @@ def outputs(root: Path, work: Path):
         yield (f"table {table} cells at full precision",
                run_python(root, ["-c", TABLE_CELLS_SNIPPET, str(table)], work))
     yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
+    status, *lines = run_python(root, ["-c", CHECK_VALUES_SNIPPET], work).splitlines()
+    for line in lines:
+        name, tab, text = line.partition("\t")
+        if tab:
+            yield f"check full value {name}", text
+    yield "check full values run", "\n".join([status, *(ln for ln in lines if "\t" not in ln)])
     for cell, (check, index) in ESTIMATE_VECTORS.items():
         yield (f"check full estimates {cell}",
                run_python(root, ["-c", ESTIMATES_SNIPPET, check, str(index)], work))
