@@ -14,7 +14,7 @@ an identity the test suite certifies to 1e-12.
 
 Every estimate is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)``
 in the exponent form of :mod:`sakde.kernels`, the estimators differing only in
-``(c_k, h_k)``; the recursion is expanded in one place, :func:`_recursion`.  Over
+``(c_k, h_k)``; the recursion is expanded in one place, :func:`_runs`.  Over
 one sample the sum is :func:`_kernel_sum`.  Replication samples are evaluated
 at one point by :func:`estimates_at_point` alone, for the Monte Carlo and the
 batch forms.
@@ -37,11 +37,14 @@ import numpy as np
 
 from sakde.kernels import (EXP_FLOOR, Kernel, check_dim, gaussian_kernel, gaussian_norm,
                            product_gaussian)
-from sakde.sequences import BandwidthPlan, SequencePlan, StepsizePlan, suffix_products
+from sakde.sequences import (BandwidthPlan, SequencePlan, StepsizePlan, is_integer,
+                             suffix_products)
 
 # the package's one memory budget, in float64 scalars (16 MB) per temporary: a
 # kernel-evaluation chunk (observations x points x dim) and a block of
-# replication samples (replications x n x dim) stay within it
+# replication samples (replications x n x dim) stay within it.  The Monte Carlo
+# holds one block and, at a point, one tile of its rows' squared distances
+# (estimates_at_point), never a second array the size of the block
 SCALAR_BUDGET = 1 << 21
 
 # the exponent tile of every fused kernel sum, in float64 scalars (512 KB): it
@@ -145,14 +148,16 @@ def _exponent_terms(c: np.ndarray, h: np.ndarray, dim: int) -> Tuple[np.ndarray,
     return c * gaussian_norm(dim) / h**dim, -0.5 / (h * h)
 
 
-def _squared_distances(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
+def _squared_distances(points: np.ndarray, sample: np.ndarray, q=None) -> np.ndarray:
     """``q = sum_j (p_j - X_kj)^2`` for every point ``p`` of ``points`` (m, d) and
     row ``X_k`` of ``sample`` (n, d), the squares added in coordinate order;
-    returns (m, n).  Tiles of rows are filled in turn, so a coordinate's squares
-    take one tile, not a second (m, n) array.  ``(p - X)^2`` and ``(X - p)^2``
-    have the same bits, so the two arguments may trade roles."""
+    returns (m, n), written to ``q`` if given.  Tiles of rows are filled in
+    turn, so a coordinate's squares take one tile, not a second (m, n) array.
+    ``(p - X)^2`` and ``(X - p)^2`` have the same bits, so the two arguments may
+    trade roles."""
     n, d = sample.shape
-    q = np.empty((len(points), n))
+    if q is None:
+        q = np.empty((len(points), n))
     step = max(1, _TILE // max(1, n))
     for lo in range(0, len(q), step):
         p, tile = points[lo:lo + step], q[lo:lo + step]
@@ -165,42 +170,48 @@ def _squared_distances(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
     return q
 
 
-def _gaussian_sum(q: np.ndarray, c: np.ndarray, h: np.ndarray, dim: int,
-                  qmax: float) -> np.ndarray:
-    """``sum_k c_k (2 pi)^(-d/2) h_k^-d exp(max(q_rk s_k, EXP_FLOOR))``,
-    ``s_k = -1/(2 h_k^2)``, for each row r of the squared distances ``q`` (rows, n)
-    (:func:`_squared_distances`): the exponent form of :mod:`sakde.kernels`;
-    returns (rows,).
-
-    The exponents are built one tile of at most :data:`_TILE` scalars (plus 3
-    rows) at a time, and each tile's sum is one matrix-vector product.
-    OpenBLAS's gemv sums rows in groups of 4, the last 1-3 rows apart, and a
-    lone 1-3 row product rounds apart from them, so a tile holds whole groups
-    of 4 rows and the last one at least 4 rows: each row then has the bits of
-    one product over all rows.  A row of more than ``_TILE / 4`` terms is summed
-    in blocks of that many columns, in order.  ``qmax`` bounds ``q``, and the
-    floor's pass is skipped where the rule of :mod:`sakde.kernels` shows it
-    cannot act."""
-    rows, n = q.shape
-    width = min(n, _TILE // 4)
-    step = _TILE // width // 4 * 4
+def _row_tiles(rows: int, step: int):
+    """``(lo, hi)`` of each tile of ``rows`` rows, ``step`` (a multiple of 4) rows a
+    tile, and the last 1-3 rows joined to the tile before them.  OpenBLAS's
+    gemv sums rows in groups of 4, the last 1-3 rows apart, and a lone 1-3 row
+    product rounds apart from them: a row then has the bits of one product over
+    all rows, whichever tiles of this kind the rows are cut into."""
     starts = list(range(0, rows, step))
     if len(starts) > 1 and rows - starts[-1] < 4:
-        starts.pop()  # the last rows join the tile before them
-    bounds = list(zip(starts, starts[1:] + [rows]))
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _gaussian_sum(q: np.ndarray, coef: np.ndarray, scale: np.ndarray,
+                  qmax: float) -> np.ndarray:
+    """``sum_k coef_k exp(max(q_rk scale_k, EXP_FLOOR))`` for each row r of the
+    squared distances ``q`` (rows, n) (:func:`_squared_distances`), given a kernel
+    sum's exponent terms (:func:`_exponent_terms`): the exponent form of
+    :mod:`sakde.kernels`; returns (rows,).
+
+    The exponents are built one tile of at most :data:`_TILE` scalars (plus 3
+    rows, :func:`_row_tiles`) at a time, and each tile's sum is one
+    matrix-vector product.  A row of more than ``_TILE / 4`` terms is summed in
+    blocks of that many columns, in order.  ``qmax`` bounds ``q``, and the
+    floor's pass is skipped where the rule of :mod:`sakde.kernels` shows it
+    cannot act: the pass moves no bit where it is skipped, so any bound on
+    ``q`` gives the same sum."""
+    rows, n = q.shape
+    width = min(n, _TILE // 4)
+    bounds = _row_tiles(rows, _TILE // width // 4 * 4)
     buf = np.empty(max((hi - lo for lo, hi in bounds), default=0) * width)
     out = np.zeros(rows)
     for a in range(0, n, width):
         cols = slice(a, a + width)
-        coef, scale = _exponent_terms(c[cols], h[cols], dim)
-        floored = qmax * -float(np.min(scale)) > -EXP_FLOOR
+        s = scale[cols]
+        floored = qmax * -float(np.min(s)) > -EXP_FLOOR
         for lo, hi in bounds:
-            t = buf[:(hi - lo) * len(scale)].reshape(hi - lo, -1)
-            np.multiply(q[lo:hi, cols], scale, out=t)
+            t = buf[:(hi - lo) * len(s)].reshape(hi - lo, -1)
+            np.multiply(q[lo:hi, cols], s, out=t)
             if floored:
                 np.maximum(t, EXP_FLOOR, out=t)
             np.exp(t, out=t)
-            out[lo:hi] += t @ coef
+            out[lo:hi] += t @ coef[cols]
     return out
 
 
@@ -219,7 +230,7 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
         q = _squared_distances(points, sample[sl])
-        out += _gaussian_sum(q, c[sl], h[sl], d, float(q.max(initial=0.0)))
+        out += _gaussian_sum(q, *_exponent_terms(c[sl], h[sl], d), float(q.max(initial=0.0)))
     return out
 
 
@@ -233,24 +244,32 @@ def _run_coefficients(g: np.ndarray) -> Tuple[np.ndarray, float]:
     return coef, start
 
 
+def _runs(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, n: int, wsum: float):
+    """The recursion's runs over ``count`` new rows after ``n`` steps and weight
+    sum ``wsum``, at most :data:`SCALAR_BUDGET` rows a run: yields ``(rows, c, h,
+    start, wsum)`` per run, which maps f to ``start f + sum_k c_k h_k^-d K((x -
+    X_k)/h_k)`` over the slice ``rows`` of the new rows, ``c_k = gamma_k prod_{j>k}
+    (1 - gamma_j)`` in the run (:func:`_run_coefficients`), with ``wsum`` the
+    weight sum after it.  The recursion's one expansion."""
+    for lo in range(0, count, SCALAR_BUDGET):
+        size = min(SCALAR_BUDGET, count - lo)
+        g, wsum = step.gains(np.arange(n + 1, n + size + 1), wsum)
+        coef, start = _run_coefficients(g)
+        del g  # freed, as the step indices are, before h: a run holds no n-long array but (c, h)
+        h = bandwidth.value(np.arange(n + 1, n + size + 1))
+        yield slice(lo, lo + size), coef, h, start, wsum
+        n += size
+
+
 def _recursion(step: StepsizePlan, bandwidth: BandwidthPlan, count: int, kernel_sum,
                values: np.ndarray, n: int, wsum: float):
     """The recursion from ``values`` (..., m) after ``n`` steps and weight sum
-    ``wsum`` over ``count`` new rows, per run of at most :data:`SCALAR_BUDGET`
-    rows: ``f <- Pi_run f + sum_k c_k h_k^-d K((x - X_k)/h_k)``,
-    ``c_k = gamma_k prod_{j>k} (1 - gamma_j)`` in the run (:func:`_run_coefficients`),
-    the sum given by ``kernel_sum(rows, c, h)`` for the slice ``rows`` of the new
-    rows.  Returns ``(values, n, wsum)``."""
-    for lo in range(0, count, SCALAR_BUDGET):
-        rows = slice(lo, min(lo + SCALAR_BUDGET, count))
-        size = rows.stop - lo
-        g, wsum = step.gains(np.arange(n + 1, n + size + 1), wsum)
-        coef, start = _run_coefficients(g)
-        del g  # freed, as the step indices are, before h: the sum holds no n-long array but (c, h)
-        h = bandwidth.value(np.arange(n + 1, n + size + 1))
-        values = start * values + kernel_sum(rows, coef, h)
-        n += size
-    return values, n, wsum
+    ``wsum`` over ``count`` new rows, one run (:func:`_runs`) at a time, the sum
+    given by ``kernel_sum(rows, c, h)`` for the slice ``rows`` of the new rows.
+    Returns ``(values, n, wsum)``."""
+    for rows, c, h, start, wsum in _runs(step, bandwidth, count, n, wsum):
+        values = start * values + kernel_sum(rows, c, h)
+    return values, n + count, wsum
 
 
 def _sample_sum(sample: np.ndarray, points: np.ndarray):
@@ -266,32 +285,72 @@ def replication_blocks(replications: int, n: int, dim: int):
     return [(lo, min(lo + block, replications)) for lo in range(0, replications, block)]
 
 
+def _exponent_runs(step, bandwidth: BandwidthPlan, dim: int, cut: int, n: int, wsum: float):
+    """The runs that take a trajectory from ``cut`` steps and weight sum ``wsum``
+    to ``n`` steps, as ``(columns, coef, scale, start)`` with the exponent terms
+    of :func:`_exponent_terms`, and the weight sum after them.  The baseline
+    (step None) is one run from 0; the recursion's runs are :func:`_runs`."""
+    if step is None:
+        c, h = rosenblatt_coefficients(n, bandwidth.value(n))
+        return [(slice(0, n), *_exponent_terms(c, h, dim), 0.0)], wsum
+    runs = []
+    for rows, c, h, start, wsum in _runs(step, bandwidth, n - cut, cut, wsum):
+        runs.append((slice(cut + rows.start, cut + rows.stop), *_exponent_terms(c, h, dim),
+                     start))
+    return runs, wsum
+
+
 def estimates_at_point(x, samples: np.ndarray, cells):
-    """``(index, estimates)`` for each cell ``(n, bandwidth, step)`` of ``cells`` at
-    ``x`` over ``samples`` (replications, N >= n, d), yielded as computed: step
-    None is the baseline, which sums the first n of the squared distances ``q``
-    (computed once), and the recursive cells that share (step, bandwidth) run
-    one trajectory in order of n, each n extending the run before it."""
+    """The estimates ``(replications,)`` of each cell ``(n, bandwidth, step)`` of
+    ``cells`` at ``x`` over ``samples`` (replications, N, d), in the cells'
+    order; an n that is no integer in [1, N] raises ValueError.  Step None is
+    the baseline, one sum over the first n observations, and the recursive
+    cells that share (step, bandwidth) run one trajectory in order of n, each n
+    extending the run before it; each extension's runs (:func:`_runs`) are
+    expanded once.
+
+    The replications are taken one tile of rows at a time: their squared
+    distances to ``x`` fill one reused buffer, and every cell is summed on it.
+    So the samples are held with one tile of distances, never a second array
+    their size.  Tiles start at multiples of 4 rows (:func:`_row_tiles`, the rule
+    of :func:`_gaussian_sum`'s own tiles), so an estimate's bits do not depend
+    on where the samples are cut at a multiple of 4 replications, if at least 4
+    follow the cut."""
     reps, top, d = samples.shape
-    # each row a point and x the sample: the rows fill the tiles
-    q = _squared_distances(samples.reshape(-1, d), np.reshape(x, (1, d))).reshape(reps, top)
-    qmax = float(q.max())
-    runs = {}  # the indices of each trajectory's cells, by n
+    for n, _, _ in cells:
+        if not (is_integer(n) and 1 <= n <= top):
+            raise ValueError(f"a cell's n must be an integer in [1, {top}], got {n!r}")
+    paths = {}  # each trajectory's cells, in order of n; a baseline cell is one of its own
     for i in sorted(range(len(cells)), key=lambda i: cells[i][0]):
         n, bandwidth, step = cells[i]
-        if step is None:
-            yield i, _gaussian_sum(q[:, :n], *rosenblatt_coefficients(n, bandwidth.value(n)),
-                                   d, qmax)
-        else:
-            runs.setdefault((step, bandwidth), []).append(i)
-    for (step, bandwidth), run in runs.items():
-        state = np.zeros(reps), 0, 0.0  # (values, n, wsum), from 0
-        for i in run:
-            new = q[:, state[1]:cells[i][0]]  # the columns this n adds to the trajectory
-            state = _recursion(step, bandwidth, new.shape[1],
-                               lambda rows, c, h: _gaussian_sum(new[:, rows], c, h, d, qmax),
-                               *state)
-            yield i, state[0]
+        paths.setdefault(i if step is None else (step, bandwidth), []).append(i)
+    runs = {}  # each cell's runs from the cell before it: every tile sums them
+    for path in paths.values():
+        cut, wsum = 0, 0.0
+        for i in path:
+            n, bandwidth, step = cells[i]
+            runs[i], wsum = _exponent_runs(step, bandwidth, d, cut, n, wsum)
+            cut = n
+    out = [np.empty(reps) for _ in cells]
+    # a tile of distances holds whole groups of 4 rows, about 4 _TILE scalars (2
+    # MiB), so each block of tables 1 and 4 (at most 2 x 10^5 distances) is one
+    # tile: on a 2-vCPU Xeon, that ran the coverage benchmark about 4 % faster
+    # than tiles of _TILE, and check full ran alike in tiles of 1 to 8 _TILE
+    tiles = _row_tiles(reps, max(4, 4 * _TILE // top // 4 * 4))
+    buf = np.empty(max((hi - lo for lo, hi in tiles), default=0) * top)
+    point = np.reshape(x, (1, d))
+    for lo, hi in tiles:
+        # each row a point and x the sample: the rows fill _squared_distances's tiles
+        q = _squared_distances(samples[lo:hi].reshape(-1, d), point,
+                               buf[:(hi - lo) * top, None]).reshape(hi - lo, top)
+        qmax = float(q.max())
+        for path in paths.values():
+            values = np.zeros(hi - lo)
+            for i in path:
+                for cols, coef, scale, start in runs[i]:
+                    values = start * values + _gaussian_sum(q[:, cols], coef, scale, qmax)
+                out[i][lo:hi] = values
+    return out
 
 
 class RecursiveEstimator:
@@ -402,7 +461,7 @@ def _one_cell(samples, x, bandwidth: BandwidthPlan, step) -> np.ndarray:
     reps, n, d = samples.shape
     out = np.empty(reps)
     for lo, hi in replication_blocks(reps, n, d):
-        [(_, out[lo:hi])] = estimates_at_point(x, samples[lo:hi], [(n, bandwidth, step)])
+        [out[lo:hi]] = estimates_at_point(x, samples[lo:hi], [(n, bandwidth, step)])
     return out
 
 

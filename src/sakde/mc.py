@@ -18,9 +18,11 @@ made once in blocks of replications; the blocks are fixed by (N, d,
 replications), so a run is bit-reproducible for a given seed however its cells
 are scheduled across workers.  Within a block, each replication's streams fill
 only its own rows, and the component pick and the Cholesky map then run once
-over the block.  The cells at one point are evaluated together on each block
-(:func:`sakde.estimators.estimates_at_point`), whose bits depend on the block
-and the cells' n, never on the workers.
+over the block.  The Monte Carlo holds one block and, at a point, one tile of
+its rows' squared distances.  The cells at one point are evaluated together on
+each tile (:func:`sakde.estimators.estimates_at_point`); their bits depend on
+the block and the cells' n, never on the workers, and not on where a block is
+cut at a multiple of 4 rows with at least 4 after the cut.
 """
 
 from __future__ import annotations
@@ -216,8 +218,9 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     for lo, hi in estimators.replication_blocks(reps, top, first.dim):
         block = _draw(first.model, first.seed, lo, hi, top)
         for x, idx in at.items():
-            for j, g in estimators.estimates_at_point(x, block, [cfgs[i].evaluation for i in idx]):
-                out[idx[j]][lo:hi] = g
+            evaluated = estimators.estimates_at_point(x, block, [cfgs[i].evaluation for i in idx])
+            for i, g in zip(idx, evaluated):
+                out[i][lo:hi] = g
         del block  # freed before the next block is drawn
     return out
 

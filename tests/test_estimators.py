@@ -299,6 +299,26 @@ def test_batch_forms_reject_bad_input_before_any_arithmetic():
         assert form(np.zeros((0, 20, 2)), np.zeros(2)).shape == (0,)
 
 
+@pytest.mark.parametrize("n", [0, -1, 51, 60, 50.0, True, "50"])
+def test_estimates_at_point_rejects_an_n_beyond_the_samples(n, monkeypatch):
+    # a cell reads the first n of N = 50 observations per replication: n = 60
+    # would sum 50 terms weighted 1/60 and stop the recursion after 50 steps,
+    # and n = 0 would divide by 0; each raises before any arithmetic
+    samples = np.random.default_rng(4).standard_normal((8, 50, 1))
+    bw, calls = bandwidth_plan(1.0, 0.21), []
+    monkeypatch.setattr(estimators, "_squared_distances", lambda *args: calls.append(args))
+    for step in (None, stepsize_plan(0.79)):
+        with pytest.raises(ValueError, match=r"^a cell's n must be an integer in \[1, 50\]"):
+            estimators.estimates_at_point(np.zeros(1), samples, [(50, bw, step), (n, bw, step)])
+    assert calls == []
+    monkeypatch.undo()
+    # n = N, a numpy integer too, reads every observation
+    for step in (None, stepsize_plan(0.79)):
+        whole, top = estimators.estimates_at_point(np.zeros(1), samples,
+                                                   [(50, bw, step), (np.int64(50), bw, step)])
+        np.testing.assert_array_equal(whole, top)
+
+
 # Reference loops for the chunked kernel sum: one observation at a time, in
 # plain Python, written from the defining formulas.  Every caller must match
 # them to this relative tolerance, fixed beforehand from float64 round-off
@@ -518,7 +538,7 @@ def test_floor_pass_runs_only_where_its_bound_fires(scale, fires, monkeypatch):
     coef = c * gaussian_norm(2)
     floored = np.exp(np.maximum(q * -0.5, EXP_FLOOR)) @ coef
     calls = _counting_maximum(monkeypatch)
-    out = estimators._gaussian_sum(q, c, h, 2, float(q.max()))
+    out = estimators._gaussian_sum(q, *estimators._exponent_terms(c, h, 2), float(q.max()))
     assert bool(calls) == fires
     np.testing.assert_array_equal(out, floored)
     assert np.any(q * -0.5 < EXP_FLOOR) == (scale > 1.0)
@@ -628,9 +648,9 @@ def test_floor_moves_no_bit_of_the_clt_cell(monkeypatch):
 
     gaussian_sum, tail = estimators._gaussian_sum, []
 
-    def unfloored_sum(q, c, h, dim, qmax):
-        tail.append(np.count_nonzero(q * (-0.5 / (h * h)) < EXP_FLOOR))
-        return gaussian_sum(q, c, h, dim, qmax)
+    def unfloored_sum(q, coef, scale, qmax):
+        tail.append(np.count_nonzero(q * scale < EXP_FLOOR))
+        return gaussian_sum(q, coef, scale, qmax)
 
     monkeypatch.setattr(estimators, "EXP_FLOOR", -np.inf)  # the floor's pass never runs
     monkeypatch.setattr(estimators, "_gaussian_sum", unfloored_sum)

@@ -832,46 +832,115 @@ def test_replication_rng_without_bit_generator_never_aliases():
     np.testing.assert_array_equal(a.random(4), b.random(4))
 
 
-@pytest.mark.parametrize("budget, blocks", [(None, 1), (7 * 200 * 2, 3)])
-def test_estimates_compute_squared_distances_once_per_block_and_point(budget, blocks,
-                                                                     monkeypatch):
+@pytest.mark.parametrize("tile", [None, 1 << 8])
+@pytest.mark.parametrize("budget, sizes", [(None, (20,)), (7 * 200 * 2, (7, 7, 6))])
+def test_estimates_compute_squared_distances_once_per_row_and_point(budget, sizes, tile,
+                                                                    monkeypatch):
     # table 4 puts 24 cells at each of 3 points; a budget of 7 replications at
-    # n = 200 splits 20 replications into blocks of 7, 7 and 6
+    # n = 200 splits 20 replications into blocks of 7, 7 and 6, and a tile of
+    # 2^8 scalars cuts the distances into tiles of 4 rows (a last 1-3 joining
+    # the tile before).  At each point, the rows given to _squared_distances
+    # partition each block: each once, in order, no call across two blocks
     if budget is not None:
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
+    if tile is not None:
+        monkeypatch.setattr(estimators, "_TILE", tile)
     calls, squared_distances = [], estimators._squared_distances
+    blocks, draw = [], mc._draw
 
-    def counting(rows, point):  # every row of a block, at one point
-        calls.append((tuple(point[0]), len(rows) // 200))
-        return squared_distances(rows, point)
+    def counting(rows, point, q):  # the rows of a tile, at one point
+        calls.append((tuple(point[0]), rows))
+        return squared_distances(rows, point, q)
 
     monkeypatch.setattr(estimators, "_squared_distances", counting)
+    monkeypatch.setattr(mc, "_draw", lambda *args: blocks.append(draw(*args)) or blocks[-1])
     mc.estimates(*mc.table_configs(4, seed=5, replications=20))
-    sizes = (20,) if blocks == 1 else (7, 7, 6)
-    assert len(calls) == 3 * blocks
-    assert sorted(calls) == sorted((x, r) for x in mc.table_layout(4).xs for r in sizes)
+    assert tuple(map(len, blocks)) == sizes
+    edges = set(np.cumsum([block.size // 2 for block in blocks]))
+    for x in mc.table_layout(4).xs:
+        rows = [r for p, r in calls if p == x]
+        np.testing.assert_array_equal(np.concatenate(rows),
+                                      np.concatenate(blocks).reshape(-1, 2))
+        assert edges <= set(np.cumsum([len(r) for r in rows]))
+    # the largest tile: a whole block, or 4 rows, 7 where a block's last 3 join them
+    largest = max(sizes) if tile is None else 7 if budget else 4
+    assert max(len(r) for _, r in calls) == 200 * largest
 
 
-def test_estimates_hold_the_draw_one_distance_array_and_one_tile(monkeypatch):
-    # check full's moment and CLT cells: 2000 replications at n = 10^4, at two
-    # points, in blocks of 209 replications.  The peak is the draw block, one
-    # array of squared distances (209 x 10^4 scalars each) and one exponent
-    # tile (2^16 scalars hold 6 rows of 10^4, and a tile takes whole groups of
-    # 4 rows), with 1 MiB for a run's (c, h) and exponent terms (10^4 scalars
-    # each) and the estimate vectors.  Each point's distances held to the end
-    # of its block, or a tile of the whole block, would add another 16 MiB
+def _check_cells(check):
+    """The cells ``check`` reads from its first :func:`mc.estimates` call, not their
+    estimates."""
     recorded = []
 
     def record(*cfgs):
         recorded.extend(cfgs)
-        raise LookupError  # the cells, not their estimates
+        raise LookupError
 
-    monkeypatch.setattr(mc, "estimates", record)
-    with pytest.raises(LookupError):
-        checks.moments_and_clt(0, 1)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "estimates", record)
+        with pytest.raises(LookupError):
+            check(0, 1)
+    return recorded
+
+
+def test_estimates_hold_the_draw_one_distance_tile_and_one_exponent_tile():
+    # check full's moment and CLT cells: 2000 replications at n = 10^4, at two
+    # points, in blocks of 209 replications.  The peak is the draw block, one
+    # tile of squared distances (4 _TILE scalars) and one of exponents (2^16
+    # scalars hold 6 rows of 10^4), each of whole groups of 4 rows plus the 3
+    # rows the last tile can join, with 1 MiB for the runs' exponent terms
+    # (10^4 scalars each) and the estimate vectors.  An array of the block's
+    # squared distances would add another 16 MiB
+    recorded = _check_cells(checks.moments_and_clt)
     assert len({cfg.x for cfg in recorded}) == 2
-    n = recorded[0].n
+    n, tile = recorded[0].n, estimators._TILE
     block = estimators.SCALAR_BUDGET // n
-    bound = 8 * (2 * block * n + 4 * n) + (1 << 20)
+    bound = 8 * (block * n + (4 * tile + 3 * n) + (tile + 3 * n) + 4 * n) + (1 << 20)
     assert _peak_bytes(lambda: mc.estimates(*recorded)) <= bound
+
+
+def _assert_cut_invariant(cells, block, cuts):
+    """Each cell's estimates over ``block`` at its point, evaluated whole and as
+    the rows before and after each cut, equal bit for bit."""
+    at = {}
+    for cfg in cells:
+        at.setdefault(cfg.x, []).append(cfg.evaluation)
+    for x, evaluations in at.items():
+        whole = estimators.estimates_at_point(x, block, evaluations)
+        for cut in cuts:
+            head = estimators.estimates_at_point(x, block[:cut], evaluations)
+            tail = estimators.estimates_at_point(x, block[cut:], evaluations)
+            for w, a, b in zip(whole, head, tail, strict=True):
+                np.testing.assert_array_equal(np.concatenate([a, b]), w)
+
+
+@pytest.mark.parametrize("tile", [None, 1 << 9])
+@pytest.mark.parametrize("table", [1, 4])
+def test_table_estimates_do_not_depend_on_where_a_block_is_cut(table, tile, monkeypatch):
+    # 29 replications at n = 200, cut at every multiple of 4 that leaves at
+    # least 4 rows after it: BLAS sums rows in groups of 4 from the first, and
+    # a lone row's product rounds apart from the last row of a longer one.  A
+    # tile of 2^9 scalars cuts the distances into tiles of 8 rows, so a part
+    # that starts 4 rows off the whole block's tile edges ends in 1 row, which
+    # joins the tile before it
+    if tile is not None:
+        monkeypatch.setattr(estimators, "_TILE", tile)
+    cells = mc.table_configs(table, seed=8, replications=29)
+    block = mc._draw(cells[0].model, 8, 0, 29, 200)
+    _assert_cut_invariant(cells, block, range(4, 26, 4))
+
+
+def test_check_estimates_do_not_depend_on_where_a_block_is_cut():
+    # check full's first moment block: 209 replications at n = 10^4, whose
+    # last gemv group is a single row, cut at, across and next to a tile edge
+    # and before its last group of 4; and bias_oracle's n = 10^5 cell, summed
+    # in column blocks of 2^14, with a baseline cell at the same n
+    cells = _check_cells(checks.moments_and_clt)
+    (lo, hi), *_ = estimators.replication_blocks(2000, 10**4, 1)
+    assert hi - lo == 209
+    _assert_cut_invariant(cells, mc._draw(cells[0].model, 0, lo, hi, 10**4), [4, 24, 28, 100, 204])
+    cell, = _check_cells(checks.bias_oracle)
+    (lo, hi), *_ = estimators.replication_blocks(cell.replications, cell.n, 1)
+    assert cell.n > 1 << 14 and hi - lo == 20
+    cells = [cell, dataclasses.replace(cell, estimator=mc.ROSENBLATT)]
+    _assert_cut_invariant(cells, mc._draw(cell.model, 0, lo, hi, cell.n), [4, 8, 16])
