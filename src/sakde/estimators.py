@@ -16,8 +16,8 @@ Every estimate is one weighted kernel sum ``sum_k c_k h_k^-d K((x - X_k) / h_k)`
 in the exponent form of :mod:`sakde.kernels`, the estimators differing only in
 ``(c_k, h_k)``; the recursion is expanded in one place, :func:`_runs`.  Over
 one sample the sum is :func:`_kernel_sum`.  Replication samples are evaluated
-at one point by :func:`estimates_at_point` alone, for the Monte Carlo and the
-batch forms.
+at their points by :func:`replication_estimates` alone, for the Monte Carlo
+and the batch forms.
 
 The streaming estimator keeps its estimate, step count and one weight sum, and
 takes each step's gain and bandwidth from the step's index; its one-step
@@ -40,11 +40,12 @@ from sakde.kernels import (EXP_FLOOR, Kernel, check_dim, gaussian_kernel, gaussi
 from sakde.sequences import (BandwidthPlan, SequencePlan, StepsizePlan, is_integer,
                              suffix_products)
 
-# the package's one memory budget, in float64 scalars (16 MB) per temporary: a
-# kernel-evaluation chunk (observations x points x dim) and a block of
-# replication samples (replications x n x dim) stay within it.  The Monte Carlo
-# holds one block and, at a point, one tile of its rows' squared distances
-# (estimates_at_point), never a second array the size of the block
+# the package's one memory budget, in float64 scalars (16 MB): a chunk of
+# observations of a kernel sum (observations x points x dim) and a block of
+# replication samples (replications x n x dim) stay within it.  Neither is held
+# whole: _kernel_sum holds one tile of a chunk's squared distances, and the
+# Monte Carlo (replication_estimates) one tile of a block's samples and one
+# tile of their squared distances to a point
 SCALAR_BUDGET = 1 << 21
 
 # the exponent tile of every fused kernel sum, in float64 scalars (512 KB): it
@@ -182,6 +183,13 @@ def _row_tiles(rows: int, step: int):
     return list(zip(starts, starts[1:] + [rows]))
 
 
+def _sum_tiles(rows: int, n: int):
+    """:func:`_gaussian_sum`'s tiles of ``rows`` rows of ``n`` terms: whole groups
+    of 4 rows, at most :data:`_TILE` exponents of one block of columns a tile,
+    plus 3 rows (:func:`_row_tiles`)."""
+    return _row_tiles(rows, _TILE // min(n, _TILE // 4) // 4 * 4)
+
+
 def _gaussian_sum(q: np.ndarray, coef: np.ndarray, scale: np.ndarray,
                   qmax: float) -> np.ndarray:
     """``sum_k coef_k exp(max(q_rk scale_k, EXP_FLOOR))`` for each row r of the
@@ -190,7 +198,7 @@ def _gaussian_sum(q: np.ndarray, coef: np.ndarray, scale: np.ndarray,
     :mod:`sakde.kernels`; returns (rows,).
 
     The exponents are built one tile of at most :data:`_TILE` scalars (plus 3
-    rows, :func:`_row_tiles`) at a time, and each tile's sum is one
+    rows, :func:`_sum_tiles`) at a time, and each tile's sum is one
     matrix-vector product.  A row of more than ``_TILE / 4`` terms is summed in
     blocks of that many columns, in order.  ``qmax`` bounds ``q``, and the
     floor's pass is skipped where the rule of :mod:`sakde.kernels` shows it
@@ -198,7 +206,7 @@ def _gaussian_sum(q: np.ndarray, coef: np.ndarray, scale: np.ndarray,
     ``q`` gives the same sum."""
     rows, n = q.shape
     width = min(n, _TILE // 4)
-    bounds = _row_tiles(rows, _TILE // width // 4 * 4)
+    bounds = _sum_tiles(rows, n)
     buf = np.empty(max((hi - lo for lo, hi in bounds), default=0) * width)
     out = np.zeros(rows)
     for a in range(0, n, width):
@@ -220,7 +228,12 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     """``sum_k c_k h_k^-d K((p - X_k) / h_k)`` at every point ``p`` of ``points`` (m, d)
     over a ``sample`` (n, d); returns (m,).  A tensor grid in d >= 2
     (:func:`_grid_axes`) takes :func:`_grid_sum`; every other sum is fused, per
-    chunk of observations (:func:`_squared_distances`, :func:`_gaussian_sum`)."""
+    chunk of observations and, within it, per tile of points: the tile's
+    squared distances (:func:`_squared_distances`) are summed
+    (:func:`_gaussian_sum`) before the next tile's are made, so one tile of
+    them is held, never the chunk's.  The tiles are :func:`_gaussian_sum`'s
+    own (:func:`_sum_tiles`), so each point's sum has the bits of one over all
+    points."""
     n, d = sample.shape
     axes = None if d < 2 or len(points) <= d else _grid_axes(points)
     if axes is not None:
@@ -229,8 +242,10 @@ def _kernel_sum(c: np.ndarray, h: np.ndarray, sample: np.ndarray,
     out = np.zeros(len(points))
     for lo in range(0, n, chunk):
         sl = slice(lo, lo + chunk)
-        q = _squared_distances(points, sample[sl])
-        out += _gaussian_sum(q, *_exponent_terms(c[sl], h[sl], d), float(q.max(initial=0.0)))
+        coef, scale = _exponent_terms(c[sl], h[sl], d)
+        for a, b in _sum_tiles(len(points), len(coef)):
+            q = _squared_distances(points[a:b], sample[sl])
+            out[a:b] += _gaussian_sum(q, coef, scale, float(q.max()))
     return out
 
 
@@ -300,57 +315,91 @@ def _exponent_runs(step, bandwidth: BandwidthPlan, dim: int, cut: int, n: int, w
     return runs, wsum
 
 
+def as_point(x, dim: int) -> np.ndarray:
+    """``x`` as a ``(dim,)`` float array, once it is known to be ``dim`` finite
+    numbers; else ValueError."""
+    p = np.asarray(x)  # its kind first: isfinite takes no str, object or complex
+    if p.shape != (dim,) or p.dtype.kind not in "iuf" or not np.isfinite(p).all():
+        raise ValueError(f"x must be {dim} finite number(s), got {x!r}")
+    return p.astype(float)
+
+
+def replication_estimates(cells, replications: int, n: int, dim: int, draw):
+    """The estimates ``(replications,)`` of each cell ``(x, (n, bandwidth, step))``
+    of ``cells``, in the cells' order, over the replication samples that
+    ``draw(lo, hi)`` gives as an array (hi - lo, ``n``, ``dim``) for the
+    replications ``lo`` to ``hi - 1``.  A cell's n that is no integer in [1,
+    ``n``], or an x that is not ``dim`` finite numbers, raises ValueError
+    before any draw.  Step None is the baseline, one sum over the first n
+    observations, and the recursive cells at one x that share (step,
+    bandwidth) run one trajectory in order of n, each n extending the run
+    before it; each extension's runs (:func:`_runs`) are expanded once per
+    call.
+
+    The replications are drawn one tile of rows at a time, and each tile is
+    evaluated at every point before the next is drawn: its squared distances
+    to a point fill one reused buffer, and every cell at the point is summed
+    on it.  So one sample tile and one tile of distances are held, never a
+    block.  The tiles cut each block (:func:`replication_blocks`) from its
+    start, at multiples of 4 rows (:func:`_row_tiles`, the rule of
+    :func:`_gaussian_sum`'s own tiles), so an estimate's bits depend on its
+    block, and not on where a block is cut at a multiple of 4 replications, if
+    at least 4 follow the cut."""
+    points = {}  # the indices of the cells at each point
+    for i, (x, (k, _, _)) in enumerate(cells):
+        if not (is_integer(k) and 1 <= k <= n):
+            raise ValueError(f"a cell's n must be an integer in [1, {n}], got {k!r}")
+        points.setdefault(tuple(as_point(x, dim).tolist()), []).append(i)
+    paths = {}  # each point's trajectories, cells in order of n; a baseline cell is one of its own
+    runs = {}  # each cell's runs from the cell before it: every tile sums them
+    for x, idx in points.items():
+        trajectories = {}
+        for i in sorted(idx, key=lambda i: cells[i][1][0]):
+            _, bandwidth, step = cells[i][1]
+            trajectories.setdefault(i if step is None else (step, bandwidth), []).append(i)
+        paths[x] = list(trajectories.values())
+        for path in paths[x]:
+            cut, wsum = 0, 0.0
+            for i in path:
+                k, bandwidth, step = cells[i][1]
+                runs[i], wsum = _exponent_runs(step, bandwidth, dim, cut, k, wsum)
+                cut = k
+    # a tile holds whole groups of 4 rows, about 4 _TILE scalars (2 MiB), so
+    # each block of tables 1 and 4 (at most 2 x 10^5 distances) is one tile: on
+    # a 2-vCPU Xeon, that ran the coverage benchmark about 4 % faster than
+    # tiles of _TILE, and check full ran alike in tiles of 1 to 8 _TILE
+    tile = max(4, 4 * _TILE // n // 4 * 4)
+    tiles = [(lo + a, lo + b) for lo, hi in replication_blocks(replications, n, dim)
+             for a, b in _row_tiles(hi - lo, tile)]
+    out, buf = [np.empty(replications) for _ in cells], None
+    for lo, hi in tiles:
+        rows = draw(lo, hi).reshape(-1, dim)
+        if buf is None:  # allocated once the first draw's temporaries are freed
+            buf = np.empty(max(b - a for a, b in tiles) * n)
+        for x, point_paths in paths.items():
+            # each row a point and x the sample: the rows fill _squared_distances's tiles
+            q = _squared_distances(rows, np.reshape(x, (1, dim)),
+                                   buf[:(hi - lo) * n, None]).reshape(hi - lo, n)
+            qmax = float(q.max())
+            for path in point_paths:
+                values = np.zeros(hi - lo)
+                for i in path:
+                    for cols, coef, scale, start in runs[i]:
+                        values = start * values + _gaussian_sum(q[:, cols], coef, scale, qmax)
+                    out[i][lo:hi] = values
+        del rows  # freed before the next tile is drawn
+    return out
+
+
 def estimates_at_point(x, samples: np.ndarray, cells):
     """The estimates ``(replications,)`` of each cell ``(n, bandwidth, step)`` of
     ``cells`` at ``x`` over ``samples`` (replications, N, d), in the cells'
-    order; an n that is no integer in [1, N] raises ValueError.  Step None is
-    the baseline, one sum over the first n observations, and the recursive
-    cells that share (step, bandwidth) run one trajectory in order of n, each n
-    extending the run before it; each extension's runs (:func:`_runs`) are
-    expanded once.
-
-    The replications are taken one tile of rows at a time: their squared
-    distances to ``x`` fill one reused buffer, and every cell is summed on it.
-    So the samples are held with one tile of distances, never a second array
-    their size.  Tiles start at multiples of 4 rows (:func:`_row_tiles`, the rule
-    of :func:`_gaussian_sum`'s own tiles), so an estimate's bits do not depend
-    on where the samples are cut at a multiple of 4 replications, if at least 4
-    follow the cut."""
+    order: :func:`replication_estimates` over given samples, so on the same
+    rows it equals the Monte Carlo bit for bit.  An n that is no integer in
+    [1, N], or an x that is not d finite numbers, raises ValueError."""
     reps, top, d = samples.shape
-    for n, _, _ in cells:
-        if not (is_integer(n) and 1 <= n <= top):
-            raise ValueError(f"a cell's n must be an integer in [1, {top}], got {n!r}")
-    paths = {}  # each trajectory's cells, in order of n; a baseline cell is one of its own
-    for i in sorted(range(len(cells)), key=lambda i: cells[i][0]):
-        n, bandwidth, step = cells[i]
-        paths.setdefault(i if step is None else (step, bandwidth), []).append(i)
-    runs = {}  # each cell's runs from the cell before it: every tile sums them
-    for path in paths.values():
-        cut, wsum = 0, 0.0
-        for i in path:
-            n, bandwidth, step = cells[i]
-            runs[i], wsum = _exponent_runs(step, bandwidth, d, cut, n, wsum)
-            cut = n
-    out = [np.empty(reps) for _ in cells]
-    # a tile of distances holds whole groups of 4 rows, about 4 _TILE scalars (2
-    # MiB), so each block of tables 1 and 4 (at most 2 x 10^5 distances) is one
-    # tile: on a 2-vCPU Xeon, that ran the coverage benchmark about 4 % faster
-    # than tiles of _TILE, and check full ran alike in tiles of 1 to 8 _TILE
-    tiles = _row_tiles(reps, max(4, 4 * _TILE // top // 4 * 4))
-    buf = np.empty(max((hi - lo for lo, hi in tiles), default=0) * top)
-    point = np.reshape(x, (1, d))
-    for lo, hi in tiles:
-        # each row a point and x the sample: the rows fill _squared_distances's tiles
-        q = _squared_distances(samples[lo:hi].reshape(-1, d), point,
-                               buf[:(hi - lo) * top, None]).reshape(hi - lo, top)
-        qmax = float(q.max())
-        for path in paths.values():
-            values = np.zeros(hi - lo)
-            for i in path:
-                for cols, coef, scale, start in runs[i]:
-                    values = start * values + _gaussian_sum(q[:, cols], coef, scale, qmax)
-                out[i][lo:hi] = values
-    return out
+    return replication_estimates([(x, cell) for cell in cells], reps, top, d,
+                                 lambda lo, hi: samples[lo:hi])
 
 
 class RecursiveEstimator:
@@ -451,17 +500,14 @@ class RosenblattEstimator:
 
 def _one_cell(samples, x, bandwidth: BandwidthPlan, step) -> np.ndarray:
     """The cell ``(n, bandwidth, step)`` at ``x`` over ``samples`` (replications, n,
-    d), once both are checked, in the Monte Carlo's blocks; returns (replications,)."""
+    d), once both are checked, as the Monte Carlo evaluates it; returns (replications,)."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or 0 in samples.shape[1:] or np.shape(x) != samples.shape[2:]:
         raise ValueError("need samples of shape (replications, n, d), n and d at least 1, "
                          "and x of shape (d,)")
     if not (np.isfinite(samples).all() and np.isfinite(x).all()):
         raise ValueError("points and observations must be finite")
-    reps, n, d = samples.shape
-    out = np.empty(reps)
-    for lo, hi in replication_blocks(reps, n, d):
-        [out[lo:hi]] = estimates_at_point(x, samples[lo:hi], [(n, bandwidth, step)])
+    [out] = estimates_at_point(x, samples, [(samples.shape[1], bandwidth, step)])
     return out
 
 

@@ -14,15 +14,16 @@ counter whose top word is 1, 2^192 blocks beyond any normal it draws.  So its
 sample at n is the first n rows of its sample at any larger n, and a
 one-component model reads only the normals, as it always has.  Cells that share
 (model, replications, seed) read prefixes of one draw at their largest n, N,
-made once in blocks of replications; the blocks are fixed by (N, d,
-replications), so a run is bit-reproducible for a given seed however its cells
-are scheduled across workers.  Within a block, each replication's streams fill
-only its own rows, and the component pick and the Cholesky map then run once
-over the block.  The Monte Carlo holds one block and, at a point, one tile of
-its rows' squared distances.  The cells at one point are evaluated together on
-each tile (:func:`sakde.estimators.estimates_at_point`); their bits depend on
-the block and the cells' n, never on the workers, and not on where a block is
-cut at a multiple of 4 rows with at least 4 after the cut.
+made once, one tile of replications at a time; the blocks are fixed by (N, d,
+replications), and each block's tiles by N, so a run is bit-reproducible for a
+given seed however its cells are scheduled across workers.  Within a tile,
+each replication's streams fill only its own rows, and the component pick and
+the Cholesky map then run once over the tile.  The Monte Carlo holds one tile
+of samples and, at a point, one tile of their squared distances, never a
+block.  Each tile is evaluated at every point before the next is drawn, the
+cells at one point together (:func:`sakde.estimators.replication_estimates`);
+their bits depend on the block and the cells' n, never on the workers, and not
+on where a block is cut at a multiple of 4 rows with at least 4 after the cut.
 """
 
 from __future__ import annotations
@@ -98,10 +99,7 @@ class CellConfig:
     def __post_init__(self):
         if self.estimator not in (ROSENBLATT, RECURSIVE):
             raise ValueError(f"unknown estimator kind: {self.estimator!r}")
-        p = np.asarray(self.x)  # its kind first: isfinite takes no str, object or complex
-        if p.shape != (self.dim,) or p.dtype.kind not in "iuf" or not np.isfinite(p).all():
-            raise ValueError(f"x must be {self.dim} finite number(s), got {self.x!r}")
-        object.__setattr__(self, "x", tuple(map(float, self.x)))
+        object.__setattr__(self, "x", tuple(estimators.as_point(self.x, self.dim).tolist()))
         if not all(is_integer(v) and v >= 1 for v in (self.n, self.replications)):
             raise ValueError("n and replications must be positive integers")
         if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
@@ -128,7 +126,7 @@ class CellConfig:
 
     @property
     def evaluation(self):
-        """``(n, bandwidth, step)``, the cell as :func:`estimators.estimates_at_point`
+        """``(n, bandwidth, step)``, the cell as :func:`estimators.replication_estimates`
         evaluates it: step None for the baseline."""
         return self.n, self.bandwidth, self.step if self.estimator == RECURSIVE else None
 
@@ -206,23 +204,14 @@ def _shared_draw(cfgs: Sequence[CellConfig]) -> CellConfig:
 def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, replications, seed), and each reads the first n rows
-    of one draw at their largest n, N.  Each block of replications
-    (:func:`estimators.replication_blocks`) is drawn once, and the cells at each
-    point are evaluated on it together (:func:`estimators.estimates_at_point`)."""
+    of one draw at their largest n, N.  Each tile of replications is drawn once,
+    just before the cells at every point are evaluated on it
+    (:func:`estimators.replication_estimates`), so no block is held whole."""
     first = _shared_draw(cfgs)
-    reps, top = first.replications, max(cfg.n for cfg in cfgs)
-    at = {}  # the indices of the cells at each point
-    for i, cfg in enumerate(cfgs):
-        at.setdefault(cfg.x, []).append(i)
-    out = [np.empty(reps) for _ in cfgs]  # allocated first: no per-block result fragments a block
-    for lo, hi in estimators.replication_blocks(reps, top, first.dim):
-        block = _draw(first.model, first.seed, lo, hi, top)
-        for x, idx in at.items():
-            evaluated = estimators.estimates_at_point(x, block, [cfgs[i].evaluation for i in idx])
-            for i, g in zip(idx, evaluated):
-                out[i][lo:hi] = g
-        del block  # freed before the next block is drawn
-    return out
+    top = max(cfg.n for cfg in cfgs)
+    return estimators.replication_estimates(
+        [(cfg.x, cfg.evaluation) for cfg in cfgs], first.replications, top, first.dim,
+        lambda lo, hi: _draw(first.model, first.seed, lo, hi, top))
 
 
 def build_interval(g_x: np.ndarray, cfg: CellConfig):

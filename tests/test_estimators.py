@@ -319,6 +319,24 @@ def test_estimates_at_point_rejects_an_n_beyond_the_samples(n, monkeypatch):
         np.testing.assert_array_equal(whole, top)
 
 
+@pytest.mark.parametrize("x", [[np.nan], [np.inf], [0.0, 0.0], [[0.0]], 0.0, ["0"], [1j]])
+def test_estimates_at_point_rejects_an_x_that_is_not_d_finite_numbers(x, monkeypatch):
+    # on zero samples, x = [nan] gave NaN estimates and a 2-coordinate x
+    # numpy's reshape error; each x that is not d finite numbers raises, by
+    # the rule of a CellConfig's x, before any draw or arithmetic
+    samples = np.zeros((8, 50, 1))
+    bw, calls, draws = bandwidth_plan(1.0, 0.21), [], []
+    monkeypatch.setattr(estimators, "_squared_distances", lambda *args: calls.append(args))
+    message = r"^x must be 1 finite number\(s\), got "
+    for step in (None, stepsize_plan(0.79)):
+        with pytest.raises(ValueError, match=message):
+            estimators.estimates_at_point(x, samples, [(50, bw, step)])
+        with pytest.raises(ValueError, match=message):
+            estimators.replication_estimates([(np.zeros(1), (50, bw, step)), (x, (50, bw, step))],
+                                             8, 50, 1, lambda lo, hi: draws.append((lo, hi)))
+    assert calls == [] and draws == []
+
+
 # Reference loops for the chunked kernel sum: one observation at a time, in
 # plain Python, written from the defining formulas.  Every caller must match
 # them to this relative tolerance, fixed beforehand from float64 round-off
@@ -768,6 +786,25 @@ def test_recursive_at_points_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+
+def test_kernel_sum_holds_one_distance_tile():
+    # the stream's 1-d grid of 100 points at n = 10^4: one chunk of 10^4
+    # observations, whose squared distances (8 MB) are made and summed one tile
+    # of 4 points (4 x 10^4 scalars) at a time.  The peak is two such tiles
+    # (the next is made while the last is held) and one of exponents, each
+    # under _TILE scalars, and 4 n scalars for the exponent terms
+    rng = np.random.default_rng(6)
+    n, tile = 10**4, estimators._TILE
+    sample, pts = rng.standard_normal((n, 1)), np.linspace(-3.0, 3.0, 100)[:, None]
+    c, h = np.full(n, 1.0 / n), bandwidth_plan(1.0, 0.21).value(np.arange(1, n + 1))
+    tracemalloc.start()
+    try:
+        estimators._kernel_sum(c, h, sample, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * tile + 4 * n) + (64 << 10)
 
 
 @pytest.mark.parametrize("step", [stepsize_plan(0.79),

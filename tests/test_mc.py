@@ -838,33 +838,43 @@ def test_estimates_compute_squared_distances_once_per_row_and_point(budget, size
                                                                     monkeypatch):
     # table 4 puts 24 cells at each of 3 points; a budget of 7 replications at
     # n = 200 splits 20 replications into blocks of 7, 7 and 6, and a tile of
-    # 2^8 scalars cuts the distances into tiles of 4 rows (a last 1-3 joining
-    # the tile before).  At each point, the rows given to _squared_distances
-    # partition each block: each once, in order, no call across two blocks
+    # 2^8 scalars cuts each block into tiles of 4 rows (a last 1-3 joining the
+    # tile before).  The draws partition the replications, in order, none
+    # across two blocks, and at each point the rows given to _squared_distances
+    # are the draws' rows: each draw's once, in one call
     if budget is not None:
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     if tile is not None:
         monkeypatch.setattr(estimators, "_TILE", tile)
     calls, squared_distances = [], estimators._squared_distances
-    blocks, draw = [], mc._draw
+    draws, draw = [], mc._draw
 
     def counting(rows, point, q):  # the rows of a tile, at one point
         calls.append((tuple(point[0]), rows))
         return squared_distances(rows, point, q)
 
+    def drawing(model, seed, lo, hi, count):
+        draws.append((lo, hi, draw(model, seed, lo, hi, count)))
+        return draws[-1][2]
+
     monkeypatch.setattr(estimators, "_squared_distances", counting)
-    monkeypatch.setattr(mc, "_draw", lambda *args: blocks.append(draw(*args)) or blocks[-1])
-    mc.estimates(*mc.table_configs(4, seed=5, replications=20))
-    assert tuple(map(len, blocks)) == sizes
-    edges = set(np.cumsum([block.size // 2 for block in blocks]))
+    monkeypatch.setattr(mc, "_draw", drawing)
+    cells = mc.table_configs(4, seed=5, replications=20)
+    mc.estimates(*cells)
+    blocks = estimators.replication_blocks(20, 200, 2)
+    assert tuple(hi - lo for lo, hi in blocks) == sizes
+    spans = [(lo, hi) for lo, hi, _ in draws]
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == 20
+    assert {hi for _, hi in blocks} <= {hi for _, hi in spans}
+    # a tile is a whole block, or 4 rows where a block holds 5 tiles of 4
+    assert tuple(hi - lo for lo, hi in spans) == ((4,) * 5 if tile and not budget else sizes)
+    np.testing.assert_array_equal(np.concatenate([rows for *_, rows in draws]),
+                                  draw(cells[0].model, 5, 0, 20, 200))
     for x in mc.table_layout(4).xs:
         rows = [r for p, r in calls if p == x]
-        np.testing.assert_array_equal(np.concatenate(rows),
-                                      np.concatenate(blocks).reshape(-1, 2))
-        assert edges <= set(np.cumsum([len(r) for r in rows]))
-    # the largest tile: a whole block, or 4 rows, 7 where a block's last 3 join them
-    largest = max(sizes) if tile is None else 7 if budget else 4
-    assert max(len(r) for _, r in calls) == 200 * largest
+        assert len(rows) == len(draws)
+        for r, (*_, drawn) in zip(rows, draws):
+            np.testing.assert_array_equal(r, drawn.reshape(-1, 2))
 
 
 def _check_cells(check):
@@ -883,20 +893,23 @@ def _check_cells(check):
     return recorded
 
 
-def test_estimates_hold_the_draw_one_distance_tile_and_one_exponent_tile():
-    # check full's moment and CLT cells: 2000 replications at n = 10^4, at two
-    # points, in blocks of 209 replications.  The peak is the draw block, one
-    # tile of squared distances (4 _TILE scalars) and one of exponents (2^16
-    # scalars hold 6 rows of 10^4), each of whole groups of 4 rows plus the 3
-    # rows the last tile can join, with 1 MiB for the runs' exponent terms
-    # (10^4 scalars each) and the estimate vectors.  An array of the block's
-    # squared distances would add another 16 MiB
-    recorded = _check_cells(checks.moments_and_clt)
-    assert len({cfg.x for cfg in recorded}) == 2
-    n, tile = recorded[0].n, estimators._TILE
-    block = estimators.SCALAR_BUDGET // n
-    bound = 8 * (block * n + (4 * tile + 3 * n) + (tile + 3 * n) + 4 * n) + (1 << 20)
-    assert _peak_bytes(lambda: mc.estimates(*recorded)) <= bound
+def test_estimates_hold_one_sample_tile_one_distance_tile_and_one_exponent_tile():
+    # check full's moment and CLT cells (2000 replications at n = 10^4, at two
+    # points) and bias_oracle's cell (200 at n = 10^5, at one).  The peak is one
+    # tile of samples and one of their squared distances, each of whole groups
+    # of 4 rows (at least 4, about 4 _TILE scalars) plus the 3 rows the last
+    # tile can join, and one tile of exponents (2^16 scalars, or 4 rows of 2^14
+    # columns, plus 3 rows of at most 2^14), with 4 n scalars for the runs'
+    # exponent terms and 1 MiB for the estimate vectors and the draw's chunks.
+    # A block of samples, or the distances of one, would add up to 16 MiB
+    tile = estimators._TILE
+    for check, points in ((checks.moments_and_clt, 2), (checks.bias_oracle, 1)):
+        recorded = _check_cells(check)
+        assert len({cfg.x for cfg in recorded}) == points
+        n = recorded[0].n
+        rows = max(4, 4 * tile // n) + 3
+        bound = 8 * (2 * rows * n + (tile + 3 * min(n, tile // 4)) + 4 * n) + (1 << 20)
+        assert _peak_bytes(lambda: mc.estimates(*recorded)) <= bound, check.__name__
 
 
 def _assert_cut_invariant(cells, block, cuts):
