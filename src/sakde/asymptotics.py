@@ -3,13 +3,16 @@
 Everything here is a pure function of the plan parameters, the dimension d
 (the product Gaussian kernel's constants are functions of d) and the density
 constants: bias/variance regimes, pointwise and integrated MSE, CLT
-parameters, and the confidence-interval calibration constant.  Every leading
-error is ``A h^4 + B h^-d`` in the bandwidth constant h, with (A, B) read off
-the bias and variance denominators, and one minimiser turns (A, B) into an
-:class:`OptimalPlan`: the recursive and baseline pointwise optima and the
-integrated optimum alike.  Their ratio is the efficiency ratio against the
-nonrecursive baseline.  Parameters on a pole of a formula or outside its
-domain, NaN included, raise ``ValueError``.
+parameters, and the confidence-interval calibration constant.  A recursive
+plan's leading laws are the nonrecursive baseline's at the same ``(n, h_n)``
+times two factors, ``beta = 1/(1 - 2 a xi)`` on the bias and ``nu_n = n gamma_n
+/ (2 - (1 - a d) xi)`` on the variance; the baseline is step None, with
+``beta = nu = 1``.  Every leading error is ``A h^4 + B h^-d`` in the bandwidth
+constant h, with (A, B) the baseline's times (beta^2, nu), and one minimiser
+turns (A, B) into an :class:`OptimalPlan`: the recursive and baseline
+pointwise optima and the integrated optimum alike.  Their ratio is the
+efficiency ratio against the baseline.  Parameters on a pole of a formula or
+outside its domain, NaN included, raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from sakde.kernels import check_dim, gaussian_roughness
 from sakde.sequences import BandwidthPlan, StepsizePlan, bandwidth_plan, stepsize_plan
@@ -78,14 +81,14 @@ def classify_regime(a, alpha, d: int, gamma0: float) -> RegimeClassification:
     )
 
 
-def _bias_denom(a: float, xi: float) -> float:
-    """``1 - 2 a xi``, the denominator of every leading bias constant."""
+def _beta(a: float, xi: float) -> float:
+    """``beta = 1/(1 - 2 a xi)``, the factor of a recursive bias on the baseline's."""
     if not a > 0:
         raise ValueError(f"bandwidth exponent a must be positive, got {a}")
     denom = 1.0 - 2.0 * a * xi
     if not denom > 0:
         raise ValueError(f"bias pole: 1 - 2*a*xi = {denom} must be positive")
-    return denom
+    return 1.0 / denom
 
 
 def _variance_margin(a: float, d: int) -> float:
@@ -95,12 +98,13 @@ def _variance_margin(a: float, d: int) -> float:
     return 1.0 - a * d
 
 
-def _variance_denom(a: float, d: int, xi: float) -> float:
-    """``2 - (1 - a d) xi``, the denominator of every leading variance constant."""
+def _nu(a: float, d: int, xi: float, n_gamma: float) -> float:
+    """``nu = n_gamma / (2 - (1 - a d) xi)``, the factor of a recursive variance on
+    the baseline's, for ``n_gamma = n gamma_n``."""
     denom = 2.0 - _variance_margin(a, d) * xi
     if not denom > 0:
         raise ValueError(f"variance pole: 2 - (1-ad)*xi = {denom} must be positive")
-    return denom
+    return n_gamma / denom
 
 
 def _check_n(n) -> None:
@@ -108,46 +112,28 @@ def _check_n(n) -> None:
         raise ValueError(f"n must be at least 1 and at most {sys.float_info.max:g}, got {n}")
 
 
-def _check_h(h) -> None:
-    if not 0 < h < math.inf:
-        raise ValueError(f"bandwidth h must be positive and finite, got {h}")
-
-
-def bias_leading(S_x: float, bandwidth: BandwidthPlan, step: StepsizePlan, n: int) -> float:
-    """Leading bias ``h_n^2 S(x) / (2 (1 - 2 a xi))``.
-
-    With ``xi = 0`` this reduces to the nonrecursive constant ``h_n^2 S(x)/2``.
-    """
+def bias_leading(S_x: float, bandwidth: BandwidthPlan, step: Optional[StepsizePlan],
+                 n: int) -> float:
+    """Leading bias ``beta h_n^2 S(x) / 2``: the baseline's (step None, beta = 1)
+    times ``beta = 1/(1 - 2 a xi)``, which is 1 for ``xi = 0`` too."""
     _check_n(n)
+    beta = 1.0 if step is None else _beta(bandwidth.a, step.xi)
     h = float(bandwidth.value(n))
-    return h * h * S_x / (2.0 * _bias_denom(bandwidth.a, step.xi))
-
-
-def rosenblatt_bias(S_x: float, h: float) -> float:
-    """Leading bias of the nonrecursive baseline, ``h^2 S(x) / 2``."""
-    _check_h(h)
-    return h * h * S_x / 2.0
+    return h * h * S_x / 2.0 * beta
 
 
 def variance_leading(f_x: float, d: int, bandwidth: BandwidthPlan,
-                     step: StepsizePlan, n: int) -> float:
-    """Leading variance ``(gamma_n / h_n^d) f(x) R / (2 - (1 - a d) xi)``.
+                     step: Optional[StepsizePlan], n: int) -> float:
+    """Leading variance ``nu_n f(x) R / (n h_n^d)``: the baseline's (step None,
+    nu = 1) times ``nu_n = n gamma_n / (2 - (1 - a d) xi)``.
 
     Uses the closed-form gain ``step.seq.value(n)`` (the regular-variation
     equivalent for weight-induced plans).
     """
     _check_n(n)
-    denom = _variance_denom(bandwidth.a, d, step.xi)
-    gamma_n = float(step.seq.value(n))
+    nu = 1.0 if step is None else _nu(bandwidth.a, d, step.xi, n * float(step.seq.value(n)))
     h = float(bandwidth.value(n))
-    return gamma_n / h**d * f_x * gaussian_roughness(d) / denom
-
-
-def rosenblatt_variance(f_x: float, d: int, n: int, h: float) -> float:
-    """Leading variance of the nonrecursive baseline, ``f(x) R / (n h^d)``."""
-    _check_n(n)
-    _check_h(h)
-    return f_x * gaussian_roughness(check_dim(d)) / (n * h**d)
+    return f_x * gaussian_roughness(check_dim(d)) / (n * h**d) * nu
 
 
 @dataclass(frozen=True)
@@ -176,10 +162,11 @@ def _minimise(A: float, B: float, d: int) -> OptimalPlan:
 
 def _unit_gain_optimum(quad_term: float, rough_term: float, d: int) -> OptimalPlan:
     # quad_term = S(x)^2 (pointwise) or the integrated squared curvature;
-    # rough_term = f(x) R (pointwise) or R (integrated); gain 1/n, a = 1/(d+4)
+    # rough_term = f(x) R (pointwise) or R (integrated); gain 1/n, a = 1/(d+4):
+    # the baseline's error (quad_term/4, rough_term) times (beta^2, nu)
     a = 1.0 / (check_dim(d) + 4)
-    return _minimise(quad_term / (2.0 * _bias_denom(a, 1.0)) ** 2,
-                     rough_term / _variance_denom(a, d, 1.0), d)
+    beta = _beta(a, 1.0)
+    return _minimise(beta * beta * quad_term / 4.0, _nu(a, d, 1.0, 1.0) * rough_term, d)
 
 
 def _check_point(f_x: float, S_x: float) -> None:
@@ -262,10 +249,10 @@ def clt_params(c: float, f_x: float, S_x: float, d: int, a: float,
         raise ValueError("c must be nonnegative (or inf)")
     xi = step.xi
     if math.isinf(c):
-        return CltParams(c, S_x / (2.0 * _bias_denom(a, xi)), 0.0)
-    vdenom = _variance_denom(a, d, xi)
-    mean = 0.0 if c == 0 else math.sqrt(c) * S_x / (2.0 * _bias_denom(a, xi))
-    return CltParams(c, mean, f_x * gaussian_roughness(d) / vdenom)
+        return CltParams(c, S_x / 2.0 * _beta(a, xi), 0.0)
+    nu = _nu(a, d, xi, 1.0)
+    mean = 0.0 if c == 0 else math.sqrt(c) * S_x / 2.0 * _beta(a, xi)
+    return CltParams(c, mean, f_x * gaussian_roughness(d) * nu)
 
 
 def ci_constant(gamma0: float, a: float, d: int) -> float:
@@ -277,7 +264,7 @@ def ci_constant(gamma0: float, a: float, d: int) -> float:
     """
     if not 0.0 < gamma0 < math.inf:
         raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
-    return math.sqrt(gamma0 / _variance_denom(a, d, 1.0 / gamma0))
+    return math.sqrt(_nu(a, d, 1.0 / gamma0, gamma0))
 
 
 def ci_constant_minimum(a: float, d: int) -> Tuple[float, float]:

@@ -216,9 +216,9 @@ def balanced_plan_ratios(seed: int, jobs: int) -> List[CheckOutcome]:
     for d in (1, 2):
         step = stepsize_plan(4.0 / (d + 4))
         bw = bandwidth_plan(1.0, 1.0 / (d + 4))
-        h_n = float(bw.value(n))
-        bias = asymptotics.rosenblatt_bias(1.0, h_n) / asymptotics.bias_leading(1.0, bw, step, n)
-        var = (asymptotics.rosenblatt_variance(1.0, d, n, h_n)
+        bias = (asymptotics.bias_leading(1.0, bw, None, n)
+                / asymptotics.bias_leading(1.0, bw, step, n))
+        var = (asymptotics.variance_leading(1.0, d, bw, None, n)
                / asymptotics.variance_leading(1.0, d, bw, step, n))
         out += _outcome(f"balanced-plan-ratios(d={d})",
                         abs(bias - 0.5) < 1e-12 and abs(var - (d + 4) / 4.0) < 1e-12,

@@ -154,8 +154,7 @@ def _bias(*, density, x, a, gamma0, n) -> None:
     value = asymptotics.bias_leading(s_x, bw, step, n)
     print(f"curvature S(x) = {s_x:.6g}")
     print(f"leading recursive bias at n={n}: {value:.6g}")
-    print(f"leading baseline bias at n={n}:  "
-          f"{asymptotics.rosenblatt_bias(s_x, float(bw.value(n))):.6g}")
+    print(f"leading baseline bias at n={n}:  {asymptotics.bias_leading(s_x, bw, None, n):.6g}")
 
 
 def _variance(*, density, x, a, gamma0, n) -> None:
@@ -163,7 +162,7 @@ def _variance(*, density, x, a, gamma0, n) -> None:
     step = stepsize_plan(gamma0)
     bw = bandwidth_plan(1.0, a)
     value = asymptotics.variance_leading(f_x, model.dim, bw, step, n)
-    base = asymptotics.rosenblatt_variance(f_x, model.dim, n, float(bw.value(n)))
+    base = asymptotics.variance_leading(f_x, model.dim, bw, None, n)
     print(f"density f(x) = {f_x:.6g}")
     print(f"leading recursive variance at n={n}: {value:.6g}")
     print(f"leading baseline variance at n={n}:  {base:.6g}")

@@ -500,12 +500,13 @@ class RosenblattEstimator:
 
 def _one_cell(samples, x, bandwidth: BandwidthPlan, step) -> np.ndarray:
     """The cell ``(n, bandwidth, step)`` at ``x`` over ``samples`` (replications, n,
-    d), once both are checked, as the Monte Carlo evaluates it; returns (replications,)."""
+    d), once the samples are checked, as the Monte Carlo evaluates it (which checks
+    ``x`` by :func:`as_point`); returns (replications,)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or 0 in samples.shape[1:] or np.shape(x) != samples.shape[2:]:
+    if samples.ndim != 3 or 0 in samples.shape[1:]:
         raise ValueError("need samples of shape (replications, n, d), n and d at least 1, "
                          "and x of shape (d,)")
-    if not (np.isfinite(samples).all() and np.isfinite(x).all()):
+    if not np.isfinite(samples).all():
         raise ValueError("points and observations must be finite")
     [out] = estimates_at_point(x, samples, [(samples.shape[1], bandwidth, step)])
     return out

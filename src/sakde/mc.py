@@ -118,11 +118,11 @@ class CellConfig:
 
     def leading_variance(self, f):
         """Leading variance of the estimate where the density is ``f`` (a number or
-        array): ``gamma_n h_n^-d f R / (2 - (1 - a d) xi)`` for the recursion, ``f R /
-        (n h_n^d)`` for the baseline; a recursive plan at the variance pole raises."""
-        if self.estimator == RECURSIVE:
-            return asymptotics.variance_leading(f, self.dim, self.bandwidth, self.step, self.n)
-        return asymptotics.rosenblatt_variance(f, self.dim, self.n, self.bandwidth.value(self.n))
+        array): ``nu_n f R / (n h_n^d)`` for the cell's :attr:`evaluation`, with
+        ``nu_n = n gamma_n / (2 - (1 - a d) xi)`` for the recursion and 1 for the
+        baseline; a recursive plan at the variance pole raises."""
+        n, bandwidth, step = self.evaluation
+        return asymptotics.variance_leading(f, self.dim, bandwidth, step, n)
 
     @property
     def evaluation(self):

@@ -68,9 +68,10 @@ def test_bias_leading_reduces_to_baseline_when_xi_zero():
     step = stepsize_plan(1.0, alpha=0.7)  # xi = 0
     bw = bandwidth_plan(1.0, 0.1)
     n = 1000
-    h = float(bw.value(n))
-    assert asy.bias_leading(-0.4, bw, step, n) == pytest.approx(
-        asy.rosenblatt_bias(-0.4, h), rel=1e-14)
+    h = 1000.0**-0.1
+    baseline = h * h * -0.4 / 2  # h^2 S / 2, written out
+    assert asy.bias_leading(-0.4, bw, step, n) == pytest.approx(baseline, rel=1e-14)
+    assert asy.bias_leading(-0.4, bw, None, n) == pytest.approx(baseline, rel=1e-14)
 
 
 def test_bias_leading_rejects_pole():
@@ -95,10 +96,10 @@ def test_variance_leading_optimal_gain_matches_scaled_baseline():
     step = stepsize_plan(1.0 - a)
     bw = bandwidth_plan(1.0, a)
     n = 700
-    h = float(bw.value(n))
-    rec = asy.variance_leading(PHI0, 1, bw, step, n)
-    ros = asy.rosenblatt_variance(PHI0, 1, n, h)
-    assert rec == pytest.approx((1 - a) * ros, rel=1e-13)
+    h = 700.0**-a
+    ros = PHI0 * gaussian_roughness(1) / (n * h)  # f R / (n h^d), written out
+    assert asy.variance_leading(PHI0, 1, bw, None, n) == pytest.approx(ros, rel=1e-14)
+    assert asy.variance_leading(PHI0, 1, bw, step, n) == pytest.approx((1 - a) * ros, rel=1e-13)
 
 
 def test_variance_leading_rejects_pole():
@@ -117,10 +118,10 @@ def test_balanced_plan_bias_and_variance_ratios(d):
     step = stepsize_plan(4.0 / (d + 4))
     bw = bandwidth_plan(1.0, a)
     n = 900
-    h = float(bw.value(n))
-    ratio_bias = asy.rosenblatt_bias(1.0, h) / asy.bias_leading(1.0, bw, step, n)
-    ratio_var = (asy.rosenblatt_variance(1.0, d, n, h)
-                 / asy.variance_leading(1.0, d, bw, step, n))
+    h = 900.0**-a
+    # the baseline's h^2 S / 2 and f R / (n h^d) at S = f = 1, written out
+    ratio_bias = h * h / 2 / asy.bias_leading(1.0, bw, step, n)
+    ratio_var = gaussian_roughness(d) / (n * h**d) / asy.variance_leading(1.0, d, bw, step, n)
     assert ratio_bias == pytest.approx(0.5, rel=1e-12)
     assert ratio_var == pytest.approx((d + 4) / 4.0, rel=1e-12)
 
@@ -241,8 +242,8 @@ def test_rosenblatt_optimum_against_numeric_minimisation(d):
     ros = asy.rosenblatt_mse_optimal(f_x, s_x, d)
     n = 10**4
 
-    def mse(h):
-        return asy.rosenblatt_bias(s_x, h) ** 2 + asy.rosenblatt_variance(f_x, d, n, h)
+    def mse(h):  # (h^2 S / 2)^2 + f R / (n h^d), written out
+        return (h * h * s_x / 2) ** 2 + f_x * gaussian_roughness(d) / (n * h**d)
 
     res = minimize_scalar(mse, bounds=(0.01, 2.0), method="bounded",
                           options={"xatol": 1e-10})
@@ -296,6 +297,25 @@ def test_clt_params_rejects_bad_inputs():
         asy.clt_params(1.0, PHI0, -1.0, 1, 0.21, stepsize_plan(0.3))
 
 
+def test_each_factor_raises_only_on_its_own_pole():
+    # a = 0.21, gamma0 = 0.4 (xi = 2.5): 1 - 2 a xi = -0.05 is on the bias pole,
+    # while 2 - (1 - a) xi = 0.025 is off the variance pole, so nu = 0.4 / 0.025 = 16
+    a, gamma0, n = 0.21, 0.4, 100
+    bw, step = bandwidth_plan(1.0, a), stepsize_plan(gamma0)
+    h = 100.0**-a
+    variance = asy.variance_leading(0.4, 1, bw, step, n)
+    assert variance == pytest.approx(16 * 0.4 * gaussian_roughness(1) / (n * h), rel=1e-13)
+    assert variance == pytest.approx(0.0474870, abs=1e-7)
+    assert asy.ci_constant(gamma0, a, 1) == pytest.approx(4.0, rel=1e-13)
+    assert asy.clt_params(0.0, PHI0, -PHI0, 1, a, step).asym_var == pytest.approx(
+        PHI0 * gaussian_roughness(1) / 0.025, rel=1e-13)  # c = 0 reads no bias
+    for bias_read in (lambda: asy.bias_leading(-PHI0, bw, step, n),
+                      lambda: asy.clt_params(1.0, PHI0, -PHI0, 1, a, step),
+                      lambda: asy.clt_params(math.inf, PHI0, -PHI0, 1, a, step)):
+        with pytest.raises(ValueError, match="^bias pole"):
+            bias_read()
+
+
 def test_ci_constant_named_values():
     a, d = 0.21, 1
     assert asy.ci_constant(1.0 - a, a, d) == pytest.approx(math.sqrt(1 - a), rel=1e-14)
@@ -336,7 +356,7 @@ _BW, _STEP = bandwidth_plan(1.0, 0.2), stepsize_plan(0.8)
 # every formula that takes a dimension, on a plan whose other parameters lie in
 # its domain, and a dimension that is no positive integer
 _DIM_FORMULAS = {
-    "rosenblatt-variance": lambda d: asy.rosenblatt_variance(1.0, d, 100, 0.5),
+    "rosenblatt-variance": lambda d: asy.variance_leading(0.3, d, _BW, None, 100),
     "variance": lambda d: asy.variance_leading(0.3, d, _BW, _STEP, 100),
     "mise-bias-dominated": lambda d: asy.mise_leading(1.0, d, stepsize_plan(1.0),
                                                       bandwidth_plan(1.0, 0.1), 100),
@@ -361,22 +381,23 @@ _DIM_CASES = {f"{name}-{label}": (lambda f=f, d=d: f(d), "dim must be a positive
     (lambda: asy.variance_leading(0.3, 1, _BW, _STEP, -5), "n must be at least 1"),
     (lambda: asy.mise_leading(1.0, 1, _STEP, _BW, 0), "n must be at least 1"),
     (lambda: asy.mise_leading(1.0, 1, stepsize_plan(1.0, 0.9), _BW, 0), "n must be at least 1"),
-    (lambda: asy.rosenblatt_variance(0.3, 1, 0, 0.5), "n must be at least 1"),
-    (lambda: asy.rosenblatt_variance(0.3, 1, 10, 0.0), "bandwidth h must be positive"),
-    (lambda: asy.rosenblatt_variance(0.3, 1, 10, -1.0), "bandwidth h must be positive"),
-    (lambda: asy.rosenblatt_variance(0.3, 1, 10, math.nan), "bandwidth h must be positive"),
-    (lambda: asy.rosenblatt_bias(1.0, 0.0), "bandwidth h must be positive"),
-    (lambda: asy.rosenblatt_bias(1.0, -1.0), "bandwidth h must be positive"),
-    (lambda: asy.rosenblatt_bias(1.0, math.nan), "bandwidth h must be positive"),
+    (lambda: asy.variance_leading(0.3, 1, _BW, None, 0), "n must be at least 1"),
+    (lambda: asy.bias_leading(1.0, _BW, None, 0), "n must be at least 1"),
+    # the baseline's bandwidth comes only from a plan, which refuses a scale that
+    # would make h_n zero, negative or NaN before any law reads it
+    *[(lambda h=h, law=law: law(bandwidth_plan(h, 0.2)), "need a finite scale > 0")
+      for law in (lambda bw: asy.variance_leading(0.3, 1, bw, None, 10),
+                  lambda bw: asy.bias_leading(1.0, bw, None, 10))
+      for h in (0.0, -1.0, math.nan)],
     (lambda: asy.efficiency_ratio(0), "dim must be a positive integer"),
     (lambda: asy.efficiency_ratio(math.nan), "dim must be a positive integer"),
     (lambda: asy.efficiency_ratio(1.5), "dim must be a positive integer"),
     (lambda: asy.efficiency_ratio(2.0), "dim must be a positive integer"),
     *_DIM_CASES.values(),
 ], ids=["bias-n0", "bias-nan", "variance-n0", "variance-negative", "mise-balanced-n0",
-        "mise-variance-dominated-n0", "rosenblatt-variance-n0", "rosenblatt-variance-h0",
-        "rosenblatt-variance-negative-h", "rosenblatt-variance-nan-h", "rosenblatt-bias-h0",
-        "rosenblatt-bias-negative-h", "rosenblatt-bias-nan-h", "efficiency-d0",
+        "mise-variance-dominated-n0", "rosenblatt-variance-n0", "rosenblatt-bias-n0",
+        "rosenblatt-variance-h0", "rosenblatt-variance-negative-h", "rosenblatt-variance-nan-h",
+        "rosenblatt-bias-h0", "rosenblatt-bias-negative-h", "rosenblatt-bias-nan-h", "efficiency-d0",
         "efficiency-nan", "efficiency-fractional", "efficiency-float", *_DIM_CASES])
 def test_formulas_reject_parameters_outside_their_domain(formula, message):
     with pytest.raises(ValueError, match=message):

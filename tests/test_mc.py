@@ -275,14 +275,16 @@ def test_clt_check_passes_on_low_distortion_config():
 
 
 def test_clt_check_fails_when_variance_is_mis_scaled(monkeypatch):
-    # the leading variance the readout standardises by, made 4 times too large
+    # the leading variance the readout standardises by, made 4 times too large:
+    # the baseline reads the same law, with nu = 1
     leading = asymptotics.variance_leading
     monkeypatch.setattr(asymptotics, "variance_leading", lambda *args: 4.0 * leading(*args))
     model = LinearImage(standard_gaussian(1), [[2.0]])
-    cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, mc.RECURSIVE, replications=1000, seed=3)
-    report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
-    assert not report.passed
-    assert report.sample_std == pytest.approx(0.5, abs=0.1)
+    for estimator in (mc.RECURSIVE, mc.ROSENBLATT):
+        cfg = mc.CellConfig(model, (2.0,), 2000, 0.21, estimator, replications=1000, seed=3)
+        report = mc.clt_empirical_check(cfg, *mc.estimates(cfg))
+        assert not report.passed
+        assert report.sample_std == pytest.approx(0.5, abs=0.1)
 
 
 def test_clt_check_reads_a_slow_regime_plan():
@@ -341,13 +343,15 @@ def test_readouts_check_their_cell_before_its_vector():
 
 def _standardised(cfg, g):
     """``(g - f(x)) / sqrt(V)``, with V the leading variance of the cell's estimator
-    taken from its formula here, not from the cell."""
+    written out here, not taken from the cell: ``nu f R / (n h^d)``, with ``nu = n
+    gamma_n / (2 - (1 - a d) xi)`` for the recursion and 1 for the baseline."""
     f_true = cfg.model.pdf(np.asarray(cfg.x))
-    if cfg.estimator == mc.ROSENBLATT:
-        h = float(cfg.bandwidth.value(cfg.n))
-        variance = asymptotics.rosenblatt_variance(f_true, cfg.dim, cfg.n, h)
-    else:
-        variance = asymptotics.variance_leading(f_true, cfg.dim, cfg.bandwidth, cfg.step, cfg.n)
+    h = float(cfg.bandwidth.value(cfg.n))
+    nu = 1.0
+    if cfg.estimator == mc.RECURSIVE:
+        n_gamma = cfg.n * float(cfg.step.seq.value(cfg.n))
+        nu = n_gamma / (2.0 - (1.0 - cfg.a * cfg.dim) * cfg.step.xi)
+    variance = nu * f_true * gaussian_roughness(cfg.dim) / (cfg.n * h**cfg.dim)
     return (g - f_true) / math.sqrt(variance)
 
 

@@ -14,6 +14,11 @@ lines for:
 - each cell of ``mc.run_table(N, 42, 5000, 1)``, for N = 1..4, run by a
   ``python -c`` snippet that prints its coverage as ``repr`` (full precision)
   and its average length at 12 significant digits (the CSV shows 6);
+- the leading variance that each cell's intervals read, ``repr`` of
+  ``cfg.leading_variance(cfg.model.pdf(cfg.x))`` (full precision) for every
+  cell of ``mc.table_configs(N, 42, 5000)``, for N = 1..4, run by a ``python
+  -c`` snippet, so an ulp move in the interval law shows even where no CSV
+  byte moves;
 - the stdout of ``sakde check full --seed 42 --jobs 1``;
 - the ``value`` of each outcome of that suite, as ``json.dumps(value,
   sort_keys=True)`` (its floats at full precision; the printed lines show 2-3
@@ -262,6 +267,16 @@ for cfg, row in zip(mc.table_configs(table, 42, 5000), mc.run_table(table, 42, 5
 """
 
 
+# Prints the leading variance that each cell of table argv[1] builds its
+# intervals from, at the cell's true density and at full precision.
+LEADING_VARIANCE_SNIPPET = """
+import sys
+from sakde import mc
+for cfg in mc.table_configs(int(sys.argv[1]), 42, 5000):
+    print(cfg.x, cfg.a, cfg.n, cfg.estimator, repr(cfg.leading_variance(cfg.model.pdf(cfg.x))))
+"""
+
+
 # Prints each estimate vector of table 4's cells at the origin, at seed 42 and
 # 1000 replications, in table order.
 TABLE4_ESTIMATES_SNIPPET = """
@@ -360,6 +375,8 @@ def outputs(root: Path, work: Path):
         yield f"table {table} printed diff", printed
         yield (f"table {table} cells at full precision",
                run_python(root, ["-c", TABLE_CELLS_SNIPPET, str(table)], work))
+        yield (f"table {table} leading variances at full precision",
+               run_python(root, ["-c", LEADING_VARIANCE_SNIPPET, str(table)], work))
     yield "check full", run_cli(root, ["check", "full", "--seed", "42", "--jobs", "1"], work)
     status, *lines = run_python(root, ["-c", CHECK_VALUES_SNIPPET], work).splitlines()
     for line in lines:
