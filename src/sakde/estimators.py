@@ -17,7 +17,10 @@ in the exponent form of :mod:`sakde.kernels`, the estimators differing only in
 ``(c_k, h_k)``; the recursion is expanded in one place, :func:`_runs`.  Over
 one sample the sum is :func:`_kernel_sum`.  Replication samples are evaluated
 at their points by :func:`replication_estimates` alone, for the Monte Carlo
-and the batch forms.
+and the batch forms, one block of ``_TILE / 4`` columns of a tile of
+replications at a time: a run is summed in blocks cut at the multiples of
+``_TILE / 4`` columns, so an estimate's bits depend on its block of
+replications and on that grid of columns, not on how its samples are drawn.
 
 The streaming estimator keeps its estimate, step count and one weight sum, and
 takes each step's gain and bandwidth from the step's index; its one-step
@@ -44,8 +47,10 @@ from sakde.sequences import (BandwidthPlan, SequencePlan, StepsizePlan, is_integ
 # observations of a kernel sum (observations x points x dim) and a block of
 # replication samples (replications x n x dim) stay within it.  Neither is held
 # whole: _kernel_sum holds one tile of a chunk's squared distances, and the
-# Monte Carlo (replication_estimates) one tile of a block's samples and one
-# tile of their squared distances to a point
+# Monte Carlo (replication_estimates) one column block (_TILE / 4 columns) of a
+# tile of a block's samples and one of their squared distances to a point, at
+# any n.  A run's exponent terms (2 scalars a row, at most SCALAR_BUDGET rows a
+# run) are the one Monte Carlo array that still grows with n
 SCALAR_BUDGET = 1 << 21
 
 # the exponent tile of every fused kernel sum, in float64 scalars (512 KB): it
@@ -327,67 +332,96 @@ def as_point(x, dim: int) -> np.ndarray:
 def replication_estimates(cells, replications: int, n: int, dim: int, draw):
     """The estimates ``(replications,)`` of each cell ``(x, (n, bandwidth, step))``
     of ``cells``, in the cells' order, over the replication samples that
-    ``draw(lo, hi)`` gives as an array (hi - lo, ``n``, ``dim``) for the
-    replications ``lo`` to ``hi - 1``.  A cell's n that is no integer in [1,
-    ``n``], or an x that is not ``dim`` finite numbers, raises ValueError
-    before any draw.  Step None is the baseline, one sum over the first n
-    observations, and the recursive cells at one x that share (step,
-    bandwidth) run one trajectory in order of n, each n extending the run
-    before it; each extension's runs (:func:`_runs`) are expanded once per
+    ``draw(lo, hi, width)`` gives for the replications ``lo`` to ``hi - 1``: an
+    iterable of arrays (hi - lo, ``width``, ``dim``), their samples' ``n``
+    columns cut at the multiples of ``width``, in order.  A cell's n that is
+    no integer in [1, ``n``], or an x that is not ``dim`` finite numbers,
+    raises ValueError before any draw.  Step None is the baseline, one sum
+    over the first n observations, and the recursive cells at one x that share
+    (step, bandwidth) run one trajectory in order of n, each n extending the
+    run before it; each extension's runs (:func:`_runs`) are expanded once per
     call.
 
-    The replications are drawn one tile of rows at a time, and each tile is
-    evaluated at every point before the next is drawn: its squared distances
-    to a point fill one reused buffer, and every cell at the point is summed
-    on it.  So one sample tile and one tile of distances are held, never a
-    block.  The tiles cut each block (:func:`replication_blocks`) from its
-    start, at multiples of 4 rows (:func:`_row_tiles`, the rule of
-    :func:`_gaussian_sum`'s own tiles), so an estimate's bits depend on its
-    block, and not on where a block is cut at a multiple of 4 replications, if
-    at least 4 follow the cut."""
+    The replications are drawn one tile of rows at a time, and a tile one
+    column block of :data:`_TILE` / 4 observations at a time: each block is
+    evaluated at every point before the next is drawn.  Its squared distances
+    to a point fill one reused buffer, every cell at the point is summed on
+    it, and each trajectory carries its run's partial sum to the next block.
+    So one block of a tile's samples and one of their distances are held,
+    whatever n.  The tiles cut each block of replications
+    (:func:`replication_blocks`) from its start, at multiples of 4 rows
+    (:func:`_row_tiles`, the rule of :func:`_gaussian_sum`'s own tiles), and a
+    run is summed in blocks cut at the multiples of ``_TILE / 4`` columns.  So
+    an estimate's bits depend on its block of replications and on that grid
+    of columns, and not on where a block is cut at a multiple of 4
+    replications, if at least 4 follow the cut."""
     points = {}  # the indices of the cells at each point
     for i, (x, (k, _, _)) in enumerate(cells):
         if not (is_integer(k) and 1 <= k <= n):
             raise ValueError(f"a cell's n must be an integer in [1, {n}], got {k!r}")
         points.setdefault(tuple(as_point(x, dim).tolist()), []).append(i)
-    paths = {}  # each point's trajectories, cells in order of n; a baseline cell is one of its own
-    runs = {}  # each cell's runs from the cell before it: every tile sums them
+    # each point's trajectories, each its runs in order of n as (columns, coef,
+    # scale, start, the cells whose n the run ends at); a baseline cell is a
+    # trajectory of its own
+    paths = {}
     for x, idx in points.items():
         trajectories = {}
         for i in sorted(idx, key=lambda i: cells[i][1][0]):
             _, bandwidth, step = cells[i][1]
             trajectories.setdefault(i if step is None else (step, bandwidth), []).append(i)
-        paths[x] = list(trajectories.values())
-        for path in paths[x]:
-            cut, wsum = 0, 0.0
+        paths[x] = []
+        for path in trajectories.values():
+            runs, cut, wsum = [], 0, 0.0
             for i in path:
                 k, bandwidth, step = cells[i][1]
-                runs[i], wsum = _exponent_runs(step, bandwidth, dim, cut, k, wsum)
+                extension, wsum = _exponent_runs(step, bandwidth, dim, cut, k, wsum)
+                runs += extension
                 cut = k
-    # a tile holds whole groups of 4 rows, about 4 _TILE scalars (2 MiB), so
-    # each block of tables 1 and 4 (at most 2 x 10^5 distances) is one tile: on
-    # a 2-vCPU Xeon, that ran the coverage benchmark about 4 % faster than
-    # tiles of _TILE, and check full ran alike in tiles of 1 to 8 _TILE
-    tile = max(4, 4 * _TILE // n // 4 * 4)
+            paths[x].append([(*run, [i for i in path if cells[i][1][0] == run[0].stop])
+                             for run in runs])
+    # a tile's column block holds whole groups of 4 rows, at most about 4 _TILE
+    # scalars (2 MiB), so each block of tables 1 and 4 (at most 2 x 10^5
+    # distances) is one tile: on a 2-vCPU Xeon, that ran the coverage benchmark
+    # about 4 % faster than tiles of _TILE, and check full ran alike in tiles of
+    # 1 to 8 _TILE
+    tile, width = max(4, 4 * _TILE // n // 4 * 4), _TILE // 4
     tiles = [(lo + a, lo + b) for lo, hi in replication_blocks(replications, n, dim)
              for a, b in _row_tiles(hi - lo, tile)]
     out, buf = [np.empty(replications) for _ in cells], None
     for lo, hi in tiles:
-        rows = draw(lo, hi).reshape(-1, dim)
-        if buf is None:  # allocated once the first draw's temporaries are freed
-            buf = np.empty(max(b - a for a, b in tiles) * n)
-        for x, point_paths in paths.items():
-            # each row a point and x the sample: the rows fill _squared_distances's tiles
-            q = _squared_distances(rows, np.reshape(x, (1, dim)),
-                                   buf[:(hi - lo) * n, None]).reshape(hi - lo, n)
-            qmax = float(q.max())
-            for path in point_paths:
-                values = np.zeros(hi - lo)
-                for i in path:
-                    for cols, coef, scale, start in runs[i]:
-                        values = start * values + _gaussian_sum(q[:, cols], coef, scale, qmax)
-                    out[i][lo:hi] = values
-        del rows  # freed before the next tile is drawn
+        # by (x, index), each unfinished trajectory's estimate after its runs that
+        # ended and its run's sum so far; a finished trajectory holds neither
+        sums = {}
+        b = 0  # no zip or enumerate: their reused tuple would hold each block past the next draw
+        for block in draw(lo, hi, width):
+            a, b, rows = b, b + block.shape[1], block.reshape(-1, dim)
+            del block
+            if buf is None:  # allocated once the first draw's temporaries are freed
+                buf = np.empty(max(t1 - t0 for t0, t1 in tiles) * min(n, width))
+            for x, trajectories in paths.items():
+                if all(runs[-1][0].stop <= a for runs in trajectories):
+                    continue
+                # each row a point and x the sample: the rows fill _squared_distances's tiles
+                q = _squared_distances(rows, np.reshape(x, (1, dim)),
+                                       buf[:len(rows), None]).reshape(hi - lo, b - a)
+                qmax = float(q.max())
+                for j, runs in enumerate(trajectories):
+                    for cols, coef, scale, start, ends in runs:
+                        c, e = max(cols.start, a), min(cols.stop, b)
+                        if c >= e:
+                            continue
+                        values, partial = (sums.pop((x, j)) if (x, j) in sums
+                                           else (np.zeros(hi - lo), np.zeros(hi - lo)))
+                        terms = slice(c - cols.start, e - cols.start)
+                        partial += _gaussian_sum(q[:, c - a:e - a], coef[terms], scale[terms],
+                                                 qmax)
+                        if e == cols.stop:
+                            values, partial = start * values + partial, np.zeros(hi - lo)
+                            for i in ends:
+                                out[i][lo:hi] = values
+                        if e < runs[-1][0].stop:
+                            sums[x, j] = values, partial
+            del rows  # freed before the next block is drawn
     return out
 
 
@@ -398,8 +432,9 @@ def estimates_at_point(x, samples: np.ndarray, cells):
     rows it equals the Monte Carlo bit for bit.  An n that is no integer in
     [1, N], or an x that is not d finite numbers, raises ValueError."""
     reps, top, d = samples.shape
-    return replication_estimates([(x, cell) for cell in cells], reps, top, d,
-                                 lambda lo, hi: samples[lo:hi])
+    return replication_estimates(
+        [(x, cell) for cell in cells], reps, top, d,
+        lambda lo, hi, width: (samples[lo:hi, a:a + width] for a in range(0, top, width)))
 
 
 class RecursiveEstimator:
@@ -504,10 +539,9 @@ def _one_cell(samples, x, bandwidth: BandwidthPlan, step) -> np.ndarray:
     ``x`` by :func:`as_point`); returns (replications,)."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or 0 in samples.shape[1:]:
-        raise ValueError("need samples of shape (replications, n, d), n and d at least 1, "
-                         "and x of shape (d,)")
+        raise ValueError("need samples of shape (replications, n, d), n and d at least 1")
     if not np.isfinite(samples).all():
-        raise ValueError("points and observations must be finite")
+        raise ValueError("samples must be finite")
     [out] = estimates_at_point(x, samples, [(samples.shape[1], bandwidth, step)])
     return out
 

@@ -14,16 +14,19 @@ counter whose top word is 1, 2^192 blocks beyond any normal it draws.  So its
 sample at n is the first n rows of its sample at any larger n, and a
 one-component model reads only the normals, as it always has.  Cells that share
 (model, replications, seed) read prefixes of one draw at their largest n, N,
-made once, one tile of replications at a time; the blocks are fixed by (N, d,
+made once, one tile of replications at a time and a tile one block of
+columns at a time (:func:`_draw_columns`); the blocks are fixed by (N, d,
 replications), and each block's tiles by N, so a run is bit-reproducible for a
-given seed however its cells are scheduled across workers.  Within a tile,
-each replication's streams fill only its own rows, and the component pick and
-the Cholesky map then run once over the tile.  The Monte Carlo holds one tile
-of samples and, at a point, one tile of their squared distances, never a
-block.  Each tile is evaluated at every point before the next is drawn, the
-cells at one point together (:func:`sakde.estimators.replication_estimates`);
-their bits depend on the block and the cells' n, never on the workers, and not
-on where a block is cut at a multiple of 4 rows with at least 4 after the cut.
+given seed however its cells are scheduled across workers.  Within a column
+block, each replication's streams fill only its own rows, reading on where
+the block before stopped, and the component pick and the Cholesky map then
+run once over the block.  The Monte Carlo holds one column block of a tile of
+samples and, at a point, one of their squared distances, whatever N.  Each
+column block is evaluated at every point before the next is drawn, the cells
+at one point together (:func:`sakde.estimators.replication_estimates`); their
+bits depend on the block of replications, the grid of column blocks and the
+cells' n, never on the workers, and not on where a block is cut at a multiple
+of 4 rows with at least 4 after the cut.
 """
 
 from __future__ import annotations
@@ -190,6 +193,23 @@ def _draw(model, seed: int, lo: int, hi: int, count: int) -> np.ndarray:
                               (_rekey(philox, seed, r, _UNIFORMS) for r in reps), hi - lo, count)
 
 
+def _draw_columns(model, seed: int, lo: int, hi: int, count: int, width: int):
+    """The draw of :func:`_draw` in blocks of columns: yields its columns 0 to
+    ``count - 1``, cut at the multiples of ``width``, in order, each block drawn
+    once the one before it is taken.  One block is :func:`_draw` itself; over
+    more, each stream of a replication has a generator of its own, which reads
+    on from one block to the next, and a stream read in pieces is the stream
+    read whole."""
+    if count <= width:
+        yield _draw(model, seed, lo, hi, count)
+        return
+    reps = range(lo, hi)
+    normals = [replication_rng(seed, r) for r in reps]
+    uniforms = [_rekey(np.random.Philox(0), seed, r, _UNIFORMS) for r in reps]
+    for a in range(0, count, width):
+        yield model.sample_block(normals, uniforms, hi - lo, min(width, count - a))
+
+
 def _shared_draw(cfgs: Sequence[CellConfig]) -> CellConfig:
     """The first of ``cfgs``, once they are known to be a nonempty list of cells
     that read prefixes of one draw: their samples depend on (model,
@@ -205,13 +225,14 @@ def estimates(*cfgs: CellConfig) -> List[np.ndarray]:
     """One ``(replications,)`` vector of estimates per cell, in replication order;
     the cells share (model, replications, seed), and each reads the first n rows
     of one draw at their largest n, N.  Each tile of replications is drawn once,
-    just before the cells at every point are evaluated on it
-    (:func:`estimators.replication_estimates`), so no block is held whole."""
+    one block of columns at a time, each just before the cells at every point
+    are evaluated on it (:func:`estimators.replication_estimates`), so no
+    replication is held whole."""
     first = _shared_draw(cfgs)
     top = max(cfg.n for cfg in cfgs)
     return estimators.replication_estimates(
         [(cfg.x, cfg.evaluation) for cfg in cfgs], first.replications, top, first.dim,
-        lambda lo, hi: _draw(first.model, first.seed, lo, hi, top))
+        lambda lo, hi, width: _draw_columns(first.model, first.seed, lo, hi, top, width))
 
 
 def build_interval(g_x: np.ndarray, cfg: CellConfig):

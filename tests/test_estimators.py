@@ -284,7 +284,7 @@ def test_batch_forms_reject_bad_input_before_any_arithmetic():
         poisoned[2, 7, 1] = bad
         for form in (lambda s, x: recursive_batch(step, bw, s, x),
                      lambda s, x: rosenblatt_batch(bw, s, x)):
-            with pytest.raises(ValueError, match="^points and observations must be finite$"):
+            with pytest.raises(ValueError, match="^samples must be finite$"):
                 form(poisoned, np.zeros(2))
             # a bad x has one message, as_point's, whichever entry point reads it
             with pytest.raises(ValueError, match=r"^x must be 2 finite number\(s\), got "):
@@ -334,7 +334,7 @@ def test_estimates_at_point_rejects_an_x_that_is_not_d_finite_numbers(x, monkeyp
             estimators.estimates_at_point(x, samples, [(50, bw, step)])
         with pytest.raises(ValueError, match=message):
             estimators.replication_estimates([(np.zeros(1), (50, bw, step)), (x, (50, bw, step))],
-                                             8, 50, 1, lambda lo, hi: draws.append((lo, hi)))
+                                             8, 50, 1, lambda *args: draws.append(args))
     assert calls == [] and draws == []
 
 

@@ -242,8 +242,6 @@ def test_every_option_has_a_package_caller():
 #: for callers outside the package, with the reason for each
 ALWAYS_PASSED_OPTIONS = {
     "recursive_at_points.f0": "the benchmark's stream workload calls it without f0",
-    "replication_rng.bit_generator": "without it, a new Philox: the reference path that "
-                                     "the rekeyed generator is tested against",
     "CellConfig.replications": "an exact-moment cell draws nothing, and its tests build "
                                "it without replications or seed",
     "CellConfig.seed": "an exact-moment cell draws nothing, and its tests build it "

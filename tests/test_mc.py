@@ -13,7 +13,7 @@ from scipy.stats import multivariate_normal
 
 from sakde import asymptotics, checks, densities, estimators, mc
 from sakde.densities import GaussianMixture, LinearImage, standard_gaussian
-from sakde.kernels import gaussian_roughness
+from sakde.kernels import EXP_FLOOR, gaussian_roughness
 from sakde.reference import REFERENCE_CELLS
 from sakde.sequences import bandwidth_plan, stepsize_plan
 
@@ -836,6 +836,51 @@ def test_replication_rng_without_bit_generator_never_aliases():
     np.testing.assert_array_equal(a.random(4), b.random(4))
 
 
+def _record_draws(monkeypatch, cells):
+    """Run ``mc.estimates(*cells)`` and return ``(draws, calls)``: each block of
+    columns drawn, as ``(lo, hi, columns start, block)`` in order, and each call of
+    ``_squared_distances``, as ``(point, rows)``.  Checks that the blocks of a
+    tile are its columns cut at the multiples of ``_TILE / 4``, that the draws
+    are the whole draw, and that at each point the rows given to
+    ``_squared_distances`` are the drawn blocks' rows that its cells read: each
+    block's once, in one call, in order."""
+    calls, squared_distances = [], estimators._squared_distances
+    draws, draw_columns = [], mc._draw_columns
+    first, top = cells[0], max(cfg.n for cfg in cells)
+
+    def counting(rows, point, q):  # the rows of a block of a tile, at one point
+        calls.append((tuple(point[0]), rows))
+        return squared_distances(rows, point, q)
+
+    def drawing(model, seed, lo, hi, count, width):
+        a = 0
+        for block in draw_columns(model, seed, lo, hi, count, width):
+            draws.append((lo, hi, a, block))
+            a += block.shape[1]
+            yield block
+
+    monkeypatch.setattr(estimators, "_squared_distances", counting)
+    monkeypatch.setattr(mc, "_draw_columns", drawing)
+    mc.estimates(*cells)
+    width = estimators._TILE // 4
+    for lo, hi in dict.fromkeys((lo, hi) for lo, hi, *_ in draws):
+        blocks = [(a, block) for p, q, a, block in draws if (p, q) == (lo, hi)]
+        assert [a for a, _ in blocks] == list(range(0, top, width))
+        assert [block.shape[1] for _, block in blocks] == [min(width, top - a) for a, _ in blocks]
+    tiles = [np.concatenate([b for p, q, _, b in draws if (p, q) == tile], axis=1)
+             for tile in dict.fromkeys((lo, hi) for lo, hi, *_ in draws)]
+    np.testing.assert_array_equal(np.concatenate(tiles),
+                                  mc._draw(first.model, first.seed, 0, first.replications, top))
+    for x in {cfg.x for cfg in cells}:
+        read = [(lo, hi, a, b) for lo, hi, a, b in draws
+                if a < max(cfg.n for cfg in cells if cfg.x == x)]
+        rows = [r for p, r in calls if p == x]
+        assert len(rows) == len(read)
+        for r, (*_, drawn) in zip(rows, read):
+            np.testing.assert_array_equal(r, drawn.reshape(-1, first.dim))
+    return draws, calls
+
+
 @pytest.mark.parametrize("tile", [None, 1 << 8])
 @pytest.mark.parametrize("budget, sizes", [(None, (20,)), (7 * 200 * 2, (7, 7, 6))])
 def test_estimates_compute_squared_distances_once_per_row_and_point(budget, sizes, tile,
@@ -843,42 +888,35 @@ def test_estimates_compute_squared_distances_once_per_row_and_point(budget, size
     # table 4 puts 24 cells at each of 3 points; a budget of 7 replications at
     # n = 200 splits 20 replications into blocks of 7, 7 and 6, and a tile of
     # 2^8 scalars cuts each block into tiles of 4 rows (a last 1-3 joining the
-    # tile before).  The draws partition the replications, in order, none
-    # across two blocks, and at each point the rows given to _squared_distances
-    # are the draws' rows: each draw's once, in one call
+    # tile before) and each tile's 200 columns into blocks of 64.  The draws
+    # partition the replications, in order, none across two blocks, and at
+    # each point each drawn block reaches _squared_distances once, in one call
     if budget is not None:
         monkeypatch.setattr(estimators, "SCALAR_BUDGET", budget)
     if tile is not None:
         monkeypatch.setattr(estimators, "_TILE", tile)
-    calls, squared_distances = [], estimators._squared_distances
-    draws, draw = [], mc._draw
-
-    def counting(rows, point, q):  # the rows of a tile, at one point
-        calls.append((tuple(point[0]), rows))
-        return squared_distances(rows, point, q)
-
-    def drawing(model, seed, lo, hi, count):
-        draws.append((lo, hi, draw(model, seed, lo, hi, count)))
-        return draws[-1][2]
-
-    monkeypatch.setattr(estimators, "_squared_distances", counting)
-    monkeypatch.setattr(mc, "_draw", drawing)
     cells = mc.table_configs(4, seed=5, replications=20)
-    mc.estimates(*cells)
+    draws, _ = _record_draws(monkeypatch, cells)
     blocks = estimators.replication_blocks(20, 200, 2)
     assert tuple(hi - lo for lo, hi in blocks) == sizes
-    spans = [(lo, hi) for lo, hi, _ in draws]
+    spans = list(dict.fromkeys((lo, hi) for lo, hi, *_ in draws))
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == 20
     assert {hi for _, hi in blocks} <= {hi for _, hi in spans}
     # a tile is a whole block, or 4 rows where a block holds 5 tiles of 4
     assert tuple(hi - lo for lo, hi in spans) == ((4,) * 5 if tile and not budget else sizes)
-    np.testing.assert_array_equal(np.concatenate([rows for *_, rows in draws]),
-                                  draw(cells[0].model, 5, 0, 20, 200))
-    for x in mc.table_layout(4).xs:
-        rows = [r for p, r in calls if p == x]
-        assert len(rows) == len(draws)
-        for r, (*_, drawn) in zip(rows, draws):
-            np.testing.assert_array_equal(r, drawn.reshape(-1, 2))
+    assert len(draws) == len(spans) * (4 if tile else 1)
+
+
+def test_long_draws_compute_squared_distances_once_per_column_block_and_point(monkeypatch):
+    # n = 2^14 + 100: each tile is drawn in two blocks of columns, 2^14 and 100
+    # wide; the point whose cells stop at n = 100 reads the first block alone
+    model, n = mc.table_model("gaussian"), (1 << 14) + 100
+    cells = [mc.CellConfig(model, (0.5,), n, 0.21, kind, 6, seed=2)
+             for kind in (mc.RECURSIVE, mc.ROSENBLATT)]
+    cells.append(mc.CellConfig(model, (1.0,), 100, 0.21, mc.RECURSIVE, 6, seed=2))
+    draws, calls = _record_draws(monkeypatch, cells)
+    assert [(lo, hi, a) for lo, hi, a, _ in draws] == [(0, 6, 0), (0, 6, 1 << 14)]
+    assert [p for p, _ in calls] == [(0.5,), (1.0,), (0.5,)]
 
 
 def _check_cells(check):
@@ -900,20 +938,38 @@ def _check_cells(check):
 def test_estimates_hold_one_sample_tile_one_distance_tile_and_one_exponent_tile():
     # check full's moment and CLT cells (2000 replications at n = 10^4, at two
     # points) and bias_oracle's cell (200 at n = 10^5, at one).  The peak is one
-    # tile of samples and one of their squared distances, each of whole groups
-    # of 4 rows (at least 4, about 4 _TILE scalars) plus the 3 rows the last
-    # tile can join, and one tile of exponents (2^16 scalars, or 4 rows of 2^14
-    # columns, plus 3 rows of at most 2^14), with 4 n scalars for the runs'
-    # exponent terms and 1 MiB for the estimate vectors and the draw's chunks.
-    # A block of samples, or the distances of one, would add up to 16 MiB
+    # column block of a tile of samples and one of their squared distances,
+    # each of whole groups of 4 rows (at least 4, about 4 _TILE scalars) plus
+    # the 3 rows the last tile can join, at most 2^14 columns, and one tile of
+    # exponents (2^16 scalars, or 4 rows of 2^14 columns, plus 3 rows of at
+    # most 2^14), with 4 n scalars for the runs' exponent terms and 1 MiB for
+    # the estimate vectors and the draw's chunks.  A tile's whole rows of
+    # samples, or their distances, would add up to 2 x 3 MiB at n = 10^5
     tile = estimators._TILE
     for check, points in ((checks.moments_and_clt, 2), (checks.bias_oracle, 1)):
         recorded = _check_cells(check)
         assert len({cfg.x for cfg in recorded}) == points
         n = recorded[0].n
-        rows = max(4, 4 * tile // n) + 3
-        bound = 8 * (2 * rows * n + (tile + 3 * min(n, tile // 4)) + 4 * n) + (1 << 20)
+        rows, width = max(4, 4 * tile // n) + 3, min(n, tile // 4)
+        bound = 8 * (2 * rows * width + (tile + 3 * width) + 4 * n) + (1 << 20)
         assert _peak_bytes(lambda: mc.estimates(*recorded)) <= bound, check.__name__
+
+
+def test_run_cell_at_large_n_holds_its_runs_and_a_few_column_blocks():
+    # 2 replications of N(0, 1) at n = 10^6, one tile of 2 rows.  Beyond the
+    # runs' expansion, whose exponent terms (2n scalars) stay held, the peak is
+    # one column block of the tile's samples, one of their squared distances,
+    # one tile of exponents (2 rows of 2^14 columns each) and the draw's map
+    # chunk (2^15 scalars) or one more block (the normals being drawn), with
+    # 64 KiB for the generators and Python objects.  The parent's whole rows of
+    # samples and distances alone came to 2 x 15 MiB
+    cfg = mc.CellConfig(mc.table_model("gaussian"), (0.5,), 10**6, 0.21, mc.RECURSIVE, 2, 7)
+    cfg.model.sample(mc.replication_rng(0, 0), 1)  # factors built outside the count
+    width = estimators._TILE // 4
+    runs = _peak_bytes(lambda: estimators._exponent_runs(cfg.step, cfg.bandwidth, 1, 0,
+                                                         cfg.n, 0.0))
+    bound = runs + 8 * (2 * 2 * width + 2 * width + max(densities._MAP_SCALARS, 2 * width))
+    assert _peak_bytes(lambda: mc.run_cell(cfg)) <= bound + (64 << 10)
 
 
 def _assert_cut_invariant(cells, block, cuts):
@@ -945,6 +1001,57 @@ def test_table_estimates_do_not_depend_on_where_a_block_is_cut(table, tile, monk
     cells = mc.table_configs(table, seed=8, replications=29)
     block = mc._draw(cells[0].model, 8, 0, 29, 200)
     _assert_cut_invariant(cells, block, range(4, 26, 4))
+
+
+def _whole_row_trajectory(q, cells):
+    """The estimates (replications,) of each cell ``(n, bandwidth, step)`` of one
+    trajectory, in order of n, from the squared distances ``q`` (replications,
+    N) held as whole rows: each of its runs summed in blocks of columns cut at
+    the multiples of ``_TILE / 4``, then applied to the estimate before it."""
+    width, values, cut, wsum, out = estimators._TILE // 4, np.zeros(len(q)), 0, 0.0, []
+    for n, bandwidth, step in cells:
+        runs, wsum = estimators._exponent_runs(step, bandwidth, 1, cut, n, wsum)
+        for cols, coef, scale, start in runs:
+            edges = [cols.start, *range((cols.start // width + 1) * width, cols.stop, width),
+                     cols.stop]
+            partial = np.zeros(len(q))
+            for a, b in zip(edges, edges[1:]):
+                terms = slice(a - cols.start, b - cols.start)
+                partial += np.exp(np.maximum(q[:, a:b] * scale[terms], EXP_FLOOR)) @ coef[terms]
+            values = start * values + partial
+        out.append(values)
+        cut = n
+    return out
+
+
+def test_a_run_off_the_column_grid_is_summed_in_blocks_at_the_grid_edges():
+    # the recursive trajectory's run from n = 20 000 to 50 000 starts off the
+    # grid of 2^14 columns and crosses it twice; the baseline cells' runs start
+    # at 0.  The Monte Carlo, drawing each tile in column blocks, equals sums
+    # of whole rows of the whole draw cut at the grid's edges, bit for bit
+    model = mc.table_model("gaussian")
+    cells = [mc.CellConfig(model, (0.5,), n, 0.21, kind, 8, seed=3)
+             for kind in (mc.RECURSIVE, mc.ROSENBLATT) for n in (20_000, 50_000)]
+    samples = mc._draw(model, 3, 0, 8, 50_000)
+    q = (samples[:, :, 0] - 0.5) ** 2
+    expected = _whole_row_trajectory(q, [cfg.evaluation for cfg in cells[:2]])
+    expected += [_whole_row_trajectory(q, [cfg.evaluation])[0] for cfg in cells[2:]]
+    for g, oracle in zip(mc.estimates(*cells), expected, strict=True):
+        np.testing.assert_array_equal(g, oracle)
+    _assert_cut_invariant(cells, samples, [4])
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixture", "gaussian-2d", "mixture-2d",
+                                  *MODELS])
+def test_draw_in_column_blocks_is_the_whole_draw(name):
+    # each stream of a replication, read on from one block to the next, gives
+    # the values it gives read whole
+    model = MODELS.get(name) or mc.table_model(name)
+    whole = mc._draw(model, 42, 3, 9, 1025)
+    for width, sizes in ((64, [64] * 16 + [1]), (1000, [1000, 25]), (1025, [1025])):
+        blocks = list(mc._draw_columns(model, 42, 3, 9, 1025, width))
+        assert [block.shape[1] for block in blocks] == sizes
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
 
 
 def test_check_estimates_do_not_depend_on_where_a_block_is_cut():
